@@ -17,9 +17,12 @@ test:
 # verify is the serving-layer gate: static checks plus the fault-injection,
 # protocol, and telemetry suites under the race detector. Run it before
 # touching internal/mlaas, internal/faultnet, internal/telemetry, or the
-# wire format.
+# wire format. bench/ is its own module (it implements hecnn.Backend), so
+# it is vetted and smoke-tested explicitly.
 verify:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench .
 	$(GO) test -race ./internal/mlaas/... ./internal/gateway/... ./internal/registry/... ./internal/faultnet/... ./internal/telemetry/... ./internal/hecnn/... ./internal/parallel/... ./internal/ckks/... ./internal/cache/...
 
 # race runs the whole tree under the race detector (slower than verify).

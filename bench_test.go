@@ -305,7 +305,7 @@ func BenchmarkInference_Tiny_WireTraced(b *testing.B) { benchWireInference(b, tr
 // (pack → encrypt → evaluate → decrypt) for a network/parameter pair.
 // These are the rows of BENCH_inference.json (make bench). workers sizes
 // the evaluation worker pool (0 = GOMAXPROCS, 1 = serial — no pool), and
-// opts selects the compile mode; the _Parallel and _Hoisted benchmark
+// opts selects the compile mode; the _Parallel and _BSGS benchmark
 // variants differ from the base rows only in those two knobs, so the
 // ratio base/variant is the speedup PERFORMANCE.md reports.
 func benchInference(b *testing.B, pnet *cnn.Network, params ckks.Parameters, workers int, opts hecnn.Options) {
@@ -391,13 +391,6 @@ func BenchmarkInference_MNIST(b *testing.B) {
 // GOMAXPROCS workers, bit-identical to the serial row above.
 func BenchmarkInference_MNIST_Parallel(b *testing.B) {
 	benchInference(b, cnn.NewMNISTNet(), ckks.ParamsMNIST(), 0, hecnn.Options{})
-}
-
-// BenchmarkInference_MNIST_Hoisted additionally compiles the rotation
-// ladders to share one keyswitch decomposition per ladder (Halevi-Shoup
-// hoisting) on top of the worker pool.
-func BenchmarkInference_MNIST_Hoisted(b *testing.B) {
-	benchInference(b, cnn.NewMNISTNet(), ckks.ParamsMNIST(), 0, hecnn.Options{Hoist: true})
 }
 
 // BenchmarkInference_MNIST_BSGS compiles the interior linear layers as

@@ -13,11 +13,9 @@
 // the BSGS diagonal set fits, negative disables it).
 //
 // Parallelism: -workers sizes the shared evaluation worker pool (0 =
-// GOMAXPROCS, 1 = serial; results are bit-identical either way),
-// -hoist compiles KS layers to serve each rotation ladder from one shared
-// keyswitch decomposition, and -bsgs compiles linear layers as
-// baby-step/giant-step diagonal transforms (ladder fallback where BSGS
-// would lose).
+// GOMAXPROCS, 1 = serial; results are bit-identical either way), and
+// -bsgs compiles linear layers as baby-step/giant-step diagonal
+// transforms (ladder fallback where BSGS would lose).
 //
 // The reproduction keeps key generation in-process (the demo client and
 // server share a key ceremony at startup), so -demo N serves N local
@@ -61,7 +59,6 @@
 //
 //	mlaas-server -addr 127.0.0.1:7100 -max-concurrent 4
 //	mlaas-server -demo 3 -io-timeout 5s
-//	mlaas-server -workers 8 -hoist -demo 3
 //	mlaas-server -batch-size 8 -batch-window 50ms -demo 8
 //	mlaas-server -metrics-addr 127.0.0.1:7190 -slow-threshold 5s -digest-interval 30s
 //	mlaas-server -shed-ewma 0.3 -queue-depth 8 -health-addr 127.0.0.1:7191
@@ -107,7 +104,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "admission queue: requests beyond the evaluation slots wait here, up to their budget, before busy (0 = fail fast)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for the encoded-weight plaintext cache (0 = auto-size from the compiled operand set, negative disables caching)")
 	workers := flag.Int("workers", 0, "evaluation worker pool size shared by all requests (0 = GOMAXPROCS, 1 = serial)")
-	hoist := flag.Bool("hoist", false, "compile KS layers with hoisted rotations (shared keyswitch decompositions)")
 	bsgs := flag.Bool("bsgs", false, "compile linear layers as BSGS diagonal transforms (baby-step/giant-step rotations; falls back to the ladder where it loses)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "rolling per-read/write deadline")
 	requestBudget := flag.Duration("request-budget", 2*time.Minute, "total wall-clock budget per request")
@@ -146,7 +142,7 @@ func main() {
 		os.Exit(2)
 	}
 	pnet.InitWeights(*seed)
-	henet := hecnn.CompileWith(pnet, params.Slots(), hecnn.Options{Hoist: *hoist, BSGS: *bsgs})
+	henet := hecnn.CompileWith(pnet, params.Slots(), hecnn.Options{BSGS: *bsgs})
 
 	// Key ceremony: the secret key stays with the client role; the server
 	// receives only evaluation keys.

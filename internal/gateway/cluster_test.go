@@ -5,7 +5,7 @@ package gateway
 // byte-for-byte indistinguishable from one standalone server. Clients
 // with identical encryption seeds fire identical request bytes down both
 // paths and the harness compares SHA-256 digests of the raw response
-// streams across every compile mode (ladder, hoisted, BSGS, batched) and
+// streams across every compile mode (ladder, BSGS, batched) and
 // the legacy untenanted framing. The caching dimension is crossed in by
 // construction: the reference server runs with the plaintext cache
 // disabled while every shard serves from warmed caches, so a single
@@ -210,7 +210,6 @@ var clusterModes = []struct {
 	rec  registry.Record // zero Tenant = legacy untenanted path
 }{
 	{"ladder", registry.Record{Tenant: "t-ladder", Model: "tiny", WeightSeed: 100, KeySeed: 101}},
-	{"hoist", registry.Record{Tenant: "t-hoist", Model: "tiny", WeightSeed: 110, KeySeed: 111, Hoist: true}},
 	{"bsgs", registry.Record{Tenant: "t-bsgs", Model: "tinyconv", WeightSeed: 120, KeySeed: 121, BSGS: true}},
 	{"batched", registry.Record{Tenant: "t-batched", Model: "tiny", WeightSeed: 130, KeySeed: 131,
 		Batch: registry.Batch{Size: 2, WindowMS: 5}}},
@@ -582,7 +581,7 @@ func TestClusterMixedTenantHammer(t *testing.T) {
 	base := newBaseCeremony()
 	recs := []registry.Record{
 		{Tenant: "t-ladder", Model: "tiny", WeightSeed: 100, KeySeed: 101},
-		{Tenant: "t-hoist", Model: "tiny", WeightSeed: 110, KeySeed: 111, Hoist: true},
+		{Tenant: "t-bsgs", Model: "tiny", WeightSeed: 110, KeySeed: 111, BSGS: true},
 		{Tenant: "t-quota", Model: "tiny", WeightSeed: 140, KeySeed: 141,
 			Quota: registry.Quota{MaxConcurrent: 1}},
 	}

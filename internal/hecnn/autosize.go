@@ -2,7 +2,7 @@ package hecnn
 
 // Cache budget sizing from the compiled operand set. The plaintext cache
 // default (DefaultPlaintextCacheBytes, 256 MiB) was sized for the ladder
-// compile modes; the BSGS diagonal mode's operand set is far larger
+// compile mode; the BSGS diagonal mode's operand set is far larger
 // (~1081 plaintexts ≈ 343 MB at MNIST parameters — PERFORMANCE.md §5),
 // so a server warming a BSGS network under the default silently thrashes
 // the LRU: every request re-encodes the operands the previous one
@@ -17,72 +17,13 @@ import (
 	"fxhenn/internal/ckks"
 )
 
-// sizingBackend mirrors planBackend's exact level/scale schedule but
-// only reports each plaintext operand to fill — no encoding, no cache,
-// no ciphertext math. Keeping the schedule identical to the warm path is
-// what makes the measured byte count exact: the cache keys the warm run
-// fills are precisely the (layer, seq, level, scale) tuples this backend
-// visits.
-type sizingBackend struct {
-	params ckks.Parameters
-	fill   func(layer string, seq, level int, scale float64)
-	layer  string
-	seq    int
-}
-
-func (b *sizingBackend) SetLayer(name string) { b.layer, b.seq = name, 0 }
-
-func (b *sizingBackend) PCmult(x *CT, w Plain) *CT {
-	b.fill(b.layer, b.seq, x.level, b.params.Scale)
-	b.seq++
-	return &CT{level: x.level, scale: x.scale * b.params.Scale}
-}
-
-func (b *sizingBackend) PCadd(x *CT, w Plain) *CT {
-	b.fill(b.layer, b.seq, x.level, x.scale)
-	b.seq++
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *sizingBackend) CCadd(x, y *CT) *CT {
-	l := x.level
-	if y.level < l {
-		l = y.level
-	}
-	return &CT{level: l, scale: x.scale}
-}
-
-func (b *sizingBackend) Square(x *CT) *CT {
-	return &CT{level: x.level, scale: x.scale * x.scale}
-}
-
-func (b *sizingBackend) Rescale(x *CT) *CT {
-	qLast := b.params.Moduli[x.level-1]
-	return &CT{level: x.level - 1, scale: x.scale / float64(qLast)}
-}
-
-func (b *sizingBackend) Rotate(x *CT, k int) *CT {
-	if k == 0 {
-		return x
-	}
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *sizingBackend) RotateMany(x *CT, ks []int) []*CT {
-	out := make([]*CT, len(ks))
-	for i, k := range ks {
-		out[i] = b.Rotate(x, k)
-	}
-	return out
-}
-
 // PlanCacheBytes returns the exact resident size of net's warm
 // encoded-plaintext operand set at startLevel: the bytes a
 // CompiledNetwork's cache holds after Warm(startLevel) with no budget
-// pressure. It performs no encoding — the compiled plan is dry-run with
-// the real float64 scale schedule and each distinct (layer, seq, level,
-// scale) operand is charged params.PlaintextBytes at its consumed level,
-// matching the cache's own size accounting byte for byte.
+// pressure. It performs no encoding — Warm's own dry run visits every
+// operand under the key the cache would fill, and each distinct (layer,
+// seq, level, scale) key is charged params.PlaintextBytes at its consumed
+// level, matching the cache's own size accounting byte for byte.
 func PlanCacheBytes(net *Network, params ckks.Parameters, startLevel int) int64 {
 	type opKey struct {
 		layer string
@@ -92,19 +33,14 @@ func PlanCacheBytes(net *Network, params ckks.Parameters, startLevel int) int64 
 	}
 	seen := make(map[opKey]bool)
 	var total int64
-	b := &sizingBackend{params: params, fill: func(layer string, seq, level int, scale float64) {
-		k := opKey{layer, seq, level, scale}
-		if !seen[k] {
+	visit := func(layer string, seq, level int, scale float64, _ Plain) *ckks.Plaintext {
+		if k := (opKey{layer, seq, level, scale}); !seen[k] {
 			seen[k] = true
 			total += int64(params.PlaintextBytes(level))
 		}
-	}}
-	conv := net.Layers[0].(*ConvPacked)
-	cts := make([]*CT, 0, conv.NumPositions())
-	for i := 0; i < conv.NumPositions(); i++ {
-		cts = append(cts, &CT{level: startLevel, scale: params.Scale})
+		return nil
 	}
-	net.EvaluateEncrypted(b, cts)
+	net.dryRun(&dryBackend{params: &params, visit: visit}, startLevel, nil)
 	return total
 }
 

@@ -9,15 +9,21 @@
 // point that "to make an accurate evaluation, we must extract the HE
 // operations and data relations at this level" is this package.
 //
+// Three Backend implementations exist. cryptoBackend evaluates on real
+// ciphertexts; the only thing its uncached, positional-cache and
+// value-cache forms differ in is the plainSource its plaintext operands
+// come from. dryBackend walks the same plan with no cryptography and
+// serves every derived view of it — op counts and rotation sets, cache
+// warming, cache sizing — from one level/scale schedule. noiseBackend
+// propagates analytic error bounds.
+//
 // Parallelism contract: a compiled Network is immutable and safe to
 // evaluate from many goroutines, but a Backend instance is not — its trace
 // Recorder is unsynchronized, so concurrent evaluations (the mlaas server)
 // use one Backend per request over a shared Context whose Evaluator has a
 // nil Trace. Intra-evaluation parallelism (limb/digit/rotation granularity)
 // comes from the worker pool attached to the Context's ckks parameters, not
-// from this package. CompileWith(Options{Hoist: true}) additionally batches
-// each KS-layer rotation ladder through Backend.RotateMany so the crypto
-// backend serves all rotations of a ladder from one hoisted decomposition.
+// from this package.
 package hecnn
 
 import (
@@ -28,7 +34,7 @@ import (
 )
 
 // CT is an opaque ciphertext handle passed between layers. The crypto
-// backend stores a real ciphertext; the counting backend tracks only the
+// backend stores a real ciphertext; the dry-run backend tracks only the
 // level/scale bookkeeping needed to emit a faithful trace.
 type CT struct {
 	ct    *ckks.Ciphertext // crypto backend only
@@ -41,7 +47,7 @@ type CT struct {
 func (c *CT) Level() int { return c.level }
 
 // Plain is a lazily-built plaintext operand: Make produces the slot vector.
-// The counting backend never calls Make, so dry runs over networks with tens
+// The dry-run backend never calls Make, so dry runs over networks with tens
 // of thousands of plaintext operands (FxHENN-CIFAR10) stay cheap.
 //
 // IsConst marks an operand whose slot vector is one scalar broadcast to
@@ -138,7 +144,12 @@ func (r *Recorder) SetLayer(name string) {
 	r.current = le
 }
 
+// record appends one event to the active layer; a nil recorder (an
+// untraced dry run) drops it.
 func (r *Recorder) record(op ckks.Op, level int) {
+	if r == nil {
+		return
+	}
 	if r.current == nil {
 		r.SetLayer("?")
 	}
@@ -146,6 +157,9 @@ func (r *Recorder) record(op ckks.Op, level int) {
 }
 
 func (r *Recorder) recordRotation(k int) {
+	if r == nil {
+		return
+	}
 	r.rotations[k] = struct{}{}
 }
 
@@ -181,109 +195,71 @@ func (r *Recorder) TotalKeySwitches() int {
 // Layer returns the trace of the named layer, or nil.
 func (r *Recorder) Layer(name string) *LayerEvents { return r.byName[name] }
 
-// countBackend traces operations without touching ciphertexts.
-type countBackend struct {
-	rec   *Recorder
-	scale float64 // nominal scale, tracked loosely
+// plainSource supplies the encoded plaintext for the seq-th plaintext
+// operand of a layer at the (level, scale) the schedule consumes it at.
+// Evaluation order is deterministic, so (layer, seq) names an operand
+// stably across requests. Its three forms — Context.encodeOperand
+// (uncached), CompiledNetwork's positional cache and CompiledBatched's
+// value cache — are all that distinguishes one crypto backend from
+// another, and a dry run that warms or sizes a cache calls the very
+// function the crypto path looks up with, so the two can never disagree
+// on a key.
+type plainSource func(layer string, seq, level int, scale float64, w Plain) *ckks.Plaintext
+
+// operandSeq numbers the plaintext operands of the active layer.
+type operandSeq struct {
+	layer string
+	seq   int
 }
 
-// NewCountBackend returns a Backend that records into rec, starting
-// ciphertexts at the given level.
-func NewCountBackend(rec *Recorder) Backend {
-	return &countBackend{rec: rec}
+func (o *operandSeq) setLayer(name string) { o.layer, o.seq = name, 0 }
+
+// operand fetches the next operand of the active layer from src.
+func (o *operandSeq) operand(src plainSource, level int, scale float64, w Plain) *ckks.Plaintext {
+	seq := o.seq
+	o.seq++
+	return src(o.layer, seq, level, scale, w)
 }
 
-func (b *countBackend) SetLayer(name string) { b.rec.SetLayer(name) }
-
-func (b *countBackend) PCmult(x *CT, _ Plain) *CT {
-	b.rec.record(ckks.OpPCmult, x.level)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *countBackend) PCadd(x *CT, _ Plain) *CT {
-	b.rec.record(ckks.OpPCadd, x.level)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *countBackend) CCadd(x, y *CT) *CT {
-	l := x.level
-	if y.level < l {
-		l = y.level
-	}
-	b.rec.record(ckks.OpCCadd, l)
-	return &CT{level: l, scale: x.scale}
-}
-
-func (b *countBackend) Square(x *CT) *CT {
-	b.rec.record(ckks.OpCCmult, x.level)
-	b.rec.record(ckks.OpRelin, x.level)
-	return &CT{level: x.level, scale: x.scale * x.scale}
-}
-
-func (b *countBackend) Rescale(x *CT) *CT {
-	if x.level < 2 {
-		panic(fmt.Sprintf("hecnn: rescale below level 2 (level %d) — parameter chain too short", x.level))
-	}
-	b.rec.record(ckks.OpRescale, x.level)
-	return &CT{level: x.level - 1, scale: x.scale}
-}
-
-func (b *countBackend) Rotate(x *CT, k int) *CT {
-	if k == 0 {
-		return x
-	}
-	b.rec.record(ckks.OpRotate, x.level)
-	b.rec.recordRotation(k)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *countBackend) RotateMany(x *CT, ks []int) []*CT {
-	out := make([]*CT, len(ks))
-	for i, k := range ks {
-		out[i] = b.Rotate(x, k)
-	}
-	return out
-}
-
-// cryptoBackend executes operations on real ciphertexts while recording the
-// same trace as the counting backend.
+// cryptoBackend executes operations on real ciphertexts, taking plaintext
+// operands from plain and recording the same trace as a dry run.
 type cryptoBackend struct {
-	ctx *Context
-	rec *Recorder
+	ctx   *Context
+	rec   *Recorder
+	plain plainSource
+	operandSeq
 }
 
 // NewCryptoBackend returns a Backend executing on ctx and tracing into rec
-// (rec may be nil to skip tracing).
+// (rec may be nil to skip tracing). Plaintext operands are encoded on use.
 func NewCryptoBackend(ctx *Context, rec *Recorder) Backend {
+	return newCryptoBackend(ctx, rec, ctx.encodeOperand)
+}
+
+func newCryptoBackend(ctx *Context, rec *Recorder, plain plainSource) Backend {
 	if rec == nil {
 		rec = NewRecorder()
 	}
-	return &cryptoBackend{ctx: ctx, rec: rec}
+	return &cryptoBackend{ctx: ctx, rec: rec, plain: plain}
 }
 
-func (b *cryptoBackend) SetLayer(name string) { b.rec.SetLayer(name) }
+func (b *cryptoBackend) SetLayer(name string) {
+	b.rec.SetLayer(name)
+	b.setLayer(name)
+}
 
 func (b *cryptoBackend) PCmult(x *CT, w Plain) *CT {
-	pt := b.encodeOperand(w, x.ct.Level(), b.ctx.Params.Scale)
-	out := b.ctx.Eval.MulPlainNew(x.ct, pt)
-	b.rec.record(ckks.OpPCmult, x.ct.Level())
+	level := x.ct.Level()
+	out := b.ctx.Eval.MulPlainNew(x.ct, b.operand(b.plain, level, b.ctx.Params.Scale, w))
+	b.rec.record(ckks.OpPCmult, level)
 	return wrap(out)
 }
 
 func (b *cryptoBackend) PCadd(x *CT, w Plain) *CT {
-	pt := b.encodeOperand(w, x.ct.Level(), x.ct.Scale)
-	out := b.ctx.Eval.AddPlainNew(x.ct, pt)
-	b.rec.record(ckks.OpPCadd, x.ct.Level())
+	level := x.ct.Level()
+	out := b.ctx.Eval.AddPlainNew(x.ct, b.operand(b.plain, level, x.ct.Scale, w))
+	b.rec.record(ckks.OpPCadd, level)
 	return wrap(out)
-}
-
-// encodeOperand encodes a plaintext operand, taking the constant fast
-// path for broadcast scalars (batched packing's weight shape).
-func (b *cryptoBackend) encodeOperand(w Plain, level int, scale float64) *ckks.Plaintext {
-	if w.IsConst {
-		return b.ctx.Encoder.EncodeConst(w.Const, level, scale)
-	}
-	return b.ctx.Encoder.Encode(w.Make(), level, scale)
 }
 
 func (b *cryptoBackend) CCadd(x, y *CT) *CT {
@@ -324,11 +300,7 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 	}
 	// A shared decomposition only pays off from the second rotation.
 	if nonzero < 2 {
-		out := make([]*CT, len(ks))
-		for i, k := range ks {
-			out[i] = b.Rotate(x, k)
-		}
-		return out
+		return rotateEach(b, x, ks)
 	}
 	rot := b.ctx.Eval.RotateHoisted(x.ct, ks)
 	out := make([]*CT, len(ks))
@@ -344,6 +316,125 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 	return out
 }
 
+// dryBackend walks a compiled plan without ciphertexts. It is the single
+// backend behind op counting (NewCountBackend, Count, RotationsNeeded),
+// cache warming (Warm) and cache sizing (PlanCacheBytes); each part is
+// optional:
+//   - rec, when set, receives the trace the crypto backend would record;
+//   - params, when set, makes handles follow the evaluator's exact float64
+//     level/scale schedule (the same multiplications and divisions in the
+//     same order), instead of carrying the input scale through untouched;
+//   - visit, when set, sees every plaintext operand under the key the
+//     crypto backend's plainSource will be asked for. It requires params.
+type dryBackend struct {
+	rec    *Recorder
+	params *ckks.Parameters
+	visit  plainSource
+	operandSeq
+}
+
+// NewCountBackend returns a Backend that records into rec without
+// touching ciphertexts (inputs: FreshCT handles).
+func NewCountBackend(rec *Recorder) Backend {
+	return &dryBackend{rec: rec}
+}
+
+// start returns the handle a dry-run input begins as: a fresh ciphertext
+// at level, at the encoding scale when the schedule is exact.
+func (b *dryBackend) start(level int) CT {
+	if b.params == nil {
+		return CT{level: level, scale: 1}
+	}
+	return CT{level: level, scale: b.params.Scale}
+}
+
+func (b *dryBackend) visitOperand(level int, scale float64, w Plain) {
+	if b.visit != nil {
+		b.operand(b.visit, level, scale, w)
+	}
+}
+
+func (b *dryBackend) SetLayer(name string) {
+	if b.rec != nil {
+		b.rec.SetLayer(name)
+	}
+	b.setLayer(name)
+}
+
+func (b *dryBackend) PCmult(x *CT, w Plain) *CT {
+	b.rec.record(ckks.OpPCmult, x.level)
+	if b.params == nil {
+		return &CT{level: x.level, scale: x.scale}
+	}
+	b.visitOperand(x.level, b.params.Scale, w)
+	return &CT{level: x.level, scale: x.scale * b.params.Scale}
+}
+
+func (b *dryBackend) PCadd(x *CT, w Plain) *CT {
+	b.rec.record(ckks.OpPCadd, x.level)
+	b.visitOperand(x.level, x.scale, w)
+	return &CT{level: x.level, scale: x.scale}
+}
+
+func (b *dryBackend) CCadd(x, y *CT) *CT {
+	l := x.level
+	if y.level < l {
+		l = y.level
+	}
+	b.rec.record(ckks.OpCCadd, l)
+	return &CT{level: l, scale: x.scale}
+}
+
+func (b *dryBackend) Square(x *CT) *CT {
+	b.rec.record(ckks.OpCCmult, x.level)
+	b.rec.record(ckks.OpRelin, x.level)
+	return &CT{level: x.level, scale: x.scale * x.scale}
+}
+
+func (b *dryBackend) Rescale(x *CT) *CT {
+	if x.level < 2 {
+		panic(fmt.Sprintf("hecnn: rescale below level 2 (level %d) — parameter chain too short", x.level))
+	}
+	b.rec.record(ckks.OpRescale, x.level)
+	out := &CT{level: x.level - 1, scale: x.scale}
+	if b.params != nil {
+		// Mirrors Evaluator.RescaleNew: divide by the dropped prime.
+		out.scale /= float64(b.params.Moduli[x.level-1])
+	}
+	return out
+}
+
+func (b *dryBackend) Rotate(x *CT, k int) *CT {
+	if k == 0 {
+		return x
+	}
+	b.rec.record(ckks.OpRotate, x.level)
+	b.rec.recordRotation(k)
+	return &CT{level: x.level, scale: x.scale}
+}
+
+func (b *dryBackend) RotateMany(x *CT, ks []int) []*CT { return rotateEach(b, x, ks) }
+
+// rotateEach is RotateMany as one Rotate per amount.
+func rotateEach(b Backend, x *CT, ks []int) []*CT {
+	out := make([]*CT, len(ks))
+	for i, k := range ks {
+		out[i] = b.Rotate(x, k)
+	}
+	return out
+}
+
+// freshCTs returns count independent copies of proto: the input handles a
+// dry run or the noise walk starts from.
+func freshCTs(count int, proto CT) []*CT {
+	cts := make([]*CT, count)
+	for i := range cts {
+		c := proto
+		cts[i] = &c
+	}
+	return cts
+}
+
 func wrap(ct *ckks.Ciphertext) *CT {
 	return &CT{ct: ct, level: ct.Level(), scale: ct.Scale}
 }
@@ -353,10 +444,10 @@ func wrap(ct *ckks.Ciphertext) *CT {
 func WrapCiphertext(ct *ckks.Ciphertext) *CT { return wrap(ct) }
 
 // FreshCT returns a cryptography-free ciphertext handle at the given
-// level — an input for count-backend dry runs driven from outside the
+// level — an input for NewCountBackend dry runs driven from outside the
 // package (benchmarks, tooling). Crypto backends reject it.
 func FreshCT(level int) *CT { return &CT{level: level, scale: 1} }
 
 // Ciphertext returns the underlying CKKS ciphertext of a crypto-backend
-// handle (nil for counting-backend handles).
+// handle (nil for dry-run handles).
 func (c *CT) Ciphertext() *ckks.Ciphertext { return c.ct }

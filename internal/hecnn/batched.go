@@ -329,26 +329,33 @@ func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
 // (missing keys, level exhaustion from hostile parameters) are recovered
 // into the returned error: batch sizes and images are user-controlled at
 // the serving boundary.
-func (n *BatchedNetwork) RunBatch(ctx *Context, images []*cnn.Tensor) (logits [][]float64, rec *Recorder, err error) {
-	packed, err := n.PackBatch(images)
+func (n *BatchedNetwork) RunBatch(ctx *Context, images []*cnn.Tensor) ([][]float64, *Recorder, error) {
+	rec := NewRecorder()
+	logits, err := n.runBatch(ctx, images, NewCryptoBackend(ctx, rec))
 	if err != nil {
 		return nil, nil, err
 	}
+	return logits, rec, nil
+}
+
+// runBatch is the one batched run path: pack the images, encrypt,
+// evaluate through b, and decode per-image logits, with evaluation panics
+// recovered into err.
+func (n *BatchedNetwork) runBatch(ctx *Context, images []*cnn.Tensor, b Backend) (logits [][]float64, err error) {
+	packed, err := n.PackBatch(images)
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			logits, rec = nil, nil
-			err = fmt.Errorf("hecnn: batched evaluation failed: %v", r)
+			logits, err = nil, fmt.Errorf("hecnn: batched evaluation failed: %v", r)
 		}
 	}()
-	rec = NewRecorder()
-	b := NewCryptoBackend(ctx, rec)
 	var cts []*CT
 	for _, v := range packed {
 		cts = append(cts, ctx.EncryptVector(v))
 	}
-	outs := n.Evaluate(b, cts)
-	logits = decodeBatchLogits(ctx, outs, len(images))
-	return logits, rec, nil
+	return decodeBatchLogits(ctx, n.Evaluate(b, cts), len(images)), nil
 }
 
 // decodeBatchLogits decrypts per-position logit ciphertexts into
@@ -396,11 +403,7 @@ func (n *BatchedNetwork) ValidateBatchCiphertexts(cts []*CT, level int) error {
 // Count dry-runs the batched evaluation for op counting.
 func (n *BatchedNetwork) Count(startLevel int) *Recorder {
 	rec := NewRecorder()
-	b := NewCountBackend(rec)
-	cts := make([]*CT, n.InputSize())
-	for i := range cts {
-		cts[i] = &CT{level: startLevel, scale: 1}
-	}
-	n.Evaluate(b, cts)
+	b := &dryBackend{rec: rec}
+	n.Evaluate(b, freshCTs(n.InputSize(), b.start(startLevel)))
 	return rec
 }

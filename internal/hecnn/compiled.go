@@ -20,7 +20,7 @@ const DefaultPlaintextCacheBytes = 256 << 20
 // Evaluation is deterministic, so the seq-th plaintext operand consumed
 // inside a named layer is always the same slot vector; level and scale
 // key the CKKS form it must be encoded in (the scale schedule is exact
-// float64 arithmetic, reproduced bit-for-bit by the Warm plan run). gen
+// float64 arithmetic, reproduced bit-for-bit by Warm's dry run). gen
 // isolates invalidation generations: entries filled by a backend created
 // before an Invalidate can never serve a backend created after it.
 type ptKey struct {
@@ -46,7 +46,7 @@ type ptKey struct {
 // operands). Each request still needs its own Backend, as with
 // NewCryptoBackend.
 //
-// When the network's parameters or compile options (e.g. Options.Hoist)
+// When the network's parameters or compile options (e.g. Options.BSGS)
 // change, the plan's operand stream and scale schedule change with them:
 // Rebind swaps in the recompiled network and invalidates every cached
 // plaintext atomically.
@@ -109,7 +109,7 @@ func (cn *CompiledNetwork) Invalidate() {
 }
 
 // Rebind swaps in a recompiled network (changed weights, parameters-
-// compatible recompile, or a different Options.Hoist mode) and
+// compatible recompile, or a different Options.BSGS mode) and
 // invalidates the cache. The new network must target the same CKKS
 // parameters — the encoder is reused.
 func (cn *CompiledNetwork) Rebind(net *Network) {
@@ -123,14 +123,7 @@ func (cn *CompiledNetwork) Rebind(net *Network) {
 // fresh-input level — params.MaxLevel() for the serving path. After Warm
 // returns, an inference from startLevel hits the cache on every operand.
 func (cn *CompiledNetwork) Warm(startLevel int) {
-	net := cn.net.Load()
-	b := &planBackend{cn: cn, gen: cn.gen.Load()}
-	conv := net.Layers[0].(*ConvPacked)
-	cts := make([]*CT, 0, conv.NumPositions())
-	for i := 0; i < conv.NumPositions(); i++ {
-		cts = append(cts, &CT{level: startLevel, scale: cn.params.Scale})
-	}
-	net.EvaluateEncrypted(b, cts)
+	cn.net.Load().dryRun(&dryBackend{params: &cn.params, visit: cn.source(cn.gen.Load())}, startLevel, nil)
 }
 
 // Backend returns a per-request crypto backend that serves every
@@ -138,14 +131,7 @@ func (cn *CompiledNetwork) Warm(startLevel int) {
 // the handle's parameters; rec may be nil to skip tracing. The returned
 // backend is single-request, like NewCryptoBackend's.
 func (cn *CompiledNetwork) Backend(ctx *Context, rec *Recorder) Backend {
-	if rec == nil {
-		rec = NewRecorder()
-	}
-	return &cachedBackend{
-		cryptoBackend: cryptoBackend{ctx: ctx, rec: rec},
-		cn:            cn,
-		gen:           cn.gen.Load(),
-	}
+	return newCryptoBackend(ctx, rec, cn.source(cn.gen.Load()))
 }
 
 // Run executes the network functionally through the cached backend:
@@ -154,128 +140,24 @@ func (cn *CompiledNetwork) Backend(ctx *Context, rec *Recorder) Backend {
 // encodes and encrypts the image — the cache covers the model's
 // plaintext operands, not per-request data.
 func (cn *CompiledNetwork) Run(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder) {
-	net := cn.net.Load()
 	rec := NewRecorder()
-	b := cn.Backend(ctx, rec)
-	var cts []*CT
-	for _, v := range net.PackInput(img) {
-		cts = append(cts, ctx.EncryptVector(v))
+	return cn.net.Load().run(ctx, img, cn.Backend(ctx, rec), nil), rec
+}
+
+// source returns the positional-cache plainSource of generation gen: the
+// operand for (layer, seq) at the given level/scale, encoded on first
+// use. Concurrent requests for the same operand share one encode
+// (singleflight).
+func (cn *CompiledNetwork) source(gen uint64) plainSource {
+	return func(layer string, seq, level int, scale float64, w Plain) *ckks.Plaintext {
+		key := ptKey{gen: gen, layer: layer, seq: seq, level: level, scale: scale}
+		pt, err := cn.pts.GetOrCompute(key, func() (*ckks.Plaintext, int64, error) {
+			return cn.encode(w.Make(), level, scale), int64(cn.params.PlaintextBytes(level)), nil
+		})
+		if err != nil {
+			// The fill cannot fail; keep the impossible branch loud.
+			panic(fmt.Sprintf("hecnn: plaintext cache fill: %v", err))
+		}
+		return pt
 	}
-	out := ctx.DecryptVector(net.EvaluateEncrypted(b, cts))
-	lastRows := net.Layers[len(net.Layers)-1].OutElems()
-	return out[:lastRows], rec
-}
-
-// plaintext returns the encoded operand for (layer, seq) at the given
-// level/scale, encoding it on first use. Concurrent requests for the
-// same operand share one encode (singleflight).
-func (cn *CompiledNetwork) plaintext(gen uint64, layer string, seq, level int, scale float64, w Plain) *ckks.Plaintext {
-	key := ptKey{gen: gen, layer: layer, seq: seq, level: level, scale: scale}
-	pt, err := cn.pts.GetOrCompute(key, func() (*ckks.Plaintext, int64, error) {
-		p := cn.encode(w.Make(), level, scale)
-		return p, int64(cn.params.PlaintextBytes(level)), nil
-	})
-	if err != nil {
-		// The fill cannot fail; keep the impossible branch loud.
-		panic(fmt.Sprintf("hecnn: plaintext cache fill: %v", err))
-	}
-	return pt
-}
-
-// cachedBackend is cryptoBackend with the two plaintext-consuming ops
-// redirected through the compiled network's cache. It tracks the operand
-// sequence number within the active layer; evaluation order is
-// deterministic, so (layer, seq) names the operand stably across
-// requests.
-type cachedBackend struct {
-	cryptoBackend
-	cn    *CompiledNetwork
-	gen   uint64
-	layer string
-	seq   int
-}
-
-func (b *cachedBackend) SetLayer(name string) {
-	b.rec.SetLayer(name)
-	b.layer = name
-	b.seq = 0
-}
-
-func (b *cachedBackend) PCmult(x *CT, w Plain) *CT {
-	seq := b.seq
-	b.seq++
-	pt := b.cn.plaintext(b.gen, b.layer, seq, x.ct.Level(), b.ctx.Params.Scale, w)
-	out := b.ctx.Eval.MulPlainNew(x.ct, pt)
-	b.rec.record(ckks.OpPCmult, x.ct.Level())
-	return wrap(out)
-}
-
-func (b *cachedBackend) PCadd(x *CT, w Plain) *CT {
-	seq := b.seq
-	b.seq++
-	pt := b.cn.plaintext(b.gen, b.layer, seq, x.ct.Level(), x.ct.Scale, w)
-	out := b.ctx.Eval.AddPlainNew(x.ct, pt)
-	b.rec.record(ckks.OpPCadd, x.ct.Level())
-	return wrap(out)
-}
-
-// planBackend dry-runs the compiled plan with the exact float64
-// level/scale schedule of the crypto backend — the same multiplications
-// and divisions in the same order — so every plaintext operand is
-// encoded (via the shared cache) under precisely the key the cached
-// crypto backend will look up. No ciphertext math happens.
-type planBackend struct {
-	cn    *CompiledNetwork
-	gen   uint64
-	layer string
-	seq   int
-}
-
-func (b *planBackend) SetLayer(name string) { b.layer, b.seq = name, 0 }
-
-func (b *planBackend) PCmult(x *CT, w Plain) *CT {
-	seq := b.seq
-	b.seq++
-	b.cn.plaintext(b.gen, b.layer, seq, x.level, b.cn.params.Scale, w)
-	return &CT{level: x.level, scale: x.scale * b.cn.params.Scale}
-}
-
-func (b *planBackend) PCadd(x *CT, w Plain) *CT {
-	seq := b.seq
-	b.seq++
-	b.cn.plaintext(b.gen, b.layer, seq, x.level, x.scale, w)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *planBackend) CCadd(x, y *CT) *CT {
-	l := x.level
-	if y.level < l {
-		l = y.level
-	}
-	return &CT{level: l, scale: x.scale}
-}
-
-func (b *planBackend) Square(x *CT) *CT {
-	return &CT{level: x.level, scale: x.scale * x.scale}
-}
-
-func (b *planBackend) Rescale(x *CT) *CT {
-	// Mirrors Evaluator.RescaleNew: divide by the dropped prime.
-	qLast := b.cn.params.Moduli[x.level-1]
-	return &CT{level: x.level - 1, scale: x.scale / float64(qLast)}
-}
-
-func (b *planBackend) Rotate(x *CT, k int) *CT {
-	if k == 0 {
-		return x
-	}
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *planBackend) RotateMany(x *CT, ks []int) []*CT {
-	out := make([]*CT, len(ks))
-	for i, k := range ks {
-		out[i] = b.Rotate(x, k)
-	}
-	return out
 }

@@ -93,25 +93,14 @@ func (cb *CompiledBatched) Invalidate() {
 // float64 scale schedule (no ring operations). startLevel is the fresh
 // batched-input level — params.MaxLevel() for the serving path.
 func (cb *CompiledBatched) Warm(startLevel int) {
-	b := &batchedPlanBackend{cb: cb, gen: cb.gen.Load()}
-	cts := make([]*CT, cb.net.InputSize())
-	for i := range cts {
-		cts[i] = &CT{level: startLevel, scale: cb.params.Scale}
-	}
-	cb.net.Evaluate(b, cts)
+	b := &dryBackend{params: &cb.params, visit: cb.source(cb.gen.Load())}
+	cb.net.Evaluate(b, freshCTs(cb.net.InputSize(), b.start(startLevel)))
 }
 
 // Backend returns a per-flush crypto backend serving broadcast operands
 // from the cache. ctx must share the handle's parameters; rec may be nil.
 func (cb *CompiledBatched) Backend(ctx *Context, rec *Recorder) Backend {
-	if rec == nil {
-		rec = NewRecorder()
-	}
-	return &cachedBatchedBackend{
-		cryptoBackend: cryptoBackend{ctx: ctx, rec: rec},
-		cb:            cb,
-		gen:           cb.gen.Load(),
-	}
+	return newCryptoBackend(ctx, rec, cb.source(cb.gen.Load()))
 }
 
 // EvaluateBatch combines per-request position-major ciphertext vectors
@@ -139,117 +128,33 @@ func (cb *CompiledBatched) EvaluateBatch(ctx *Context, members [][]*CT) (outs []
 // RunBatch is BatchedNetwork.RunBatch through the cached backend: the
 // steady-state (zero-encode) counterpart, used by benchmarks and the
 // differential harness.
-func (cb *CompiledBatched) RunBatch(ctx *Context, images []*cnn.Tensor) (logits [][]float64, rec *Recorder, err error) {
-	packed, err := cb.net.PackBatch(images)
+func (cb *CompiledBatched) RunBatch(ctx *Context, images []*cnn.Tensor) ([][]float64, *Recorder, error) {
+	rec := NewRecorder()
+	logits, err := cb.net.runBatch(ctx, images, cb.Backend(ctx, rec))
 	if err != nil {
 		return nil, nil, err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			logits, rec = nil, nil
-			err = fmt.Errorf("hecnn: batched evaluation failed: %v", r)
-		}
-	}()
-	rec = NewRecorder()
-	b := cb.Backend(ctx, rec)
-	var cts []*CT
-	for _, v := range packed {
-		cts = append(cts, ctx.EncryptVector(v))
-	}
-	outs := cb.net.Evaluate(b, cts)
-	logits = decodeBatchLogits(ctx, outs, len(images))
 	return logits, rec, nil
 }
 
-// plaintext returns the broadcast plaintext for value at (level, scale),
-// encoding on first use with singleflight fills.
-func (cb *CompiledBatched) plaintext(gen uint64, value float64, level int, scale float64, w Plain) *ckks.Plaintext {
-	if !w.IsConst {
-		// Batched plans only emit broadcast operands; a vector operand
-		// would alias under value keying, so encode it directly.
-		cb.encodeCalls.Add(1)
-		return cb.enc.Encode(w.Make(), level, scale)
+// source returns the value-cache plainSource of generation gen: the
+// broadcast plaintext for w's value at (level, scale), encoded on first
+// use with singleflight fills.
+func (cb *CompiledBatched) source(gen uint64) plainSource {
+	return func(_ string, _, level int, scale float64, w Plain) *ckks.Plaintext {
+		if !w.IsConst {
+			// Batched plans only emit broadcast operands; a vector operand
+			// would alias under value keying, so encode it directly.
+			cb.encodeCalls.Add(1)
+			return cb.enc.Encode(w.Make(), level, scale)
+		}
+		key := cbKey{gen: gen, value: w.Const, level: level, scale: scale}
+		pt, err := cb.pts.GetOrCompute(key, func() (*ckks.Plaintext, int64, error) {
+			return cb.encode(w.Const, level, scale), int64(cb.params.PlaintextBytes(level)), nil
+		})
+		if err != nil {
+			panic(fmt.Sprintf("hecnn: batched plaintext cache fill: %v", err))
+		}
+		return pt
 	}
-	key := cbKey{gen: gen, value: value, level: level, scale: scale}
-	pt, err := cb.pts.GetOrCompute(key, func() (*ckks.Plaintext, int64, error) {
-		return cb.encode(value, level, scale), int64(cb.params.PlaintextBytes(level)), nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("hecnn: batched plaintext cache fill: %v", err))
-	}
-	return pt
-}
-
-// cachedBatchedBackend is cryptoBackend with the plaintext-consuming ops
-// redirected through the value-keyed cache.
-type cachedBatchedBackend struct {
-	cryptoBackend
-	cb  *CompiledBatched
-	gen uint64
-}
-
-func (b *cachedBatchedBackend) PCmult(x *CT, w Plain) *CT {
-	pt := b.cb.plaintext(b.gen, w.Const, x.ct.Level(), b.ctx.Params.Scale, w)
-	out := b.ctx.Eval.MulPlainNew(x.ct, pt)
-	b.rec.record(ckks.OpPCmult, x.ct.Level())
-	return wrap(out)
-}
-
-func (b *cachedBatchedBackend) PCadd(x *CT, w Plain) *CT {
-	pt := b.cb.plaintext(b.gen, w.Const, x.ct.Level(), x.ct.Scale, w)
-	out := b.ctx.Eval.AddPlainNew(x.ct, pt)
-	b.rec.record(ckks.OpPCadd, x.ct.Level())
-	return wrap(out)
-}
-
-// batchedPlanBackend dry-runs the batched plan with the crypto backend's
-// exact float64 level/scale schedule so Warm fills precisely the keys the
-// cached backend will look up. No ciphertext math happens.
-type batchedPlanBackend struct {
-	cb  *CompiledBatched
-	gen uint64
-}
-
-func (b *batchedPlanBackend) SetLayer(string) {}
-
-func (b *batchedPlanBackend) PCmult(x *CT, w Plain) *CT {
-	b.cb.plaintext(b.gen, w.Const, x.level, b.cb.params.Scale, w)
-	return &CT{level: x.level, scale: x.scale * b.cb.params.Scale}
-}
-
-func (b *batchedPlanBackend) PCadd(x *CT, w Plain) *CT {
-	b.cb.plaintext(b.gen, w.Const, x.level, x.scale, w)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *batchedPlanBackend) CCadd(x, y *CT) *CT {
-	l := x.level
-	if y.level < l {
-		l = y.level
-	}
-	return &CT{level: l, scale: x.scale}
-}
-
-func (b *batchedPlanBackend) Square(x *CT) *CT {
-	return &CT{level: x.level, scale: x.scale * x.scale}
-}
-
-func (b *batchedPlanBackend) Rescale(x *CT) *CT {
-	qLast := b.cb.params.Moduli[x.level-1]
-	return &CT{level: x.level - 1, scale: x.scale / float64(qLast)}
-}
-
-func (b *batchedPlanBackend) Rotate(x *CT, k int) *CT {
-	if k == 0 {
-		return x
-	}
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *batchedPlanBackend) RotateMany(x *CT, ks []int) []*CT {
-	out := make([]*CT, len(ks))
-	for i, k := range ks {
-		out[i] = b.Rotate(x, k)
-	}
-	return out
 }

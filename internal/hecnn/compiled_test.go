@@ -11,12 +11,12 @@ import (
 // compiledFixture builds a tiny network in the requested compile mode
 // plus a fresh Context with deterministic key/encryption seeds, so two
 // fixtures with the same arguments produce bit-identical ciphertexts.
-func compiledFixture(t *testing.T, hoist bool) (ckks.Parameters, *Network, *Context, *cnn.Tensor) {
+func compiledFixture(t *testing.T, opts Options) (ckks.Parameters, *Network, *Context, *cnn.Tensor) {
 	t.Helper()
 	params := ckks.NewParameters(8, 30, 7, 45)
 	pnet := cnn.NewTinyNet()
 	pnet.InitWeights(11)
-	net := CompileWith(pnet, params.Slots(), Options{Hoist: hoist})
+	net := CompileWith(pnet, params.Slots(), opts)
 	ctx := NewContext(params, 5, net.RotationsNeeded(params.MaxLevel()))
 	img := cnn.NewTensor(1, 8, 8)
 	for i := range img.Data {
@@ -43,18 +43,18 @@ func encryptInput(net *Network, ctx *Context, img *cnn.Tensor) []*CT {
 // uncached crypto backend's.
 func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		hoist bool
-	}{{"default", false}, {"hoist", true}} {
+		name string
+		opts Options
+	}{{"default", Options{}}, {"bsgs", Options{BSGS: true}}} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uncached reference run on its own fixture (same seeds).
-			_, net, ctx, img := compiledFixture(t, tc.hoist)
+			_, net, ctx, img := compiledFixture(t, tc.opts)
 			out := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img))
 			wantDigest := out.Ciphertext().Digest()
 			wantLogits := ctx.DecryptVector(out)[:net.Layers[len(net.Layers)-1].OutElems()]
 
 			// Cached run: warm, then forbid encodes entirely.
-			params2, net2, ctx2, img2 := compiledFixture(t, tc.hoist)
+			params2, net2, ctx2, img2 := compiledFixture(t, tc.opts)
 			cn := NewCompiledNetwork(net2, params2, ctx2.Encoder, 0)
 			cn.Warm(params2.MaxLevel())
 			warmEncodes := cn.EncodeCalls()
@@ -90,7 +90,7 @@ func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 // the cache (encodes > 0) and the second performs zero new encodes —
 // get-or-compute alone reaches the steady state.
 func TestCompiledColdFillsOnDemand(t *testing.T) {
-	params, net, ctx, img := compiledFixture(t, false)
+	params, net, ctx, img := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
 	net.EvaluateEncrypted(cn.Backend(ctx, nil), encryptInput(net, ctx, img))
 	afterFirst := cn.EncodeCalls()
@@ -108,7 +108,7 @@ func TestCompiledColdFillsOnDemand(t *testing.T) {
 // inference shows hits only, and the miss count equals the warm encode
 // count (no wasted or missing keys).
 func TestCompiledWarmMatchesConsumption(t *testing.T) {
-	params, net, ctx, img := compiledFixture(t, false)
+	params, net, ctx, img := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
 	cn.Warm(params.MaxLevel())
 	warm := cn.CacheStats()
@@ -123,11 +123,11 @@ func TestCompiledWarmMatchesConsumption(t *testing.T) {
 }
 
 // TestCompiledInvalidateOnRebind pins the invalidation path: switching
-// the compile mode (hoist) through Rebind drops every cached plaintext,
+// the compile mode (BSGS) through Rebind drops every cached plaintext,
 // re-warms under a new generation, and still produces output
-// bit-identical to an uncached evaluation of the hoisted plan.
+// bit-identical to an uncached evaluation of the BSGS plan.
 func TestCompiledInvalidateOnRebind(t *testing.T) {
-	params, net, ctx, _ := compiledFixture(t, false)
+	params, net, ctx, _ := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
 	cn.Warm(params.MaxLevel())
 	if cn.CacheStats().Entries == 0 {
@@ -135,10 +135,9 @@ func TestCompiledInvalidateOnRebind(t *testing.T) {
 	}
 	preRebind := cn.EncodeCalls()
 
-	// Hoist mode changes the rotation set, so the hoisted network needs
-	// its own Galois keys — and the cache must not serve stale operands.
-	hoisted := CompileWith(net.CNN, params.Slots(), Options{Hoist: true})
-	cn.Rebind(hoisted)
+	// BSGS changes the rotation set, so the diagonal network needs its
+	// own Galois keys — and the cache must not serve stale operands.
+	cn.Rebind(CompileWith(net.CNN, params.Slots(), Options{BSGS: true}))
 	if st := cn.CacheStats(); st.Entries != 0 {
 		t.Fatalf("Rebind left %d stale entries resident", st.Entries)
 	}
@@ -147,16 +146,16 @@ func TestCompiledInvalidateOnRebind(t *testing.T) {
 		t.Fatal("re-warm after Rebind encoded nothing — stale generation served")
 	}
 
-	// Fresh fixtures with identical seeds: cached-hoisted must equal
-	// uncached-hoisted bit for bit.
-	_, hnet, hctx, himg := compiledFixture(t, true)
-	want := hnet.EvaluateEncrypted(NewCryptoBackend(hctx, nil), encryptInput(hnet, hctx, himg)).Ciphertext().Digest()
-	_, hnet2, hctx2, himg2 := compiledFixture(t, true)
-	cn2 := NewCompiledNetwork(hnet2, params, hctx2.Encoder, 0)
+	// Fresh fixtures with identical seeds: cached-BSGS must equal
+	// uncached-BSGS bit for bit.
+	_, dnet, dctx, dimg := compiledFixture(t, Options{BSGS: true})
+	want := dnet.EvaluateEncrypted(NewCryptoBackend(dctx, nil), encryptInput(dnet, dctx, dimg)).Ciphertext().Digest()
+	_, dnet2, dctx2, dimg2 := compiledFixture(t, Options{BSGS: true})
+	cn2 := NewCompiledNetwork(dnet2, params, dctx2.Encoder, 0)
 	cn2.Warm(params.MaxLevel())
-	got := hnet2.EvaluateEncrypted(cn2.Backend(hctx2, nil), encryptInput(hnet2, hctx2, himg2)).Ciphertext().Digest()
+	got := dnet2.EvaluateEncrypted(cn2.Backend(dctx2, nil), encryptInput(dnet2, dctx2, dimg2)).Ciphertext().Digest()
 	if got != want {
-		t.Fatalf("cached hoisted digest %s != uncached %s", got, want)
+		t.Fatalf("cached BSGS digest %s != uncached %s", got, want)
 	}
 }
 
@@ -165,7 +164,7 @@ func TestCompiledInvalidateOnRebind(t *testing.T) {
 // shape — under -race: every response must be bit-identical (evaluation
 // is deterministic server-side) and no new encodes may happen.
 func TestCompiledConcurrentRequests(t *testing.T) {
-	params, net, ctx, img := compiledFixture(t, false)
+	params, net, ctx, img := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
 	cn.Warm(params.MaxLevel())
 	baseline := cn.EncodeCalls()
@@ -209,7 +208,7 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 // still yields correct results — entries evict and re-encode — proving
 // the budget bounds memory, not correctness.
 func TestCompiledByteBudgetEviction(t *testing.T) {
-	params, net, ctx, img := compiledFixture(t, false)
+	params, net, ctx, img := compiledFixture(t, Options{})
 	// One top-level plaintext is PlaintextBytes(7) bytes; budget two of
 	// them so the working set cannot stay resident.
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, int64(2*params.PlaintextBytes(params.MaxLevel())))

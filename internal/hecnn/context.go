@@ -47,3 +47,13 @@ func (c *Context) EncryptVector(v []float64) *CT {
 func (c *Context) DecryptVector(ct *CT) []float64 {
 	return c.Encoder.Decode(c.Decryptor.Decrypt(ct.ct))
 }
+
+// encodeOperand is the uncached plainSource: every operand is encoded on
+// use, broadcast scalars (batched packing's weight shape) through the
+// EncodeConst fast path.
+func (c *Context) encodeOperand(_ string, _, level int, scale float64, w Plain) *ckks.Plaintext {
+	if w.IsConst {
+		return c.Encoder.EncodeConst(w.Const, level, scale)
+	}
+	return c.Encoder.Encode(w.Make(), level, scale)
+}

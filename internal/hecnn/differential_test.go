@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fxhenn/internal/cnn"
+	"fxhenn/internal/parallel"
 )
 
 // encoderTolerance is the agreed cross-path tolerance: CKKS fixed-point
@@ -14,16 +15,15 @@ import (
 const encoderTolerance = 1e-2
 
 // TestDifferentialEvaluationPaths is the cross-path differential harness
-// of issue 5: the four evaluation paths — LoLa per-request, compiled-
-// cached, hoisted, and CryptoNets-batched — must agree with the plaintext
-// network within encoder tolerance across the MNIST-profile and
-// CIFAR-profile test networks and multiple weight seeds. The
-// deterministic paths are additionally pinned by output-ciphertext
-// digests: compiled-cached must be bit-identical to the uncached LoLa
-// path (same seed, same operand stream), and the hoisted path must be
-// bit-identical run to run (hoisting reorders KeySwitch internals but is
-// still deterministic). This is the single place all four paths meet; it
-// runs in tier-1.
+// of issue 5: the evaluation paths — LoLa per-request, compiled-cached,
+// BSGS, and CryptoNets-batched — must agree with the plaintext network
+// within encoder tolerance across the MNIST-profile and CIFAR-profile
+// test networks and multiple weight seeds. The deterministic paths are
+// additionally pinned by output-ciphertext digests: compiled-cached must
+// be bit-identical to the uncached LoLa path (same seed, same operand
+// stream), and the BSGS path must be bit-identical run to run and cached
+// vs uncached. This is the single place all the paths meet; it runs in
+// tier-1.
 func TestDifferentialEvaluationPaths(t *testing.T) {
 	profiles := []struct {
 		name string
@@ -81,26 +81,13 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 				}
 				checkLogits("compiled", ctx2.DecryptVector(out2)[:outElems(lola)])
 
-				// Path 3 — hoisted rotations: numerically distinct from the
-				// per-rotation path (shared decomposition), so it gets the
-				// tolerance check plus a run-to-run determinism digest pin.
-				hoisted := CompileWith(pnet, params.Slots(), Options{Hoist: true})
-				hrots := hoisted.RotationsNeeded(params.MaxLevel())
-				ctx3 := NewContext(params, ctxSeed, hrots)
-				out3 := hoisted.EvaluateEncrypted(NewCryptoBackend(ctx3, nil), encryptInput(hoisted, ctx3, img))
-				checkLogits("hoisted", ctx3.DecryptVector(out3)[:outElems(hoisted)])
-				ctx3b := NewContext(params, ctxSeed, hrots)
-				out3b := hoisted.EvaluateEncrypted(NewCryptoBackend(ctx3b, nil), encryptInput(hoisted, ctx3b, img))
-				if a, b := out3.Ciphertext().Digest(), out3b.Ciphertext().Digest(); a != b {
-					t.Errorf("hoisted path not deterministic: %s vs %s", a, b)
-				}
-
 				// Path 5 — BSGS diagonal linear transforms: a different
-				// rotation structure entirely (baby/giant steps instead of
-				// rotate-and-sum ladders), so like the hoisted path it gets
-				// the tolerance check plus a run-to-run determinism digest,
-				// and additionally a cached-vs-uncached digest pin (the
-				// diagonal plaintexts ride the same CompiledNetwork cache).
+				// rotation structure entirely (baby/giant steps from one
+				// hoisted decomposition instead of rotate-and-sum ladders),
+				// numerically distinct from the ladder, so it gets the
+				// tolerance check plus a run-to-run determinism digest, and
+				// additionally a cached-vs-uncached digest pin (the diagonal
+				// plaintexts ride the same CompiledNetwork cache).
 				diag := CompileWith(pnet, params.Slots(), Options{BSGS: true})
 				for _, l := range diag.Layers {
 					if _, ok := l.(*MatVecGroup); ok {
@@ -174,5 +161,46 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// inferenceDigest runs one fully deterministic encrypted inference —
+// MNIST-profile or CIFAR-profile structure at reduced geometry — and
+// returns the output ciphertext digest. Key material, encryption noise and
+// the image are all seed-derived, so two calls differ only in whether a
+// worker pool is attached.
+func inferenceDigest(pnet *cnn.Network, seed int64, opts Options, pool *parallel.Pool) string {
+	params := tinyParams() // fresh Parameters → fresh ring per call
+	params.AttachPool(pool)
+	net := CompileWith(pnet, params.Slots(), opts)
+	ctx := NewContext(params, seed, net.RotationsNeeded(params.MaxLevel()))
+	img := randomImage(pnet.InC, pnet.InH, pnet.InW, seed)
+	out := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img))
+	return out.Ciphertext().Digest()
+}
+
+// TestParallelInferenceMatchesSerialDigests pins the end-to-end determinism
+// guarantee for both network profiles: a multi-worker pool changes only
+// the schedule, never a single ciphertext bit.
+func TestParallelInferenceMatchesSerialDigests(t *testing.T) {
+	pool := parallel.New(4)
+	for _, tc := range []struct {
+		name string
+		pnet *cnn.Network
+		seed int64
+		opts Options
+	}{
+		{"mnist-profile", cnn.NewTinyNet(), 50, Options{}},
+		{"cifar-profile", cnn.NewTinyConvNet(), 51, Options{}},
+	} {
+		tc.pnet.InitWeights(tc.seed)
+		serial := inferenceDigest(tc.pnet, tc.seed, tc.opts, nil)
+		par := inferenceDigest(tc.pnet, tc.seed, tc.opts, pool)
+		if serial != par {
+			t.Fatalf("%s: parallel digest %s != serial %s", tc.name, par, serial)
+		}
+	}
+	if st := pool.Stats(); st.Dispatched+st.Inline == 0 {
+		t.Fatal("pool never executed an item — parallel path not exercised")
 	}
 }

@@ -177,12 +177,6 @@ type MatVecGroup struct {
 	Weight     func(r, c int) float64
 	Bias       func(r int) float64
 	Slots      int
-	// Hoist replaces the log2(B) replication chain with the equivalent
-	// linear sum rep0 + Σ_{i=1..B-1} rot(rep0, -i·P2) computed from one
-	// shared keyswitch decomposition (RotateMany). More rotations, but only
-	// one digit decomposition; the rotation-key set changes accordingly, so
-	// counting and crypto backends must agree on this flag.
-	Hoist bool
 
 	p2, b, g int
 }
@@ -228,22 +222,10 @@ func (l *MatVecGroup) Apply(b Backend, in *State) *State {
 	b.SetLayer(l.LayerName)
 
 	// Replicate the input into the B blocks (right rotations into the
-	// zero-padded upper slots). Hoisted form: all B-1 shifts of the original
-	// ciphertext from one shared decomposition, summed — identical slot
-	// values to the doubling chain because the input is zero above P2.
+	// zero-padded upper slots).
 	rep := in.CTs[0]
-	if l.Hoist && l.b > 1 {
-		ks := make([]int, 0, l.b-1)
-		for i := 1; i < l.b; i++ {
-			ks = append(ks, -i*l.p2)
-		}
-		for _, t := range b.RotateMany(rep, ks) {
-			rep = b.CCadd(rep, t)
-		}
-	} else {
-		for sh := l.p2; sh < l.b*l.p2; sh <<= 1 {
-			rep = b.CCadd(rep, b.Rotate(rep, -sh))
-		}
+	for sh := l.p2; sh < l.b*l.p2; sh <<= 1 {
+		rep = b.CCadd(rep, b.Rotate(rep, -sh))
 	}
 
 	out := &State{Kind: GroupSums, N: l.Rows, P2: l.p2, B: l.b}
@@ -295,10 +277,6 @@ type MatVecCollect struct {
 	Weight     func(r, c int) float64
 	Bias       func(r int) float64
 	Slots      int
-	// Hoist folds the B block-start partial sums as a linear rotation sum
-	// from one shared decomposition instead of the log2(B) doubling chain
-	// (see MatVecGroup.Hoist).
-	Hoist bool
 }
 
 // Name implements Layer.
@@ -350,21 +328,9 @@ func (l *MatVecCollect) Apply(b Backend, in *State) *State {
 		acc = b.Rescale(acc)
 		// Fold the B block-start partial sums down to slot 0. P2 divides the
 		// slot count, so shifts by multiples of P2 keep values on block
-		// starts and the hoisted linear sum matches the doubling chain.
-		if l.Hoist && in.B > 1 {
-			ks := make([]int, 0, in.B-1)
-			for i := 1; i < in.B; i++ {
-				ks = append(ks, i*in.P2)
-			}
-			folded := acc
-			for _, t := range b.RotateMany(acc, ks) {
-				folded = b.CCadd(folded, t)
-			}
-			acc = folded
-		} else {
-			for sh := in.P2; sh < in.B*in.P2; sh <<= 1 {
-				acc = b.CCadd(acc, b.Rotate(acc, sh))
-			}
+		// starts.
+		for sh := in.P2; sh < in.B*in.P2; sh <<= 1 {
+			acc = b.CCadd(acc, b.Rotate(acc, sh))
 		}
 		// Move the row result to slot r and accumulate.
 		acc = b.Rotate(acc, -r)

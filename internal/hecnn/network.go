@@ -18,14 +18,6 @@ type Network struct {
 
 // Options controls how a CNN is compiled into HE layers.
 type Options struct {
-	// Hoist rewrites the KS layers' replication and fold ladders into
-	// linear rotation sums served from one shared keyswitch decomposition
-	// per ladder (Backend.RotateMany). This changes the rotation counts and
-	// the Galois key set — B−1 rotations instead of log2(B) per ladder —
-	// so the same Options must be used for counting (RotationsNeeded),
-	// key generation, and evaluation. Off by default: the default pipeline
-	// and its golden per-layer profiles are unchanged.
-	Hoist bool
 	// BSGS compiles every interior and final linear layer (dense, interior
 	// conv, pool) as a MatVecDiag baby-step/giant-step diagonal transform
 	// instead of the rotate-and-sum ladder, cutting keyswitch counts from
@@ -33,10 +25,10 @@ type Options struct {
 	// when its diagonal plan costs more than the ladder or when its
 	// geometry (rows+cols−1 > slots) aliases the cyclic diagonals; once an
 	// interior layer falls back, the GroupSums layout forces the remaining
-	// layers onto the ladder too. Like Hoist, BSGS changes rotation counts
-	// and the Galois key set, so counting, key generation, and evaluation
-	// must share the flag. BSGS composes with Hoist (Hoist then applies to
-	// whatever ladder layers remain).
+	// layers onto the ladder too. BSGS changes rotation counts and the
+	// Galois key set, so counting, key generation, and evaluation must
+	// share the flag. Off by default: the default pipeline and its golden
+	// per-layer profiles are the ladder's.
 	BSGS bool
 }
 
@@ -60,10 +52,6 @@ func CompileWith(c *cnn.Network, slots int, opts Options) *Network {
 		panic("hecnn: first layer must be a convolution")
 	}
 	n := &Network{Name: c.Name, Slots: slots, CNN: c, Opts: opts}
-	group := func(mv *MatVecGroup) *MatVecGroup {
-		mv.Hoist = opts.Hoist
-		return mv
-	}
 	// bsgs tracks whether the diagonal path is still available: it starts
 	// at opts.BSGS and degrades to false the first time an interior layer
 	// falls back to the ladder, because the ladder's GroupSums output
@@ -79,7 +67,7 @@ func CompileWith(c *cnn.Network, slots int, opts Options) *Network {
 			}
 		}
 		bsgs = false
-		return group(NewMatVecGroup(name, rows, cols, slots, weight, bias))
+		return NewMatVecGroup(name, rows, cols, slots, weight, bias)
 	}
 
 	// Track tensor shape through the network for conv flattening.
@@ -134,7 +122,6 @@ func CompileWith(c *cnn.Network, slots int, opts Options) *Network {
 						Weight: layer.Weight,
 						Bias:   func(r int) float64 { return layer.Bias[r] },
 						Slots:  slots,
-						Hoist:  opts.Hoist,
 					})
 				}
 			} else {
@@ -244,15 +231,20 @@ func (n *Network) Count(startLevel int) *Recorder {
 // from the trace, plus the — here negligible — wall times).
 func (n *Network) CountTraced(startLevel int) (*Recorder, []LayerStat) {
 	rec := NewRecorder()
-	b := NewCountBackend(rec)
 	tr := NewTracer(rec)
-	conv := n.Layers[0].(*ConvPacked)
-	cts := make([]*CT, 0, conv.NumPositions())
-	for i := 0; i < conv.NumPositions(); i++ {
-		cts = append(cts, &CT{level: startLevel, scale: 1})
-	}
-	n.EvaluateTraced(b, cts, tr)
+	n.dryRun(&dryBackend{rec: rec}, startLevel, tr)
 	return rec, tr.Stats
+}
+
+// freshInputs returns one copy of proto per packed input position (the
+// first convolution's NumPositions()).
+func (n *Network) freshInputs(proto CT) []*CT {
+	return freshCTs(n.Layers[0].(*ConvPacked).NumPositions(), proto)
+}
+
+// dryRun walks the network through b from fresh inputs at startLevel.
+func (n *Network) dryRun(b *dryBackend, startLevel int, tr *Tracer) {
+	n.EvaluateTraced(b, n.freshInputs(b.start(startLevel)), tr)
 }
 
 // EvaluateEncrypted runs the layers on already-encrypted packed inputs,
@@ -291,14 +283,7 @@ func (n *Network) EvaluateTraced(b Backend, cts []*CT, tr *Tracer) *CT {
 // returns the logits and the recorded trace.
 func (n *Network) Run(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder) {
 	rec := NewRecorder()
-	b := NewCryptoBackend(ctx, rec)
-	var cts []*CT
-	for _, v := range n.PackInput(img) {
-		cts = append(cts, ctx.EncryptVector(v))
-	}
-	out := ctx.DecryptVector(n.EvaluateEncrypted(b, cts))
-	lastRows := n.Layers[len(n.Layers)-1].OutElems()
-	return out[:lastRows], rec
+	return n.run(ctx, img, NewCryptoBackend(ctx, rec), nil), rec
 }
 
 // RunTraced is Run with per-layer telemetry: pack, encrypt, evaluate with
@@ -306,15 +291,20 @@ func (n *Network) Run(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder) {
 // per-layer wall-time/op-count stats of this single inference.
 func (n *Network) RunTraced(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder, []LayerStat) {
 	rec := NewRecorder()
-	b := NewCryptoBackend(ctx, rec)
 	tr := NewTracer(rec)
+	logits := n.run(ctx, img, NewCryptoBackend(ctx, rec), tr)
+	return logits, rec, tr.Stats
+}
+
+// run is the one LoLa run path: pack and encrypt img, evaluate through b
+// (with tr when non-nil), decrypt, and keep the logit slots.
+func (n *Network) run(ctx *Context, img *cnn.Tensor, b Backend, tr *Tracer) []float64 {
 	var cts []*CT
 	for _, v := range n.PackInput(img) {
 		cts = append(cts, ctx.EncryptVector(v))
 	}
 	out := ctx.DecryptVector(n.EvaluateTraced(b, cts, tr))
-	lastRows := n.Layers[len(n.Layers)-1].OutElems()
-	return out[:lastRows], rec, tr.Stats
+	return out[:n.Layers[len(n.Layers)-1].OutElems()]
 }
 
 // RotationsNeeded dry-runs the network and returns the rotation amounts to

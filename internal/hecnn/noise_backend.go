@@ -5,7 +5,7 @@ import (
 )
 
 // Noise-estimation backend: walks the network through the same layer code
-// as the functional and counting backends, but propagates analytic CKKS
+// as the crypto and dry-run backends, but propagates analytic CKKS
 // error bounds instead of ciphertexts. The result predicts — without any
 // cryptography — whether a network's depth and value ranges survive a
 // parameter set (used before provisioning hardware or burning CPU time on
@@ -73,15 +73,9 @@ func (b *noiseBackend) Rotate(x *CT, k int) *CT {
 	return &CT{level: est.Level, scale: est.Scale, noise: &est}
 }
 
-func (b *noiseBackend) RotateMany(x *CT, ks []int) []*CT {
-	// Hoisted and chained rotations carry the same keyswitch noise bound
-	// per rotation, so the estimate is just the per-k model.
-	out := make([]*CT, len(ks))
-	for i, k := range ks {
-		out[i] = b.Rotate(x, k)
-	}
-	return out
-}
+// RotateMany: hoisted and chained rotations carry the same keyswitch noise
+// bound per rotation, so the estimate is just the per-k model.
+func (b *noiseBackend) RotateMany(x *CT, ks []int) []*CT { return rotateEach(b, x, ks) }
 
 // EstimatePrecision predicts the output error bound of the network for
 // inputs bounded by inputMax, along with whether every intermediate stays
@@ -90,16 +84,11 @@ func (n *Network) EstimatePrecision(params ckks.Parameters, inputMax float64) (c
 	model := ckks.NewNoiseModel(params)
 	b := &noiseBackend{model: model}
 
-	conv := n.Layers[0].(*ConvPacked)
-	in := &State{Kind: Contiguous}
+	// The estimate is never mutated in place, so every input can share it.
 	fresh := model.Fresh(inputMax, params.MaxLevel())
-	for i := 0; i < conv.NumPositions(); i++ {
-		e := fresh
-		in.CTs = append(in.CTs, &CT{level: e.Level, scale: e.Scale, noise: &e})
-	}
+	s := &State{Kind: Contiguous, CTs: n.freshInputs(CT{level: fresh.Level, scale: fresh.Scale, noise: &fresh})}
 
 	ok := true
-	s := in
 	for _, l := range n.Layers {
 		s = l.Apply(b, s)
 		for _, ct := range s.CTs {

@@ -56,7 +56,7 @@ func buildStandardModel(rec registry.Record) (*TenantModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	henet := hecnn.CompileWith(pnet, params.Slots(), hecnn.Options{Hoist: rec.Hoist, BSGS: rec.BSGS})
+	henet := hecnn.CompileWith(pnet, params.Slots(), hecnn.Options{BSGS: rec.BSGS})
 
 	kg := ckks.NewKeyGenerator(params, rec.KeySeed)
 	sk := kg.GenSecretKey()
@@ -103,7 +103,7 @@ func StandardTenantClient(rec registry.Record, encSeed int64) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	henet := hecnn.CompileWith(pnet, params.Slots(), hecnn.Options{Hoist: rec.Hoist, BSGS: rec.BSGS})
+	henet := hecnn.CompileWith(pnet, params.Slots(), hecnn.Options{BSGS: rec.BSGS})
 	kg := ckks.NewKeyGenerator(params, rec.KeySeed)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)

@@ -771,6 +771,11 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 		s.met.setEvalEWMA(s.shed.estimate())
 	}
 
+	// Count the inference before replying, as the failure paths do: a
+	// client that has read its response must never see stats that miss it.
+	s.mu.Lock()
+	s.stats.Served++
+	s.mu.Unlock()
 	var w io.Writer = rw
 	var cw *crcWriter
 	if crc {
@@ -787,9 +792,6 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 		writeTrailer(rw, cw.h.Sum32()) //nolint:errcheck // peer may be gone
 	}
 	rt.timePhase(phaseEncode, time.Since(phaseStart))
-	s.mu.Lock()
-	s.stats.Served++
-	s.mu.Unlock()
 	return nil
 }
 
@@ -880,6 +882,11 @@ func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, pha
 		return out.err
 	}
 
+	// Count the inference before replying, as the failure paths do: a
+	// client that has read its response must never see stats that miss it.
+	s.mu.Lock()
+	s.stats.Served++
+	s.mu.Unlock()
 	var w io.Writer = rw
 	var cw *crcWriter
 	if crc {
@@ -902,9 +909,6 @@ func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, pha
 		writeTrailer(rw, cw.h.Sum32()) //nolint:errcheck // peer may be gone
 	}
 	rt.timePhase(phaseEncode, time.Since(phaseStart))
-	s.mu.Lock()
-	s.stats.Served++
-	s.mu.Unlock()
 	return nil
 }
 

@@ -33,17 +33,17 @@ func TestMutationValidation(t *testing.T) {
 	if _, err := r.SetQuota("ghost", Quota{MaxConcurrent: 1}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("quota on absent tenant: %v, want ErrNotFound", err)
 	}
-	if _, err := r.UpdateModel("a", "", 1, false, false); !errors.Is(err, ErrInvalid) {
+	if _, err := r.UpdateModel("a", "", 1, false); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("empty model: %v, want ErrInvalid", err)
 	}
 	long := make([]byte, MaxNameBytes+1)
 	for i := range long {
 		long[i] = 'x'
 	}
-	if _, err := r.UpdateModel("a", string(long), 1, false, false); !errors.Is(err, ErrInvalid) {
+	if _, err := r.UpdateModel("a", string(long), 1, false); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("oversize model: %v, want ErrInvalid", err)
 	}
-	if _, err := r.UpdateModel("ghost", "tiny", 1, false, false); !errors.Is(err, ErrNotFound) {
+	if _, err := r.UpdateModel("ghost", "tiny", 1, false); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("model update on absent tenant: %v, want ErrNotFound", err)
 	}
 	if _, err := r.Rotate("ghost", 2); !errors.Is(err, ErrNotFound) {

@@ -27,6 +27,8 @@ func FuzzDecodeFile(f *testing.F) {
 	f.Add([]byte(`{"version": 1, "records": null}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"version": 1, "records": [{"tenant": "a", "model": "m", "quota": {"max_concurrent": -1}}]}`))
+	// The retired compile-mode field: refused by DisallowUnknownFields.
+	f.Add([]byte(`{"version": 1, "records": [{"tenant": "a", "model": "tiny", "hoist": true}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeFile(data)

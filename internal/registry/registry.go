@@ -89,9 +89,8 @@ type Record struct {
 	// KeySeed seeds the tenant's key ceremony. Rotate assigns a fresh
 	// seed and bumps Generation.
 	KeySeed int64 `json:"key_seed"`
-	// Hoist and BSGS select the tenant's compile mode.
-	Hoist bool `json:"hoist,omitempty"`
-	BSGS  bool `json:"bsgs,omitempty"`
+	// BSGS selects the tenant's compile mode.
+	BSGS bool `json:"bsgs,omitempty"`
 	// Generation is bumped by every mutation (Rotate, UpdateModel).
 	// Serving caches key compiled networks and warmed plaintexts by it.
 	Generation uint64 `json:"generation"`
@@ -212,12 +211,12 @@ func (r *Registry) Rotate(tenant string, newKeySeed int64) (Record, error) {
 // UpdateModel swaps the tenant's model profile, weight seed, or compile
 // options and bumps the generation, invalidating compiled-network caches
 // keyed by the old one.
-func (r *Registry) UpdateModel(tenant, model string, weightSeed int64, hoist, bsgs bool) (Record, error) {
+func (r *Registry) UpdateModel(tenant, model string, weightSeed int64, bsgs bool) (Record, error) {
 	if model == "" || len(model) > MaxNameBytes {
 		return Record{}, fmt.Errorf("%w: bad model name", ErrInvalid)
 	}
 	return r.mutate(tenant, func(rec *Record) {
-		rec.Model, rec.WeightSeed, rec.Hoist, rec.BSGS = model, weightSeed, hoist, bsgs
+		rec.Model, rec.WeightSeed, rec.BSGS = model, weightSeed, bsgs
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -69,11 +70,11 @@ func TestRotateAndUpdateBumpGeneration(t *testing.T) {
 	if rot.Generation != 2 || rot.KeySeed != 99 {
 		t.Fatalf("rotate: gen=%d seed=%d, want gen 2 seed 99", rot.Generation, rot.KeySeed)
 	}
-	upd, err := r.UpdateModel("alice", "tinyconv", 7, true, false)
+	upd, err := r.UpdateModel("alice", "tinyconv", 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if upd.Generation != 3 || upd.Model != "tinyconv" || !upd.Hoist {
+	if upd.Generation != 3 || upd.Model != "tinyconv" || !upd.BSGS {
 		t.Fatalf("update: %+v", upd)
 	}
 	q, err := r.SetQuota("alice", Quota{MaxConcurrent: 2})
@@ -125,7 +126,7 @@ func TestConcurrentRegisterRotateDelete(t *testing.T) {
 						t.Errorf("rotate produced generation %d < 2", got.Generation)
 					}
 				case 2:
-					if got, err := r.UpdateModel(name, "tiny", int64(i), i%2 == 0, false); err == nil && got.Generation < 2 {
+					if got, err := r.UpdateModel(name, "tiny", int64(i), i%2 == 0); err == nil && got.Generation < 2 {
 						t.Errorf("update produced generation %d < 2", got.Generation)
 					}
 				case 3:
@@ -217,24 +218,36 @@ func TestFileStoreCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
-		"truncated-mid-record": valid[:len(valid)/2],
-		"empty-file":           {},
-		"not-json":             []byte("registry? never heard of it"),
-		"wrong-version":        []byte(`{"version": 99, "records": []}`),
-		"unknown-field":        []byte(`{"version": 1, "records": [], "extra": true}`),
-		"trailing-garbage":     append(append([]byte{}, valid...), []byte("{}")...),
-		"invalid-record":       []byte(`{"version": 1, "records": [{"tenant": "", "model": "tiny"}]}`),
-		"duplicate-tenant":     []byte(`{"version": 1, "records": [{"tenant": "a", "model": "m"}, {"tenant": "a", "model": "m"}]}`),
+	cases := map[string]struct {
+		data []byte
+		// mention, when set, must appear in the error: the operator is
+		// told which field to fix.
+		mention string
+	}{
+		"truncated-mid-record": {data: valid[:len(valid)/2]},
+		"empty-file":           {data: []byte{}},
+		"not-json":             {data: []byte("registry? never heard of it")},
+		"wrong-version":        {data: []byte(`{"version": 99, "records": []}`)},
+		"unknown-field":        {data: []byte(`{"version": 1, "records": [], "extra": true}`)},
+		"trailing-garbage":     {data: append(append([]byte{}, valid...), []byte("{}")...)},
+		"invalid-record":       {data: []byte(`{"version": 1, "records": [{"tenant": "", "model": "tiny"}]}`)},
+		"duplicate-tenant":     {data: []byte(`{"version": 1, "records": [{"tenant": "a", "model": "m"}, {"tenant": "a", "model": "m"}]}`)},
+		// The Hoist compile mode was removed; a file that still sets it is
+		// refused rather than silently served under the ladder.
+		"retired-hoist-field": {data: []byte(`{"version": 1, "records": [{"tenant": "a", "model": "tiny", "hoist": true}]}`), mention: `"hoist"`},
 	}
-	for name, data := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "registry.json")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenFileStore(path); !errors.Is(err, ErrCorrupt) {
+			_, err := OpenFileStore(path)
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("open: %v, want ErrCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), tc.mention) {
+				t.Fatalf("open: %v, want it to name %s", err, tc.mention)
 			}
 		})
 	}
