@@ -69,7 +69,8 @@ type Config struct {
 	// shard's breaker. Default 3.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects before
-	// allowing a probe. Default 5s.
+	// allowing a probe, jittered ±20% and not doubled across open cycles
+	// (mlaas.BreakerConfig with MaxCooldown = Cooldown). Default 5s.
 	BreakerCooldown time.Duration
 	// Metrics, when non-nil, receives the gateway metric families.
 	Metrics *telemetry.Registry
@@ -92,7 +93,7 @@ func (c Config) withDefaults() Config {
 // dial breaker, and the in-flight count a rolling drain waits on.
 type shardState struct {
 	shard   Shard
-	breaker *breaker
+	breaker *mlaas.Breaker
 
 	mu     sync.Mutex
 	active int
@@ -135,7 +136,6 @@ func (st *shardState) drained() <-chan struct{} {
 type Gateway struct {
 	cfg  Config
 	ring *Ring
-	now  func() time.Time // test seam for breaker cooldowns
 
 	mu        sync.Mutex
 	shards    map[string]*shardState
@@ -154,7 +154,6 @@ func New(cfg Config, shards ...Shard) *Gateway {
 	g := &Gateway{
 		cfg:       cfg.withDefaults(),
 		ring:      NewRing(),
-		now:       time.Now,
 		shards:    make(map[string]*shardState),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -182,8 +181,12 @@ func (g *Gateway) AddShard(s Shard) error {
 		return fmt.Errorf("gateway: shard %q already present", s.Name)
 	}
 	g.shards[s.Name] = &shardState{
-		shard:   s,
-		breaker: newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerCooldown, func() time.Time { return g.now() }),
+		shard: s,
+		breaker: mlaas.NewBreaker(mlaas.BreakerConfig{
+			Threshold:   g.cfg.BreakerThreshold,
+			Cooldown:    g.cfg.BreakerCooldown,
+			MaxCooldown: g.cfg.BreakerCooldown,
+		}),
 	}
 	g.ring.Add(s.Name)
 	return nil
@@ -228,7 +231,7 @@ func (g *Gateway) BreakerState(name string) string {
 	if !ok {
 		return "absent"
 	}
-	return st.breaker.state()
+	return st.breaker.State().String()
 }
 
 // Serve accepts connections until the listener closes or the gateway
@@ -310,7 +313,7 @@ func (g *Gateway) Handle(conn net.Conn) {
 	}
 	defer untrack()
 
-	conn.SetReadDeadline(g.now().Add(g.cfg.IOTimeout)) //nolint:errcheck
+	conn.SetReadDeadline(time.Now().Add(g.cfg.IOTimeout)) //nolint:errcheck
 	hdr, consumed, _, err := mlaas.PeekRoute(conn)
 	if err != nil {
 		// The prefix never arrived or was malformed; the shard-side parser
@@ -335,17 +338,17 @@ func (g *Gateway) Handle(conn net.Conn) {
 		if !ok {
 			continue // lost a race with RemoveShard; try the next candidate
 		}
-		if !st.breaker.allow() {
+		if !st.breaker.Allow() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.IOTimeout)
 		up, err := st.shard.dial(ctx)
 		cancel()
 		if err != nil {
-			st.breaker.failure()
+			st.breaker.OnFailure()
 			continue
 		}
-		st.breaker.success()
+		st.breaker.OnSuccess()
 		if i > 0 {
 			g.rerouted(name)
 		}
@@ -364,8 +367,8 @@ func (g *Gateway) Handle(conn net.Conn) {
 // either peer fails.
 func (g *Gateway) splice(client, shard net.Conn, consumed []byte) {
 	defer shard.Close()
-	shard.SetDeadline(g.now().Add(g.cfg.IOTimeout))  //nolint:errcheck
-	client.SetDeadline(g.now().Add(g.cfg.IOTimeout)) //nolint:errcheck
+	shard.SetDeadline(time.Now().Add(g.cfg.IOTimeout))  //nolint:errcheck
+	client.SetDeadline(time.Now().Add(g.cfg.IOTimeout)) //nolint:errcheck
 	if _, err := shard.Write(consumed); err != nil {
 		mlaas.WriteFailure(client, mlaas.StatusInternal, "gateway: shard went away mid-request")
 		return

@@ -142,7 +142,7 @@ type batcher struct {
 	// brk gates the coalesced evaluation path: while open, flushes skip
 	// coalescing and run every member through the degraded per-member
 	// path; a half-open probe batch tests recovery.
-	brk *breaker
+	brk *Breaker
 	// flight, when attached, records one "batch-flush" trace per flush,
 	// linked follow-from to every member's wire trace context.
 	flight *telemetry.FlightRecorder
@@ -176,7 +176,7 @@ func newBatcher(bc BatchConfig, ctx *hecnn.Context, cb *hecnn.CompiledBatched, a
 		window: bc.Window,
 		adm:    adm,
 		met:    met,
-		brk:    newBreaker(bc.Breaker),
+		brk:    NewBreaker(bc.Breaker),
 		wake:   make(chan struct{}, 1),
 		stopc:  make(chan struct{}),
 		done:   make(chan struct{}),
@@ -200,6 +200,39 @@ func (b *batcher) submit(m *batchMember) *wireError {
 	default:
 	}
 	return nil
+}
+
+// await parks one member in the scheduler and waits for the flush that
+// evaluates it. A member whose deadline passes while parked claims itself
+// away from the next flush and is refused with StatusBusy, never
+// stalling the batch.
+func (b *batcher) await(deadline time.Time, rt *reqTrace, cts []*hecnn.CT) (batchOutcome, error) {
+	m := &batchMember{
+		arrival:  time.Now(),
+		deadline: deadline,
+		cts:      cts,
+		result:   make(chan batchOutcome, 1),
+	}
+	if rt != nil {
+		// The flush span links every member's trace as a follow-from.
+		m.wt = rt.wt
+	}
+	if we := b.submit(m); we != nil {
+		return batchOutcome{}, we
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case out := <-m.result:
+		return out, nil
+	case <-timer.C:
+		if m.claimed.CompareAndSwap(false, true) {
+			// Still parked: withdraw before any flush claims it.
+			return batchOutcome{}, &wireError{StatusBusy, "request budget expired waiting for a batch"}
+		}
+		// A flush owns this member; its result is imminent.
+		return <-m.result, nil
+	}
 }
 
 // drain makes the scheduler flush pending members immediately (and any
@@ -374,7 +407,7 @@ func (b *batcher) flush(reason flushReason) {
 	// after any coalesced failure — every member re-runs individually.
 	// Coalescing is an optimization; its failure must cost amortization,
 	// not answers.
-	if b.brk.allow() {
+	if b.brk.Allow() {
 		evalStart := time.Now()
 		outs, err := b.evalMembers(cts)
 		// Feed the deadline-pressure estimate: jump straight up on an
@@ -387,23 +420,23 @@ func (b *batcher) flush(reason flushReason) {
 			b.evalEst.Store((3*b.evalEst.Load() + obs) / 4)
 		}
 		if err == nil {
-			b.brk.onSuccess()
-			b.met.setBatchBreaker(b.brk.currentState())
-			for i, m := range members {
-				m.result <- batchOutcome{outs: outs, slot: i, flush: fctx}
-			}
+			b.brk.OnSuccess()
+			b.met.setBatchBreaker(b.brk.State())
 			if fsp != nil {
 				fsp.End()
 				b.flight.Record(fsp)
 			}
+			for i, m := range members {
+				m.result <- batchOutcome{outs: outs, slot: i, flush: fctx}
+			}
 			return
 		}
-		b.brk.onFailure()
+		b.brk.OnFailure()
 		if fsp != nil {
 			fsp.SetAttr("error", err.Error())
 		}
 	}
-	b.met.setBatchBreaker(b.brk.currentState())
+	b.met.setBatchBreaker(b.brk.State())
 	b.degrade(members, fctx)
 	if fsp != nil {
 		fsp.SetAttr("degraded", "true")
@@ -436,8 +469,8 @@ func (b *batcher) evalMembers(cts [][]*hecnn.CT) (outs []*hecnn.CT, err error) {
 // in the combine path fails at most its own request. Members whose budget
 // already expired are refused with StatusBusy instead of being evaluated
 // dead — their handler gave up waiting and nobody will read the logits.
+// Each recovery is counted before its member hears of it.
 func (b *batcher) degrade(members []*batchMember, fctx telemetry.SpanContext) {
-	recovered := 0
 	for _, m := range members {
 		if !time.Now().Before(m.deadline) {
 			m.result <- batchOutcome{err: &wireError{StatusBusy, "request budget expired during degraded batch recovery"}, flush: fctx, degraded: true}
@@ -448,10 +481,9 @@ func (b *batcher) degrade(members []*batchMember, fctx telemetry.SpanContext) {
 			m.result <- batchOutcome{err: &wireError{StatusInternal, fmt.Sprintf("degraded evaluation: %v", err)}, flush: fctx, degraded: true}
 			continue
 		}
-		recovered++
+		b.met.observeDegraded()
 		m.result <- batchOutcome{outs: outs, slot: 0, flush: fctx, degraded: true}
 	}
-	b.met.observeDegraded(recovered)
 }
 
 // failPending delivers we to every still-unclaimed pending member.

@@ -345,7 +345,7 @@ func TestBatchSchedulerCancelledNeverStalls(t *testing.T) {
 	if we := b.submit(gone); we != nil {
 		t.Fatal(we)
 	}
-	// The handler abandons the member exactly as serveBatched does.
+	// The handler abandons the member exactly as batcher.await does.
 	if !gone.claimed.CompareAndSwap(false, true) {
 		t.Fatal("member claimed before any flush")
 	}

@@ -1,14 +1,15 @@
 package mlaas
 
-// Circuit breaking: the shared state machine behind both the failover
-// client (one breaker per endpoint) and the batch scheduler's degradation
-// ladder (one breaker on the batched evaluation path). The machine is the
-// classic three-state one — closed (traffic flows), open (traffic is
-// refused locally until a cooldown elapses), half-open (exactly one probe
-// is let through to test recovery) — with a deterministic probe schedule:
-// the cooldown doubles on every consecutive open cycle up to a cap, and
-// the jitter on each cooldown is drawn from a seeded RNG, so a whole
-// failure scenario replays identically from its config.
+// Circuit breaking: the one state machine behind the failover client (one
+// breaker per endpoint), the batch scheduler's degradation ladder (one
+// breaker on the batched evaluation path) and the gateway (one dial
+// breaker per shard). The machine is the classic three-state one — closed
+// (traffic flows), open (traffic is refused locally until a cooldown
+// elapses), half-open (exactly one probe is let through to test recovery)
+// — with a deterministic probe schedule: the cooldown doubles on every
+// consecutive open cycle up to a cap, and the jitter on each cooldown is
+// drawn from a seeded RNG, so a whole failure scenario replays
+// identically from its config.
 
 import (
 	"math/rand"
@@ -63,9 +64,9 @@ func (s breakerState) String() string {
 	return [...]string{"closed", "half-open", "open"}[s]
 }
 
-// breaker is one circuit breaker instance. All methods are safe for
+// Breaker is one circuit breaker instance. All methods are safe for
 // concurrent use.
-type breaker struct {
+type Breaker struct {
 	cfg BreakerConfig
 	now func() time.Time // test seam; time.Now outside tests
 
@@ -77,21 +78,22 @@ type breaker struct {
 	probeAt time.Time // when an open breaker next grants a half-open probe
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
+// NewBreaker builds a closed breaker.
+func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
-	return &breaker{
+	return &Breaker{
 		cfg: cfg,
 		now: time.Now,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
-// allow reports whether a request may go through right now. A closed
+// Allow reports whether a request may go through right now. A closed
 // breaker always allows; an open breaker refuses until its probe instant,
 // at which point it transitions to half-open and allows exactly one probe;
 // a half-open breaker refuses (the probe is already in flight). The caller
-// that was allowed MUST report the outcome via onSuccess or onFailure.
-func (b *breaker) allow() bool {
+// that was allowed MUST report the outcome via OnSuccess or OnFailure.
+func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -108,9 +110,9 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// onSuccess records a completed request: any state collapses back to
+// OnSuccess records a completed request: any state collapses back to
 // closed and the failure accounting resets.
-func (b *breaker) onSuccess() {
+func (b *Breaker) OnSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = breakerClosed
@@ -118,10 +120,10 @@ func (b *breaker) onSuccess() {
 	b.streak = 0
 }
 
-// onFailure records a failed request: a half-open probe failure re-opens
+// OnFailure records a failed request: a half-open probe failure re-opens
 // immediately with a doubled cooldown; closed-state failures accumulate
 // toward the threshold.
-func (b *breaker) onFailure() {
+func (b *Breaker) OnFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -137,12 +139,12 @@ func (b *breaker) onFailure() {
 	// admitted before the trip) change nothing.
 }
 
-// onAbandon records an attempt whose outcome was never learned — a hedge
+// OnAbandon records an attempt whose outcome was never learned — a hedge
 // loser cancelled when another endpoint won the race. It must not judge
 // the endpoint, but a consumed half-open probe has to be released or the
 // breaker wedges: the state returns to open with the probe instant
 // unchanged (already past), so the next caller may probe immediately.
-func (b *breaker) onAbandon() {
+func (b *Breaker) OnAbandon() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -152,7 +154,7 @@ func (b *breaker) onAbandon() {
 
 // openLocked trips to open and schedules the next probe: cooldown doubles
 // per consecutive open cycle up to the cap, jittered by the seeded RNG.
-func (b *breaker) openLocked() {
+func (b *Breaker) openLocked() {
 	b.state = breakerOpen
 	b.fails = 0
 	b.streak++
@@ -167,10 +169,10 @@ func (b *breaker) openLocked() {
 	b.probeAt = b.now().Add(d)
 }
 
-// currentState returns the state for observability; an open breaker whose
-// probe instant has passed still reports open until a caller claims the
-// probe via allow.
-func (b *breaker) currentState() breakerState {
+// State returns the state for observability; an open breaker whose probe
+// instant has passed still reports open until a caller claims the probe
+// via Allow.
+func (b *Breaker) State() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state

@@ -10,8 +10,8 @@ type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newClockedBreaker(cfg BreakerConfig) (*breaker, *fakeClock) {
-	b := newBreaker(cfg)
+func newClockedBreaker(cfg BreakerConfig) (*Breaker, *fakeClock) {
+	b := NewBreaker(cfg)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	b.now = clk.now
 	return b, clk
@@ -24,56 +24,62 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Failures below the threshold keep the breaker closed.
 	for i := 0; i < 2; i++ {
-		if !b.allow() {
+		if !b.Allow() {
 			t.Fatalf("closed breaker refused request %d", i)
 		}
-		b.onFailure()
+		b.OnFailure()
 	}
-	if st := b.currentState(); st != breakerClosed {
+	if st := b.State(); st != breakerClosed {
 		t.Fatalf("state after 2 failures = %s, want closed", st)
 	}
 	// The third consecutive failure trips it.
-	b.onFailure()
-	if st := b.currentState(); st != breakerOpen {
+	b.OnFailure()
+	if st := b.State(); st != breakerOpen {
 		t.Fatalf("state after threshold = %s, want open", st)
 	}
-	if b.allow() {
+	if b.Allow() {
 		t.Fatal("open breaker allowed a request before its cooldown")
 	}
 	// Past the (jittered ≤ 1.2×) cooldown the breaker grants exactly one
 	// half-open probe.
 	clk.advance(1300 * time.Millisecond)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("breaker refused the half-open probe after cooldown")
 	}
-	if st := b.currentState(); st != breakerHalfOpen {
+	if st := b.State(); st != breakerHalfOpen {
 		t.Fatalf("state during probe = %s, want half-open", st)
 	}
-	if b.allow() {
+	if b.Allow() {
 		t.Fatal("half-open breaker allowed a second concurrent probe")
 	}
 	// A failed probe re-opens with a doubled cooldown: still refusing at
 	// 1.3s (past a single cooldown even with max jitter), probing again
 	// after 2.4s more.
-	b.onFailure()
-	if st := b.currentState(); st != breakerOpen {
+	b.OnFailure()
+	if st := b.State(); st != breakerOpen {
 		t.Fatalf("state after failed probe = %s, want open", st)
 	}
 	clk.advance(1300 * time.Millisecond)
-	if b.allow() {
+	if b.Allow() {
 		t.Fatal("breaker probed after a single cooldown despite the doubling")
 	}
 	clk.advance(1200 * time.Millisecond)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("breaker refused the probe after the doubled cooldown")
 	}
 	// A successful probe collapses everything back to closed.
-	b.onSuccess()
-	if st := b.currentState(); st != breakerClosed {
+	b.OnSuccess()
+	if st := b.State(); st != breakerClosed {
 		t.Fatalf("state after successful probe = %s, want closed", st)
 	}
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("closed breaker refused traffic after recovery")
+	}
+	// The close forgot the old failures: two more stay below the threshold.
+	b.OnFailure()
+	b.OnFailure()
+	if st := b.State(); st != breakerClosed {
+		t.Fatalf("state after 2 post-recovery failures = %s, want closed", st)
 	}
 }
 
@@ -85,15 +91,15 @@ func TestBreakerDeterministicSchedule(t *testing.T) {
 	b1, clk1 := newClockedBreaker(cfg)
 	b2, clk2 := newClockedBreaker(cfg)
 	for cycle := 0; cycle < 5; cycle++ {
-		b1.onFailure()
-		b2.onFailure()
+		b1.OnFailure()
+		b2.OnFailure()
 		if !b1.probeAt.Equal(b2.probeAt) {
 			t.Fatalf("cycle %d: probe schedules diverged: %v vs %v", cycle, b1.probeAt, b2.probeAt)
 		}
 		step := b1.probeAt.Sub(clk1.t) + time.Millisecond
 		clk1.advance(step)
 		clk2.advance(step)
-		if !b1.allow() || !b2.allow() {
+		if !b1.Allow() || !b2.Allow() {
 			t.Fatalf("cycle %d: breaker refused its scheduled probe", cycle)
 		}
 	}
@@ -106,7 +112,7 @@ func TestBreakerCooldownDoublesAndCaps(t *testing.T) {
 	b, clk := newClockedBreaker(cfg)
 	want := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 4 * time.Second, 4 * time.Second}
 	for i, base := range want {
-		b.onFailure() // trips (threshold 1) or fails the probe
+		b.OnFailure() // trips (threshold 1) or fails the probe
 		cooldown := b.probeAt.Sub(clk.t)
 		lo := time.Duration(float64(base) * 0.8)
 		hi := time.Duration(float64(base) * 1.2)
@@ -114,7 +120,7 @@ func TestBreakerCooldownDoublesAndCaps(t *testing.T) {
 			t.Fatalf("cycle %d: cooldown %v outside [%v, %v]", i, cooldown, lo, hi)
 		}
 		clk.advance(cooldown + time.Millisecond)
-		if !b.allow() {
+		if !b.Allow() {
 			t.Fatalf("cycle %d: probe refused", i)
 		}
 	}
@@ -125,20 +131,20 @@ func TestBreakerCooldownDoublesAndCaps(t *testing.T) {
 // probe immediately.
 func TestBreakerAbandonReleasesProbe(t *testing.T) {
 	b, clk := newClockedBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, Seed: 3})
-	b.onFailure()
+	b.OnFailure()
 	clk.advance(2 * time.Second)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("probe refused after cooldown")
 	}
-	b.onAbandon()
-	if st := b.currentState(); st != breakerOpen {
+	b.OnAbandon()
+	if st := b.State(); st != breakerOpen {
 		t.Fatalf("state after abandoned probe = %s, want open", st)
 	}
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("breaker refused a fresh probe after the previous one was abandoned")
 	}
-	b.onSuccess()
-	if st := b.currentState(); st != breakerClosed {
+	b.OnSuccess()
+	if st := b.State(); st != breakerClosed {
 		t.Fatalf("state after successful re-probe = %s, want closed", st)
 	}
 }
@@ -147,8 +153,8 @@ func TestBreakerAbandonReleasesProbe(t *testing.T) {
 // outstanding must not disturb a closed breaker.
 func TestBreakerAbandonOutsideProbeIsNoop(t *testing.T) {
 	b, _ := newClockedBreaker(BreakerConfig{})
-	b.onAbandon()
-	if st := b.currentState(); st != breakerClosed {
+	b.OnAbandon()
+	if st := b.State(); st != breakerClosed {
 		t.Fatalf("state after stray abandon = %s, want closed", st)
 	}
 }

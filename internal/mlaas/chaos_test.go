@@ -229,7 +229,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 // correct logits.
 func TestChaosBatchDegradation(t *testing.T) {
 	fx := newBatchFixture(t, Config{MaxConcurrent: 2}, 2, time.Hour)
-	fx.server.bat.brk = newBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, Jitter: 0.01, Seed: 12})
+	fx.server.bat.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, Jitter: 0.01, Seed: 12})
 	bat := fx.server.bat
 	var coalescedCalls atomic.Int32
 	bat.evalHook = func(cts [][]*hecnn.CT) ([]*hecnn.CT, error) {
@@ -292,7 +292,7 @@ func TestChaosBatchDegradation(t *testing.T) {
 		t.Fatal("fault injector never saw a coalesced evaluation")
 	}
 	t.Logf("chaos outcome | schedule=%-18s iters=%-3d ok=%-3d coalesced-calls=%d batch-breaker=%s",
-		"batch-degradation", 2*waves, 2*waves, coalescedCalls.Load(), bat.brk.currentState())
+		"batch-degradation", 2*waves, 2*waves, coalescedCalls.Load(), bat.brk.State())
 }
 
 // errLogitMismatch keeps the wave goroutines' failure reporting simple.

@@ -54,7 +54,7 @@ func TestBatchDegradeRecoversMembers(t *testing.T) {
 	// newUnitBatcher bypasses BatchConfig.withDefaults, so pin the batch
 	// path's threshold-1 breaker explicitly (cooldown long enough that it
 	// stays open for the whole test).
-	b.brk = newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Hour, Seed: 2})
+	b.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Hour, Seed: 2})
 	rec := &recordingHook{fn: func(cts [][]*hecnn.CT) ([]*hecnn.CT, error) {
 		if len(cts) > 1 {
 			return nil, errInjected
@@ -233,7 +233,7 @@ func TestBatchDegradationEndToEnd(t *testing.T) {
 	// A short, jitter-free cooldown so the half-open probe arrives within
 	// test time. Replaced before any request: the scheduler has not touched
 	// the breaker yet.
-	fx.server.bat.brk = newBreaker(BreakerConfig{Threshold: 1, Cooldown: 20 * time.Millisecond, Jitter: 0.01, Seed: 11})
+	fx.server.bat.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 20 * time.Millisecond, Jitter: 0.01, Seed: 11})
 	var failCoalesced atomic.Bool
 	failCoalesced.Store(true)
 	bat := fx.server.bat

@@ -134,15 +134,15 @@ func (w *latencyWindow) quantile(q float64) (time.Duration, bool) {
 }
 
 // breakerFor returns (lazily creating) the breaker for one endpoint name.
-func (c *Client) breakerFor(name string, cfg BreakerConfig) *breaker {
+func (c *Client) breakerFor(name string, cfg BreakerConfig) *Breaker {
 	c.foMu.Lock()
 	defer c.foMu.Unlock()
 	if c.foBreakers == nil {
-		c.foBreakers = make(map[string]*breaker)
+		c.foBreakers = make(map[string]*Breaker)
 	}
 	b, ok := c.foBreakers[name]
 	if !ok {
-		b = newBreaker(cfg)
+		b = NewBreaker(cfg)
 		c.foBreakers[name] = b
 	}
 	return b
@@ -158,7 +158,7 @@ func (c *Client) EndpointBreakerState(name string) string {
 	if b == nil {
 		return breakerClosed.String()
 	}
-	return b.currentState().String()
+	return b.State().String()
 }
 
 func (c *Client) observeLatency(d time.Duration) {
@@ -261,32 +261,32 @@ type attemptOut struct {
 }
 
 // attemptOnce runs one dial+exchange against ep, reporting the outcome to
-// br: onSuccess/onFailure normally, onAbandon when the attempt lost a race
+// br: OnSuccess/OnFailure normally, OnAbandon when the attempt lost a race
 // (ctx cancelled by the coordinator) so an unjudged half-open probe frees
 // the breaker instead of wedging it. Under tracing (non-nil parent) the
 // attempt runs as a child span tagged with the endpoint, the breaker
 // state at launch, and how the attempt was triggered; the span's context
 // is what rides the wire, so the server's trace hangs off this attempt.
-func (c *Client) attemptOnce(ctx context.Context, ep Endpoint, br *breaker, cts []*ckks.Ciphertext, parent *telemetry.Span, kind string) attemptOut {
+func (c *Client) attemptOnce(ctx context.Context, ep Endpoint, br *Breaker, cts []*ckks.Ciphertext, parent *telemetry.Span, kind string) attemptOut {
 	start := time.Now()
 	res := attemptOut{ep: ep.Name}
 	sp := parent.StartChild("attempt")
 	if sp != nil {
 		sp.SetAttr("endpoint", ep.Name)
-		sp.SetAttr("breaker", br.currentState().String())
+		sp.SetAttr("breaker", br.State().String())
 		sp.SetAttr("kind", kind)
 	}
 	defer func() {
 		res.dur = time.Since(start)
 		switch {
 		case res.err == nil:
-			br.onSuccess()
+			br.OnSuccess()
 		case ctx.Err() != nil:
-			br.onAbandon()
+			br.OnAbandon()
 		default:
-			br.onFailure()
+			br.OnFailure()
 		}
-		c.cm.setBreaker(ep.Name, br.currentState())
+		c.cm.setBreaker(ep.Name, br.State())
 		if sp != nil {
 			if res.err != nil {
 				sp.SetAttr("error", res.err.Error())
@@ -317,19 +317,18 @@ func (c *Client) attemptOnce(ctx context.Context, ep Endpoint, br *breaker, cts 
 		conn.Close()
 	}()
 
-	var abs time.Time
-	if dl, ok := ctx.Deadline(); ok {
-		abs = dl
-	}
-	trw := newTimedRW(conn, c.Timeout, abs)
-	sent, err := writeInferRequest(trw, cts, c.route(), c.FrameCheck, sp.Context())
-	res.sent = sent
-	if err != nil {
-		res.err = &TransportError{Err: fmt.Errorf("%s: %w", ep.Name, err)}
+	dl, _ := ctx.Deadline()
+	trw := newTimedRW(conn, c.Timeout, dl)
+	h := c.header(sp)
+	if res.sent, res.err = writeRequest(trw, h, cts); res.err != nil {
+		res.err = &TransportError{Err: fmt.Errorf("%s: %w", ep.Name, res.err)}
 		return res
 	}
-	out, recv, err := c.readResponse(trw)
-	res.out, res.recv, res.err = out, recv, err
+	resp, recv, err := readResponse(trw, c.params, h, 1)
+	res.recv, res.err = recv, err
+	if err == nil {
+		res.out = resp.cts[0]
+	}
 	return res
 }
 
@@ -341,15 +340,15 @@ func (c *Client) attemptOnce(ctx context.Context, ep Endpoint, br *breaker, cts 
 // has failed.
 func (c *Client) failoverRound(ctx context.Context, endpoints []Endpoint, round int, cts []*ckks.Ciphertext, p FailoverPolicy, root *telemetry.Span) (*ckks.Ciphertext, error) {
 	// Claim the primary: first endpoint in rotation order whose breaker
-	// admits (allow may consume a half-open probe — the attempt that
+	// admits (Allow may consume a half-open probe — the attempt that
 	// follows always reports back).
 	var primary Endpoint
-	var primaryBr *breaker
+	var primaryBr *Breaker
 	found := false
 	for i := 0; i < len(endpoints) && !found; i++ {
 		ep := endpoints[(round+i)%len(endpoints)]
 		br := c.breakerFor(ep.Name, p.Breaker)
-		if br.allow() {
+		if br.Allow() {
 			primary, primaryBr, found = ep, br, true
 		}
 	}
@@ -358,14 +357,14 @@ func (c *Client) failoverRound(ctx context.Context, endpoints []Endpoint, round 
 	}
 	// pickHedge claims a second, distinct replica at launch time — probing
 	// breakers only when the hedge actually fires.
-	pickHedge := func() (Endpoint, *breaker, bool) {
+	pickHedge := func() (Endpoint, *Breaker, bool) {
 		for i := 0; i < len(endpoints); i++ {
 			ep := endpoints[(round+1+i)%len(endpoints)]
 			if ep.Name == primary.Name {
 				continue
 			}
 			br := c.breakerFor(ep.Name, p.Breaker)
-			if br.allow() {
+			if br.Allow() {
 				return ep, br, true
 			}
 		}
@@ -373,7 +372,7 @@ func (c *Client) failoverRound(ctx context.Context, endpoints []Endpoint, round 
 	}
 
 	actx, cancel := context.WithCancel(ctx)
-	defer cancel() // releases losers; their goroutines report onAbandon
+	defer cancel() // releases losers; their goroutines report OnAbandon
 
 	results := make(chan attemptOut, 2)
 	inflight := 1

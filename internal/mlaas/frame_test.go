@@ -17,7 +17,6 @@ import (
 
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/faultnet"
-	"fxhenn/internal/telemetry"
 )
 
 // TestCRCMagicAboveCount pins the versioning mechanism: both magics must
@@ -238,50 +237,57 @@ func TestCRCBatchedInterop(t *testing.T) {
 	}
 }
 
-// FuzzClientResponse hardens the client's response decode boundary, both
-// framings: arbitrary response bytes must produce a typed error or a
-// valid result, never a panic. readResponse touches no mutable client
-// state, so one fixture serves every iteration.
+// FuzzClientResponse hardens the client's response decode boundary, every
+// framing: arbitrary response bytes must produce a typed error or a valid
+// result, never a panic. readResponse touches no client state, so one
+// fixture serves every iteration.
 func FuzzClientResponse(f *testing.F) {
-	fx := newFixture(f)
-	legacy := NewClient(fx.params, fx.henet, fx.pk, fx.sk, 91)
-	checked := NewClient(fx.params, fx.henet, fx.pk, fx.sk, 91)
-	checked.FrameCheck = true
+	fx := newBatchFixture(f, Config{}, 2, time.Millisecond)
+	want := fx.bnet.OutputSize()
 
-	// Genuine success frames (one per framing generation) give the fuzzer
-	// a foothold inside the ciphertext decoder.
-	img := randomImage(92)
-	cts := legacy.encryptRequest(img)
-	req := &bytes.Buffer{}
-	if _, err := writeInferRequest(req, cts, RouteHeader{}, false, telemetry.SpanContext{}); err != nil {
+	// Genuine success frames (one per framing) give the fuzzer a foothold
+	// inside the ciphertext decoder.
+	cts := fx.client.encryptRequest(randomImage(92))
+	packed, err := fx.bnet.PackImage(randomImage(93))
+	if err != nil {
 		f.Fatal(err)
 	}
-	honest := handleBuf(fx.server, req.Bytes()).Bytes()
-	reqCRC := &bytes.Buffer{}
-	if _, err := writeInferRequest(reqCRC, cts, RouteHeader{}, true, telemetry.SpanContext{}); err != nil {
-		f.Fatal(err)
+	bc := fx.batchClient(94)
+	bcts := encryptAll(fx.bparams, bc.encoder, bc.encryptor, packed)
+	honest := func(h header, cts []*ckks.Ciphertext) []byte {
+		var req bytes.Buffer
+		if _, err := writeRequest(&req, h, cts); err != nil {
+			f.Fatal(err)
+		}
+		return handleBuf(fx.server, req.Bytes()).Bytes()
 	}
-	honestCRC := handleBuf(fx.server, reqCRC.Bytes()).Bytes()
+	single := honest(header{}, cts)
+	batched := honest(header{batch: true}, bcts)
 
 	f.Add([]byte{})
 	f.Add([]byte{byte(StatusOK)})
 	f.Add([]byte{byte(StatusBusy), 3, 0, 0, 0, 'b', 'a', 'd'})
 	f.Add([]byte{byte(StatusBusy), 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(honest)
-	f.Add(honestCRC)
-	if len(honest) > 16 {
-		f.Add(honest[:len(honest)/2])
-		flipped := append([]byte(nil), honest...)
-		flipped[12] ^= 0xA5
-		f.Add(flipped)
-	}
+	f.Add(single)
+	f.Add(honest(header{crc: true}, cts))
+	f.Add(batched)
+	f.Add(honest(header{crc: true, batch: true}, bcts))
+	f.Add(single[:len(single)/2])
+	flipped := append([]byte(nil), single...)
+	flipped[12] ^= 0xA5
+	f.Add(flipped)
+	f.Add(append([]byte{byte(StatusOK)}, binary4(uint32(fx.bparams.Slots()))...))
+	f.Add(append([]byte{byte(StatusOK), 0, 0, 0, 0}, binary4(maxRequestCiphertexts+1)...))
+	f.Add(batched[:len(batched)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Any outcome but a panic is acceptable; a structurally valid frame
 		// decodes, everything else must surface as a typed error.
-		legacy.readResponse(bytes.NewReader(data))  //nolint:errcheck
-		checked.readResponse(bytes.NewReader(data)) //nolint:errcheck
+		for _, h := range []header{{}, {crc: true}} {
+			readResponse(bytes.NewReader(data), fx.params, h, 1) //nolint:errcheck
+		}
+		for _, h := range []header{{batch: true}, {crc: true, batch: true}} {
+			readResponse(bytes.NewReader(data), fx.bparams, h, want) //nolint:errcheck
+		}
 	})
 }
-
-var _ = ckks.ErrMalformed // the FrameCheck decode path maps this to ErrFrameCorrupt

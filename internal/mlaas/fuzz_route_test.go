@@ -14,27 +14,25 @@ import (
 // bytes it reports consumed must be exactly the prefix it read — the
 // gateway replays them verbatim to the shard, so any discrepancy would
 // corrupt the proxied stream. Frames that round-trip through
-// writeRouteHeader must come back intact with a bounded tenant name.
+// the request writer must come back intact with a bounded tenant name.
 func FuzzRouteHeader(f *testing.F) {
 	u32 := func(w uint32) []byte {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], w)
 		return b[:]
 	}
-	route := func(h RouteHeader) []byte {
-		var buf bytes.Buffer
-		if _, err := writeRouteHeader(&buf, h); err != nil {
+	// frames encodes h through the request writer, dropping the trailing
+	// count word: the trace and route frames alone.
+	frames := func(h header) []byte {
+		b, err := h.appendTo(nil)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return b[:len(b)-4]
 	}
+	route := func(h RouteHeader) []byte { return frames(header{route: h}) }
 	trace := func() []byte {
-		var buf bytes.Buffer
-		tc := telemetry.SpanContext{Trace: telemetry.TraceID{7}, Span: telemetry.SpanID{9}}
-		if _, err := writeTraceHeader(&buf, tc); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+		return frames(header{trace: telemetry.SpanContext{Trace: telemetry.TraceID{7}, Span: telemetry.SpanID{9}}})
 	}
 
 	f.Add([]byte{})
@@ -67,14 +65,13 @@ func FuzzRouteHeader(f *testing.F) {
 			}
 			// A peeked frame must re-encode to the exact bytes the gateway
 			// replays: splice(consumed, rest) == original stream.
-			var re bytes.Buffer
 			prefixLen := len(consumed) - (4 + 2 + len(hdr.Tenant) + 8)
-			re.Write(consumed[:prefixLen])
-			if _, err := writeRouteHeader(&re, hdr); err != nil {
+			re, err := header{route: hdr}.appendTo(append([]byte(nil), consumed[:prefixLen]...))
+			if err != nil {
 				t.Fatalf("re-encoding peeked header: %v", err)
 			}
-			if !bytes.Equal(re.Bytes(), consumed) {
-				t.Fatalf("header % +v does not round-trip: % x vs % x", hdr, re.Bytes(), consumed)
+			if re = re[:len(re)-4]; !bytes.Equal(re, consumed) {
+				t.Fatalf("header % +v does not round-trip: % x vs % x", hdr, re, consumed)
 			}
 		} else if !hdr.IsZero() {
 			t.Fatalf("unrouted peek returned non-zero header %+v", hdr)

@@ -2,7 +2,6 @@ package mlaas
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"net"
@@ -139,7 +138,7 @@ func TestWorkersSerialAndParallelAgree(t *testing.T) {
 			resp <- ct.Digest()
 		}()
 		client := NewClient(fx.params, fx.henet, fx.pk, fx.sk, 41)
-		if err := writeRequest(cliConn, client, randomImage(7)); err != nil {
+		if _, err := writeRequest(cliConn, header{}, client.encryptRequest(randomImage(7))); err != nil {
 			t.Fatal(err)
 		}
 		d := <-resp
@@ -152,23 +151,4 @@ func TestWorkersSerialAndParallelAgree(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("response digest differs: serial %s parallel %s", serial, parallel)
 	}
-}
-
-// writeRequest ships one encrypted request using the client's key material
-// without reading the response (the protocol's request half).
-func writeRequest(conn net.Conn, c *Client, img *cnn.Tensor) error {
-	packed := c.net.PackInput(img)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(packed)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	level := c.params.MaxLevel()
-	for _, v := range packed {
-		ct := c.encryptor.Encrypt(c.encoder.Encode(v, level, c.params.Scale))
-		if _, err := ct.WriteTo(conn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

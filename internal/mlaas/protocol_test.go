@@ -170,9 +170,9 @@ func TestClientDisconnectDuringResponseWrite(t *testing.T) {
 func TestLongErrorMessageTruncatedOnWire(t *testing.T) {
 	fx := newFixture(t)
 
-	// Server side: writeFailure truncates at the cap.
+	// Server side: WriteFailure truncates at the cap.
 	var wire bytes.Buffer
-	fx.server.writeFailure(&wire, StatusInternal, strings.Repeat("x", 1<<20))
+	WriteFailure(&wire, StatusInternal, strings.Repeat("x", 1<<20))
 	if wire.Len() != 5+maxErrorMessageBytes {
 		t.Fatalf("wire length %d, want %d", wire.Len(), 5+maxErrorMessageBytes)
 	}
@@ -183,7 +183,7 @@ func TestLongErrorMessageTruncatedOnWire(t *testing.T) {
 
 	// Client side: the truncated message parses into a StatusError.
 	var wire2 bytes.Buffer
-	fx.server.writeFailure(&wire2, StatusInternal, strings.Repeat("x", 1<<20))
+	WriteFailure(&wire2, StatusInternal, strings.Repeat("x", 1<<20))
 	err := readFailureAsClient(t, fx, wire2.Bytes())
 	var truncated *StatusError
 	if !errors.As(err, &truncated) || truncated.Code != StatusInternal || len(truncated.Msg) != maxErrorMessageBytes {

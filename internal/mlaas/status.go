@@ -8,9 +8,7 @@ import (
 )
 
 // Status is the one-byte typed result code the server prefixes every
-// response with. StatusOK is followed by the result ciphertext; every
-// other status is followed by a uint32-length-delimited error message
-// (truncated server-side to maxErrorMessageBytes).
+// response with (wire.go).
 type Status byte
 
 const (

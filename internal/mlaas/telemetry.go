@@ -260,13 +260,13 @@ func (m *serverMetrics) setEvalEWMA(d time.Duration) {
 	m.evalEWMA.Set(d.Seconds())
 }
 
-// observeDegraded counts members recovered through the degraded
+// observeDegraded counts one member recovered through the degraded
 // per-member path after a failed batch flush.
-func (m *serverMetrics) observeDegraded(members int) {
+func (m *serverMetrics) observeDegraded() {
 	if m == nil {
 		return
 	}
-	m.batchDegraded.Add(int64(members))
+	m.batchDegraded.Inc()
 }
 
 // setBatchBreaker publishes the batch path's breaker state.
@@ -329,6 +329,17 @@ func (rt *reqTrace) timePhase(p phase, d time.Duration) {
 		return
 	}
 	rt.phases[p] += d
+}
+
+// endPhase records the time since start against p and returns now, the
+// next phase's start.
+func (rt *reqTrace) endPhase(p phase, start time.Time) time.Time {
+	if rt == nil {
+		return start
+	}
+	now := time.Now()
+	rt.phases[p] += now.Sub(start)
+	return now
 }
 
 // setWire stores the client's propagated trace context.

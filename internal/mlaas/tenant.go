@@ -1,7 +1,7 @@
 package mlaas
 
 // Multi-tenant serving. A server with Config.Registry set resolves each
-// routed request (route.go) to a tenantRuntime: the tenant's CKKS
+// routed request (wire.go) to a tenantRuntime: the tenant's CKKS
 // parameters, compiled network, evaluation keys, warmed plaintext cache,
 // admission quota, and — when the record enables it — a private batch
 // domain. Runtimes are materialized lazily from the registry record by

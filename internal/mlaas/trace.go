@@ -1,65 +1,13 @@
 package mlaas
 
-// Distributed tracing over the wire protocol. A traced request carries
-// its trace context — 16-byte trace ID + 8-byte parent span ID — behind
-// traceMagic, the same forward-compat trick as the CRC and batch
-// framings: the magic reads as a hostile ciphertext count on servers
-// predating it, so old servers refuse traced requests with a typed
-// bad-request instead of misparsing them, and a client with tracing off
-// produces byte-identical legacy framing. On the wire the optional
-// prefixes compose in a fixed order:
-//
-//	[traceMagic trace(16) parent(8)] [crcMagic] [batchMagic] count ...
-//
-// A server that understands the framing but has no flight recorder
-// attached parses and ignores the context; one with a recorder stitches
-// its queue/decode/validate/evaluate/encode spans (and the per-layer
+// Client-side tracing. A traced request carries its trace context on the
+// wire (wire.go); a server with a flight recorder stitches its
+// queue/decode/validate/evaluate/encode spans (and the per-layer
 // breakdown) under the client's trace ID, so one trace follows the
-// request across the process boundary.
+// request across the process boundary. A server without one parses and
+// ignores the context.
 
-import (
-	"encoding/binary"
-	"io"
-
-	"fxhenn/internal/telemetry"
-)
-
-// traceMagic is the first word of a traced request ("TRC1"). Like
-// batchMagic it sits far above maxRequestCiphertexts, so the negotiation
-// needs no version field.
-const traceMagic uint32 = 0x54524331
-
-// traceBodyLen is the trace context after the magic: the 16-byte trace
-// ID then the 8-byte parent span ID.
-const traceBodyLen = 24
-
-// writeTraceHeader writes [traceMagic][trace][parent] when tc carries a
-// trace. A zero tc writes nothing, keeping untraced requests
-// byte-identical to the legacy framing.
-func writeTraceHeader(w io.Writer, tc telemetry.SpanContext) (int64, error) {
-	if tc.IsZero() {
-		return 0, nil
-	}
-	var hdr [4 + traceBodyLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], traceMagic)
-	copy(hdr[4:20], tc.Trace[:])
-	copy(hdr[20:28], tc.Span[:])
-	n, err := w.Write(hdr[:])
-	return int64(n), err
-}
-
-// readTraceBody consumes the trace context after the server has read
-// traceMagic.
-func readTraceBody(r io.Reader) (telemetry.SpanContext, error) {
-	var tb [traceBodyLen]byte
-	if _, err := io.ReadFull(r, tb[:]); err != nil {
-		return telemetry.SpanContext{}, err
-	}
-	var tc telemetry.SpanContext
-	copy(tc.Trace[:], tb[:16])
-	copy(tc.Span[:], tb[16:])
-	return tc, nil
-}
+import "fxhenn/internal/telemetry"
 
 // startClientTrace begins a client root span when a flight recorder is
 // attached; nil otherwise, and every span method no-ops on nil, so the

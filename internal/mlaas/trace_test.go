@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -55,7 +54,7 @@ func TestUntracedWireBytesIdentical(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	if _, err := writeInferRequest(&got, cts, RouteHeader{}, false, telemetry.SpanContext{}); err != nil {
+	if _, err := writeRequest(&got, header{}, cts); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -68,7 +67,7 @@ func TestUntracedWireBytesIdentical(t *testing.T) {
 	wantCRC.Write(cnt[:])
 	wantCRC.Write(want.Bytes())
 	var gotCRC bytes.Buffer
-	if _, err := writeInferRequest(&gotCRC, cts, RouteHeader{}, true, telemetry.SpanContext{}); err != nil {
+	if _, err := writeRequest(&gotCRC, header{crc: true}, cts); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotCRC.Bytes(), wantCRC.Bytes()) {
@@ -78,7 +77,7 @@ func TestUntracedWireBytesIdentical(t *testing.T) {
 	// Traced: the same legacy bytes behind [traceMagic][trace][parent].
 	sp := telemetry.StartTrace("probe")
 	var traced bytes.Buffer
-	if _, err := writeInferRequest(&traced, cts, RouteHeader{}, false, sp.Context()); err != nil {
+	if _, err := writeRequest(&traced, header{trace: sp.Context()}, cts); err != nil {
 		t.Fatal(err)
 	}
 	if traced.Len() != want.Len()+4+traceBodyLen {
@@ -90,12 +89,12 @@ func TestUntracedWireBytesIdentical(t *testing.T) {
 	if !bytes.Equal(traced.Bytes()[4+traceBodyLen:], want.Bytes()) {
 		t.Fatal("traced request body differs from legacy framing")
 	}
-	ctx, err := readTraceBody(bytes.NewReader(traced.Bytes()[4:]))
+	h, err := readHeader(bytes.NewReader(traced.Bytes()), func(*header) (bool, error) { return false, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx != sp.Context() {
-		t.Fatalf("round-tripped trace context %+v, want %+v", ctx, sp.Context())
+	if h.trace != sp.Context() {
+		t.Fatalf("round-tripped trace context %+v, want %+v", h.trace, sp.Context())
 	}
 }
 
@@ -408,6 +407,7 @@ func TestClientResilienceMetrics(t *testing.T) {
 func TestDisabledTracingZeroAlloc(t *testing.T) {
 	c := &Client{} // Flight nil, cm nil
 	var rt *reqTrace
+	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := c.startClientTrace("infer")
 		_ = sp.Context()
@@ -419,7 +419,7 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 		c.cm.observeRetry()
 		c.cm.observeHedge()
 		c.cm.setBreaker("s0", breakerClosed)
-		if _, err := writeTraceHeader(io.Discard, telemetry.SpanContext{}); err != nil {
+		if _, err := c.header(sp).appendTo(buf[:0]); err != nil {
 			t.Error(err)
 		}
 	})
