@@ -29,38 +29,23 @@ verify:
 race:
 	$(GO) test -race ./...
 
-# bench writes BENCH_inference.json: the per-network encrypted-inference
-# benchmarks plus the per-op Kernel_ microbenchmarks the CI kernel gate
-# compares. Two passes: the heavyweight MNIST rows run one iteration
-# each, while the rows ci.yml actually gates (Inference_Tiny*, Kernel_*)
-# run in their own fresh process at -benchtime=5x — the exact conditions
-# the gate re-measures them under, isolated from the gigabytes of
-# garbage the MNIST rows leave behind (observed inflating the kernel
-# rows up to 3.5× when they shared the process). Both passes use
-# -count=3 and benchjson collapses the samples per row to their median:
-# multi-second host contention windows were observed inflating a single
-# seconds-long sample up to 4×, and a median-of-3 baseline can't be
-# skewed by one of them. Each run is also appended to the rolling
-# BENCH_history.jsonl, so before/after pairs of an optimization are
-# preserved locally. The intermediate file keeps go test's exit code
-# visible through the pipe.
+# bench refreshes BENCH_kernels.json, the committed baseline of the CI
+# kernel gate: the six Kernel_ rows at the exact settings ci.yml
+# re-measures them under, each run three times and collapsed to its
+# median by benchjson. The intermediate file keeps go test's exit code
+# visible. End-to-end timing is bench/'s job (bash bench/run.sh).
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -bench='Inference_MNIST|Train' -benchtime=1x -count=3 -run=^$$ . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	$(GO) test -bench='Inference_Tiny|Kernel_' -benchtime=5x -count=3 -run=^$$ . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	./bin/benchjson -out BENCH_inference.json -history BENCH_history.jsonl -regress-pct 10000 < bench.out
+	$(GO) test -bench=Kernel_ -benchtime=5x -count=3 -run=^$$ . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	./bin/benchjson -out BENCH_kernels.json < bench.out
 	rm -f bench.out
 
 # artifact is the one-command paper reproduction (ARTIFACT.md): verify
-# the committed EXPERIMENTS.md table bodies are current, then emit the
-# full bundle — every paper table as CSV/markdown/LaTeX under artifact/
-# plus the measured open-loop serving curves and their
-# artifact/BENCH_loadgen.json rows. ARTIFACT_MODE=full enlarges the
-# measured grids (quick runs in seconds, full in minutes).
-ARTIFACT_MODE ?= quick
+# the committed EXPERIMENTS.md table bodies are current, then emit every
+# paper table as CSV/markdown/LaTeX under artifact/.
 artifact:
 	$(GO) run ./cmd/artifact -check
-	$(GO) run ./cmd/artifact -mode $(ARTIFACT_MODE)
+	$(GO) run ./cmd/artifact
 
 # cover writes coverage.out over the internal packages and enforces the
 # committed floor. CI uploads the profile as an artifact.

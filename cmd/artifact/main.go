@@ -1,16 +1,12 @@
 // Command artifact is the one-command paper-artifact runner: it re-runs
 // the full FxHENN reproduction — every table and figure of the paper's
 // evaluation, regenerated from the calibrated models on both boards —
-// and the beyond-paper open-loop serving curves, and emits everything as
-// a versioned bundle:
+// and emits everything as a versioned bundle:
 //
 //	artifact/csv/<slug>.csv    one RFC-4180 CSV per experiment
 //	artifact/tables.md         all tables as markdown
 //	artifact/tables.tex        all tables as LaTeX environments
-//	artifact/MANIFEST.json     schema version, mode, slug list
-//	artifact/loadgen.md        the measured serving curves
-//	artifact/csv/loadgen-*.csv the same curves as CSV
-//	artifact/BENCH_loadgen.json  benchjson-compatible latency rows
+//	artifact/MANIFEST.json     schema version, slug list
 //
 // The paper tables are deterministic (model-derived, no wall-clock), so
 // the same binary also owns EXPERIMENTS.md: table bodies in that
@@ -21,45 +17,42 @@
 //
 // A tier-1 test (internal/artifact drift test) runs the -check logic on
 // every `go test ./...`, so committed docs cannot silently diverge from
-// the code that generates them. The serving curves are wall-clock
-// measurements and are deliberately outside the drift check; compare
-// them across runs with
+// the code that generates them.
 //
-//	go run ./cmd/benchjson -in artifact/BENCH_loadgen.json -baseline BENCH_loadgen.json
-//	go run ./cmd/benchjson -in artifact/BENCH_loadgen.json -history loadgen-history.jsonl
+//	go run ./cmd/artifact -measured tiny        one live traced inference
 //
-// Modes: -mode quick (default; seconds of load per grid point) and
-// -mode full (larger grids and request counts). -skip-serving emits the
-// deterministic bundle only. `make artifact` wraps the common
-// invocation; see ARTIFACT.md for the guided tour.
+// runs a real encrypted inference (tiny, tinyconv or mnist) and prints its
+// measured per-layer host time next to the modeled accelerator's; it is a
+// wall-clock measurement and never part of the bundle. `make artifact`
+// wraps the common invocation; see ARTIFACT.md for the guided tour.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"fxhenn/internal/artifact"
 	"fxhenn/internal/experiments"
 )
 
 func main() {
-	mode := flag.String("mode", "quick", "quick or full: sizes the measured serving grids")
 	out := flag.String("out", "artifact", "bundle output directory")
-	seed := flag.Int64("seed", 1, "seed for arrival schedules and serving key ceremony")
 	expPath := flag.String("experiments", "EXPERIMENTS.md", "path to the marker-bearing experiments document")
 	update := flag.Bool("update-experiments", false, "rewrite the generated table bodies in -experiments, then exit")
 	check := flag.Bool("check", false, "verify -experiments matches a fresh regeneration, exit 1 on drift, then exit")
-	skipServing := flag.Bool("skip-serving", false, "emit the deterministic bundle only; skip the measured load-generator curves")
+	measured := flag.String("measured", "", "run one live traced inference (tiny, tinyconv, mnist), print the measured-vs-modeled per-layer table, then exit")
 	flag.Parse()
 
-	if *mode != "quick" && *mode != "full" {
-		fmt.Fprintf(os.Stderr, "artifact: unknown -mode %q (want quick or full)\n", *mode)
-		os.Exit(2)
-	}
-
 	env := experiments.NewEnv()
+
+	if *measured != "" {
+		if err := env.Measured(os.Stdout, *measured); err != nil {
+			fmt.Fprintf(os.Stderr, "artifact: -measured: %v\n", err)
+			os.Exit(2)
+		}
+		return
+	}
 
 	if *update || *check {
 		doc, err := os.ReadFile(*expPath)
@@ -90,62 +83,11 @@ func main() {
 		return
 	}
 
-	if err := artifact.WriteBundle(env, *out, *mode); err != nil {
+	if err := artifact.WriteBundle(env, *out); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("artifact: wrote %d paper tables to %s (csv/, tables.md, tables.tex)\n",
 		len(experiments.Catalog()), *out)
-
-	if *skipServing {
-		return
-	}
-
-	opt := artifact.ServingOptions{Mode: *mode, Seed: *seed, Log: os.Stdout}
-	fmt.Printf("artifact: measuring serving curves (mode=%s, seed=%d) — throughput vs batch size\n", *mode, *seed)
-	batch, err := artifact.ThroughputCurve(opt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("artifact: queue depth vs latency percentiles\n")
-	queue, err := artifact.QueueCurve(opt)
-	if err != nil {
-		fatal(err)
-	}
-
-	bt := artifact.CurveTable("Throughput vs cross-request batch size (tiny net, open-loop)", batch)
-	qt := artifact.CurveTable("Admission-queue depth vs latency percentiles (tiny net, open-loop)", queue)
-	md, err := os.Create(filepath.Join(*out, "loadgen.md"))
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(md, "# Serving-scale curves (measured)\n\n")
-	fmt.Fprintf(md, "Machine-dependent wall-clock measurements — see DESIGN.md §15 for\n")
-	fmt.Fprintf(md, "the methodology and ARTIFACT.md for interpretation.\n\n## %s\n\n", bt.Title)
-	bt.RenderMarkdown(md)
-	fmt.Fprintf(md, "\n## %s\n\n", qt.Title)
-	qt.RenderMarkdown(md)
-	md.Close()
-
-	bcsv, err := os.Create(filepath.Join(*out, "csv", "loadgen-batch.csv"))
-	if err != nil {
-		fatal(err)
-	}
-	bt.RenderCSV(bcsv)
-	bcsv.Close()
-	qcsv, err := os.Create(filepath.Join(*out, "csv", "loadgen-queue.csv"))
-	if err != nil {
-		fatal(err)
-	}
-	qt.RenderCSV(qcsv)
-	qcsv.Close()
-
-	rep := artifact.BenchRows(batch, queue)
-	benchPath := filepath.Join(*out, "BENCH_loadgen.json")
-	if err := artifact.WriteBenchReport(rep, benchPath); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("artifact: wrote %d loadgen rows to %s\n", len(rep.Benchmarks), benchPath)
-	fmt.Printf("artifact: done — bundle in %s/\n", *out)
 }
 
 func fatal(err error) {

@@ -1,39 +1,21 @@
-// Command benchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON benchmark report, echoing the raw output through
-// to stdout so it still reads like a normal bench run. It is the back
-// half of `make bench`, which writes BENCH_inference.json with the
-// ns/op of the per-network encrypted-inference benchmarks.
+// Command benchjson is the CI kernel gate. It reads `go test -bench`
+// output on stdin, echoes it to stdout so it still reads like a normal
+// bench run, and writes the parsed rows as a JSON report to -out.
 //
-// With -baseline it additionally compares the fresh run against a
-// committed report and exits nonzero when any benchmark present in both
-// regressed by more than -regress-pct — the CI latency-regression gate.
-// Benchmarks only in one of the two reports are listed but never fail
-// the run, so adding a benchmark does not break CI.
+// Repeated benchmark names (a `go test -count=N` run) collapse into one
+// row per name carrying the per-metric median, so both the committed
+// baseline and the gate's fresh measurement are median-of-3 instead of a
+// single noisy sample.
 //
-// Repeated benchmark names on stdin (a `go test -count=N` run) collapse
-// into one row per name carrying the per-metric median, so both the
-// committed baseline and the gate's fresh measurement can be
-// median-of-3 instead of a single noisy sample.
-//
-// With -in the report is loaded from an existing JSON file instead of
-// parsing bench text on stdin — the path cmd/artifact's
-// BENCH_loadgen.json takes through the same gates.
-//
-// With -history the report is additionally compared against the rolling
-// JSONL history at that path and then appended to it: each line is one
-// prior report, the reference value per benchmark is the median ns/op
-// over the last -history-window entries that contain it, and the run
-// fails when the fresh value exceeds that median by more than
-// -regress-pct. The median absorbs single noisy runs in either
-// direction, which a fixed committed baseline cannot (DESIGN.md §15).
+// With -baseline it compares the fresh rows against a committed report
+// and exits nonzero when any row present in both is more than 25% slower.
+// Rows missing from the baseline are reported but never fail the run, so
+// adding a benchmark does not break CI.
 //
 // Usage:
 //
-//	go test -bench=Inference -benchtime=1x -run='^$' . | benchjson -out BENCH_inference.json
-//	benchjson -out bench.json -filter '' < bench.txt   # keep every benchmark
-//	benchjson -out /dev/null -baseline BENCH_inference.json -regress-pct 25 < bench.txt
-//	benchjson -in artifact/BENCH_loadgen.json -out /dev/null -baseline BENCH_loadgen.json -regress-pct 100
-//	benchjson -in artifact/BENCH_loadgen.json -out /dev/null -history loadgen-history.jsonl
+//	go test -bench=Kernel_ -benchtime=5x -count=3 -run='^$' . | benchjson -out BENCH_kernels.json
+//	benchjson -out /dev/null -baseline BENCH_kernels.json < bench.txt
 package main
 
 import (
@@ -41,11 +23,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// regressPct is the gate's threshold: a row fails when its ns/op exceeds
+// the baseline's by more than this percentage.
+const regressPct = 25
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
@@ -54,11 +41,6 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-	// NsPerImage is the per-image cost reported by batched-inference
-	// benchmarks (ReportMetric "ns/image"): ns_per_op divided by the batch
-	// occupancy, the number throughput comparisons against the per-request
-	// rows should use.
-	NsPerImage float64 `json:"ns_per_image,omitempty"`
 }
 
 // Report is the JSON document written to -out.
@@ -67,78 +49,57 @@ type Report struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_inference.json", "JSON report path")
-	in := flag.String("in", "", "load the report from this JSON file instead of parsing bench text on stdin (empty reads stdin)")
-	filter := flag.String("filter", "Inference_,Kernel_", "keep benchmarks whose trimmed name contains any of these comma-separated substrings (empty keeps all; ignored with -in)")
-	baseline := flag.String("baseline", "", "committed report to compare against; exit nonzero on regression (empty disables)")
-	regressPct := flag.Float64("regress-pct", 25, "with -baseline/-history: fail when ns/op exceeds the reference by more than this percentage")
-	history := flag.String("history", "", "rolling JSONL history: compare against the median of the last -history-window entries, then append this run (empty disables)")
-	historyWindow := flag.Int("history-window", 5, "with -history: how many most-recent entries the median is taken over")
+	out := flag.String("out", "BENCH_kernels.json", "JSON report path")
+	baseline := flag.String("baseline", "", "committed report to compare against; exit nonzero on a regression of more than 25% (empty disables)")
 	flag.Parse()
 
-	rep := Report{Benchmarks: []Benchmark{}}
-	if *in != "" {
-		data, err := os.ReadFile(*in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: -in: %v\n", err)
-			os.Exit(1)
-		}
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: -in %s: %v\n", *in, err)
-			os.Exit(1)
-		}
-	} else {
-		sc := bufio.NewScanner(os.Stdin)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println(line)
-			b, ok := parseLine(line)
-			if !ok {
-				continue
-			}
-			if !matchFilter(b.Name, *filter) {
-				continue
-			}
-			rep.Benchmarks = append(rep.Benchmarks, b)
-		}
-		if err := sc.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
-			os.Exit(1)
+	var rows []Benchmark
+	sc := bufio.NewScanner(os.Stdin)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Println(line)
+		if b, ok := parseLine(line); ok {
+			rows = append(rows, b)
 		}
 	}
-	rep.Benchmarks = mergeDuplicates(rep.Benchmarks)
+	if err := sc.Err(); err != nil {
+		fatal(fmt.Errorf("reading stdin: %w", err))
+	}
+	rep := Report{Benchmarks: mergeDuplicates(rows)}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
-	reportTracedOverhead(rep)
 
-	ok := true
-	if *baseline != "" && !checkBaseline(rep, *baseline, *regressPct) {
-		ok = false
+	if *baseline == "" {
+		return
 	}
-	if *history != "" && !checkAndAppendHistory(rep, *history, *historyWindow, *regressPct) {
-		ok = false
+	data, err = os.ReadFile(*baseline)
+	if err != nil {
+		fatal(fmt.Errorf("baseline: %w", err))
 	}
-	if !ok {
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		fatal(fmt.Errorf("baseline %s: %w", *baseline, err))
+	}
+	if !compare(os.Stderr, rep, base) {
 		os.Exit(1)
 	}
 }
 
-// mergeDuplicates collapses repeated benchmark names (a `-count=N` run
-// emits each benchmark N times) into one row per name carrying the
-// per-metric median, in first-appearance order. One noisy sample on a
-// shared host then moves neither the committed baseline nor the CI
-// gate's fresh measurement — both sides run the gated rows with
-// -count=3 and compare median against median.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+	os.Exit(1)
+}
+
+// mergeDuplicates collapses repeated benchmark names into one row per
+// name carrying the per-metric median, in first-appearance order.
 func mergeDuplicates(bs []Benchmark) []Benchmark {
 	var order []string
 	groups := map[string][]Benchmark{}
@@ -151,10 +112,6 @@ func mergeDuplicates(bs []Benchmark) []Benchmark {
 	out := make([]Benchmark, 0, len(order))
 	for _, name := range order {
 		g := groups[name]
-		if len(g) == 1 {
-			out = append(out, g[0])
-			continue
-		}
 		med := func(f func(Benchmark) float64) float64 {
 			vals := make([]float64, len(g))
 			for i, b := range g {
@@ -168,104 +125,9 @@ func mergeDuplicates(bs []Benchmark) []Benchmark {
 			NsPerOp:     med(func(b Benchmark) float64 { return b.NsPerOp }),
 			BytesPerOp:  int64(med(func(b Benchmark) float64 { return float64(b.BytesPerOp) })),
 			AllocsPerOp: int64(med(func(b Benchmark) float64 { return float64(b.AllocsPerOp) })),
-			NsPerImage:  med(func(b Benchmark) float64 { return b.NsPerImage }),
 		})
 	}
 	return out
-}
-
-// matchFilter reports whether name contains any of the comma-separated
-// substrings in filter; an empty filter (or one of only empty fields)
-// keeps everything.
-func matchFilter(name, filter string) bool {
-	if filter == "" {
-		return true
-	}
-	any := false
-	for _, f := range strings.Split(filter, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		any = true
-		if strings.Contains(name, f) {
-			return true
-		}
-	}
-	return !any
-}
-
-// checkAndAppendHistory compares the fresh report against the median
-// ns/op of the last window entries in the JSONL history, then appends
-// the report as a new line regardless of outcome (a regressed run is
-// still data). Benchmarks with no history are reported and skipped, so
-// the first runs of a new row never fail. Returns false on a regression
-// beyond pct or an unusable history file.
-func checkAndAppendHistory(rep Report, path string, window int, pct float64) bool {
-	var hist []Report
-	if data, err := os.ReadFile(path); err == nil {
-		for i, line := range strings.Split(string(data), "\n") {
-			if strings.TrimSpace(line) == "" {
-				continue
-			}
-			var r Report
-			if err := json.Unmarshal([]byte(line), &r); err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: history %s line %d: %v\n", path, i+1, err)
-				return false
-			}
-			hist = append(hist, r)
-		}
-	} else if !os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "benchjson: history: %v\n", err)
-		return false
-	}
-	if window < 1 {
-		window = 1
-	}
-
-	ok := true
-	for _, b := range rep.Benchmarks {
-		var vals []float64
-		for i := len(hist) - 1; i >= 0 && len(vals) < window; i-- {
-			for _, h := range hist[i].Benchmarks {
-				if h.Name == b.Name && h.NsPerOp > 0 {
-					vals = append(vals, h.NsPerOp)
-					break
-				}
-			}
-		}
-		if len(vals) == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: no history yet, skipping\n", b.Name)
-			continue
-		}
-		med := median(vals)
-		delta := 100 * (b.NsPerOp - med) / med
-		if b.NsPerOp > med*(1+pct/100) {
-			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s: %.0f ns/op vs median-of-%d %.0f (%+.1f%% > +%.0f%% allowed)\n",
-				b.Name, b.NsPerOp, len(vals), med, delta, pct)
-			ok = false
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %s: %.0f ns/op vs median-of-%d %.0f (%+.1f%%)\n",
-			b.Name, b.NsPerOp, len(vals), med, delta)
-	}
-
-	line, err := json.Marshal(rep)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: history append: %v\n", err)
-		return false
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: history append: %v\n", err)
-		return false
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: history append: %v\n", err)
-		return false
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: appended run %d to %s\n", len(hist)+1, path)
-	return ok
 }
 
 // median returns the middle value (mean of the two middles for even n).
@@ -279,43 +141,9 @@ func median(vals []float64) float64 {
 	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
-// reportTracedOverhead prints, for every Traced benchmark whose untraced
-// counterpart is in the same run (FooTraced vs Foo), the tracing
-// overhead as a percentage — the traced-vs-untraced row the tracing
-// docs quote. Informational only; the regression gate is -baseline.
-func reportTracedOverhead(rep Report) {
-	byName := make(map[string]float64, len(rep.Benchmarks))
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b.NsPerOp
-	}
-	for _, b := range rep.Benchmarks {
-		base, found := strings.CutSuffix(b.Name, "Traced")
-		if !found || b.Name == base {
-			continue
-		}
-		was, ok := byName[base]
-		if !ok || was == 0 {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: tracing overhead %s vs %s: %.0f vs %.0f ns/op (%+.1f%%)\n",
-			b.Name, base, b.NsPerOp, was, 100*(b.NsPerOp-was)/was)
-	}
-}
-
-// checkBaseline compares the fresh report against the committed one and
-// reports per-benchmark deltas; it returns false when any benchmark in
-// both reports is slower than baseline × (1 + pct/100).
-func checkBaseline(rep Report, path string, pct float64) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: baseline: %v\n", err)
-		return false
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", path, err)
-		return false
-	}
+// compare writes one verdict line per fresh row to w and returns false
+// when any row in both reports is slower than baseline × (1 + 25%).
+func compare(w io.Writer, rep, base Report) bool {
 	old := make(map[string]float64, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		old[b.Name] = b.NsPerOp
@@ -324,17 +152,17 @@ func checkBaseline(rep Report, path string, pct float64) bool {
 	for _, b := range rep.Benchmarks {
 		was, found := old[b.Name]
 		if !found || was == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: not in baseline, skipping\n", b.Name)
+			fmt.Fprintf(w, "benchjson: %s: not in baseline, skipping\n", b.Name)
 			continue
 		}
 		delta := 100 * (b.NsPerOp - was) / was
-		if b.NsPerOp > was*(1+pct/100) {
-			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s: %.0f ns/op vs baseline %.0f (%+.1f%% > +%.0f%% allowed)\n",
-				b.Name, b.NsPerOp, was, delta, pct)
+		if b.NsPerOp > was*(1+regressPct/100.0) {
+			fmt.Fprintf(w, "benchjson: REGRESSION %s: %.0f ns/op vs baseline %.0f (%+.1f%% > +%d%% allowed)\n",
+				b.Name, b.NsPerOp, was, delta, regressPct)
 			ok = false
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n", b.Name, b.NsPerOp, was, delta)
+		fmt.Fprintf(w, "benchjson: %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n", b.Name, b.NsPerOp, was, delta)
 	}
 	return ok
 }
@@ -366,8 +194,6 @@ func parseLine(line string) (Benchmark, bool) {
 		case "ns/op":
 			b.NsPerOp = v
 			seenNs = true
-		case "ns/image":
-			b.NsPerImage = v
 		case "B/op":
 			b.BytesPerOp = int64(v)
 		case "allocs/op":

@@ -4,7 +4,7 @@ package accel
 // simulation — modeled busy cycles against the host wall-clock the
 // simulation took — and its export into a telemetry registry. This is
 // the "modeled" side of the measured-vs-modeled table that
-// cmd/experiments prints against live hecnn layer telemetry.
+// `cmd/artifact -measured` prints against live hecnn layer telemetry.
 
 import (
 	"time"

@@ -1,22 +1,12 @@
 // Package artifact is the engine behind cmd/artifact, the one-command
-// paper-artifact runner (DESIGN.md §15). It has two halves:
-//
-//   - The deterministic half regenerates every table and figure of the
-//     paper reproduction from the experiment catalog
-//     (internal/experiments.Catalog) into a versioned bundle — one CSV
-//     per experiment plus concatenated markdown and LaTeX — and
-//     rewrites the marker-bounded table bodies inside EXPERIMENTS.md.
-//     Because every catalog experiment is model-derived and bit-stable,
-//     a tier-1 drift test can fail the build whenever the committed
-//     document diverges from a fresh regeneration.
-//
-//   - The measured half (serving.go) drives a real in-process MLaaS
-//     server with the open-loop generator of internal/loadgen to
-//     produce the beyond-paper serving-scale curves: throughput vs
-//     batch size and admission-queue depth vs latency percentiles.
-//     Those numbers are wall-clock and machine-dependent, so they live
-//     in the bundle and in BENCH_loadgen.json — never inside the
-//     drift-checked document.
+// paper-artifact runner (DESIGN.md §15). It regenerates every table and
+// figure of the paper reproduction from the experiment catalog
+// (internal/experiments.Catalog) into a versioned bundle — one CSV per
+// experiment plus concatenated markdown and LaTeX — and rewrites the
+// marker-bounded table bodies inside EXPERIMENTS.md. Because every
+// catalog experiment is model-derived and bit-stable, a tier-1 drift
+// test can fail the build whenever the committed document diverges from
+// a fresh regeneration.
 package artifact
 
 import (
@@ -32,7 +22,7 @@ import (
 // SchemaVersion names the bundle layout. Bump it when the on-disk
 // shape of the bundle (file names, CSV schema, manifest fields)
 // changes, so downstream consumers can detect incompatible artifacts.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // beginMarker and endMarker bound one experiment's generated table body
 // inside EXPERIMENTS.md. Everything between the markers is owned by the
@@ -131,11 +121,11 @@ func section(doc []byte, slug string) []byte {
 //	dir/csv/<slug>.csv   one RFC-4180 CSV per experiment
 //	dir/tables.md        all tables as one markdown document
 //	dir/tables.tex       all tables as LaTeX table environments
-//	dir/MANIFEST.json    schema version, mode, and the slug list
+//	dir/MANIFEST.json    schema version and the slug list
 //
 // The bundle is deterministic: two runs over the same tree produce
 // byte-identical files.
-func WriteBundle(e *experiments.Env, dir, mode string) error {
+func WriteBundle(e *experiments.Env, dir string) error {
 	csvDir := filepath.Join(dir, "csv")
 	if err := os.MkdirAll(csvDir, 0o755); err != nil {
 		return err
@@ -148,7 +138,7 @@ func WriteBundle(e *experiments.Env, dir, mode string) error {
 	tex.WriteString("% FxHENN paper-artifact tables. Generated by `go run ./cmd/artifact`.\n")
 	tex.WriteString("% \\input this file inside a document; every experiment is one\n")
 	tex.WriteString("% table environment.\n")
-	manifest.WriteString(fmt.Sprintf("{\n  \"schema_version\": %d,\n  \"mode\": %q,\n  \"experiments\": [", SchemaVersion, mode))
+	fmt.Fprintf(&manifest, "{\n  \"schema_version\": %d,\n  \"experiments\": [", SchemaVersion)
 
 	for i, exp := range experiments.Catalog() {
 		t := exp.Build(e)

@@ -107,10 +107,10 @@ func TestWriteBundleDeterministic(t *testing.T) {
 	e := getEnv(t)
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if err := WriteBundle(e, a, "quick"); err != nil {
+	if err := WriteBundle(e, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBundle(e, b, "quick"); err != nil {
+	if err := WriteBundle(e, b); err != nil {
 		t.Fatal(err)
 	}
 	for _, exp := range experiments.Catalog() {
@@ -148,57 +148,7 @@ func TestWriteBundleDeterministic(t *testing.T) {
 		t.Fatalf("tables.tex has %d table environments, want %d", n, len(experiments.Catalog()))
 	}
 	man, _ := os.ReadFile(filepath.Join(a, "MANIFEST.json"))
-	if !bytes.Contains(man, []byte(`"schema_version": 1`)) || !bytes.Contains(man, []byte(`"table-ix"`)) {
+	if !bytes.Contains(man, []byte(`"schema_version": 2`)) || !bytes.Contains(man, []byte(`"table-ix"`)) {
 		t.Fatalf("manifest malformed:\n%s", man)
-	}
-}
-
-func TestBenchRows(t *testing.T) {
-	batch := []CurvePoint{
-		{Label: "B=1", Offered: 32, OK: 30, Throughput: 25, P50: 0.040, P99: 0.120},
-		{Label: "B=8", Offered: 32, OK: 0}, // nothing completed: no rows
-	}
-	queue := []CurvePoint{
-		{Label: "queue=16", Offered: 40, OK: 40, Throughput: 30, P50: 0.050, P99: 0.300},
-	}
-	rep := BenchRows(batch, queue)
-	names := map[string]BenchRow{}
-	for _, r := range rep.Benchmarks {
-		names[r.Name] = r
-	}
-	if len(rep.Benchmarks) != 4 {
-		t.Fatalf("got %d rows, want 4: %+v", len(rep.Benchmarks), rep.Benchmarks)
-	}
-	p50, ok := names["Loadgen_Batch_B1_p50"]
-	if !ok || p50.NsPerOp != 0.040*1e9 || p50.NsPerImage != 1e9/25 {
-		t.Fatalf("batch p50 row wrong: %+v", p50)
-	}
-	if r, ok := names["Loadgen_Queue_queue16_p99"]; !ok || r.NsPerOp != 0.300*1e9 {
-		t.Fatalf("queue p99 row wrong: %+v", r)
-	}
-	if _, ok := names["Loadgen_Batch_B8_p50"]; ok {
-		t.Fatal("zero-completion point produced rows")
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_loadgen.json")
-	if err := WriteBenchReport(rep, path); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if !bytes.Contains(data, []byte(`"benchmarks"`)) || data[len(data)-1] != '\n' {
-		t.Fatal("bench report framing wrong")
-	}
-}
-
-func TestCurveTable(t *testing.T) {
-	pts := []CurvePoint{{Label: "B=2", Offered: 10, OK: 9, Busy: 1, Rate: 40, Throughput: 22.5, P50: 0.03, P95: 0.05, P99: 0.08}}
-	tab := CurveTable("x", pts)
-	var buf bytes.Buffer
-	tab.RenderMarkdown(&buf)
-	out := buf.String()
-	for _, want := range []string{"B=2", "| 9 |", "22.5", "80.0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("curve table missing %q:\n%s", want, out)
-		}
 	}
 }

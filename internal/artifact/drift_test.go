@@ -1,13 +1,9 @@
 package artifact
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"fxhenn/internal/loadgen"
 )
 
 // TestExperimentsDocCurrent is the tier-1 drift gate: the generated
@@ -32,36 +28,5 @@ func TestExperimentsDocCurrent(t *testing.T) {
 	if len(drifted) > 0 {
 		t.Fatalf("EXPERIMENTS.md table bodies drifted from the generators: %v\n"+
 			"run `go run ./cmd/artifact -update-experiments` and commit the result", drifted)
-	}
-}
-
-// TestServingSmoke exercises the measured half end-to-end at the
-// smallest possible scale: one plain serving instance, a four-request
-// open-loop schedule, every request expected to complete. The real
-// grids run in cmd/artifact; this pins the harness (server boot,
-// per-request clients, classification, teardown) inside tier-1.
-func TestServingSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("starts a TCP serving instance")
-	}
-	inst, stop, err := startTinyServing(1, 4, 8, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	res := loadgen.Run(context.Background(), loadgen.Config{
-		Schedule: loadgen.Uniform(50, 4),
-		Timeout:  30 * time.Second,
-		Classify: classify,
-	}, inst.do(7))
-	if res.Offered != 4 || res.OK != 4 {
-		t.Fatalf("offered %d ok %d errors %v, want 4/4", res.Offered, res.OK, res.Errors)
-	}
-	if res.P(0.5) <= 0 {
-		t.Fatalf("p50 = %v, want positive", res.P(0.5))
-	}
-	p := pointFrom("B=1", 100, res)
-	if p.OK != 4 || p.Busy != 0 {
-		t.Fatalf("point = %+v", p)
 	}
 }

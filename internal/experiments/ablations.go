@@ -1,21 +1,16 @@
 package experiments
 
 import (
-	"io"
-
 	"fxhenn/internal/dse"
 	"fxhenn/internal/fpga"
 	"fxhenn/internal/report"
 )
 
-// Ablations quantifies what each FxHENN mechanism buys on FxHENN-MNIST
+// BuildAblations quantifies what each FxHENN mechanism buys on FxHENN-MNIST
 // (ACU9EG): fine-grained pipelining (Fig. 2), inter-layer buffer reuse
 // (§VI-A), module reuse with DSE-driven allocation (§V-C/VII-C) and the
 // DRAM spill path. This extends the paper's Table IX with the design
 // choices DESIGN.md calls out.
-// Ablations renders BuildAblations to w.
-func (e *Env) Ablations(w io.Writer) { e.BuildAblations().Render(w) }
-
 func (e *Env) BuildAblations() *report.Table {
 	t := &report.Table{
 		Title:   "Ablations: FxHENN mechanisms on FxHENN-MNIST (ACU9EG)",

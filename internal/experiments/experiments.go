@@ -1,13 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation from the reproduced system, printing paper-reported values
-// side by side with modeled/measured ones. It is the engine behind
-// cmd/experiments and the benchmark suite (see DESIGN.md §5 for the
+// evaluation from the reproduced system, building paper-reported values
+// side by side with modeled/measured ones. Catalog is the only way to
+// reach a table; cmd/artifact renders it (see DESIGN.md §5 for the
 // experiment index).
 package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/dse"
@@ -42,9 +41,6 @@ func NewEnv() *Env {
 }
 
 func secs(cycles int64) float64 { return hemodel.Seconds(cycles, fpga.ACU9EG.ClockHz) }
-
-// TableI renders BuildTableI to w.
-func (e *Env) TableI(w io.Writer) { e.BuildTableI().Render(w) }
 
 // BuildTableI builds the HE operation module microbenchmarks (DSP/BRAM/latency
 // vs nc_NTT) against the paper's measurements.
@@ -81,9 +77,6 @@ func (e *Env) BuildTableI() *report.Table {
 	return t
 }
 
-// TableII renders BuildTableII to w.
-func (e *Env) TableII(w io.Writer) { e.BuildTableII().Render(w) }
-
 // BuildTableII builds the preliminary (per-layer dedicated, nc=2) LoLa-MNIST
 // design: the §III resource-imbalance observation.
 func (e *Env) BuildTableII() *report.Table {
@@ -113,9 +106,6 @@ func (e *Env) BuildTableII() *report.Table {
 	t.AddNote("observation preserved: BRAM over-subscribed (>100%%), DSP under-utilized")
 	return t
 }
-
-// TableIII renders BuildTableIII to w.
-func (e *Env) TableIII(w io.Writer) { e.BuildTableIII().Render(w) }
 
 // BuildTableIII builds the BRAM-budget impact on layer latency.
 func (e *Env) BuildTableIII() *report.Table {
@@ -150,9 +140,6 @@ func (e *Env) BuildTableIII() *report.Table {
 	return t
 }
 
-// TableIV renders BuildTableIV to w.
-func (e *Env) TableIV(w io.Writer) { e.BuildTableIV().Render(w) }
-
 // BuildTableIV builds the CNN-vs-HE-CNN MAC comparison.
 func (e *Env) BuildTableIV() *report.Table {
 	g := hemodel.MNISTGeometry
@@ -178,9 +165,6 @@ func (e *Env) BuildTableIV() *report.Table {
 		float64(fc1.MACs())/float64(conv.MACs()), float64(heFc)/float64(heCnv))
 	return t
 }
-
-// TableV renders BuildTableV to w.
-func (e *Env) TableV(w io.Writer) { e.BuildTableV().Render(w) }
 
 // BuildTableV builds the two motivating DSE configurations.
 func (e *Env) BuildTableV() *report.Table {
@@ -213,9 +197,6 @@ func (e *Env) BuildTableV() *report.Table {
 	return t
 }
 
-// TableVI renders BuildTableVI to w.
-func (e *Env) TableVI(w io.Writer) { e.BuildTableVI().Render(w) }
-
 // BuildTableVI builds the benchmark network information.
 func (e *Env) BuildTableVI() *report.Table {
 	t := &report.Table{
@@ -234,9 +215,6 @@ func (e *Env) BuildTableVI() *report.Table {
 	t.AddNote("our weights are synthetic — encrypted inference is instead verified exactly against plaintext inference")
 	return t
 }
-
-// TableVII renders BuildTableVII to w.
-func (e *Env) TableVII(w io.Writer) { e.BuildTableVII().Render(w) }
 
 // BuildTableVII builds the end-to-end comparison against published systems.
 func (e *Env) BuildTableVII() *report.Table {
@@ -300,9 +278,6 @@ func (e *Env) BuildTableVII() *report.Table {
 	return t
 }
 
-// TableVIII renders BuildTableVIII to w.
-func (e *Env) TableVIII(w io.Writer) { e.BuildTableVIII().Render(w) }
-
 // BuildTableVIII builds the single-convolution-layer comparison with FPL'21.
 func (e *Env) BuildTableVIII() *report.Table {
 	t := &report.Table{
@@ -319,9 +294,6 @@ func (e *Env) BuildTableVIII() *report.Table {
 	t.AddNote("equal-work DSP-normalized comparison; fine-grained pipeline gain calibrated on conv1")
 	return t
 }
-
-// TableIX renders BuildTableIX to w.
-func (e *Env) TableIX(w io.Writer) { e.BuildTableIX().Render(w) }
 
 // BuildTableIX builds baseline vs FxHENN peak/aggregate utilization and latency.
 func (e *Env) BuildTableIX() *report.Table {

@@ -20,12 +20,19 @@ func getEnv(t testing.TB) *Env {
 	return testEnv
 }
 
-// run captures one experiment's rendered output.
-func run(t *testing.T, f func(*Env, *bytes.Buffer)) string {
+// render looks an experiment up by slug in Catalog and returns its
+// fixed-width rendering.
+func render(t *testing.T, slug string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	f(getEnv(t), &buf)
-	return buf.String()
+	for _, exp := range Catalog() {
+		if exp.Slug == slug {
+			var buf bytes.Buffer
+			exp.Build(getEnv(t)).Render(&buf)
+			return buf.String()
+		}
+	}
+	t.Fatalf("no experiment %q in Catalog", slug)
+	return ""
 }
 
 func TestEnvProfiles(t *testing.T) {
@@ -42,33 +49,32 @@ func TestEnvProfiles(t *testing.T) {
 // produce non-empty output containing both paper and model columns.
 func TestEveryExperimentRenders(t *testing.T) {
 	cases := []struct {
-		name string
-		f    func(*Env, *bytes.Buffer)
+		slug string
 		want []string
 	}{
-		{"TableI", func(e *Env, b *bytes.Buffer) { e.TableI(b) }, []string{"KeySwitch", "3.170", "DSP% model"}},
-		{"TableII", func(e *Env, b *bytes.Buffer) { e.TableII(b) }, []string{"Cnv1", "Sum", "206.00%"}},
-		{"TableIII", func(e *Env, b *bytes.Buffer) { e.TableIII(b) }, []string{"off-chip", "22.6"}},
-		{"TableIV", func(e *Env, b *bytes.Buffer) { e.TableIV(b) }, []string{"21125", "84500", "blow-up"}},
-		{"TableV", func(e *Env, b *bytes.Buffer) { e.TableV(b) }, []string{"2.07X", "0.062"}},
-		{"TableVI", func(e *Env, b *bytes.Buffer) { e.TableVI(b) }, []string{"FxHENN-CIFAR10", "Mod.Size"}},
-		{"TableVII", func(e *Env, b *bytes.Buffer) { e.TableVII(b) }, []string{"LoLa", "CryptoNets", "FxHENN (repro)", "energy eff"}},
-		{"TableVIII", func(e *Env, b *bytes.Buffer) { e.TableVIII(b) }, []string{"conv2_3", "1.32X"}},
-		{"TableIX", func(e *Env, b *bytes.Buffer) { e.TableIX(b) }, []string{"Baseline (repro)", "agg BRAM"}},
-		{"Fig7", func(e *Env, b *bytes.Buffer) { e.Fig7(b) }, []string{"layer speedup", "Fc1"}},
-		{"Fig8", func(e *Env, b *bytes.Buffer) { e.Fig8(b) }, []string{"KeySwitch", "baseline", "FxHENN"}},
-		{"Fig9", func(e *Env, b *bytes.Buffer) { e.Fig9(b) }, []string{"Pareto frontier", "1500"}},
-		{"Fig10", func(e *Env, b *bytes.Buffer) { e.Fig10(b) }, []string{"nc_NTT", "FxHENN-CIFAR10"}},
-		{"Ablations", func(e *Env, b *bytes.Buffer) { e.Ablations(b) }, []string{"full FxHENN", "coarse-grained"}},
+		{"table-i", []string{"KeySwitch", "3.170", "DSP% model"}},
+		{"table-ii", []string{"Cnv1", "Sum", "206.00%"}},
+		{"table-iii", []string{"off-chip", "22.6"}},
+		{"table-iv", []string{"21125", "84500", "blow-up"}},
+		{"table-v", []string{"2.07X", "0.062"}},
+		{"table-vi", []string{"FxHENN-CIFAR10", "Mod.Size"}},
+		{"table-vii", []string{"LoLa", "CryptoNets", "FxHENN (repro)", "energy eff"}},
+		{"table-viii", []string{"conv2_3", "1.32X"}},
+		{"table-ix", []string{"Baseline (repro)", "agg BRAM"}},
+		{"fig-7", []string{"layer speedup", "Fc1"}},
+		{"fig-8", []string{"KeySwitch", "baseline", "FxHENN"}},
+		{"fig-9", []string{"Pareto frontier", "1500"}},
+		{"fig-10", []string{"nc_NTT", "FxHENN-CIFAR10"}},
+		{"ablations", []string{"full FxHENN", "coarse-grained"}},
 	}
 	for _, tc := range cases {
-		out := run(t, tc.f)
+		out := render(t, tc.slug)
 		if len(out) < 100 {
-			t.Fatalf("%s: output too short", tc.name)
+			t.Fatalf("%s: output too short", tc.slug)
 		}
 		for _, w := range tc.want {
 			if !strings.Contains(out, w) {
-				t.Fatalf("%s: missing %q in output:\n%s", tc.name, w, out)
+				t.Fatalf("%s: missing %q in output:\n%s", tc.slug, w, out)
 			}
 		}
 	}
@@ -105,7 +111,7 @@ func TestCatalogCoversEveryExperiment(t *testing.T) {
 // TestTableVII_ReproBeatsEveryPublishedSystem: our modeled FxHENN rows must
 // be the fastest MNIST systems in the table, as in the paper.
 func TestTableVII_ReproBeatsEveryPublishedSystem(t *testing.T) {
-	out := run(t, func(e *Env, b *bytes.Buffer) { e.TableVII(b) })
+	out := render(t, "table-vii")
 	re := regexp.MustCompile(`FxHENN \(repro\)\s+(\S+)`)
 	matches := re.FindAllStringSubmatch(out, -1)
 	if len(matches) != 2 {
@@ -121,7 +127,7 @@ func TestTableVII_ReproBeatsEveryPublishedSystem(t *testing.T) {
 // TestTableI_ModelWithinTolerance scrapes the rendered Table I and verifies
 // every model latency is within 10% of the paper value.
 func TestTableI_ModelWithinTolerance(t *testing.T) {
-	out := run(t, func(e *Env, b *bytes.Buffer) { e.TableI(b) })
+	out := render(t, "table-i")
 	lines := strings.Split(out, "\n")
 	checked := 0
 	for _, line := range lines {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"io"
-
 	"fxhenn/internal/accel"
 	"fxhenn/internal/dse"
 	"fxhenn/internal/fpga"
@@ -10,9 +8,6 @@ import (
 	"fxhenn/internal/profile"
 	"fxhenn/internal/report"
 )
-
-// Fig7 renders BuildFig7 to w.
-func (e *Env) Fig7(w io.Writer) { e.BuildFig7().Render(w) }
 
 // BuildFig7 builds the per-layer BRAM usage and latency of the baseline and
 // FxHENN designs for FxHENN-MNIST on the ACU9EG.
@@ -45,9 +40,6 @@ func (e *Env) BuildFig7() *report.Table {
 	t.AddNote("bottleneck Fc1 layer gets most of the device instead of a fixed slice (paper: 6.63X on Fc1)")
 	return t
 }
-
-// Fig8 renders BuildFig8 to w.
-func (e *Env) Fig8(w io.Writer) { e.BuildFig8().Render(w) }
 
 // BuildFig8 builds the per-layer DSP usage of each HE operation, baseline vs
 // FxHENN, showing module-level reuse.
@@ -86,9 +78,6 @@ func (e *Env) BuildFig8() *report.Table {
 	return t
 }
 
-// Fig9 renders BuildFig9 to w.
-func (e *Env) Fig9(w io.Writer) { e.BuildFig9().Render(w) }
-
 // BuildFig9 builds the BRAM-budget sweep: best achievable latency and number of
 // feasible design points per budget, plus the Pareto frontier, and where
 // the generated ACU9EG/ACU15EG designs land.
@@ -126,9 +115,6 @@ func (e *Env) BuildFig9() *report.Table {
 	return t
 }
 
-// Fig10 renders BuildFig10 to w.
-func (e *Env) Fig10(w io.Writer) { e.BuildFig10().Render(w) }
-
 // BuildFig10 builds the optimal intra-/inter-parallelism of every HE operation
 // module for both networks on both devices.
 func (e *Env) BuildFig10() *report.Table {
@@ -154,23 +140,4 @@ func (e *Env) BuildFig10() *report.Table {
 	}
 	t.AddNote("paper shape: CCmult parallelism stays 1; CIFAR10 KeySwitch minimal on ACU9EG (N=2^14 doubles buffers)")
 	return t
-}
-
-// All runs every experiment in paper order.
-func (e *Env) All(w io.Writer) {
-	e.TableI(w)
-	e.TableII(w)
-	e.TableIII(w)
-	e.TableIV(w)
-	e.TableV(w)
-	e.TableVI(w)
-	e.TableVII(w)
-	e.TableVIII(w)
-	e.TableIX(w)
-	e.Fig7(w)
-	e.Fig8(w)
-	e.Fig9(w)
-	e.Fig10(w)
-	e.Ablations(w)
-	e.PackingComparison(w)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"io"
-
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/dse"
 	"fxhenn/internal/fpga"
@@ -11,14 +9,11 @@ import (
 	"fxhenn/internal/report"
 )
 
-// PackingComparison contrasts the two data packing schemes of §II-B on
+// BuildPackingComparison contrasts the two data packing schemes of §II-B on
 // FxHENN-MNIST hardware designs: LoLa-style single-image packing (low
 // latency) versus CryptoNets-style batched packing (no rotations, one
 // image per slot — high throughput). The paper quotes this trade through
 // its related-work latencies; here both schemes run through the same DSE.
-// PackingComparison renders BuildPackingComparison to w.
-func (e *Env) PackingComparison(w io.Writer) { e.BuildPackingComparison().Render(w) }
-
 func (e *Env) BuildPackingComparison() *report.Table {
 	dev := fpga.ACU9EG
 	slots := 4096

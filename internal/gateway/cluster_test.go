@@ -309,6 +309,27 @@ func servedCounts(c *cluster) []int {
 	return out
 }
 
+// servedBy returns the one shard whose served counter moved between the
+// two servedCounts snapshots, failing the test by name when none or more
+// than one did.
+func servedBy(t *testing.T, c *cluster, before, after []int) int {
+	t.Helper()
+	shard := -1
+	for i := range c.shards {
+		if after[i] == before[i] {
+			continue
+		}
+		if shard >= 0 {
+			t.Fatalf("one request served by two shards: served counts %v → %v", before, after)
+		}
+		shard = i
+	}
+	if shard < 0 {
+		t.Fatalf("request served by no shard: served counts %v → %v", before, after)
+	}
+	return shard
+}
+
 // TestClusterPlacement: a tenant's requests consistently land on one
 // home shard (warm state stays warm), and the fleet as a whole serves
 // every tenant.
@@ -335,19 +356,7 @@ func TestClusterPlacement(t *testing.T) {
 			}
 			before := servedCounts(c)
 			digestInfer(t, cl, c.addr(), img)
-			after := servedCounts(c)
-			shard := -1
-			for i := range after {
-				if after[i] != before[i] {
-					if shard >= 0 {
-						t.Fatal("one request served by two shards")
-					}
-					shard = i
-				}
-			}
-			if shard < 0 {
-				t.Fatal("request served by no shard")
-			}
+			shard := servedBy(t, c, before, servedCounts(c))
 			if home < 0 {
 				home = shard
 			} else if shard != home {
@@ -381,16 +390,7 @@ func TestClusterShardKillReroute(t *testing.T) {
 	}
 	before := servedCounts(c)
 	digestInfer(t, cl, c.addr(), img)
-	after := servedCounts(c)
-	home := -1
-	for i := range after {
-		if after[i] != before[i] {
-			home = i
-		}
-	}
-	if home < 0 {
-		t.Fatal("no shard served the probe")
-	}
+	home := servedBy(t, c, before, servedCounts(c))
 
 	// Kill it: listener down, server drained. Dials now fail outright.
 	c.shards[home].l.Close()
@@ -439,12 +439,7 @@ func TestClusterRollingDrain(t *testing.T) {
 	before := servedCounts(c)
 	digestInfer(t, cl, c.addr(), img)
 	after := servedCounts(c)
-	home := -1
-	for i := range after {
-		if after[i] != before[i] {
-			home = i
-		}
-	}
+	home := servedBy(t, c, before, after)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -444,8 +444,8 @@ func wrap(ct *ckks.Ciphertext) *CT {
 func WrapCiphertext(ct *ckks.Ciphertext) *CT { return wrap(ct) }
 
 // FreshCT returns a cryptography-free ciphertext handle at the given
-// level — an input for NewCountBackend dry runs driven from outside the
-// package (benchmarks, tooling). Crypto backends reject it.
+// level — an input for NewCountBackend dry runs and for other packages'
+// tests. Crypto backends reject it.
 func FreshCT(level int) *CT { return &CT{level: level, scale: 1} }
 
 // Ciphertext returns the underlying CKKS ciphertext of a crypto-backend

@@ -1,5 +1,5 @@
-// Package report renders fixed-width tables and CSV for the experiment
-// harness, shared by cmd/experiments and the benchmark suite.
+// Package report renders the experiment harness's tables as fixed-width
+// text, CSV, markdown and LaTeX for cmd/artifact.
 package report
 
 import (

@@ -45,13 +45,6 @@ type Exemplar struct {
 	When    time.Time `json:"when"`
 }
 
-// NewHistogram returns a standalone histogram with the given bucket
-// bounds (nil = DefTimeBuckets), unattached to any registry — for
-// tools like internal/loadgen that aggregate latency distributions
-// without exposing them. Registry-owned histograms come from
-// Registry.Histogram.
-func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
-
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefTimeBuckets
