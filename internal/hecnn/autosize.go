@@ -8,8 +8,8 @@ package hecnn
 // the LRU: every request re-encodes the operands the previous one
 // evicted, which is strictly worse than no cache at all. PlanCacheBytes
 // measures the exact resident footprint of a network's warm operand set
-// — by dry-running the compiled plan's float64 level/scale schedule, the
-// same walk Warm performs, without encoding anything — and
+// — by folding the program's float64 level/scale schedule, the same fold
+// Warm performs, without encoding anything — and
 // AutoPlaintextCacheBytes turns it into a safe budget. Serving layers
 // use it when no explicit budget is configured.
 
@@ -20,27 +20,18 @@ import (
 // PlanCacheBytes returns the exact resident size of net's warm
 // encoded-plaintext operand set at startLevel: the bytes a
 // CompiledNetwork's cache holds after Warm(startLevel) with no budget
-// pressure. It performs no encoding — Warm's own dry run visits every
-// operand under the key the cache would fill, and each distinct (layer,
-// seq, level, scale) key is charged params.PlaintextBytes at its consumed
-// level, matching the cache's own size accounting byte for byte.
+// pressure. It performs no encoding — each distinct operand key Warm's
+// fold visits is charged params.PlaintextBytes at its consumed level,
+// matching the cache's own size accounting byte for byte.
 func PlanCacheBytes(net *Network, params ckks.Parameters, startLevel int) int64 {
-	type opKey struct {
-		layer string
-		seq   int
-		level int
-		scale float64
-	}
-	seen := make(map[opKey]bool)
+	seen := make(map[operandKey]bool)
 	var total int64
-	visit := func(layer string, seq, level int, scale float64, _ Plain) *ckks.Plaintext {
-		if k := (opKey{layer, seq, level, scale}); !seen[k] {
+	net.prog.operands(&params, startLevel, func(k operandKey) {
+		if !seen[k] {
 			seen[k] = true
-			total += int64(params.PlaintextBytes(level))
+			total += int64(params.PlaintextBytes(k.level))
 		}
-		return nil
-	}
-	net.dryRun(&dryBackend{params: &params, visit: visit}, startLevel, nil)
+	})
 	return total
 }
 

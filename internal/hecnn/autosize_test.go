@@ -8,7 +8,7 @@ import (
 )
 
 // TestPlanCacheBytesMatchesWarm pins PlanCacheBytes' exactness: the
-// dry-run byte count must equal the cache's own resident-bytes
+// folded byte count must equal the cache's own resident-bytes
 // accounting after a real unbounded Warm, in both compile modes.
 func TestPlanCacheBytesMatchesWarm(t *testing.T) {
 	params := tinyParams()
@@ -65,7 +65,7 @@ func TestAutoCacheBytesBSGSMNIST(t *testing.T) {
 	stub := enc.Encode(make([]float64, params.Slots()), params.MaxLevel(), params.Scale)
 	warmTwice := func(budget int64) (evictions int64) {
 		cn := NewCompiledNetwork(net, params, enc, budget)
-		cn.encode = func(v []float64, level int, scale float64) *ckks.Plaintext { return stub }
+		cn.encode = func(Plain, int, float64) *ckks.Plaintext { return stub }
 		cn.Warm(params.MaxLevel()) // fill
 		cn.Warm(params.MaxLevel()) // steady state: every operand should hit
 		return cn.CacheStats().Evictions

@@ -2,64 +2,63 @@
 // translation of convolutional networks into sequences of CKKS HE operations
 // over batched ciphertexts, exactly the workload FxHENN's accelerator runs.
 //
-// Every layer is written once against the Backend interface and can then be
-// (a) executed functionally on real ciphertexts, or (b) dry-run to count HE
-// operations per layer — the per-layer profiles ("HOPs", "KS") that drive
-// the paper's resource models and design space exploration. The paper's
-// point that "to make an accurate evaluation, we must extract the HE
-// operations and data relations at this level" is this package.
+// Every layer is written once against the Backend interface. Compiling a
+// network runs that layer code exactly once, against a recording backend,
+// and keeps the result: a flat program of HE operations (program.go).
+// Evaluation is the one interpreter of that program; the per-layer
+// HE-operation profiles ("HOPs", "KS") that drive the paper's resource
+// models and design space exploration, the Galois rotation set, cache
+// warming and sizing, and the analytic noise bound are folds over it. The
+// paper's point that "to make an accurate evaluation, we must extract the
+// HE operations and data relations at this level" is this package.
 //
-// Three Backend implementations exist. cryptoBackend evaluates on real
-// ciphertexts; the only thing its uncached, positional-cache and
-// value-cache forms differ in is the plainSource its plaintext operands
-// come from. dryBackend walks the same plan with no cryptography and
-// serves every derived view of it — op counts and rotation sets, cache
-// warming, cache sizing — from one level/scale schedule. noiseBackend
-// propagates analytic error bounds.
+// cryptoBackend is the one Backend that evaluates on real ciphertexts; its
+// uncached and cached forms differ only in the plainSource its plaintext
+// operands come from.
 //
-// Parallelism contract: a compiled Network is immutable and safe to
-// evaluate from many goroutines, but a Backend instance is not — its trace
-// Recorder is unsynchronized, so concurrent evaluations (the mlaas server)
-// use one Backend per request over a shared Context whose Evaluator has a
-// nil Trace. Intra-evaluation parallelism (limb/digit/rotation granularity)
-// comes from the worker pool attached to the Context's ckks parameters, not
-// from this package.
+// Parallelism contract: a compiled Network and its program are immutable
+// and safe to evaluate from many goroutines, but a Backend instance is not
+// — its trace Recorder is unsynchronized, so concurrent evaluations (the
+// mlaas server) use one Backend per request over a shared Context whose
+// Evaluator has a nil Trace. Intra-evaluation parallelism (limb/digit/
+// rotation granularity) comes from the worker pool attached to the
+// Context's ckks parameters, not from this package.
 package hecnn
 
 import (
-	"fmt"
 	"sort"
 
 	"fxhenn/internal/ckks"
 )
 
 // CT is an opaque ciphertext handle passed between layers. The crypto
-// backend stores a real ciphertext; the dry-run backend tracks only the
-// level/scale bookkeeping needed to emit a faithful trace.
+// backend stores a real ciphertext; while a network is lowered, a handle
+// names only the program value it stands for.
 type CT struct {
 	ct    *ckks.Ciphertext // crypto backend only
 	level int
-	scale float64
-	noise *ckks.NoiseEstimate // noise backend only
+	id    int32 // lowering only
 }
 
 // Level returns the handle's CKKS level.
 func (c *CT) Level() int { return c.level }
 
 // Plain is a lazily-built plaintext operand: Make produces the slot vector.
-// The dry-run backend never calls Make, so dry runs over networks with tens
-// of thousands of plaintext operands (FxHENN-CIFAR10) stay cheap.
+// Lowering and counting never call Make, so programs with tens of
+// thousands of plaintext operands (FxHENN-CIFAR10) stay cheap.
 //
-// IsConst marks an operand whose slot vector is one scalar broadcast to
-// every slot — the shape of every weight and bias in CryptoNets-style
-// batched packing. Crypto backends encode such operands through
-// ckks.Encoder.EncodeConst (one rounding and a per-limb fill, no FFT)
-// instead of Make + Encode; Make stays valid for backends that need the
-// full vector.
+// IsConst marks an operand whose slot vector is Const broadcast to every
+// slot — the shape of every weight and bias in CryptoNets-style batched
+// packing. Such an operand needs no Make: crypto backends encode it
+// through ckks.Encoder.EncodeConst (one rounding and a per-limb fill, no
+// FFT), and a batched program keeps tens of thousands of them.
 type Plain struct {
 	Make    func() []float64
 	IsConst bool
-	Const   float64
+	// id names the operand in its program (see program.plain); a cached
+	// source encodes a Plain without one uncached.
+	id    int32
+	Const float64
 }
 
 // Backend executes or records HE operations.
@@ -145,7 +144,7 @@ func (r *Recorder) SetLayer(name string) {
 }
 
 // record appends one event to the active layer; a nil recorder (an
-// untraced dry run) drops it.
+// untraced evaluation or fold) drops it.
 func (r *Recorder) record(op ckks.Op, level int) {
 	if r == nil {
 		return
@@ -195,90 +194,74 @@ func (r *Recorder) TotalKeySwitches() int {
 // Layer returns the trace of the named layer, or nil.
 func (r *Recorder) Layer(name string) *LayerEvents { return r.byName[name] }
 
-// plainSource supplies the encoded plaintext for the seq-th plaintext
-// operand of a layer at the (level, scale) the schedule consumes it at.
-// Evaluation order is deterministic, so (layer, seq) names an operand
-// stably across requests. Its three forms — Context.encodeOperand
-// (uncached), CompiledNetwork's positional cache and CompiledBatched's
-// value cache — are all that distinguishes one crypto backend from
-// another, and a dry run that warms or sizes a cache calls the very
-// function the crypto path looks up with, so the two can never disagree
-// on a key.
-type plainSource func(layer string, seq, level int, scale float64, w Plain) *ckks.Plaintext
+// plainSource supplies the encoded form of a plaintext operand at the
+// (level, scale) the schedule consumes it at. Its two forms —
+// Context.encodeOperand (uncached) and the compiled handles' cache — are
+// all that distinguishes one crypto backend from another, and Warm fills
+// the cache under the keys of the same program fold, so the two can never
+// disagree on a key.
+type plainSource func(w Plain, level int, scale float64) *ckks.Plaintext
 
-// operandSeq numbers the plaintext operands of the active layer.
-type operandSeq struct {
-	layer string
-	seq   int
-}
-
-func (o *operandSeq) setLayer(name string) { o.layer, o.seq = name, 0 }
-
-// operand fetches the next operand of the active layer from src.
-func (o *operandSeq) operand(src plainSource, level int, scale float64, w Plain) *ckks.Plaintext {
-	seq := o.seq
-	o.seq++
-	return src(o.layer, seq, level, scale, w)
+// encodePlain is the one encode rule: EncodeConst for a broadcast scalar,
+// Encode of the slot vector otherwise.
+func encodePlain(enc *ckks.Encoder, w Plain, level int, scale float64) *ckks.Plaintext {
+	if w.IsConst {
+		return enc.EncodeConst(w.Const, level, scale)
+	}
+	return enc.Encode(w.Make(), level, scale)
 }
 
 // cryptoBackend executes operations on real ciphertexts, taking plaintext
-// operands from plain and recording the same trace as a dry run.
+// operands from plain and recording each op into rec (when not nil).
 type cryptoBackend struct {
 	ctx   *Context
 	rec   *Recorder
 	plain plainSource
-	operandSeq
 }
 
 // NewCryptoBackend returns a Backend executing on ctx and tracing into rec
 // (rec may be nil to skip tracing). Plaintext operands are encoded on use.
 func NewCryptoBackend(ctx *Context, rec *Recorder) Backend {
-	return newCryptoBackend(ctx, rec, ctx.encodeOperand)
-}
-
-func newCryptoBackend(ctx *Context, rec *Recorder, plain plainSource) Backend {
-	if rec == nil {
-		rec = NewRecorder()
-	}
-	return &cryptoBackend{ctx: ctx, rec: rec, plain: plain}
+	return &cryptoBackend{ctx, rec, ctx.encodeOperand}
 }
 
 func (b *cryptoBackend) SetLayer(name string) {
-	b.rec.SetLayer(name)
-	b.setLayer(name)
+	if b.rec != nil {
+		b.rec.SetLayer(name)
+	}
 }
 
 func (b *cryptoBackend) PCmult(x *CT, w Plain) *CT {
 	level := x.ct.Level()
-	out := b.ctx.Eval.MulPlainNew(x.ct, b.operand(b.plain, level, b.ctx.Params.Scale, w))
+	out := b.ctx.Eval.MulPlainNew(x.ct, b.plain(w, level, b.ctx.Params.Scale))
 	b.rec.record(ckks.OpPCmult, level)
-	return wrap(out)
+	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) PCadd(x *CT, w Plain) *CT {
 	level := x.ct.Level()
-	out := b.ctx.Eval.AddPlainNew(x.ct, b.operand(b.plain, level, x.ct.Scale, w))
+	out := b.ctx.Eval.AddPlainNew(x.ct, b.plain(w, level, x.ct.Scale))
 	b.rec.record(ckks.OpPCadd, level)
-	return wrap(out)
+	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) CCadd(x, y *CT) *CT {
 	out := b.ctx.Eval.AddNew(x.ct, y.ct)
 	b.rec.record(ckks.OpCCadd, out.Level())
-	return wrap(out)
+	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) Square(x *CT) *CT {
 	out := b.ctx.Eval.MulNew(x.ct, x.ct)
 	b.rec.record(ckks.OpCCmult, x.ct.Level())
 	b.rec.record(ckks.OpRelin, x.ct.Level())
-	return wrap(out)
+	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) Rescale(x *CT) *CT {
 	out := b.ctx.Eval.RescaleNew(x.ct)
 	b.rec.record(ckks.OpRescale, x.ct.Level())
-	return wrap(out)
+	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) Rotate(x *CT, k int) *CT {
@@ -288,7 +271,7 @@ func (b *cryptoBackend) Rotate(x *CT, k int) *CT {
 	out := b.ctx.Eval.RotateNew(x.ct, k)
 	b.rec.record(ckks.OpRotate, x.ct.Level())
 	b.rec.recordRotation(k)
-	return wrap(out)
+	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
@@ -298,12 +281,15 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 			nonzero++
 		}
 	}
+	out := make([]*CT, len(ks))
 	// A shared decomposition only pays off from the second rotation.
 	if nonzero < 2 {
-		return rotateEach(b, x, ks)
+		for i, k := range ks {
+			out[i] = b.Rotate(x, k)
+		}
+		return out
 	}
 	rot := b.ctx.Eval.RotateHoisted(x.ct, ks)
-	out := make([]*CT, len(ks))
 	for i, k := range ks {
 		if k == 0 {
 			out[i] = x
@@ -311,143 +297,19 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 		}
 		b.rec.record(ckks.OpRotate, x.ct.Level())
 		b.rec.recordRotation(k)
-		out[i] = wrap(rot[k])
+		out[i] = WrapCiphertext(rot[k])
 	}
 	return out
-}
-
-// dryBackend walks a compiled plan without ciphertexts. It is the single
-// backend behind op counting (NewCountBackend, Count, RotationsNeeded),
-// cache warming (Warm) and cache sizing (PlanCacheBytes); each part is
-// optional:
-//   - rec, when set, receives the trace the crypto backend would record;
-//   - params, when set, makes handles follow the evaluator's exact float64
-//     level/scale schedule (the same multiplications and divisions in the
-//     same order), instead of carrying the input scale through untouched;
-//   - visit, when set, sees every plaintext operand under the key the
-//     crypto backend's plainSource will be asked for. It requires params.
-type dryBackend struct {
-	rec    *Recorder
-	params *ckks.Parameters
-	visit  plainSource
-	operandSeq
-}
-
-// NewCountBackend returns a Backend that records into rec without
-// touching ciphertexts (inputs: FreshCT handles).
-func NewCountBackend(rec *Recorder) Backend {
-	return &dryBackend{rec: rec}
-}
-
-// start returns the handle a dry-run input begins as: a fresh ciphertext
-// at level, at the encoding scale when the schedule is exact.
-func (b *dryBackend) start(level int) CT {
-	if b.params == nil {
-		return CT{level: level, scale: 1}
-	}
-	return CT{level: level, scale: b.params.Scale}
-}
-
-func (b *dryBackend) visitOperand(level int, scale float64, w Plain) {
-	if b.visit != nil {
-		b.operand(b.visit, level, scale, w)
-	}
-}
-
-func (b *dryBackend) SetLayer(name string) {
-	if b.rec != nil {
-		b.rec.SetLayer(name)
-	}
-	b.setLayer(name)
-}
-
-func (b *dryBackend) PCmult(x *CT, w Plain) *CT {
-	b.rec.record(ckks.OpPCmult, x.level)
-	if b.params == nil {
-		return &CT{level: x.level, scale: x.scale}
-	}
-	b.visitOperand(x.level, b.params.Scale, w)
-	return &CT{level: x.level, scale: x.scale * b.params.Scale}
-}
-
-func (b *dryBackend) PCadd(x *CT, w Plain) *CT {
-	b.rec.record(ckks.OpPCadd, x.level)
-	b.visitOperand(x.level, x.scale, w)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *dryBackend) CCadd(x, y *CT) *CT {
-	l := x.level
-	if y.level < l {
-		l = y.level
-	}
-	b.rec.record(ckks.OpCCadd, l)
-	return &CT{level: l, scale: x.scale}
-}
-
-func (b *dryBackend) Square(x *CT) *CT {
-	b.rec.record(ckks.OpCCmult, x.level)
-	b.rec.record(ckks.OpRelin, x.level)
-	return &CT{level: x.level, scale: x.scale * x.scale}
-}
-
-func (b *dryBackend) Rescale(x *CT) *CT {
-	if x.level < 2 {
-		panic(fmt.Sprintf("hecnn: rescale below level 2 (level %d) — parameter chain too short", x.level))
-	}
-	b.rec.record(ckks.OpRescale, x.level)
-	out := &CT{level: x.level - 1, scale: x.scale}
-	if b.params != nil {
-		// Mirrors Evaluator.RescaleNew: divide by the dropped prime.
-		out.scale /= float64(b.params.Moduli[x.level-1])
-	}
-	return out
-}
-
-func (b *dryBackend) Rotate(x *CT, k int) *CT {
-	if k == 0 {
-		return x
-	}
-	b.rec.record(ckks.OpRotate, x.level)
-	b.rec.recordRotation(k)
-	return &CT{level: x.level, scale: x.scale}
-}
-
-func (b *dryBackend) RotateMany(x *CT, ks []int) []*CT { return rotateEach(b, x, ks) }
-
-// rotateEach is RotateMany as one Rotate per amount.
-func rotateEach(b Backend, x *CT, ks []int) []*CT {
-	out := make([]*CT, len(ks))
-	for i, k := range ks {
-		out[i] = b.Rotate(x, k)
-	}
-	return out
-}
-
-// freshCTs returns count independent copies of proto: the input handles a
-// dry run or the noise walk starts from.
-func freshCTs(count int, proto CT) []*CT {
-	cts := make([]*CT, count)
-	for i := range cts {
-		c := proto
-		cts[i] = &c
-	}
-	return cts
-}
-
-func wrap(ct *ckks.Ciphertext) *CT {
-	return &CT{ct: ct, level: ct.Level(), scale: ct.Scale}
 }
 
 // WrapCiphertext adopts a raw CKKS ciphertext (e.g. one deserialized from
 // the network) as a layer input handle.
-func WrapCiphertext(ct *ckks.Ciphertext) *CT { return wrap(ct) }
+func WrapCiphertext(ct *ckks.Ciphertext) *CT { return &CT{ct: ct, level: ct.Level()} }
 
 // FreshCT returns a cryptography-free ciphertext handle at the given
-// level — an input for NewCountBackend dry runs and for other packages'
-// tests. Crypto backends reject it.
-func FreshCT(level int) *CT { return &CT{level: level, scale: 1} }
+// level, for other packages' tests. Crypto backends reject it.
+func FreshCT(level int) *CT { return &CT{level: level} }
 
 // Ciphertext returns the underlying CKKS ciphertext of a crypto-backend
-// handle (nil for dry-run handles).
+// handle (nil for any other handle).
 func (c *CT) Ciphertext() *ckks.Ciphertext { return c.ct }

@@ -2,7 +2,6 @@ package hecnn
 
 import (
 	"fmt"
-	"math"
 
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
@@ -39,12 +38,14 @@ type BatchedNetwork struct {
 	Name  string
 	Slots int // batch capacity
 	CNN   *cnn.Network
+
+	prog *program
 }
 
 // CompileBatched wraps a plaintext CNN for batched evaluation, rejecting
 // empty networks, non-positive slot capacities, and layer types the
 // batched evaluator does not support (conv, dense, square, pool are the
-// full substrate today).
+// full substrate today), and lowers it once into its program.
 func CompileBatched(c *cnn.Network, slots int) (*BatchedNetwork, error) {
 	if c == nil || len(c.Layers) == 0 {
 		return nil, fmt.Errorf("hecnn: batched compile of empty network")
@@ -59,7 +60,9 @@ func CompileBatched(c *cnn.Network, slots int) (*BatchedNetwork, error) {
 			return nil, fmt.Errorf("hecnn: unsupported batched layer type %T (%s)", l, l.Name())
 		}
 	}
-	return &BatchedNetwork{Name: c.Name + "-batched", Slots: slots, CNN: c}, nil
+	n := &BatchedNetwork{Name: c.Name + "-batched", Slots: slots, CNN: c}
+	n.prog = n.lower()
+	return n, nil
 }
 
 // InputSize returns the number of position-major ciphertexts one batch
@@ -67,20 +70,7 @@ func CompileBatched(c *cnn.Network, slots int) (*BatchedNetwork, error) {
 func (n *BatchedNetwork) InputSize() int { return n.CNN.InC * n.CNN.InH * n.CNN.InW }
 
 // OutputSize returns the number of logit ciphertexts an evaluation yields.
-func (n *BatchedNetwork) OutputSize() int {
-	ch, hh, ww := n.CNN.InC, n.CNN.InH, n.CNN.InW
-	for _, l := range n.CNN.Layers {
-		switch layer := l.(type) {
-		case *cnn.Conv2D:
-			ch, hh, ww = layer.OutShape(ch, hh, ww)
-		case *cnn.AvgPool2D:
-			ch, hh, ww = layer.OutShape(ch, hh, ww)
-		case *cnn.Dense:
-			ch, hh, ww = layer.Out, 1, 1
-		}
-	}
-	return ch * hh * ww
-}
+func (n *BatchedNetwork) OutputSize() int { return len(n.prog.outputs()) }
 
 // validateImage checks one image against the network's input geometry.
 func (n *BatchedNetwork) validateImage(b int, img *cnn.Tensor) error {
@@ -207,34 +197,16 @@ func BatchedParams(base ckks.Parameters, capacity int) (ckks.Parameters, error) 
 	return ckks.NewParameters(logN, base.QBits, base.L, base.PBits), nil
 }
 
-// broadcast returns a constant Plain filling every slot with the scalar
-// w. Crypto backends encode it through the EncodeConst fast path; Make
-// remains for backends that want the explicit vector.
-func (n *BatchedNetwork) broadcast(w float64) Plain {
-	slots := n.Slots
-	return Plain{
-		IsConst: true,
-		Const:   w,
-		Make: func() []float64 {
-			v := make([]float64, slots)
-			for i := range v {
-				v[i] = w
-			}
-			return v
-		},
-	}
-}
+// broadcast returns the constant Plain filling every slot with w.
+func broadcast(w float64) Plain { return Plain{IsConst: true, Const: w} }
 
-// Evaluate runs the batched network over per-position ciphertext handles,
-// returning one handle per logit. The layer set was validated by
-// CompileBatched, so an unknown layer here is a programming error and
-// panics (hand-built BatchedNetworks bypassing CompileBatched keep that
-// invariant themselves).
-func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
+// lower runs the batched layer code once against the recording backend:
+// per output position, a scalar plaintext multiply-accumulate over its
+// inputs (conv, dense, pool), or a square per ciphertext.
+func (n *BatchedNetwork) lower() *program {
+	b, cur := newLowering(n.InputSize())
 	ch, hh, ww := n.CNN.InC, n.CNN.InH, n.CNN.InW
-	cur := cts
 	for _, l := range n.CNN.Layers {
-		b.SetLayer(l.Name())
 		switch layer := l.(type) {
 		case *cnn.Conv2D:
 			oc, oh, ow := layer.OutShape(ch, hh, ww)
@@ -255,17 +227,13 @@ func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
 										continue
 									}
 									w := layer.Weight(m, ic, ky, kx)
-									t := b.PCmult(cur[(ic*hh+iy)*ww+ix], n.broadcast(w))
-									if acc == nil {
-										acc = t
-									} else {
-										acc = b.CCadd(acc, t)
-									}
+									t := b.PCmult(cur[(ic*hh+iy)*ww+ix], broadcast(w))
+									acc = accumulate(b, acc, t)
 								}
 							}
 						}
 						acc = b.Rescale(acc)
-						acc = b.PCadd(acc, n.broadcast(layer.Bias[m]))
+						acc = b.PCadd(acc, broadcast(layer.Bias[m]))
 						next[(m*oh+y)*ow+x] = acc
 					}
 				}
@@ -276,15 +244,11 @@ func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
 			for o := 0; o < layer.Out; o++ {
 				var acc *CT
 				for i := 0; i < layer.In; i++ {
-					t := b.PCmult(cur[i], n.broadcast(layer.Weight(o, i)))
-					if acc == nil {
-						acc = t
-					} else {
-						acc = b.CCadd(acc, t)
-					}
+					t := b.PCmult(cur[i], broadcast(layer.Weight(o, i)))
+					acc = accumulate(b, acc, t)
 				}
 				acc = b.Rescale(acc)
-				next[o] = b.PCadd(acc, n.broadcast(layer.Bias[o]))
+				next[o] = b.PCadd(acc, broadcast(layer.Bias[o]))
 			}
 			cur, ch, hh, ww = next, layer.Out, 1, 1
 		case *cnn.Square:
@@ -304,24 +268,30 @@ func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
 						for dy := 0; dy < layer.Window; dy++ {
 							for dx := 0; dx < layer.Window; dx++ {
 								in := cur[(c*hh+y*layer.Window+dy)*ww+x*layer.Window+dx]
-								if acc == nil {
-									acc = in
-								} else {
-									acc = b.CCadd(acc, in)
-								}
+								acc = accumulate(b, acc, in)
 							}
 						}
-						t := b.PCmult(acc, n.broadcast(norm))
+						t := b.PCmult(acc, broadcast(norm))
 						next[(c*oh+y)*ow+x] = b.Rescale(t)
 					}
 				}
 			}
 			cur, ch, hh, ww = next, oc, oh, ow
-		default:
-			panic(fmt.Sprintf("hecnn: unsupported batched layer %T", l))
 		}
+		b.endLayer(l.Name(), cur)
 	}
-	return cur
+	return b.finish()
+}
+
+// Evaluate runs the batched network's program over per-position
+// ciphertext handles, returning one handle per logit.
+func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
+	vals := n.prog.run(b, cts, nil)
+	outs := make([]*CT, len(n.prog.outputs()))
+	for i, v := range n.prog.outputs() {
+		outs[i] = vals[v]
+	}
+	return outs
 }
 
 // RunBatch encrypts a batch, evaluates it, and returns per-image logits
@@ -382,28 +352,13 @@ func (n *BatchedNetwork) ValidateBatchCiphertexts(cts []*CT, level int) error {
 	if len(cts) != n.InputSize() {
 		return fmt.Errorf("hecnn: expected %d position-major ciphertexts, got %d", n.InputSize(), len(cts))
 	}
-	for i, ct := range cts {
-		if ct == nil || ct.Ciphertext() == nil {
-			return fmt.Errorf("hecnn: ciphertext %d is nil", i)
-		}
-		raw := ct.Ciphertext()
-		if d := raw.Degree(); d != 1 {
-			return fmt.Errorf("hecnn: ciphertext %d has degree %d, want a fresh (c0,c1) pair", i, d)
-		}
-		if l := raw.Level(); l != level {
-			return fmt.Errorf("hecnn: ciphertext %d at level %d, want %d", i, l, level)
-		}
-		if s := raw.Scale; s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-			return fmt.Errorf("hecnn: ciphertext %d has implausible scale %g", i, s)
-		}
-	}
-	return nil
+	return validateFresh(cts, level)
 }
 
-// Count dry-runs the batched evaluation for op counting.
+// Count returns the batched evaluation's per-layer HE-operation trace from
+// inputs at startLevel, folded over its program.
 func (n *BatchedNetwork) Count(startLevel int) *Recorder {
 	rec := NewRecorder()
-	b := &dryBackend{rec: rec}
-	n.Evaluate(b, freshCTs(n.InputSize(), b.start(startLevel)))
+	n.prog.count(startLevel, rec)
 	return rec
 }

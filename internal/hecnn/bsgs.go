@@ -275,21 +275,13 @@ func (l *MatVecDiag) Apply(b Backend, in *State) *State {
 			t, bb := g.t, bb
 			w := Plain{Make: func() []float64 { return l.diagonal(t, bb) }}
 			p := b.PCmult(rots[bb], w)
-			if acc == nil {
-				acc = p
-			} else {
-				acc = b.CCadd(acc, p)
-			}
+			acc = accumulate(b, acc, p)
 		}
 		acc = b.Rescale(acc)
 		if g.t != 0 {
 			acc = b.Rotate(acc, g.t)
 		}
-		if out == nil {
-			out = acc
-		} else {
-			out = b.CCadd(out, acc)
-		}
+		out = accumulate(b, out, acc)
 	}
 
 	bias := Plain{Make: func() []float64 {

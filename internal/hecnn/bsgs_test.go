@@ -25,7 +25,7 @@ func denseWeight(seed int64) func(r, c int) float64 {
 
 // TestMatVecDiagPlan pins the compile-time BSGS plan of a dense matrix:
 // every diagonal appears in exactly one group with d = t + b, baby
-// offsets stay inside the window, and the count-backend trace matches
+// offsets stay inside the window, and the counted trace matches
 // the plan (PCmult per nonzero diagonal, one rescale per group, one
 // rotation per nonzero baby offset and per nonzero giant step).
 func TestMatVecDiagPlan(t *testing.T) {
@@ -62,8 +62,7 @@ func TestMatVecDiagPlan(t *testing.T) {
 		}
 	}
 
-	rec := NewRecorder()
-	out := l.Apply(NewCountBackend(rec), &State{CTs: []*CT{FreshCT(7)}, Kind: Contiguous, N: cols})
+	rec, out, outLevel := countLayer(l, &State{CTs: make([]*CT, 1), Kind: Contiguous, N: cols}, 7)
 	if out.Kind != Contiguous || out.N != rows || len(out.CTs) != 1 {
 		t.Fatalf("output state = %+v, want single contiguous of %d", out, rows)
 	}
@@ -83,8 +82,8 @@ func TestMatVecDiagPlan(t *testing.T) {
 	if got := le.Count(ckks.OpRotate); got != len(l.babyRots)+nGiant {
 		t.Errorf("rotations = %d, want %d baby + %d giant", got, len(l.babyRots), nGiant)
 	}
-	if out.CTs[0].Level() != 6 {
-		t.Errorf("output level = %d, want exactly one level consumed", out.CTs[0].Level())
+	if outLevel != 6 {
+		t.Errorf("output level = %d, want exactly one level consumed", outLevel)
 	}
 
 	// The plan search should beat the ladder on this dense geometry, and
@@ -113,8 +112,7 @@ func TestMatVecDiagSparseSkipsZeroDiagonals(t *testing.T) {
 	if l.nonzero != 3 {
 		t.Fatalf("tridiagonal plans %d diagonals, want 3", l.nonzero)
 	}
-	rec := NewRecorder()
-	l.Apply(NewCountBackend(rec), &State{CTs: []*CT{FreshCT(7)}, Kind: Contiguous, N: 8})
+	rec, _, _ := countLayer(l, &State{CTs: make([]*CT, 1), Kind: Contiguous, N: 8}, 7)
 	if got := rec.Layer("tri").Count(ckks.OpPCmult); got != 3 {
 		t.Errorf("PCmults = %d, want 3", got)
 	}
@@ -126,10 +124,9 @@ func TestMatVecDiagAllZero(t *testing.T) {
 	l := NewMatVecDiag("zero", 3, 5, 16,
 		func(r, c int) float64 { return 0 },
 		func(r int) float64 { return float64(r + 1) })
-	rec := NewRecorder()
-	out := l.Apply(NewCountBackend(rec), &State{CTs: []*CT{FreshCT(7)}, Kind: Contiguous, N: 5})
-	if out.CTs[0].Level() != 6 {
-		t.Errorf("all-zero output level = %d, want one level consumed", out.CTs[0].Level())
+	rec, _, outLevel := countLayer(l, &State{CTs: make([]*CT, 1), Kind: Contiguous, N: 5}, 7)
+	if outLevel != 6 {
+		t.Errorf("all-zero output level = %d, want one level consumed", outLevel)
 	}
 	if got := rec.Layer("zero").Count(ckks.OpRotate); got != 0 {
 		t.Errorf("all-zero matrix rotated %d times", got)
@@ -174,9 +171,8 @@ func TestMatVecDiagEncrypted(t *testing.T) {
 		}
 	}
 
-	// Dry-run for the rotation set, then evaluate for real.
-	rec := NewRecorder()
-	l.Apply(NewCountBackend(rec), &State{CTs: []*CT{FreshCT(params.MaxLevel())}, Kind: Contiguous, N: cols})
+	// Count for the rotation set, then evaluate for real.
+	rec, _, _ := countLayer(l, &State{CTs: make([]*CT, 1), Kind: Contiguous, N: cols}, params.MaxLevel())
 	ctx := NewContext(params, 5, rec.Rotations())
 	in := &State{CTs: []*CT{ctx.EncryptVector(x)}, Kind: Contiguous, N: cols}
 	out := l.Apply(NewCryptoBackend(ctx, nil), in)

@@ -16,148 +16,175 @@ import (
 // small enough to bound a serving process.
 const DefaultPlaintextCacheBytes = 256 << 20
 
-// ptKey identifies one encoded plaintext operand of the compiled plan.
-// Evaluation is deterministic, so the seq-th plaintext operand consumed
-// inside a named layer is always the same slot vector; level and scale
-// key the CKKS form it must be encoded in (the scale schedule is exact
-// float64 arithmetic, reproduced bit-for-bit by Warm's dry run). gen
-// isolates invalidation generations: entries filled by a backend created
-// before an Invalidate can never serve a backend created after it.
-type ptKey struct {
-	gen   uint64
-	layer string
-	seq   int
-	level int
-	scale float64
-}
-
-// CompiledNetwork is the serve-path handle for a compiled HE-CNN: the
-// network plus a byte-bounded, singleflight cache of every plaintext
-// weight/bias operand pre-encoded at the exact (level, scale) the
-// compiled rescale schedule consumes it at. After Warm, steady-state
-// inference through Backend performs zero Encoder.Encode calls and
-// produces bit-identical ciphertexts to the uncached path (pinned by
-// TestCompiledZeroEncodeSteadyState).
+// plainCache is the serve-path core of CompiledNetwork and
+// CompiledBatched: a byte-bounded, singleflight cache of one program's
+// plaintext operands, each encoded at the exact (level, scale) the
+// program's schedule consumes it at and keyed by (plain, level, scale).
+// Lowering interns an IsConst operand by value, so one broadcast scalar
+// consumed at one (level, scale) is one entry wherever the program uses it
+// — a batched conv reuses each kernel weight at every output position, so
+// FxHENN-MNIST's ~107K batched operand consumptions collapse to a few
+// thousand entries. Every other operand is its own entry.
 //
-// A CompiledNetwork is safe to share across concurrent requests: the
-// cache is concurrency-safe with singleflight fills, the encoder is only
-// read, and cached *ckks.Plaintext values rely on the evaluator's
-// plaintext reuse contract (ckks.Evaluator never mutates plaintext
-// operands). Each request still needs its own Backend, as with
-// NewCryptoBackend.
-//
-// When the network's parameters or compile options (e.g. Options.BSGS)
-// change, the plan's operand stream and scale schedule change with them:
-// Rebind swaps in the recompiled network and invalidates every cached
-// plaintext atomically.
-type CompiledNetwork struct {
-	net    atomic.Pointer[Network]
+// A handle is safe to share across concurrent requests: the cache is
+// concurrency-safe with singleflight fills, the encoder is only read, and
+// cached *ckks.Plaintext values rely on the evaluator's plaintext reuse
+// contract (ckks.Evaluator never mutates plaintext operands). Each request
+// still needs its own Backend. A handle is bound to one program for its
+// life: a new model or key generation builds a new handle.
+type plainCache struct {
+	prog   *program
 	params ckks.Parameters
-	enc    *ckks.Encoder
-	pts    *cache.Cache[ptKey, *ckks.Plaintext]
-	gen    atomic.Uint64
-	// encodeCalls counts actual Encoder.Encode invocations — the number
-	// the steady-state-zero-encodes test pins. encode is the seam that
-	// test uses to fail on any encode after Warm.
+	metric string
+	pts    *cache.Cache[operandKey, *ckks.Plaintext]
+	// encodeCalls counts actual encoder invocations — the number the
+	// steady-state-zero-encodes tests pin. encode is the seam those tests
+	// use to fail on any encode after Warm.
 	encodeCalls atomic.Int64
-	encode      func(v []float64, level int, scale float64) *ckks.Plaintext
+	encode      func(w Plain, level int, scale float64) *ckks.Plaintext
 }
 
-// NewCompiledNetwork builds the cached handle for net. maxBytes bounds
-// the resident encoded plaintexts (0 selects
-// DefaultPlaintextCacheBytes; negative disables the bound). The encoder
-// must belong to params — normally the serving Context's Encoder.
-func NewCompiledNetwork(net *Network, params ckks.Parameters, enc *ckks.Encoder, maxBytes int64) *CompiledNetwork {
+// init sets up the cache for prog. maxBytes bounds the resident encoded
+// plaintexts (0 selects DefaultPlaintextCacheBytes; negative disables the
+// bound). The encoder must belong to params.
+func (pc *plainCache) init(prog *program, params ckks.Parameters, enc *ckks.Encoder, maxBytes int64, metric string) {
 	if maxBytes == 0 {
 		maxBytes = DefaultPlaintextCacheBytes
 	}
 	if maxBytes < 0 {
 		maxBytes = 0 // cache.New: no bound
 	}
-	cn := &CompiledNetwork{params: params, enc: enc, pts: cache.New[ptKey, *ckks.Plaintext](maxBytes)}
-	cn.net.Store(net)
-	cn.encode = func(v []float64, level int, scale float64) *ckks.Plaintext {
-		cn.encodeCalls.Add(1)
-		return enc.Encode(v, level, scale)
+	pc.prog, pc.params, pc.metric = prog, params, metric
+	pc.pts = cache.New[operandKey, *ckks.Plaintext](maxBytes)
+	pc.encode = func(w Plain, level int, scale float64) *ckks.Plaintext {
+		pc.encodeCalls.Add(1)
+		return encodePlain(enc, w, level, scale)
 	}
-	return cn
 }
 
-// Network returns the currently bound compiled network.
-func (cn *CompiledNetwork) Network() *Network { return cn.net.Load() }
-
 // SetMetrics exposes the plaintext cache's hit/miss/eviction/size metrics
-// on reg as cache_*{cache="hecnn_plaintext"}.
-func (cn *CompiledNetwork) SetMetrics(reg *telemetry.Registry) {
-	cn.pts.SetMetrics(reg, "hecnn_plaintext")
+// on reg as cache_*{cache="hecnn_plaintext"} for a CompiledNetwork and
+// cache_*{cache="hecnn_batched_plaintext"} for a CompiledBatched.
+func (pc *plainCache) SetMetrics(reg *telemetry.Registry) {
+	pc.pts.SetMetrics(reg, pc.metric)
 }
 
 // CacheStats snapshots the plaintext cache counters.
-func (cn *CompiledNetwork) CacheStats() cache.Stats { return cn.pts.Stats() }
+func (pc *plainCache) CacheStats() cache.Stats { return pc.pts.Stats() }
 
-// EncodeCalls returns the cumulative number of Encoder.Encode calls the
-// handle has performed (cache misses). After Warm it must not grow under
+// EncodeCalls returns the cumulative number of encoder calls the handle
+// has performed (cache misses). After Warm it must not grow under
 // steady-state traffic.
-func (cn *CompiledNetwork) EncodeCalls() int64 { return cn.encodeCalls.Load() }
+func (pc *plainCache) EncodeCalls() int64 { return pc.encodeCalls.Load() }
 
-// Invalidate drops every cached plaintext and starts a new key
-// generation: backends created before the call cannot repopulate entries
-// visible to backends created after it.
-func (cn *CompiledNetwork) Invalidate() {
-	cn.gen.Add(1)
-	cn.pts.Purge()
-}
-
-// Rebind swaps in a recompiled network (changed weights, parameters-
-// compatible recompile, or a different Options.BSGS mode) and
-// invalidates the cache. The new network must target the same CKKS
-// parameters — the encoder is reused.
-func (cn *CompiledNetwork) Rebind(net *Network) {
-	cn.net.Store(net)
-	cn.Invalidate()
-}
-
-// Warm pre-encodes every plaintext weight and bias operand at the exact
-// levels and scales the compiled plan consumes, by dry-running the plan
-// with the real scale schedule (no ring operations). startLevel is the
-// fresh-input level — params.MaxLevel() for the serving path. After Warm
-// returns, an inference from startLevel hits the cache on every operand.
-func (cn *CompiledNetwork) Warm(startLevel int) {
-	cn.net.Load().dryRun(&dryBackend{params: &cn.params, visit: cn.source(cn.gen.Load())}, startLevel, nil)
+// Warm pre-encodes every plaintext operand at the exact level and scale
+// the program consumes it at from inputs at startLevel —
+// params.MaxLevel() for the serving path — by folding the program's
+// schedule (no ring operations). After Warm returns, an evaluation from
+// startLevel hits the cache on every operand.
+func (pc *plainCache) Warm(startLevel int) {
+	pc.prog.operands(&pc.params, startLevel, func(k operandKey) {
+		pc.get(pc.prog.plain(k.plain), k)
+	})
 }
 
 // Backend returns a per-request crypto backend that serves every
-// plaintext operand from the cache (encoding on miss). ctx must share
-// the handle's parameters; rec may be nil to skip tracing. The returned
+// plaintext operand from the cache (encoding on miss). ctx must share the
+// handle's parameters; rec may be nil to skip tracing. The returned
 // backend is single-request, like NewCryptoBackend's.
-func (cn *CompiledNetwork) Backend(ctx *Context, rec *Recorder) Backend {
-	return newCryptoBackend(ctx, rec, cn.source(cn.gen.Load()))
+func (pc *plainCache) Backend(ctx *Context, rec *Recorder) Backend {
+	return &cryptoBackend{ctx, rec, pc.source}
 }
 
-// Run executes the network functionally through the cached backend:
-// pack, encrypt, evaluate (zero weight encodes when warm), decrypt. It
-// is the cached counterpart of Network.Run. Note the input packing still
-// encodes and encrypts the image — the cache covers the model's
-// plaintext operands, not per-request data.
-func (cn *CompiledNetwork) Run(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder) {
-	rec := NewRecorder()
-	return cn.net.Load().run(ctx, img, cn.Backend(ctx, rec), nil), rec
-}
-
-// source returns the positional-cache plainSource of generation gen: the
-// operand for (layer, seq) at the given level/scale, encoded on first
-// use. Concurrent requests for the same operand share one encode
-// (singleflight).
-func (cn *CompiledNetwork) source(gen uint64) plainSource {
-	return func(layer string, seq, level int, scale float64, w Plain) *ckks.Plaintext {
-		key := ptKey{gen: gen, layer: layer, seq: seq, level: level, scale: scale}
-		pt, err := cn.pts.GetOrCompute(key, func() (*ckks.Plaintext, int64, error) {
-			return cn.encode(w.Make(), level, scale), int64(cn.params.PlaintextBytes(level)), nil
-		})
-		if err != nil {
-			// The fill cannot fail; keep the impossible branch loud.
-			panic(fmt.Sprintf("hecnn: plaintext cache fill: %v", err))
-		}
-		return pt
+// source is the cached plainSource. An operand from outside the program
+// is encoded uncached.
+func (pc *plainCache) source(w Plain, level int, scale float64) *ckks.Plaintext {
+	if w.id == 0 {
+		return pc.encode(w, level, scale)
 	}
+	return pc.get(w, operandKey{w.id, level, scale})
+}
+
+// get returns w encoded under k, encoding on first use; concurrent
+// requests for one key share one encode.
+func (pc *plainCache) get(w Plain, k operandKey) *ckks.Plaintext {
+	pt, err := pc.pts.GetOrCompute(k, func() (*ckks.Plaintext, int64, error) {
+		return pc.encode(w, k.level, k.scale), int64(pc.params.PlaintextBytes(k.level)), nil
+	})
+	if err != nil {
+		// The fill cannot fail; keep the impossible branch loud.
+		panic(fmt.Sprintf("hecnn: plaintext cache fill: %v", err))
+	}
+	return pt
+}
+
+// CompiledNetwork is the serve-path handle for a compiled HE-CNN: the
+// network plus the plaintext cache of its program. After Warm,
+// steady-state inference through Backend performs zero Encoder.Encode
+// calls and produces bit-identical ciphertexts to the uncached path
+// (pinned by TestCompiledZeroEncodeSteadyState).
+type CompiledNetwork struct{ plainCache }
+
+// NewCompiledNetwork builds the cached handle for net. maxBytes bounds
+// the resident encoded plaintexts (0 selects
+// DefaultPlaintextCacheBytes; negative disables the bound). The encoder
+// must belong to params — normally the serving Context's Encoder.
+func NewCompiledNetwork(net *Network, params ckks.Parameters, enc *ckks.Encoder, maxBytes int64) *CompiledNetwork {
+	cn := &CompiledNetwork{}
+	cn.init(net.prog, params, enc, maxBytes, "hecnn_plaintext")
+	return cn
+}
+
+// CompiledBatched is the serve-path handle for a batched network: the
+// BatchedNetwork plus the plaintext cache of its program. After Warm,
+// steady-state batched evaluation performs zero encoder calls (pinned by
+// TestCompiledBatchedZeroEncodeSteadyState) — on top of EncodeConst
+// already making each miss FFT-free.
+type CompiledBatched struct {
+	plainCache
+	net *BatchedNetwork
+}
+
+// NewCompiledBatched builds the cached handle. maxBytes bounds resident
+// plaintexts (0 selects DefaultPlaintextCacheBytes; negative disables the
+// bound). The encoder must belong to params — the batched serve ring, not
+// the LoLa ring.
+func NewCompiledBatched(net *BatchedNetwork, params ckks.Parameters, enc *ckks.Encoder, maxBytes int64) *CompiledBatched {
+	cb := &CompiledBatched{net: net}
+	cb.init(net.prog, params, enc, maxBytes, "hecnn_batched_plaintext")
+	return cb
+}
+
+// EvaluateBatch combines per-request position-major ciphertext vectors
+// (CombineBatch — free at occupancy 1) and evaluates the batched network
+// through the cached backend, returning the logit ciphertexts each member
+// decrypts at its own slot. Evaluation-pipeline panics (missing Galois
+// keys, hostile levels) are recovered into the returned error: members
+// arrive from the network.
+func (cb *CompiledBatched) EvaluateBatch(ctx *Context, members [][]*CT) (outs []*CT, rec *Recorder, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			outs, rec = nil, nil
+			err = fmt.Errorf("hecnn: batched evaluation failed: %v", r)
+		}
+	}()
+	rec = NewRecorder()
+	b := cb.Backend(ctx, rec)
+	combined, err := cb.net.CombineBatch(b, members)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cb.net.Evaluate(b, combined), rec, nil
+}
+
+// RunBatch is BatchedNetwork.RunBatch through the cached backend: the
+// steady-state (zero-encode) counterpart, used by benchmarks and the
+// differential harness.
+func (cb *CompiledBatched) RunBatch(ctx *Context, images []*cnn.Tensor) ([][]float64, *Recorder, error) {
+	rec := NewRecorder()
+	logits, err := cb.net.runBatch(ctx, images, cb.Backend(ctx, rec))
+	if err != nil {
+		return nil, nil, err
+	}
+	return logits, rec, nil
 }

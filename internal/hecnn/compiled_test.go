@@ -59,9 +59,9 @@ func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 			cn.Warm(params2.MaxLevel())
 			warmEncodes := cn.EncodeCalls()
 			if warmEncodes == 0 {
-				t.Fatal("Warm encoded nothing — plan backend broken")
+				t.Fatal("Warm encoded nothing — operand fold broken")
 			}
-			cn.encode = func([]float64, int, float64) *ckks.Plaintext {
+			cn.encode = func(Plain, int, float64) *ckks.Plaintext {
 				t.Fatal("Encoder.Encode called during steady-state cached inference")
 				return nil
 			}
@@ -122,28 +122,18 @@ func TestCompiledWarmMatchesConsumption(t *testing.T) {
 	}
 }
 
-// TestCompiledInvalidateOnRebind pins the invalidation path: switching
-// the compile mode (BSGS) through Rebind drops every cached plaintext,
-// re-warms under a new generation, and still produces output
-// bit-identical to an uncached evaluation of the BSGS plan.
-func TestCompiledInvalidateOnRebind(t *testing.T) {
+// TestCompiledHandlePerProgram pins that a handle is bound to the program
+// it was built for: recompiling the same CNN in another mode (BSGS, with
+// its own operand set and Galois keys) takes a new handle, which warms its
+// own operands without touching the first handle's cache and evaluates
+// bit-identically to the uncached BSGS path.
+func TestCompiledHandlePerProgram(t *testing.T) {
 	params, net, ctx, _ := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
 	cn.Warm(params.MaxLevel())
-	if cn.CacheStats().Entries == 0 {
+	ladder := cn.CacheStats()
+	if ladder.Entries == 0 {
 		t.Fatal("warm cache empty")
-	}
-	preRebind := cn.EncodeCalls()
-
-	// BSGS changes the rotation set, so the diagonal network needs its
-	// own Galois keys — and the cache must not serve stale operands.
-	cn.Rebind(CompileWith(net.CNN, params.Slots(), Options{BSGS: true}))
-	if st := cn.CacheStats(); st.Entries != 0 {
-		t.Fatalf("Rebind left %d stale entries resident", st.Entries)
-	}
-	cn.Warm(params.MaxLevel())
-	if cn.EncodeCalls() == preRebind {
-		t.Fatal("re-warm after Rebind encoded nothing — stale generation served")
 	}
 
 	// Fresh fixtures with identical seeds: cached-BSGS must equal
@@ -153,9 +143,15 @@ func TestCompiledInvalidateOnRebind(t *testing.T) {
 	_, dnet2, dctx2, dimg2 := compiledFixture(t, Options{BSGS: true})
 	cn2 := NewCompiledNetwork(dnet2, params, dctx2.Encoder, 0)
 	cn2.Warm(params.MaxLevel())
+	if cn2.EncodeCalls() == 0 {
+		t.Fatal("BSGS handle warmed nothing")
+	}
 	got := dnet2.EvaluateEncrypted(cn2.Backend(dctx2, nil), encryptInput(dnet2, dctx2, dimg2)).Ciphertext().Digest()
 	if got != want {
 		t.Fatalf("cached BSGS digest %s != uncached %s", got, want)
+	}
+	if st := cn.CacheStats(); st != ladder {
+		t.Fatalf("another program's handle changed the ladder cache: %+v → %+v", ladder, st)
 	}
 }
 

@@ -18,7 +18,7 @@ type Context struct {
 }
 
 // NewContext generates all key material, including Galois keys for the given
-// rotation amounts (obtain them from a dry-run Recorder's Rotations()).
+// rotation amounts (obtain them from Network.RotationsNeeded).
 func NewContext(params ckks.Parameters, seed int64, rotations []int) *Context {
 	kg := ckks.NewKeyGenerator(params, seed)
 	sk := kg.GenSecretKey()
@@ -40,7 +40,7 @@ func NewContext(params ckks.Parameters, seed int64, rotations []int) *Context {
 // EncryptVector encrypts a real vector at the top level.
 func (c *Context) EncryptVector(v []float64) *CT {
 	pt := c.Encoder.Encode(v, c.Params.MaxLevel(), c.Params.Scale)
-	return wrap(c.Encryptor.Encrypt(pt))
+	return WrapCiphertext(c.Encryptor.Encrypt(pt))
 }
 
 // DecryptVector decrypts a handle back to its slot values.
@@ -49,11 +49,7 @@ func (c *Context) DecryptVector(ct *CT) []float64 {
 }
 
 // encodeOperand is the uncached plainSource: every operand is encoded on
-// use, broadcast scalars (batched packing's weight shape) through the
-// EncodeConst fast path.
-func (c *Context) encodeOperand(_ string, _, level int, scale float64, w Plain) *ckks.Plaintext {
-	if w.IsConst {
-		return c.Encoder.EncodeConst(w.Const, level, scale)
-	}
-	return c.Encoder.Encode(w.Make(), level, scale)
+// use.
+func (c *Context) encodeOperand(w Plain, level int, scale float64) *ckks.Plaintext {
+	return encodePlain(c.Encoder, w, level, scale)
 }

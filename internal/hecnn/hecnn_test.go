@@ -313,15 +313,13 @@ func TestMatVecGroupValidation(t *testing.T) {
 	}()
 
 	l := NewMatVecGroup("x", 4, 8, 128, func(r, c int) float64 { return 0 }, func(r int) float64 { return 0 })
-	rec := NewRecorder()
-	b := NewCountBackend(rec)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("wrong input count did not panic")
 			}
 		}()
-		l.Apply(b, &State{Kind: GroupSums, N: 8, CTs: []*CT{{level: 5}}})
+		countLayer(l, &State{Kind: GroupSums, N: 8, CTs: make([]*CT, 1)}, 5)
 	}()
 }
 
@@ -358,10 +356,8 @@ func TestGroupSumsArithmetic(t *testing.T) {
 		func(r, c int) float64 { return w[r][c] },
 		func(r int) float64 { return 0 })
 
-	// Dry-run for rotations, then execute.
-	rec := NewRecorder()
-	cb := NewCountBackend(rec)
-	layer.Apply(cb, &State{Kind: Contiguous, N: cols, CTs: []*CT{{level: 7, scale: 1}}})
+	// Count for rotations, then execute.
+	rec, _, _ := countLayer(layer, &State{Kind: Contiguous, N: cols, CTs: make([]*CT, 1)}, 7)
 	ctx := NewContext(params, 11, rec.Rotations())
 
 	in := &State{Kind: Contiguous, N: cols, CTs: []*CT{ctx.EncryptVector(x)}}
@@ -421,45 +417,55 @@ func TestTinyPoolNetEncrypted(t *testing.T) {
 	}
 }
 
-// TestEstimatePrecision: the analytic network-level error bound dominates
-// the measured error of the functional run and capacity checks pass for the
-// depth-5 nets at L=7.
+// TestEstimatePrecision: the noise fold's network-level error bound
+// dominates the measured error of a functional run, stays useful (≤ 1),
+// and passes the capacity check for both depth-5 tiny nets at L=7 in both
+// compile modes.
 func TestEstimatePrecision(t *testing.T) {
 	params := tinyParams()
-	pnet := cnn.NewTinyNet()
-	pnet.InitWeights(42)
-	net := Compile(pnet, params.Slots())
+	for _, prof := range []struct {
+		name string
+		make func() *cnn.Network
+	}{{"tiny", cnn.NewTinyNet}, {"tinyconv", cnn.NewTinyConvNet}} {
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{{"ladder", Options{}}, {"bsgs", Options{BSGS: true}}} {
+			t.Run(prof.name+"/"+mode.name, func(t *testing.T) {
+				pnet := prof.make()
+				pnet.InitWeights(42)
+				net := CompileWith(pnet, params.Slots(), mode.opts)
 
-	est, ok := net.EstimatePrecision(params, 1.0)
-	if !ok {
-		t.Fatal("capacity check failed for the depth-5 tiny net at L=7")
-	}
-	if est.Level != 2 {
-		t.Fatalf("predicted final level %d, want 2", est.Level)
-	}
+				est, ok := net.EstimatePrecision(params, 1.0)
+				if !ok {
+					t.Fatal("capacity check failed for a depth-5 tiny net at L=7")
+				}
+				if est.Level != 2 {
+					t.Fatalf("predicted final level %d, want 2", est.Level)
+				}
 
-	// Measure the real error.
-	ctx := NewContext(params, 7, net.RotationsNeeded(params.MaxLevel()))
-	img := randomImage(1, 8, 8, 1)
-	want := pnet.Infer(img)
-	got, _ := net.Run(ctx, img)
-	measured := 0.0
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > measured {
-			measured = d
+				ctx := NewContext(params, 7, net.RotationsNeeded(params.MaxLevel()))
+				img := randomImage(pnet.InC, pnet.InH, pnet.InW, 1)
+				want := pnet.Infer(img)
+				got, _ := net.Run(ctx, img)
+				measured := 0.0
+				for i := range want {
+					measured = math.Max(measured, math.Abs(got[i]-want[i]))
+				}
+				if measured > est.Err {
+					t.Fatalf("measured error %.3g exceeds predicted bound %.3g", measured, est.Err)
+				}
+				if est.Err > 1 {
+					t.Fatalf("bound %.3g useless (> 1): model too pessimistic", est.Err)
+				}
+			})
 		}
-	}
-	if measured > est.Err {
-		t.Fatalf("measured error %.3g exceeds predicted bound %.3g", measured, est.Err)
-	}
-	if est.Err > 1 {
-		t.Fatalf("bound %.3g useless (> 1): model too pessimistic", est.Err)
 	}
 }
 
 // TestEstimatePrecisionFlagsBadParams: at a too-short modulus chain the
 // capacity check must fire. (L=7 is required for depth 5 plus headroom;
-// the count backend itself panics below level 2, so probe with large
+// the schedule fold itself panics below level 2, so probe with large
 // inputs instead.)
 func TestEstimatePrecisionFlagsBadParams(t *testing.T) {
 	params := tinyParams()

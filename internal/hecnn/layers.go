@@ -117,11 +117,7 @@ func (l *ConvPacked) Apply(b Backend, in *State) *State {
 					return v
 				}}
 				t := b.Rescale(b.PCmult(in.CTs[k], w))
-				if sum == nil {
-					sum = t
-				} else {
-					sum = b.CCadd(sum, t)
-				}
+				sum = accumulate(b, sum, t)
 				k++
 			}
 		}
@@ -319,11 +315,7 @@ func (l *MatVecCollect) Apply(b Backend, in *State) *State {
 				return v
 			}}
 			t := b.PCmult(in.CTs[g], w)
-			if acc == nil {
-				acc = t
-			} else {
-				acc = b.CCadd(acc, t)
-			}
+			acc = accumulate(b, acc, t)
 		}
 		acc = b.Rescale(acc)
 		// Fold the B block-start partial sums down to slot 0. P2 divides the
@@ -334,11 +326,7 @@ func (l *MatVecCollect) Apply(b Backend, in *State) *State {
 		}
 		// Move the row result to slot r and accumulate.
 		acc = b.Rotate(acc, -r)
-		if out == nil {
-			out = acc
-		} else {
-			out = b.CCadd(out, acc)
-		}
+		out = accumulate(b, out, acc)
 	}
 	out = b.PCadd(out, Plain{Make: func() []float64 {
 		v := make([]float64, l.Slots)
@@ -348,6 +336,14 @@ func (l *MatVecCollect) Apply(b Backend, in *State) *State {
 		return v
 	}})
 	return &State{CTs: []*CT{out}, Kind: Contiguous, N: l.Rows}
+}
+
+// accumulate returns acc + t, or t when there is no acc yet.
+func accumulate(b Backend, acc, t *CT) *CT {
+	if acc == nil {
+		return t
+	}
+	return b.CCadd(acc, t)
 }
 
 func nextPow2(n int) int {

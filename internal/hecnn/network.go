@@ -7,13 +7,17 @@ import (
 )
 
 // Network is an HE-CNN: an ordered list of HE layers compiled from a
-// plaintext CNN for a given slot capacity.
+// plaintext CNN for a given slot capacity, and the program CompileWith
+// lowered them to. Every evaluation and every count, key set, cache and
+// noise question reads the program; the layers are not run again.
 type Network struct {
 	Name   string
 	Slots  int
 	CNN    *cnn.Network
 	Layers []Layer
 	Opts   Options
+
+	prog *program
 }
 
 // Options controls how a CNN is compiled into HE layers.
@@ -39,6 +43,8 @@ type Options struct {
 //   - interior convolutions and dense layers → MatVecGroup over the
 //     flattened equivalent matrix;
 //   - the final dense layer → MatVecCollect (logits land in slots 0..out-1).
+//
+// The layers are then lowered, once, into the network's program.
 func Compile(c *cnn.Network, slots int) *Network {
 	return CompileWith(c, slots, Options{})
 }
@@ -136,7 +142,23 @@ func CompileWith(c *cnn.Network, slots int, opts Options) *Network {
 			panic(fmt.Sprintf("hecnn: unsupported layer type %T", l))
 		}
 	}
+	n.prog = lowerLayers(n.Layers, n.Layers[0].(*ConvPacked).NumPositions())
 	return n
+}
+
+// lowerLayers runs every layer's Apply once against the recording backend,
+// from the given number of inputs.
+func lowerLayers(layers []Layer, inputs int) *program {
+	lw, in := newLowering(inputs)
+	s := &State{Kind: Contiguous, CTs: in}
+	for _, l := range layers {
+		s = l.Apply(lw, s)
+		lw.endLayer(l.Name(), s.CTs)
+	}
+	if len(s.CTs) != 1 {
+		panic("hecnn: network did not end in a single ciphertext")
+	}
+	return lw.finish()
 }
 
 func prod3(a, b, c int) int { return a * b * c }
@@ -218,64 +240,36 @@ func (n *Network) PackInput(img *cnn.Tensor) [][]float64 {
 	return out
 }
 
-// Count dry-runs the network, returning the per-layer HE-operation trace
-// without any cryptography. startLevel is the fresh-ciphertext level
-// (normally params.MaxLevel()).
+// Count returns the network's per-layer HE-operation trace from inputs at
+// startLevel (normally params.MaxLevel()), folded over its program without
+// any cryptography.
 func (n *Network) Count(startLevel int) *Recorder {
 	rec, _ := n.CountTraced(startLevel)
 	return rec
 }
 
-// CountTraced is Count with a live Tracer: the same cryptography-free dry
-// run, additionally returning the per-layer stats (op counts harvested
-// from the trace, plus the — here negligible — wall times).
+// CountTraced is Count plus the per-layer stats a Tracer reports for a
+// live evaluation, from the same fold (wall times are zero).
 func (n *Network) CountTraced(startLevel int) (*Recorder, []LayerStat) {
 	rec := NewRecorder()
-	tr := NewTracer(rec)
-	n.dryRun(&dryBackend{rec: rec}, startLevel, tr)
-	return rec, tr.Stats
+	return rec, n.prog.count(startLevel, rec)
 }
 
-// freshInputs returns one copy of proto per packed input position (the
-// first convolution's NumPositions()).
-func (n *Network) freshInputs(proto CT) []*CT {
-	return freshCTs(n.Layers[0].(*ConvPacked).NumPositions(), proto)
-}
-
-// dryRun walks the network through b from fresh inputs at startLevel.
-func (n *Network) dryRun(b *dryBackend, startLevel int, tr *Tracer) {
-	n.EvaluateTraced(b, n.freshInputs(b.start(startLevel)), tr)
-}
-
-// EvaluateEncrypted runs the layers on already-encrypted packed inputs,
-// returning the single output ciphertext handle. This is the server-side
-// entry point: it needs evaluation keys and the model weights but never the
-// secret key.
+// EvaluateEncrypted runs the network's program on already-encrypted packed
+// inputs, returning the single output ciphertext handle. This is the
+// server-side entry point: it needs evaluation keys and the model weights
+// but never the secret key.
 func (n *Network) EvaluateEncrypted(b Backend, cts []*CT) *CT {
 	return n.EvaluateTraced(b, cts, nil)
 }
 
 // EvaluateTraced is EvaluateEncrypted with optional per-layer telemetry:
-// a non-nil tracer records each layer's wall time and op counts (see
-// Tracer). A nil tracer takes the exact untimed path of
-// EvaluateEncrypted — zero added work, zero added allocations (pinned by
+// a non-nil tracer gets each layer's op counts and wall time (see Tracer).
+// A nil tracer takes the exact untimed path of EvaluateEncrypted — zero
+// added work, zero added allocations (pinned by
 // TestEvaluateTracedNilAddsNothing).
 func (n *Network) EvaluateTraced(b Backend, cts []*CT, tr *Tracer) *CT {
-	s := &State{Kind: Contiguous, CTs: cts}
-	if tr == nil {
-		for _, l := range n.Layers {
-			s = l.Apply(b, s)
-		}
-	} else {
-		tr.Stats = tr.Stats[:0]
-		for _, l := range n.Layers {
-			s = tr.applyLayer(b, l, s)
-		}
-	}
-	if len(s.CTs) != 1 {
-		panic("hecnn: network did not end in a single ciphertext")
-	}
-	return s.CTs[0]
+	return n.prog.run(b, cts, tr)[n.prog.outputs()[0]]
 }
 
 // Run executes the network functionally: packs and encrypts the image,
@@ -291,7 +285,7 @@ func (n *Network) Run(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder) {
 // per-layer wall-time/op-count stats of this single inference.
 func (n *Network) RunTraced(ctx *Context, img *cnn.Tensor) ([]float64, *Recorder, []LayerStat) {
 	rec := NewRecorder()
-	tr := NewTracer(rec)
+	tr := &Tracer{}
 	logits := n.run(ctx, img, NewCryptoBackend(ctx, rec), tr)
 	return logits, rec, tr.Stats
 }
@@ -307,8 +301,8 @@ func (n *Network) run(ctx *Context, img *cnn.Tensor, b Backend, tr *Tracer) []fl
 	return out[:n.Layers[len(n.Layers)-1].OutElems()]
 }
 
-// RotationsNeeded dry-runs the network and returns the rotation amounts to
-// generate Galois keys for.
+// RotationsNeeded returns the rotation amounts to generate Galois keys for,
+// folded over the program from inputs at startLevel.
 func (n *Network) RotationsNeeded(startLevel int) []int {
 	return n.Count(startLevel).Rotations()
 }

@@ -8,11 +8,11 @@ import (
 	"fxhenn/internal/ckks"
 )
 
-// LayerStat is the telemetry record of one executed HE-CNN layer: the
-// paper's Table-IV-shaped row (layer, HOP count, KS count, level) plus
-// the measured wall time and the per-op breakdown. Op counts are
-// harvested from the same ckks trace events the dry-run profiles are
-// built from, so a live run and Network.Count agree exactly.
+// LayerStat is the telemetry record of one HE-CNN layer: the paper's
+// Table-IV-shaped row (layer, HOP count, KS count, level) plus the
+// measured wall time and the per-op breakdown. Op counts and levels come
+// from the program's count fold — the fold Network.Count records — so a
+// live run and Network.Count agree exactly.
 type LayerStat struct {
 	Layer       string
 	Wall        time.Duration
@@ -25,48 +25,32 @@ type LayerStat struct {
 	Ops [ckks.NumOps]int
 }
 
+// add counts one event of op at level.
+func (st *LayerStat) add(op ckks.Op, level int) {
+	st.Ops[op]++
+	st.HOPs++
+	if op.IsKeySwitch() {
+		st.KeySwitches++
+	}
+	st.Level = max(st.Level, level)
+}
+
 // Tracer instruments an evaluation with per-layer wall-clock spans and op
-// accounting. Rec must be the same Recorder the Backend records into —
-// the tracer harvests each layer's event delta from it after the layer
-// runs. Stats accumulates one entry per executed layer; Sink, when set,
-// additionally receives each entry as the layer completes (for registry
-// recording or slow-request logs).
+// accounting. Each evaluation replaces Stats with one entry per layer;
+// Sink, when set, additionally receives each entry as the layer completes
+// (for registry recording or slow-request logs). The zero value is ready
+// to use.
 type Tracer struct {
-	Rec   *Recorder
 	Sink  func(LayerStat)
 	Stats []LayerStat
 }
 
-// NewTracer builds a tracer harvesting from rec.
-func NewTracer(rec *Recorder) *Tracer { return &Tracer{Rec: rec} }
-
-// applyLayer times one layer and harvests its op-count delta.
-func (tr *Tracer) applyLayer(b Backend, l Layer, s *State) *State {
-	name := l.Name()
-	before := 0
-	if le := tr.Rec.Layer(name); le != nil {
-		before = len(le.Events)
-	}
-	start := time.Now()
-	out := l.Apply(b, s)
-	st := LayerStat{Layer: name, Wall: time.Since(start)}
-	if le := tr.Rec.Layer(name); le != nil {
-		for _, e := range le.Events[before:] {
-			st.Ops[e.Op]++
-			st.HOPs++
-			if e.Op.IsKeySwitch() {
-				st.KeySwitches++
-			}
-			if e.Level > st.Level {
-				st.Level = e.Level
-			}
-		}
-	}
-	tr.Stats = append(tr.Stats, st)
+// layerDone records layer li's wall time and hands its stat to Sink.
+func (tr *Tracer) layerDone(li int, wall time.Duration) {
+	tr.Stats[li].Wall = wall
 	if tr.Sink != nil {
-		tr.Sink(st)
+		tr.Sink(tr.Stats[li])
 	}
-	return out
 }
 
 // TotalWall sums the layer wall times of the last evaluation.

@@ -1,7 +1,6 @@
 package hecnn
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -19,7 +18,7 @@ func tracedFixture(t *testing.T, pnet *cnn.Network, params ckks.Parameters) (*Tr
 
 	rec := NewRecorder()
 	b := NewCryptoBackend(ctx, rec)
-	tr := NewTracer(rec)
+	tr := &Tracer{}
 	var cts []*CT
 	img := cnn.NewTensor(pnet.InC, pnet.InH, pnet.InW)
 	for i := range img.Data {
@@ -133,36 +132,42 @@ func TestLiveMNISTEmitsPaperShapedTable(t *testing.T) {
 	t.Logf("live FxHENN-MNIST per-layer table:\n%s", sb.String())
 }
 
+// nopBackend returns every operand unchanged without allocating: it
+// isolates the interpreter's own cost.
+type nopBackend struct{ rots []*CT }
+
+func (nopBackend) SetLayer(string)                    {}
+func (nopBackend) PCmult(x *CT, _ Plain) *CT          { return x }
+func (nopBackend) PCadd(x *CT, _ Plain) *CT           { return x }
+func (nopBackend) CCadd(x, _ *CT) *CT                 { return x }
+func (nopBackend) Square(x *CT) *CT                   { return x }
+func (nopBackend) Rescale(x *CT) *CT                  { return x }
+func (nopBackend) Rotate(x *CT, _ int) *CT            { return x }
+func (b nopBackend) RotateMany(_ *CT, ks []int) []*CT { return b.rots[:len(ks)] }
+
 // TestEvaluateTracedNilAddsNothing pins the acceptance criterion that the
 // traced entry point with telemetry disabled (nil tracer) allocates
-// exactly as much as the raw layer loop — zero added allocations on the
-// inference hot path.
+// exactly what the untraced one does — and that the interpreter itself
+// allocates one value table per evaluation and nothing per instruction.
 func TestEvaluateTracedNilAddsNothing(t *testing.T) {
-	pnet := cnn.NewTinyNet()
-	pnet.InitWeights(3)
-	net := Compile(pnet, 256)
-	mkInputs := func() []*CT {
-		conv := net.Layers[0].(*ConvPacked)
-		cts := make([]*CT, conv.NumPositions())
+	for _, opts := range []Options{{}, {BSGS: true}} {
+		pnet := cnn.NewTinyNet()
+		pnet.InitWeights(3)
+		net := CompileWith(pnet, 256, opts)
+		b := &nopBackend{rots: make([]*CT, 256)}
+		cts := make([]*CT, net.prog.inputs)
 		for i := range cts {
-			cts[i] = &CT{level: 7, scale: 1}
+			cts[i] = &CT{level: 7}
 		}
-		return cts
-	}
 
-	base := testing.AllocsPerRun(20, func() {
-		b := NewCountBackend(NewRecorder())
-		s := &State{Kind: Contiguous, CTs: mkInputs()}
-		for _, l := range net.Layers {
-			s = l.Apply(b, s)
+		plain := testing.AllocsPerRun(20, func() { net.EvaluateEncrypted(b, cts) })
+		traced := testing.AllocsPerRun(20, func() { net.EvaluateTraced(b, cts, nil) })
+		if traced != plain {
+			t.Fatalf("nil-tracer evaluate allocates %.1f/run, untraced %.1f/run — telemetry-disabled path must add zero allocations", traced, plain)
 		}
-	})
-	traced := testing.AllocsPerRun(20, func() {
-		b := NewCountBackend(NewRecorder())
-		net.EvaluateTraced(b, mkInputs(), nil)
-	})
-	if math.Abs(traced-base) > 0.5 {
-		t.Fatalf("nil-tracer evaluate allocates %.1f/run, raw loop %.1f/run — telemetry-disabled path must add zero allocations", traced, base)
+		if plain != 1 {
+			t.Fatalf("BSGS=%v: evaluating %d instructions allocates %.1f/run, want the one value table", opts.BSGS, len(net.prog.code), plain)
+		}
 	}
 }
 
@@ -171,17 +176,15 @@ func TestTracerSinkStreamsLayers(t *testing.T) {
 	pnet := cnn.NewTinyNet()
 	pnet.InitWeights(3)
 	net := Compile(pnet, 256)
-	rec := NewRecorder()
-	b := NewCountBackend(rec)
-	tr := NewTracer(rec)
+	tr := &Tracer{}
 	var seen []string
 	tr.Sink = func(st LayerStat) { seen = append(seen, st.Layer) }
 
-	conv := net.Layers[0].(*ConvPacked)
-	cts := make([]*CT, conv.NumPositions())
+	cts := make([]*CT, net.prog.inputs)
 	for i := range cts {
-		cts[i] = &CT{level: 7, scale: 1}
+		cts[i] = &CT{level: 7}
 	}
+	b := &nopBackend{rots: make([]*CT, 256)}
 	net.EvaluateTraced(b, cts, tr)
 	if len(seen) != len(net.Layers) {
 		t.Fatalf("sink saw %d layers, want %d", len(seen), len(net.Layers))

@@ -51,6 +51,12 @@ func (n *Network) ValidateCiphertexts(cts []*CT, level int) error {
 	if len(cts) != conv.NumPositions() {
 		return fmt.Errorf("hecnn: expected %d packed ciphertexts, got %d", conv.NumPositions(), len(cts))
 	}
+	return validateFresh(cts, level)
+}
+
+// validateFresh checks that every ciphertext is a fresh degree-1
+// ciphertext at exactly level with a plausible scale.
+func validateFresh(cts []*CT, level int) error {
 	for i, ct := range cts {
 		if ct == nil || ct.Ciphertext() == nil {
 			return fmt.Errorf("hecnn: ciphertext %d is nil", i)

@@ -46,7 +46,7 @@ func TestValidateCiphertexts(t *testing.T) {
 		cts := make([]*CT, conv.NumPositions())
 		for i := range cts {
 			pt := ctx.Encoder.Encode([]float64{1}, level, params.Scale)
-			cts[i] = wrap(ctx.Encryptor.Encrypt(pt))
+			cts[i] = WrapCiphertext(ctx.Encryptor.Encrypt(pt))
 		}
 		return cts
 	}

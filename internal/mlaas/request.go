@@ -272,22 +272,21 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 }
 
 // evaluate runs the per-request HE-CNN on one runtime. Traced requests
-// get a per-request recorder feeding the tracer, so the per-layer table
-// in the slow-request log and the layer metric families come straight
-// from the ckks trace of this inference.
+// get a tracer, so the per-layer table in the slow-request log and the
+// layer metric families carry this inference's layer wall times next to
+// the op counts of the network's program.
 func (s *Server) evaluate(run *tenantRuntime, rt *reqTrace, cts []*hecnn.CT) *hecnn.CT {
 	start := time.Now()
 	var out *hecnn.CT
 	if rt != nil {
-		rec := hecnn.NewRecorder()
-		tr := hecnn.NewTracer(rec)
+		tr := &hecnn.Tracer{}
 		if s.met != nil {
 			tr.Sink = s.met.observeLayer
 		}
-		out = run.net.EvaluateTraced(run.backend(rec), cts, tr)
+		out = run.net.EvaluateTraced(run.backend(), cts, tr)
 		rt.layers = tr.Stats
 	} else {
-		out = run.net.EvaluateEncrypted(run.backend(nil), cts)
+		out = run.net.EvaluateEncrypted(run.backend(), cts)
 	}
 	if s.shed != nil {
 		s.shed.observe(time.Since(start))

@@ -107,8 +107,8 @@ func TestTelemetryFullInference(t *testing.T) {
 	}
 
 	// Per-layer families: one metric per network layer, HOPs positive, and
-	// the totals equal to a dry-run count of the same network (the layer
-	// metrics are harvested from the live ckks trace, so they must agree).
+	// the totals equal to a count of the same network (the layer metrics
+	// come from the same fold of the network's program, so they must agree).
 	rec := fx.henet.Count(fx.params.MaxLevel())
 	var hops, ks int64
 	for _, l := range fx.henet.Layers {

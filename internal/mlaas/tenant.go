@@ -10,8 +10,8 @@ package mlaas
 // the next request rebuilds it; requests already evaluating on the old
 // runtime finish on it. The expensive pieces (key derivation, network
 // compilation, cache warm) run once per (tenant, generation) under
-// singleflight, with the compiled network itself living in a
-// hecnn.CompiledSet.
+// singleflight; the tenantSet is the only cache of them, so each new
+// generation builds its own hecnn.CompiledNetwork handle.
 
 import (
 	"fmt"
@@ -63,12 +63,12 @@ type tenantRuntime struct {
 
 // backend returns the evaluation backend for one request on this
 // runtime: the warmed compiled-network backend when the cache is
-// enabled, a plain crypto backend otherwise.
-func (rt *tenantRuntime) backend(rec *hecnn.Recorder) hecnn.Backend {
+// enabled, a plain crypto backend otherwise. It records no trace.
+func (rt *tenantRuntime) backend() hecnn.Backend {
 	if rt.compiled != nil {
-		return rt.compiled.Backend(rt.ctx, rec)
+		return rt.compiled.Backend(rt.ctx, nil)
 	}
-	return hecnn.NewCryptoBackend(rt.ctx, rec)
+	return hecnn.NewCryptoBackend(rt.ctx, nil)
 }
 
 // acquireQuota claims one tenant-quota slot, fail-fast: a tenant at its
@@ -92,9 +92,8 @@ func (rt *tenantRuntime) releaseQuota() {
 	}
 }
 
-// tenantEntry is one tenant's resident runtime slot in the tenantSet,
-// with the same generation-keyed singleflight discipline as
-// hecnn.CompiledSet (which holds the compiled network inside it).
+// tenantEntry is one tenant's resident runtime slot in the tenantSet:
+// built once per (tenant, generation) under its once.
 type tenantEntry struct {
 	gen  uint64
 	once sync.Once
@@ -106,9 +105,6 @@ type tenantEntry struct {
 type tenantSet struct {
 	reg   *registry.Registry
 	build ModelBuilder
-	// compiled is the generation-keyed compiled-network cache shared by
-	// every tenant's runtime build.
-	compiled *hecnn.CompiledSet
 	// srv supplies the shared pieces a runtime plugs into: the worker
 	// pool, metrics, the admitter (per-tenant batchers share the
 	// server-wide evaluation slots), and the cache-sizing default.
@@ -120,11 +116,10 @@ type tenantSet struct {
 
 func newTenantSet(reg *registry.Registry, build ModelBuilder, srv *Server) *tenantSet {
 	ts := &tenantSet{
-		reg:      reg,
-		build:    build,
-		compiled: hecnn.NewCompiledSet(),
-		srv:      srv,
-		entries:  make(map[string]*tenantEntry),
+		reg:     reg,
+		build:   build,
+		srv:     srv,
+		entries: make(map[string]*tenantEntry),
 	}
 	// Eager invalidation: rotate/update/delete events drop the stale
 	// runtime (and stop its batcher) immediately instead of waiting for
@@ -135,10 +130,11 @@ func newTenantSet(reg *registry.Registry, build ModelBuilder, srv *Server) *tena
 }
 
 // runtime returns the resident runtime for rec, building it on first
-// sight of the record's generation. Stale-generation races follow
-// hecnn.CompiledSet's monotonic rule: a reader that looked up the record
-// just before a rotate gets a one-off runtime for its keys without
-// evicting the newer resident one.
+// sight of the record's generation; concurrent requests for one
+// generation share one build, and a failed build is retried by the next
+// request. The resident generation is monotonic: a reader that looked up
+// the record just before a rotate gets a one-off runtime for its keys
+// without evicting the newer resident one.
 func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 	ts.mu.Lock()
 	e, ok := ts.entries[rec.Tenant]
@@ -171,9 +167,8 @@ func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 }
 
 // materialize builds one runtime from its record: derive the model and
-// keys, attach the shared worker pool, compile-and-warm the plaintext
-// cache through the generation-keyed CompiledSet, and start the private
-// batch domain when the record carries one.
+// keys, attach the shared worker pool, build and warm the plaintext
+// cache, and start the private batch domain when the record carries one.
 func (ts *tenantSet) materialize(rec registry.Record) (*tenantRuntime, error) {
 	tm, err := ts.build(rec)
 	if err != nil {
@@ -194,23 +189,16 @@ func (ts *tenantSet) materialize(rec registry.Record) (*tenantRuntime, error) {
 	if q := rec.Quota.MaxConcurrent; q > 0 {
 		rt.quota = make(chan struct{}, q)
 	}
-	if cb := ts.srv.cfg.CacheBytes; cb >= 0 {
-		rt.compiled, err = ts.compiled.Get(rec.Tenant, rec.Generation, func() (*hecnn.CompiledNetwork, error) {
-			budget := cb
-			if budget == 0 {
-				// Auto-size from the compiled operand set, so a tenant whose
-				// model's warm set exceeds the flat default (BSGS at MNIST
-				// scale) never silently thrashes its cache.
-				budget = hecnn.AutoPlaintextCacheBytes(tm.Net, tm.Params, tm.Params.MaxLevel())
-			}
-			cn := hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, budget)
-			cn.SetMetrics(ts.srv.cfg.Metrics)
-			cn.Warm(tm.Params.MaxLevel())
-			return cn, nil
-		})
-		if err != nil {
-			return nil, err
+	if budget := ts.srv.cfg.CacheBytes; budget >= 0 {
+		if budget == 0 {
+			// Auto-size from the compiled operand set, so a tenant whose
+			// model's warm set exceeds the flat default (BSGS at MNIST
+			// scale) never silently thrashes its cache.
+			budget = hecnn.AutoPlaintextCacheBytes(tm.Net, tm.Params, tm.Params.MaxLevel())
 		}
+		rt.compiled = hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, budget)
+		rt.compiled.SetMetrics(ts.srv.cfg.Metrics)
+		rt.compiled.Warm(tm.Params.MaxLevel())
 	}
 	if tm.Batch != nil {
 		bc := tm.Batch.withDefaults()
@@ -244,7 +232,6 @@ func (ts *tenantSet) notify(tenant string, gen uint64) {
 	}
 	ts.mu.Unlock()
 	if e != nil {
-		ts.compiled.Invalidate(tenant)
 		ts.retire(e)
 	}
 }

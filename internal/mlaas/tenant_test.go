@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -358,7 +359,96 @@ func TestTenantRuntimeInvalidatedOnRotate(t *testing.T) {
 	if resident {
 		t.Fatal("rotate left the stale runtime resident")
 	}
-	if _, ok := s.tenants.compiled.Generation("alice"); ok {
-		t.Fatal("rotate left the stale compiled network resident")
+}
+
+// TestTenantSetBuildsOncePerGeneration pins the build discipline of the
+// tenant set — the only cache of tenant runtimes and the compiled networks
+// inside them — with a counting ModelBuilder.
+func TestTenantSetBuildsOncePerGeneration(t *testing.T) {
+	alice := func(gen uint64) registry.Record {
+		return registry.Record{Tenant: "alice", Model: "tiny", WeightSeed: 100, KeySeed: 101, Generation: gen}
 	}
+	for _, tc := range []struct {
+		name string
+		// failures is how many builds fail before the builder recovers.
+		failures   int64
+		run        func(t *testing.T, ts *tenantSet)
+		wantBuilds int64
+	}{
+		{name: "generation keyed", wantBuilds: 2, run: func(t *testing.T, ts *tenantSet) {
+			g1 := mustRuntime(t, ts, alice(1))
+			if again := mustRuntime(t, ts, alice(1)); again != g1 {
+				t.Fatal("same generation returned a different runtime")
+			}
+			g2 := mustRuntime(t, ts, alice(2))
+			if g2 == g1 || g2.compiled == g1.compiled {
+				t.Fatal("generation bump reused the stale runtime or compiled network")
+			}
+		}},
+		{name: "one build under concurrent requests", wantBuilds: 1, run: func(t *testing.T, ts *tenantSet) {
+			const workers = 16
+			got := make([]*tenantRuntime, workers)
+			var wg sync.WaitGroup
+			for w := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[w], _ = ts.runtime(alice(1))
+				}()
+			}
+			wg.Wait()
+			for w := range got {
+				if got[w] == nil || got[w] != got[0] {
+					t.Fatalf("worker %d got runtime %p, worker 0 %p", w, got[w], got[0])
+				}
+			}
+		}},
+		{name: "failed build is retried", failures: 1, wantBuilds: 2, run: func(t *testing.T, ts *tenantSet) {
+			if _, err := ts.runtime(alice(1)); err == nil {
+				t.Fatal("failed build returned no error")
+			}
+			if _, resident := ts.entries["alice"]; resident {
+				t.Fatal("failed build left a resident entry")
+			}
+			mustRuntime(t, ts, alice(1))
+		}},
+		{name: "stale reader gets a one-off runtime", wantBuilds: 2, run: func(t *testing.T, ts *tenantSet) {
+			resident := mustRuntime(t, ts, alice(2))
+			if stale := mustRuntime(t, ts, alice(1)); stale == resident || stale.gen != 1 {
+				t.Fatalf("stale reader got generation %d runtime %p, resident %p", stale.gen, stale, resident)
+			}
+			if again := mustRuntime(t, ts, alice(2)); again != resident {
+				t.Fatal("stale reader evicted the resident runtime")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var builds atomic.Int64
+			count := func(rec registry.Record) (*TenantModel, error) {
+				if builds.Add(1) <= tc.failures {
+					return nil, errors.New("keygen exploded")
+				}
+				return StandardCatalog()(rec)
+			}
+			fx := newFixture(t)
+			s := NewServerWithConfig(fx.params, fx.henet, fx.rlk, fx.rtk, Config{
+				Registry: registry.New(registry.NewMemStore()),
+				Models:   count,
+			})
+			t.Cleanup(func() { s.Shutdown(context.Background()) }) //nolint:errcheck
+			tc.run(t, s.tenants)
+			if got := builds.Load(); got != tc.wantBuilds {
+				t.Fatalf("%d builds, want %d", got, tc.wantBuilds)
+			}
+		})
+	}
+}
+
+func mustRuntime(t *testing.T, ts *tenantSet, rec registry.Record) *tenantRuntime {
+	t.Helper()
+	rt, err := ts.runtime(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestTracedMNISTReproducesPaperProfile is the telemetry golden test: a
-// traced MNIST run (CountTraced — the same instrumented evaluate path a
-// live server uses, minus the cryptography) must reproduce the per-layer
+// traced MNIST count (CountTraced — the same per-layer fold a live
+// server's Tracer reports, minus the cryptography) must reproduce the per-layer
 // op counts of the published profile within the documented reconstruction
 // tolerance (EXPERIMENTS.md): layer structure, levels, KS classification
 // and Cnv1's Listing-1 counts exactly; HOP/KS totals within 2×.
