@@ -43,9 +43,10 @@ func NewEncoder(params Parameters) *Encoder {
 // scale and level. Level counts active q_i primes, as for ciphertexts.
 //
 // Reuse contract: every Evaluator operation that consumes a plaintext
-// (AddPlainNew, MulPlainNew) treats it as strictly read-only, so one
-// Plaintext may be used as an operand any number of times — including by
-// concurrent evaluator calls — and its serialized form never changes.
+// (AddPlainNew, MulPlainNew, MulPlainAdd) treats it as strictly
+// read-only, so one Plaintext may be used as an operand any number of
+// times — including by concurrent evaluator calls — and its serialized
+// form never changes.
 // The serve-path weight cache (hecnn.CompiledNetwork) encodes each weight
 // vector once and shares the Plaintext across every request on this
 // contract; TestPlaintextReuseContract pins it with digests.

@@ -71,19 +71,36 @@ func ctView(ct *Ciphertext, level int) *Ciphertext {
 // AddNew returns a + b (CCadd). Operands are aligned to the lower level;
 // scales must agree to within floating-point noise.
 func (ev *Evaluator) AddNew(a, b *Ciphertext) *Ciphertext {
+	out := NewCiphertext(ev.params, len(a.Value), min(a.Level(), b.Level()))
+	ev.Add(out, a, b)
+	return out
+}
+
+// Add sets out = a + b (CCadd) at the operands' common level, with a's
+// scale. out may be a or b; its rows above the common level are dropped,
+// so it must have as many parts as a and at least that level. Scales must
+// agree to within floating-point noise.
+func (ev *Evaluator) Add(out, a, b *Ciphertext) {
 	av, bv, level := alignLevels(a, b)
 	checkScales(av.Scale, bv.Scale)
-	if a.Degree() != b.Degree() {
+	if a.Degree() != b.Degree() || out.Degree() != a.Degree() {
 		panic("ckks: CCadd degree mismatch")
 	}
+	dropTo(out, level)
 	r := ev.params.Ring()
-	out := NewCiphertext(ev.params, len(a.Value), level)
-	out.Scale = av.Scale
 	for i := range out.Value {
 		r.Add(out.Value[i], av.Value[i], bv.Value[i])
 	}
+	out.Scale = av.Scale
 	ev.record(OpCCadd, level)
-	return out
+}
+
+// dropTo truncates ct, written into as a destination, to level.
+func dropTo(ct *Ciphertext, level int) {
+	if ct.Level() < level {
+		panic(fmt.Sprintf("ckks: destination level %d below the operands' %d", ct.Level(), level))
+	}
+	ct.DropLevel(ct.Level() - level)
 }
 
 // SubNew returns a - b.
@@ -139,6 +156,34 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	return out
 }
 
+// MulPlainAdd sets acc += ct ⊙ pt: MulPlainNew followed by AddNew(acc,
+// product), fused into one fully reduced multiply-accumulate per
+// coefficient with no intermediate ciphertext — the HE-MAC of the
+// accelerator's PCmult→CCadd stream, and bit-identical to the two calls.
+// acc keeps its scale, which must agree with ct.Scale·pt.Scale, and drops
+// to the common level of acc and ct. pt is read-only (see the Plaintext
+// reuse contract). It records PCmult and CCadd, the two operations it
+// replaces.
+func (ev *Evaluator) MulPlainAdd(acc, ct *Ciphertext, pt *Plaintext) {
+	ctLevel := ct.Level()
+	if pt.Level() < ctLevel {
+		panic("ckks: PCmult plaintext level below ciphertext level")
+	}
+	if acc.Degree() != ct.Degree() {
+		panic("ckks: CCadd degree mismatch")
+	}
+	checkScales(acc.Scale, ct.Scale*pt.Scale)
+	level := min(acc.Level(), ctLevel)
+	dropTo(acc, level)
+	r := ev.params.Ring()
+	ptv := truncate(pt.Value, level)
+	for i := range acc.Value {
+		r.MulCoeffsAdd(acc.Value[i], truncate(ct.Value[i], level), ptv)
+	}
+	ev.record(OpPCmult, ctLevel)
+	ev.record(OpCCadd, level)
+}
+
 // MulNew returns a ⊗ b (CCmult) followed by relinearization when a
 // relinearization key is available. Inputs must be degree-1.
 func (ev *Evaluator) MulNew(a, b *Ciphertext) *Ciphertext {
@@ -183,24 +228,29 @@ func (ev *Evaluator) RelinearizeNew(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// RescaleNew divides the ciphertext by its last prime, dropping one level
-// and dividing the scale accordingly (the Rescale HE operation, OP4).
+// RescaleNew returns ct divided by its last prime (see Rescale).
 func (ev *Evaluator) RescaleNew(ct *Ciphertext) *Ciphertext {
+	out := ct.Copy()
+	ev.Rescale(out)
+	return out
+}
+
+// Rescale divides ct in place by its last prime, dropping one level and
+// dividing the scale accordingly (the Rescale HE operation, OP4).
+func (ev *Evaluator) Rescale(ct *Ciphertext) {
 	level := ct.Level()
 	if level < 2 {
 		panic("ckks: cannot rescale below level 1")
 	}
 	r := ev.params.Ring()
-	out := ct.Copy()
 	qLast := ev.params.Moduli[level-1]
-	for _, p := range out.Value {
+	for _, p := range ct.Value {
 		r.INTT(p)
 		r.DivRoundByLastModulus(p)
 		r.NTT(p)
 	}
-	out.Scale = ct.Scale / float64(qLast)
+	ct.Scale /= float64(qLast)
 	ev.record(OpRescale, level)
-	return out
 }
 
 // RotateNew rotates the slot vector left by k positions (a KeySwitch
@@ -246,12 +296,9 @@ func (ev *Evaluator) automorphismNew(ct *Ciphertext, g uint64) *Ciphertext {
 
 	// σ_g(ct) now decrypts under σ_g(s); switch the c1 part back to s.
 	u0, u1 := ev.keySwitchCore(p1, swk)
-	out := NewCiphertext(ev.params, 2, level)
-	out.Scale = ct.Scale
-	r.Add(out.Value[0], p0, u0)
-	out.Value[1] = u1
+	r.Add(p0, p0, u0)
 	ev.record(OpRotate, level)
-	return out
+	return &Ciphertext{Value: []*ring.Poly{p0, u1}, Scale: ct.Scale}
 }
 
 // keySwitchCore computes the RNS-digit-decomposition keyswitch of the

@@ -140,14 +140,8 @@ func (ev *Evaluator) rotateWithDecomposition(ct *Ciphertext, hd *HoistedDecompos
 	ev.modDown(u0, u0p)
 	ev.modDown(u1, u1p)
 
-	// σ_g(c0) directly in the NTT domain.
-	p0 := r.NewPoly(level)
-	r.PermuteNTT(p0, ct.Value[0], perm)
-
-	res := NewCiphertext(ev.params, 2, level)
-	res.Scale = ct.Scale
-	r.Add(res.Value[0], p0, u0)
-	res.Value[1] = u1
+	// σ_g(c0) directly in the NTT domain, added into the keyswitched c0.
+	r.PermuteNTTAdd(u0, ct.Value[0], perm)
 	ev.record(OpRotate, level)
-	return res
+	return &Ciphertext{Value: []*ring.Poly{u0, u1}, Scale: ct.Scale}
 }

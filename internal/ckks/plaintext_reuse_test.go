@@ -8,10 +8,10 @@ import (
 // TestPlaintextReuseContract pins the contract the serve-path weight
 // cache (hecnn.CompiledNetwork) is built on: a Plaintext used as an
 // evaluator operand is strictly read-only. One encoded plaintext, shared
-// by many concurrent AddPlainNew/MulPlainNew calls at full and truncated
-// levels, must (a) keep a bit-identical serialized digest and (b) produce
-// result ciphertexts bit-identical to serial evaluation with a private
-// copy of the same plaintext.
+// by many concurrent AddPlainNew/MulPlainNew/MulPlainAdd calls at full
+// and truncated levels, must (a) keep a bit-identical serialized digest
+// and (b) produce result ciphertexts bit-identical to serial evaluation
+// with a private copy of the same plaintext.
 func TestPlaintextReuseContract(t *testing.T) {
 	tc := newTestContext(t, nil)
 	params := tc.params
@@ -41,10 +41,21 @@ func TestPlaintextReuseContract(t *testing.T) {
 	wantAddTop := tc.eval.AddPlainNew(ctTop, private).Digest()
 	wantMulLow := tc.eval.MulPlainNew(ctLow, private).Digest()
 	wantAddLow := tc.eval.AddPlainNew(ctLow, private).Digest()
+	// MulPlainAdd accumulates into a private top-level accumulator: the
+	// unfused MulPlainNew + AddNew is its reference, and the low-level
+	// product drops the accumulator to the product's level.
+	acc := tc.eval.MulPlainNew(ctTop, private)
+	wantMacTop := tc.eval.AddNew(acc, tc.eval.MulPlainNew(ctTop, private)).Digest()
+	wantMacLow := tc.eval.AddNew(acc, tc.eval.MulPlainNew(ctLow, private)).Digest()
+	mulPlainAdd := func(eval *Evaluator, ct *Ciphertext) string {
+		dst := acc.Copy()
+		eval.MulPlainAdd(dst, ct, shared)
+		return dst.Digest()
+	}
 
 	const workers = 16
 	var wg sync.WaitGroup
-	errs := make(chan string, workers*4)
+	errs := make(chan string, workers*6)
 	check := func(what, got, want string) {
 		if got != want {
 			errs <- what + ": " + got + " != " + want
@@ -62,6 +73,8 @@ func TestPlaintextReuseContract(t *testing.T) {
 			check("PCadd@top", eval.AddPlainNew(ctTop, shared).Digest(), wantAddTop)
 			check("PCmult@low", eval.MulPlainNew(ctLow, shared).Digest(), wantMulLow)
 			check("PCadd@low", eval.AddPlainNew(ctLow, shared).Digest(), wantAddLow)
+			check("MulPlainAdd@top", mulPlainAdd(eval, ctTop), wantMacTop)
+			check("MulPlainAdd@low", mulPlainAdd(eval, ctLow), wantMacLow)
 		}()
 	}
 	wg.Wait()

@@ -3,6 +3,7 @@ package ckks
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -111,6 +112,47 @@ func TestAddAlignsMismatchedLevels(t *testing.T) {
 	for i := range a {
 		if math.Abs(got[i]-(a[i]+b[i])) > 1e-4 {
 			t.Fatalf("slot %d mismatch", i)
+		}
+	}
+}
+
+// TestDestinationFormsMatchNew: each destination form writes exactly what
+// its allocating form (or, for MulPlainAdd, MulPlainNew then AddNew)
+// returns — digest, level, scale — and records the same trace events,
+// whichever operand it writes into and whatever the operands' levels.
+func TestDestinationFormsMatchNew(t *testing.T) {
+	tc := newTestContext(t, nil)
+	rng := rand.New(rand.NewSource(13))
+	hi := tc.encryptVec(randVec(8, 5, rng), 4)
+	lo := tc.encryptVec(randVec(8, 5, rng), 2)
+	pt := tc.enc.Encode(randVec(8, 1, rng), 4, tc.params.Scale)
+	acc := tc.eval.MulPlainNew(hi, pt)
+
+	for _, c := range []struct {
+		name           string
+		alloc, inPlace func() *Ciphertext
+	}{
+		{"Add into a", func() *Ciphertext { return tc.eval.AddNew(hi, lo) },
+			func() *Ciphertext { a := hi.Copy(); tc.eval.Add(a, a, lo); return a }},
+		{"Add into higher b", func() *Ciphertext { return tc.eval.AddNew(lo, hi) },
+			func() *Ciphertext { b := hi.Copy(); tc.eval.Add(b, lo, b); return b }},
+		{"Rescale", func() *Ciphertext { return tc.eval.RescaleNew(hi) },
+			func() *Ciphertext { a := hi.Copy(); tc.eval.Rescale(a); return a }},
+		{"MulPlainAdd", func() *Ciphertext { return tc.eval.AddNew(acc, tc.eval.MulPlainNew(lo, pt)) },
+			func() *Ciphertext { a := acc.Copy(); tc.eval.MulPlainAdd(a, lo, pt); return a }},
+	} {
+		tc.eval.Trace.Reset()
+		want := c.alloc()
+		wantEvents := append([]Event(nil), tc.eval.Trace.Events...)
+		tc.eval.Trace.Reset()
+		got := c.inPlace()
+		if got.Digest() != want.Digest() || got.Scale != want.Scale || got.Level() != want.Level() {
+			t.Errorf("%s: level %d scale %g differs from the allocating form's level %d scale %g, or its digest does",
+				c.name, got.Level(), got.Scale, want.Level(), want.Scale)
+		}
+		events := tc.eval.Trace.Events
+		if !slices.Equal(events, wantEvents) {
+			t.Errorf("%s: recorded %v, allocating form %v", c.name, events, wantEvents)
 		}
 	}
 }

@@ -264,6 +264,40 @@ func (b *cryptoBackend) Rescale(x *CT) *CT {
 	return WrapCiphertext(out)
 }
 
+// mulPlainAdd is PCmult(x, w) then CCadd(acc, product) as one
+// multiply-accumulate into acc, a value the evaluation owns that dies at
+// the CCadd. It asks plain for w and records events exactly as the two
+// calls do.
+func (b *cryptoBackend) mulPlainAdd(acc, x *CT, w Plain) *CT {
+	level := x.ct.Level()
+	b.ctx.Eval.MulPlainAdd(acc.ct, x.ct, b.plain(w, level, b.ctx.Params.Scale))
+	b.rec.record(ckks.OpPCmult, level)
+	return b.adopt(acc, ckks.OpCCadd, acc.ct.Level())
+}
+
+// addInto is CCadd(x, y) written into dst, whichever of x and y the
+// evaluation owns and that dies here.
+func (b *cryptoBackend) addInto(dst, x, y *CT) *CT {
+	b.ctx.Eval.Add(dst.ct, x.ct, y.ct)
+	return b.adopt(dst, ckks.OpCCadd, dst.ct.Level())
+}
+
+// rescaleInPlace is Rescale(x) written into x, an owned value that dies
+// here.
+func (b *cryptoBackend) rescaleInPlace(x *CT) *CT {
+	level := x.ct.Level()
+	b.ctx.Eval.Rescale(x.ct)
+	return b.adopt(x, ckks.OpRescale, level)
+}
+
+// adopt records op at level and returns h, a handle whose ciphertext an
+// in-place op just rewrote, with its level brought up to date.
+func (b *cryptoBackend) adopt(h *CT, op ckks.Op, level int) *CT {
+	b.rec.record(op, level)
+	h.level = h.ct.Level()
+	return h
+}
+
 func (b *cryptoBackend) Rotate(x *CT, k int) *CT {
 	if k == 0 {
 		return x

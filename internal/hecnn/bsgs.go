@@ -50,9 +50,12 @@ type bsgsGroup struct {
 }
 
 // Relative per-op costs used by the BSGS plan search and the ladder
-// fallback comparison, in units of one full rotation (PERFORMANCE.md §1:
-// Rotate ≈ 70 ms; a hoisted rotation amortizes the shared decomposition to
-// roughly half; Rescale ≈ 14 ms).
+// fallback comparison, in units of one full rotation. They were fitted to
+// the pre-Montgomery kernels (Rotate ≈ 70 ms, Rescale ≈ 14 ms). At
+// PERFORMANCE.md §1's current figures — Rotate 24.0 ms, 15.5 ms per
+// rotation in a 4-rotation hoisted batch, Rescale 8.2 ms — the ratios are
+// ≈ 0.65 and ≈ 0.34. The constants stay: changing them changes the chosen
+// plans and with them the Galois key set.
 const (
 	babyRotCost = 0.5
 	rescaleCost = 0.2

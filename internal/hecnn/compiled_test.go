@@ -1,6 +1,7 @@
 package hecnn
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -158,7 +159,10 @@ func TestCompiledHandlePerProgram(t *testing.T) {
 // TestCompiledConcurrentRequests shares one warm CompiledNetwork across
 // concurrent per-request backends on one Context — the mlaas serving
 // shape — under -race: every response must be bit-identical (evaluation
-// is deterministic server-side) and no new encodes may happen.
+// is deterministic server-side) and no new encodes may happen. A second
+// round evaluates one shared input slice from every goroutine: an
+// evaluation writes only into values it owns, so -race sees no write to
+// the shared inputs and their digests stay unchanged.
 func TestCompiledConcurrentRequests(t *testing.T) {
 	params, net, ctx, img := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
@@ -197,6 +201,27 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 	}
 	if got := cn.EncodeCalls(); got != baseline {
 		t.Fatalf("concurrent steady-state traffic encoded: %d → %d", baseline, got)
+	}
+
+	shared, inDigests := inputs[0], digests(inputs[0])
+	errs = make(chan string, requests)
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := net.EvaluateEncrypted(cn.Backend(ctx, nil), shared)
+			if d := out.Ciphertext().Digest(); d != want[0] {
+				errs <- d + " != " + want[0]
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatalf("concurrent evaluation of one shared input diverged: %s", msg)
+	}
+	if got := digests(shared); !slices.Equal(got, inDigests) {
+		t.Fatal("concurrent evaluations rewrote the shared input ciphertexts")
 	}
 }
 

@@ -3,6 +3,7 @@ package hecnn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"fxhenn/internal/cnn"
@@ -22,8 +23,11 @@ const encoderTolerance = 1e-2
 // additionally pinned by output-ciphertext digests: compiled-cached must
 // be bit-identical to the uncached LoLa path (same seed, same operand
 // stream), and the BSGS path must be bit-identical run to run and cached
-// vs uncached. This is the single place all the paths meet; it runs in
-// tier-1.
+// vs uncached. Every program is also evaluated through passThrough, which
+// gets the unfused call stream a foreign Backend sees, and must match the
+// crypto backend's fused, in-place evaluation byte for byte and event for
+// event without either touching its inputs. This is the single place all
+// the paths meet; it runs in tier-1.
 func TestDifferentialEvaluationPaths(t *testing.T) {
 	profiles := []struct {
 		name string
@@ -142,6 +146,32 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 					}
 				}
 
+				// Path 6 — unfused: each program through passThrough.
+				net := func(n *Network) func(Backend, []*CT) []*CT {
+					return func(b Backend, in []*CT) []*CT { return []*CT{n.EvaluateEncrypted(b, in)} }
+				}
+				freshInput := func(n *Network) func() (*Context, []*CT) {
+					rots := n.RotationsNeeded(params.MaxLevel())
+					return func() (*Context, []*CT) {
+						ctx := NewContext(params, ctxSeed, rots)
+						return ctx, encryptInput(n, ctx, img)
+					}
+				}
+				checkFusedMatchesUnfused(t, "lola", freshInput(lola), net(lola))
+				checkFusedMatchesUnfused(t, "bsgs", freshInput(diag), net(diag))
+				checkFusedMatchesUnfused(t, "batched", func() (*Context, []*CT) {
+					ctx := NewContext(params, ctxSeed, nil)
+					packed, err := bnet.PackBatch([]*cnn.Tensor{img, img2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cts := make([]*CT, len(packed))
+					for i, v := range packed {
+						cts[i] = ctx.EncryptVector(v)
+					}
+					return ctx, cts
+				}, bnet.Evaluate)
+
 				// Batched-cached must match batched-uncached bit-for-bit
 				// (same context seed ⇒ same fresh ciphertexts).
 				ctx4b := NewContext(params, ctxSeed, nil)
@@ -162,6 +192,47 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 			})
 		}
 	}
+}
+
+// passThrough hides the crypto backend behind the Backend interface, so
+// the interpreter makes exactly the unfused calls the layer code made, as
+// it does for any Backend outside this package.
+type passThrough struct{ Backend }
+
+// digests returns each handle's ciphertext digest.
+func digests(cts []*CT) []string {
+	out := make([]string, len(cts))
+	for i, ct := range cts {
+		out[i] = ct.Ciphertext().Digest()
+	}
+	return out
+}
+
+// checkFusedMatchesUnfused evaluates twice from fresh, identically seeded
+// inputs — on the crypto backend, which fuses and writes into values the
+// evaluation owns, and through passThrough — and fails unless the outputs
+// are byte-identical, the recorded events identical, and no input
+// ciphertext changed.
+func checkFusedMatchesUnfused(t *testing.T, path string, fresh func() (*Context, []*CT), eval func(Backend, []*CT) []*CT) {
+	t.Helper()
+	var outs [2][]string
+	var recs [2]*Recorder
+	for i, wrap := range []func(Backend) Backend{
+		func(b Backend) Backend { return b },
+		func(b Backend) Backend { return passThrough{b} },
+	} {
+		ctx, in := fresh()
+		before := digests(in)
+		recs[i] = NewRecorder()
+		outs[i] = digests(eval(wrap(NewCryptoBackend(ctx, recs[i])), in))
+		if after := digests(in); !slices.Equal(after, before) {
+			t.Errorf("%s: evaluation %d rewrote an input ciphertext", path, i)
+		}
+	}
+	if !slices.Equal(outs[0], outs[1]) {
+		t.Errorf("%s: in-place output digests %v, unfused %v", path, outs[0], outs[1])
+	}
+	sameEvents(t, path+" unfused vs in-place", recs[1], recs[0])
 }
 
 // inferenceDigest runs one fully deterministic encrypted inference —

@@ -27,11 +27,18 @@ const (
 	opRotateMany
 )
 
-// Bits of instr.last: the instruction is the final reader of x / of
-// CCadd's second operand.
+// Bits of instr.flags. lastX and lastArg: the instruction is the final
+// reader of x / of CCadd's second operand. ownX and ownArg additionally
+// say the evaluation owns that dying value (see finish), so the crypto
+// backend may write the instruction's result into it. fuseNext marks a
+// PCmult whose product the next instruction, a CCadd with ownX, reads
+// last as its second operand: the pair runs as one multiply-accumulate.
 const (
 	lastX uint8 = 1 << iota
 	lastArg
+	ownX
+	ownArg
+	fuseNext
 )
 
 // instr is one lowered Backend call. It reads value x and defines the
@@ -41,7 +48,7 @@ const (
 // with no pointer: batched MNIST lowers to 215,750 of them.
 type instr struct {
 	op    opcode
-	last  uint8
+	flags uint8
 	layer uint16
 	x     int32
 	arg   int32
@@ -138,17 +145,50 @@ func (lw *lowering) endLayer(name string, outs []*CT) {
 	lw.p.layers = append(lw.p.layers, seg)
 }
 
-// finish marks each value's last use (never the outputs') and returns the
+// finish marks each value's last use (never the outputs') and which dying
+// values the evaluation owns, fuses PCmult→CCadd pairs, and returns the
 // program, its tables trimmed to length and the intern map dropped.
+//
+// A value is owned when an instruction of this evaluation defined it as a
+// ciphertext no other value shares: never an input, and never either side
+// of a rotation by zero — the crypto backend returns its operand itself —
+// or of a RotateMany amount that repeats, whose results may share one
+// ciphertext. Outputs never die, so they are never written into.
 func (lw *lowering) finish() *program {
 	p := lw.p
 	p.code, p.plains, p.consts = slices.Clone(p.code), slices.Clone(p.plains), slices.Clone(p.consts)
 	last := make([]int32, p.values)
+	shared := make([]bool, p.values)
+	for v := range p.inputs {
+		shared[v] = true
+	}
+	product := make([]int32, len(p.code)) // the value a PCmult defines
+	next := int32(p.inputs)
 	for pc, c := range p.code {
 		last[c.x] = int32(pc + 1)
-		if c.op == opCCadd {
+		switch c.op {
+		case opCCadd:
 			last[c.arg] = int32(pc + 1)
+		case opPCmult:
+			product[pc] = next
+		case opRotate:
+			if c.arg == 0 {
+				shared[c.x], shared[next] = true, true
+			}
+		case opRotateMany:
+			ks := p.rotSets[c.arg]
+			for i, k := range ks {
+				repeats := slices.Index(ks, k) != i || slices.Contains(ks[i+1:], k)
+				if k == 0 || repeats {
+					shared[next+int32(i)] = true
+				}
+				if k == 0 {
+					shared[c.x] = true
+				}
+			}
+			next += int32(len(ks)) - 1
 		}
+		next++
 	}
 	for _, v := range p.outputs() {
 		last[v] = 0
@@ -159,10 +199,23 @@ func (lw *lowering) finish() *program {
 		}
 		c := &p.code[pc-1]
 		if c.x == int32(v) {
-			c.last |= lastX
+			c.flags |= lastX
+			if !shared[v] {
+				c.flags |= ownX
+			}
 		}
 		if c.op == opCCadd && c.arg == int32(v) {
-			c.last |= lastArg
+			c.flags |= lastArg
+			if !shared[v] {
+				c.flags |= ownArg
+			}
+		}
+	}
+	for pc := range len(p.code) - 1 {
+		c, add := &p.code[pc], &p.code[pc+1]
+		if c.op == opPCmult && add.op == opCCadd && add.layer == c.layer &&
+			add.arg == product[pc] && add.x != add.arg && add.flags&(ownX|lastArg) == ownX|lastArg {
+			c.flags |= fuseNext
 		}
 	}
 	return &p
@@ -200,12 +253,23 @@ func (lw *lowering) RotateMany(x *CT, ks []int) []*CT {
 // value table holds an evaluation; a slot is cleared at its value's last
 // use, the outputs' never. A non-nil tracer gets each layer's stat: op
 // counts from the count fold, wall time from this run.
+//
+// On the package's own crypto backend, run also acts on the ownership
+// flags: a fused PCmult→CCadd pair becomes one multiply-accumulate into
+// the CCadd's dying first operand, and a CCadd or Rescale writes into an
+// owned operand that dies there. Events, operand requests and ciphertexts
+// are identical to the unfused calls, which every other Backend receives.
 func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 	if len(in) != p.inputs {
 		panic(fmt.Sprintf("hecnn: %s expects %d inputs, got %d", p.layers[0].name, p.inputs, len(in)))
 	}
 	if tr != nil {
 		tr.Stats = p.count(in[0].Level(), nil)
+	}
+	cb, inPlace := b.(*cryptoBackend)
+	own := uint8(0) // the ownership flags b may act on
+	if inPlace {
+		own = ownX | ownArg | fuseNext
 	}
 	vals := make([]*CT, p.values)
 	copy(vals, in)
@@ -219,35 +283,60 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 		for end := p.layers[li].end; pc < end; pc++ {
 			c := &p.code[pc]
 			x, n := vals[c.x], 1
-			switch c.op {
+			switch f := c.flags & own; c.op {
 			case opPCmult:
-				vals[next] = b.PCmult(x, p.plain(c.arg))
+				if f&fuseNext == 0 {
+					vals[next] = b.PCmult(x, p.plain(c.arg))
+					break
+				}
+				// The product (value next) is never materialized: the
+				// CCadd (value next+1) accumulates it into its x.
+				add := &p.code[pc+1]
+				vals[next+1] = cb.mulPlainAdd(vals[add.x], x, p.plain(c.arg))
+				add.release(vals)
+				pc, n = pc+1, 2
 			case opPCadd:
 				vals[next] = b.PCadd(x, p.plain(c.arg))
 			case opCCadd:
-				vals[next] = b.CCadd(x, vals[c.arg])
+				switch y := vals[c.arg]; {
+				case f&ownX != 0:
+					vals[next] = cb.addInto(x, x, y)
+				case f&ownArg != 0:
+					vals[next] = cb.addInto(y, x, y)
+				default:
+					vals[next] = b.CCadd(x, y)
+				}
 			case opSquare:
 				vals[next] = b.Square(x)
 			case opRescale:
-				vals[next] = b.Rescale(x)
+				if f&ownX != 0 {
+					vals[next] = cb.rescaleInPlace(x)
+				} else {
+					vals[next] = b.Rescale(x)
+				}
 			case opRotate:
 				vals[next] = b.Rotate(x, int(c.arg))
 			case opRotateMany:
 				n = copy(vals[next:], b.RotateMany(x, p.rotSets[c.arg]))
 			}
 			next += n
-			if c.last&lastX != 0 {
-				vals[c.x] = nil
-			}
-			if c.last&lastArg != 0 {
-				vals[c.arg] = nil
-			}
+			c.release(vals)
 		}
 		if tr != nil {
 			tr.layerDone(li, time.Since(start))
 		}
 	}
 	return vals
+}
+
+// release clears the slots of the values c is the last reader of.
+func (c *instr) release(vals []*CT) {
+	if c.flags&lastX != 0 {
+		vals[c.x] = nil
+	}
+	if c.flags&lastArg != 0 {
+		vals[c.arg] = nil
+	}
 }
 
 // fold propagates one state per value over p and returns every value's

@@ -1,6 +1,7 @@
 package hecnn
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -163,4 +164,82 @@ func TestLoweredOnce(t *testing.T) {
 			t.Fatalf("lowering counted %d Apply calls, want %d", calls, len(net.Layers))
 		}
 	}
+}
+
+// allocatedBytes returns the fewest bytes any of three calls of f
+// allocated.
+func allocatedBytes(f func()) uint64 {
+	var best uint64
+	for i := range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < best {
+			best = n
+		}
+	}
+	return best
+}
+
+// TestOwnedValuesEvaluateInPlace pins the mechanism behind the serve
+// path's allocation figure: on the crypto backend, a warm tiny BSGS
+// evaluation fuses each PCmult into the CCadd that consumes it and writes
+// CCadd and Rescale results into dying owned values, so it allocates at
+// most 60 % of the bytes the same evaluation allocates through
+// passThrough, which receives the unfused call stream.
+func TestOwnedValuesEvaluateInPlace(t *testing.T) {
+	params, net, ctx, img := compiledFixture(t, Options{BSGS: true})
+	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
+	cn.Warm(params.MaxLevel())
+	in := encryptInput(net, ctx, img)
+	fused := allocatedBytes(func() { net.EvaluateEncrypted(cn.Backend(ctx, nil), in) })
+	unfused := allocatedBytes(func() { net.EvaluateEncrypted(passThrough{cn.Backend(ctx, nil)}, in) })
+	if float64(fused) > 0.6*float64(unfused) {
+		t.Fatalf("in-place evaluation allocated %d KB, unfused %d KB (%.0f %%), want at most 60 %%",
+			fused>>10, unfused>>10, 100*float64(fused)/float64(unfused))
+	}
+	t.Logf("in-place %d KB, unfused %d KB", fused>>10, unfused>>10)
+}
+
+// hazardLayer emits the shapes whose dying operands the evaluation does
+// not own: inputs, both sides of a zero rotation, and RotateMany results
+// whose amount repeats (the hoisted path returns one ciphertext for both).
+// Writing into any of them changes an input or a value still live.
+type hazardLayer struct{}
+
+func (hazardLayer) Name() string    { return "hazard" }
+func (hazardLayer) Kind() LayerKind { return KS }
+func (hazardLayer) OutElems() int   { return 1 }
+
+func (hazardLayer) Apply(b Backend, in *State) *State {
+	s := b.CCadd(in.CTs[0], in.CTs[1]) // both inputs die here
+	t := b.Rescale(b.Rotate(s, 0))     // the alias dies here; s lives on
+	r := b.RotateMany(b.Rescale(s), []int{1, 1, 0})
+	w := b.CCadd(r[0], t) // r[0] dies here; r[1] lives on
+	out := b.CCadd(b.CCadd(w, r[1]), r[2])
+	return &State{CTs: []*CT{out}, Kind: Contiguous, N: 1}
+}
+
+// TestOwnershipExcludesSharedValues: on a program made of those hazards,
+// the in-place evaluation matches the unfused one byte for byte and
+// leaves its inputs untouched.
+func TestOwnershipExcludesSharedValues(t *testing.T) {
+	params := tinyParams()
+	p := lowerLayers([]Layer{hazardLayer{}}, 2)
+	fresh := func() (*Context, []*CT) {
+		ctx := NewContext(params, 71, []int{1})
+		in := make([]*CT, 2)
+		for i := range in {
+			v := make([]float64, params.Slots())
+			for j := range v {
+				v[j] = float64((i+j)%9)/9 - 0.4
+			}
+			in[i] = ctx.EncryptVector(v)
+		}
+		return ctx, in
+	}
+	checkFusedMatchesUnfused(t, "hazards", fresh, func(b Backend, in []*CT) []*CT {
+		return []*CT{p.run(b, in, nil)[p.outputs()[0]]}
+	})
 }

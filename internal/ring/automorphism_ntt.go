@@ -48,6 +48,22 @@ func (r *Ring) PermuteNTT(out, a *Poly, perm []int) {
 	})
 }
 
+// PermuteNTTAdd adds the automorphism permutation of the NTT-domain
+// polynomial a into out (distinct from a): out += σ(a), with the same
+// per-coefficient modular add as Add.
+func (r *Ring) PermuteNTTAdd(out, a *Poly, perm []int) {
+	if out == a {
+		panic("ring: PermuteNTTAdd requires out != a")
+	}
+	k := r.checkSameK(out, a)
+	r.do(k, minParallelCoeffs, func(i int) {
+		m, dst, src := r.Mods[i], out.Coeffs[i], a.Coeffs[i]
+		for j, p := range perm {
+			dst[j] = m.Add(src[p], dst[j])
+		}
+	})
+}
+
 // PermuteVec applies the permutation to a single residue row.
 func PermuteVec(dst, src []uint64, perm []int) {
 	for j, p := range perm {

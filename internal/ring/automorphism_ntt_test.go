@@ -29,6 +29,14 @@ func TestNTTAutomorphismMatchesCoefficientDomain(t *testing.T) {
 		if !r.Equal(got, want) {
 			t.Fatalf("g=%d: NTT-domain automorphism mismatch", g)
 		}
+
+		// The accumulating form equals the permutation plus Add.
+		acc := s.Uniform(2)
+		r.Add(want, got, acc)
+		r.PermuteNTTAdd(acc, an, r.NTTAutomorphismIndex(g))
+		if !r.Equal(acc, want) {
+			t.Fatalf("g=%d: PermuteNTTAdd differs from PermuteNTT then Add", g)
+		}
 	}
 }
 
