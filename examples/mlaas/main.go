@@ -36,7 +36,7 @@ func main() {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
-	rtk := kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()), false)
+	rtk := kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()))
 
 	server := mlaas.NewServerWithConfig(params, henet, rlk, rtk, mlaas.Config{
 		MaxConcurrent: 2,

@@ -103,23 +103,6 @@ func dropTo(ct *Ciphertext, level int) {
 	ct.DropLevel(ct.Level() - level)
 }
 
-// SubNew returns a - b.
-func (ev *Evaluator) SubNew(a, b *Ciphertext) *Ciphertext {
-	av, bv, level := alignLevels(a, b)
-	checkScales(av.Scale, bv.Scale)
-	if a.Degree() != b.Degree() {
-		panic("ckks: CCsub degree mismatch")
-	}
-	r := ev.params.Ring()
-	out := NewCiphertext(ev.params, len(a.Value), level)
-	out.Scale = av.Scale
-	for i := range out.Value {
-		r.Sub(out.Value[i], av.Value[i], bv.Value[i])
-	}
-	ev.record(OpCCadd, level)
-	return out
-}
-
 // AddPlainNew returns ct + pt (PCadd). The plaintext must be at ct's level
 // or higher and share its scale. pt is read-only (see the Plaintext reuse
 // contract): it may be shared by concurrent AddPlainNew/MulPlainNew calls.
@@ -261,11 +244,6 @@ func (ev *Evaluator) RotateNew(ct *Ciphertext, k int) *Ciphertext {
 	}
 	g := ev.params.GaloisElementForRotation(k)
 	return ev.automorphismNew(ct, g)
-}
-
-// ConjugateNew applies complex conjugation to the slots.
-func (ev *Evaluator) ConjugateNew(ct *Ciphertext) *Ciphertext {
-	return ev.automorphismNew(ct, ev.params.GaloisElementConjugate())
 }
 
 func (ev *Evaluator) automorphismNew(ct *Ciphertext, g uint64) *Ciphertext {

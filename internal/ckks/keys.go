@@ -121,18 +121,14 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 }
 
 // GenRotationKeys produces Galois keys for the given slot rotations
-// (positive = left rotation) and optionally conjugation.
-func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, rotations []int, conjugate bool) *RotationKeys {
+// (positive = left rotation).
+func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, rotations []int) *RotationKeys {
 	rk := &RotationKeys{Keys: map[uint64]*SwitchingKey{}}
 	for _, k := range rotations {
 		g := kg.params.GaloisElementForRotation(k)
 		if _, ok := rk.Keys[g]; ok {
 			continue
 		}
-		rk.Keys[g] = kg.genGaloisKey(sk, g)
-	}
-	if conjugate {
-		g := kg.params.GaloisElementConjugate()
 		rk.Keys[g] = kg.genGaloisKey(sk, g)
 	}
 	return rk

@@ -19,7 +19,7 @@ func TestMNISTParamsSmoke(t *testing.T) {
 	kg := NewKeyGenerator(params, 1)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rtk := kg.GenRotationKeys(sk, []int{1}, false)
+	rtk := kg.GenRotationKeys(sk, []int{1})
 	t.Logf("setup: %v", time.Since(start))
 
 	enc := NewEncoder(params)

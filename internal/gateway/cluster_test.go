@@ -6,10 +6,11 @@ package gateway
 // with identical encryption seeds fire identical request bytes down both
 // paths and the harness compares SHA-256 digests of the raw response
 // streams across every compile mode (ladder, BSGS, batched) and
-// the legacy untenanted framing. The caching dimension is crossed in by
-// construction: the reference server runs with the plaintext cache
-// disabled while every shard serves from warmed caches, so a single
-// digest match simultaneously proves cluster==single and cached==uncached.
+// the legacy untenanted framing. The caching and tracing dimensions are
+// crossed in by construction: the reference server runs untraced with
+// the plaintext cache disabled while every shard serves traced from
+// warmed caches, so a single digest match simultaneously proves
+// cluster==single, cached==uncached and traced==untraced.
 //
 // The chaos suite drives the failure paths deterministically: a killed
 // shard trips its dial breaker and the tenant re-routes to the next
@@ -40,9 +41,10 @@ import (
 	"fxhenn/internal/hecnn"
 	"fxhenn/internal/mlaas"
 	"fxhenn/internal/registry"
+	"fxhenn/internal/telemetry"
 )
 
-// baseCeremony is the shards' own single-tenant serving state (the
+// baseCeremony is the shards' default runtime material (the
 // legacy/untenanted path); every member of the fleet shares it so the
 // default path is differential-testable too.
 type baseCeremony struct {
@@ -69,7 +71,7 @@ func newBaseCeremony() *baseCeremony {
 		pk:     kg.GenPublicKey(sk),
 		sk:     sk,
 		rlk:    kg.GenRelinearizationKey(sk),
-		rtk:    kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()), false),
+		rtk:    kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel())),
 	}
 }
 
@@ -80,20 +82,23 @@ type clusterShard struct {
 }
 
 // cluster is the in-process fleet: a shared registry, n evaluator
-// shards, and a gateway listening on TCP.
+// shards sharing one metrics registry, and a gateway listening on TCP.
 type cluster struct {
 	reg    *registry.Registry
+	met    *telemetry.Registry
 	shards []*clusterShard
 	gw     *Gateway
 	gwl    net.Listener
 }
 
-func startShard(t *testing.T, name string, reg *registry.Registry, base *baseCeremony, cacheBytes int64) *clusterShard {
+// startShard starts one evaluator shard; met (nil for none) receives its
+// telemetry.
+func startShard(t *testing.T, name string, reg *registry.Registry, base *baseCeremony, cacheBytes int64, met *telemetry.Registry) *clusterShard {
 	t.Helper()
 	srv := mlaas.NewServerWithConfig(base.params, base.henet, base.rlk, base.rtk, mlaas.Config{
 		Registry:   reg,
-		Models:     mlaas.StandardCatalog(),
 		CacheBytes: cacheBytes,
+		Metrics:    met,
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -116,10 +121,10 @@ func newCluster(t *testing.T, nShards int, base *baseCeremony, recs ...registry.
 			t.Fatal(err)
 		}
 	}
-	c := &cluster{reg: reg}
+	c := &cluster{reg: reg, met: telemetry.NewRegistry()}
 	shards := make([]Shard, 0, nShards)
 	for i := 0; i < nShards; i++ {
-		sh := startShard(t, fmt.Sprintf("shard-%d", i), reg, base, 0)
+		sh := startShard(t, fmt.Sprintf("shard-%d", i), reg, base, 0, c.met)
 		c.shards = append(c.shards, sh)
 		addr := sh.l.Addr().String()
 		shards = append(shards, Shard{Name: sh.name, Addr: addr})
@@ -140,6 +145,15 @@ func newCluster(t *testing.T, nShards int, base *baseCeremony, recs ...registry.
 }
 
 func (c *cluster) addr() string { return c.gwl.Addr().String() }
+
+// servers returns the shards' servers, for the accounting check.
+func (c *cluster) servers() []*mlaas.Server {
+	out := make([]*mlaas.Server, len(c.shards))
+	for i, sh := range c.shards {
+		out[i] = sh.srv
+	}
+	return out
+}
 
 // recordConn hashes the raw bytes of one exchange: everything written
 // (the request) and everything read (the response).
@@ -238,7 +252,7 @@ func TestClusterDifferential(t *testing.T) {
 
 	// The reference path: one standalone server over the same registry,
 	// plaintext caches disabled.
-	ref := startShard(t, "reference", c.reg, base, -1)
+	ref := startShard(t, "reference", c.reg, base, -1, nil)
 	refAddr := ref.l.Addr().String()
 
 	for _, mode := range clusterModes {
@@ -296,6 +310,16 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// The fleet counted every exchange it served exactly once: two rounds
+	// per tenant mode, and the legacy rounds as the unrouted remainder.
+	routed := map[string]int{}
+	for _, rec := range recs {
+		routed[rec.Tenant] = 2
+	}
+	if err := mlaas.CheckAccounting(c.met.Snapshot(), routed, c.servers()...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -508,7 +532,7 @@ func TestClusterFaultnetDropMidResponse(t *testing.T) {
 	if err := reg.Register(rec); err != nil {
 		t.Fatal(err)
 	}
-	sh := startShard(t, "shard-0", reg, base, 0)
+	sh := startShard(t, "shard-0", reg, base, 0, nil)
 	shardAddr := sh.l.Addr().String()
 
 	// The gateway's upstream link drops after 64 response bytes.

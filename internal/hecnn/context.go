@@ -26,7 +26,7 @@ func NewContext(params ckks.Parameters, seed int64, rotations []int) *Context {
 	rlk := kg.GenRelinearizationKey(sk)
 	var rtk *ckks.RotationKeys
 	if len(rotations) > 0 {
-		rtk = kg.GenRotationKeys(sk, rotations, false)
+		rtk = kg.GenRotationKeys(sk, rotations)
 	}
 	return &Context{
 		Params:    params,

@@ -56,9 +56,6 @@ type BatchConfig struct {
 	// Window is how long the oldest member may wait for co-travellers
 	// before the batch flushes anyway. Default 20ms.
 	Window time.Duration
-	// CacheBytes bounds the batched broadcast-plaintext cache, as
-	// Config.CacheBytes does for the per-request path.
-	CacheBytes int64
 	// Breaker configures the circuit breaker on the coalesced evaluation
 	// path (the degradation ladder: while it refuses, members evaluate
 	// individually instead of coalescing; a half-open probe batch tests

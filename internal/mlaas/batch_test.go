@@ -47,7 +47,7 @@ func newBatchFixture(t testing.TB, cfg Config, size int, window time.Duration) *
 	bsk := kg.GenSecretKey()
 	bpk := kg.GenPublicKey(bsk)
 	brlk := kg.GenRelinearizationKey(bsk)
-	brtk := kg.GenRotationKeys(bsk, hecnn.BatchRotations(size), false)
+	brtk := kg.GenRotationKeys(bsk, hecnn.BatchRotations(size))
 
 	cfg.Batch = &BatchConfig{
 		Params: bparams,
@@ -531,9 +531,9 @@ func TestBatchedShutdownDrainsParkedMembers(t *testing.T) {
 	// Wait until the member is parked (pending non-empty), then drain.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		fx.server.bat.mu.Lock()
-		parked := len(fx.server.bat.pending) > 0
-		fx.server.bat.mu.Unlock()
+		fx.server.def.bat.mu.Lock()
+		parked := len(fx.server.def.bat.pending) > 0
+		fx.server.def.bat.mu.Unlock()
 		if parked {
 			break
 		}

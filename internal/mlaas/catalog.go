@@ -13,6 +13,11 @@ package mlaas
 // As everywhere else in the reproduction, the ceremony runs in-process:
 // the builder derives the secret key transiently to produce the public
 // evaluation keys, then drops it — the server role never stores it.
+// Ceremony order: every key comes from one stream seeded by KeySeed, drawn
+// as secret key, public key, relinearization key, rotation keys (and the
+// same on the batch ring's KeySeed+1 stream). The builder draws the
+// public key it does not need, so that a record's evaluation keys do not
+// depend on whether the ceremony deriving them also publishes it.
 
 import (
 	"fmt"
@@ -60,11 +65,12 @@ func buildStandardModel(rec registry.Record) (*TenantModel, error) {
 
 	kg := ckks.NewKeyGenerator(params, rec.KeySeed)
 	sk := kg.GenSecretKey()
+	kg.GenPublicKey(sk) // see ceremony order above
 	tm := &TenantModel{
 		Params: params,
 		Net:    henet,
 		Rlk:    kg.GenRelinearizationKey(sk),
-		Rtk:    kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()), false),
+		Rtk:    kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel())),
 	}
 
 	if rec.Batch.Size > 0 {
@@ -76,15 +82,15 @@ func buildStandardModel(rec registry.Record) (*TenantModel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mlaas: tenant %q batch compile: %w", rec.Tenant, err)
 		}
-		// The batch ring gets its own ceremony one seed over, mirroring the
-		// single-tenant server's *seed+1 convention.
+		// The batch ring gets its own ceremony one seed over.
 		bkg := ckks.NewKeyGenerator(bparams, rec.KeySeed+1)
 		bsk := bkg.GenSecretKey()
+		bkg.GenPublicKey(bsk)
 		tm.Batch = &BatchConfig{
 			Params: bparams,
 			Net:    bnet,
 			Rlk:    bkg.GenRelinearizationKey(bsk),
-			Rtk:    bkg.GenRotationKeys(bsk, hecnn.BatchRotations(rec.Batch.Size), false),
+			Rtk:    bkg.GenRotationKeys(bsk, hecnn.BatchRotations(rec.Batch.Size)),
 			Size:   rec.Batch.Size,
 			Window: rec.Batch.Window(),
 		}

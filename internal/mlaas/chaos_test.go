@@ -114,12 +114,37 @@ func logChaosRow(t *testing.T, schedule string, cl *Client, iters int) {
 		cl.EndpointBreakerState("s0"), cl.EndpointBreakerState("s1"))
 }
 
+// chaosFleet starts the two-replica fleet a schedule runs on. Both
+// replicas share one metrics registry, so the schedule can audit the
+// fleet's accounting when it ends.
+func chaosFleet(t *testing.T) (*fleetFixture, *telemetry.Registry) {
+	met := telemetry.NewRegistry()
+	return newFleet(t, Config{Metrics: met}, Config{Metrics: met}), met
+}
+
+// auditChaos drains the servers, then checks their accounting: every
+// exchange a fault schedule provoked — served, refused or failed — is
+// counted exactly once, and none was routed.
+func auditChaos(t *testing.T, met *telemetry.Registry, servers ...*Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, s := range servers {
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CheckAccounting(met.Snapshot(), nil, servers...); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosCorruptResponse: every byte stream from s0 corrupts inside the
 // response payload. The FrameCheck client turns silent damage into a
 // typed ErrFrameCorrupt and fails over to the clean replica — corruption
 // must cost a retry, never a wrong answer.
 func TestChaosCorruptResponse(t *testing.T) {
-	fl := newFleet(t, Config{}, Config{})
+	fl, met := chaosFleet(t)
 	cl := NewClient(fl.params, fl.henet, fl.pk, fl.sk, 200)
 	chaosFlight(t, cl)
 	cl.FrameCheck = true
@@ -128,6 +153,7 @@ func TestChaosCorruptResponse(t *testing.T) {
 		fl.endpoint(1),
 	}
 	iters := runChaos(t, fl, cl, eps, fastPolicy(), 210)
+	auditChaos(t, met, fl.servers...)
 	logChaosRow(t, "corrupt-response", cl, iters)
 }
 
@@ -135,7 +161,7 @@ func TestChaosCorruptResponse(t *testing.T) {
 // request upload — no response bytes ever arrive, so the failure is
 // cleanly retryable and the round fails over.
 func TestChaosResetMidRequest(t *testing.T) {
-	fl := newFleet(t, Config{}, Config{})
+	fl, met := chaosFleet(t)
 	cl := NewClient(fl.params, fl.henet, fl.pk, fl.sk, 220)
 	chaosFlight(t, cl)
 	eps := []Endpoint{
@@ -143,6 +169,7 @@ func TestChaosResetMidRequest(t *testing.T) {
 		fl.endpoint(1),
 	}
 	iters := runChaos(t, fl, cl, eps, fastPolicy(), 230)
+	auditChaos(t, met, fl.servers...)
 	logChaosRow(t, "reset-mid-request", cl, iters)
 }
 
@@ -151,7 +178,7 @@ func TestChaosResetMidRequest(t *testing.T) {
 // abandoned attempt must release its half-open probes instead of wedging
 // the breaker.
 func TestChaosSlowDrip(t *testing.T) {
-	fl := newFleet(t, Config{}, Config{})
+	fl, met := chaosFleet(t)
 	cl := NewClient(fl.params, fl.henet, fl.pk, fl.sk, 240)
 	chaosFlight(t, cl)
 	p := fastPolicy()
@@ -165,13 +192,14 @@ func TestChaosSlowDrip(t *testing.T) {
 	if cl.Hedges == 0 {
 		t.Fatal("slow-drip schedule completed without a single hedge")
 	}
+	auditChaos(t, met, fl.servers...)
 	logChaosRow(t, "slow-drip", cl, iters)
 }
 
 // TestChaosServerKill: s0 dies (listener closed) after one healthy
 // exchange; every later dial is refused and fails over inside the round.
 func TestChaosServerKill(t *testing.T) {
-	fl := newFleet(t, Config{}, Config{})
+	fl, met := chaosFleet(t)
 	cl := NewClient(fl.params, fl.henet, fl.pk, fl.sk, 260)
 	chaosFlight(t, cl)
 	eps := []Endpoint{fl.endpoint(0), fl.endpoint(1)}
@@ -184,6 +212,7 @@ func TestChaosServerKill(t *testing.T) {
 	fl.ls[0].Close()
 
 	iters := runChaos(t, fl, cl, eps, fastPolicy(), 270)
+	auditChaos(t, met, fl.servers...)
 	logChaosRow(t, "server-kill", cl, iters)
 }
 
@@ -191,7 +220,7 @@ func TestChaosServerKill(t *testing.T) {
 // (threshold 1), the fleet keeps answering via s1, and once s0 heals the
 // half-open probe finds it and the breaker closes — traffic returns.
 func TestChaosBreakerRecovery(t *testing.T) {
-	fl := newFleet(t, Config{}, Config{})
+	fl, met := chaosFleet(t)
 	cl := NewClient(fl.params, fl.henet, fl.pk, fl.sk, 280)
 	chaosFlight(t, cl)
 
@@ -220,6 +249,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	if st := cl.EndpointBreakerState("s0"); st != "closed" {
 		t.Fatalf("s0 breaker after recovery = %s, want closed", st)
 	}
+	auditChaos(t, met, fl.servers...)
 	logChaosRow(t, "breaker-recovery", cl, iters)
 }
 
@@ -228,9 +258,10 @@ func TestChaosBreakerRecovery(t *testing.T) {
 // every batched request — coalesced or degraded — must still decrypt
 // correct logits.
 func TestChaosBatchDegradation(t *testing.T) {
-	fx := newBatchFixture(t, Config{MaxConcurrent: 2}, 2, time.Hour)
-	fx.server.bat.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, Jitter: 0.01, Seed: 12})
-	bat := fx.server.bat
+	met := telemetry.NewRegistry()
+	fx := newBatchFixture(t, Config{MaxConcurrent: 2, Metrics: met}, 2, time.Hour)
+	fx.server.def.bat.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, Jitter: 0.01, Seed: 12})
+	bat := fx.server.def.bat
 	var coalescedCalls atomic.Int32
 	bat.evalHook = func(cts [][]*hecnn.CT) ([]*hecnn.CT, error) {
 		if len(cts) > 1 && coalescedCalls.Add(1)%2 == 1 {
@@ -291,6 +322,7 @@ func TestChaosBatchDegradation(t *testing.T) {
 	if coalescedCalls.Load() == 0 {
 		t.Fatal("fault injector never saw a coalesced evaluation")
 	}
+	auditChaos(t, met, fx.server)
 	t.Logf("chaos outcome | schedule=%-18s iters=%-3d ok=%-3d coalesced-calls=%d batch-breaker=%s",
 		"batch-degradation", 2*waves, 2*waves, coalescedCalls.Load(), bat.brk.State())
 }

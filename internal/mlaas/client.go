@@ -36,7 +36,7 @@ type Client struct {
 	// Tenant, when set, prefixes every request with the tenant routing
 	// frame: the gateway routes it to the tenant's home shard and a
 	// multi-tenant server resolves this tenant's keys, network, and
-	// quota. Leave empty when talking to single-tenant servers.
+	// quota. Leave empty to be served by the server's default runtime.
 	Tenant string
 	// TenantGeneration, when non-zero, pins the registry generation this
 	// client's key material derives from; a server whose registry has

@@ -233,10 +233,10 @@ func TestBatchDegradationEndToEnd(t *testing.T) {
 	// A short, jitter-free cooldown so the half-open probe arrives within
 	// test time. Replaced before any request: the scheduler has not touched
 	// the breaker yet.
-	fx.server.bat.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 20 * time.Millisecond, Jitter: 0.01, Seed: 11})
+	fx.server.def.bat.brk = NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 20 * time.Millisecond, Jitter: 0.01, Seed: 11})
 	var failCoalesced atomic.Bool
 	failCoalesced.Store(true)
-	bat := fx.server.bat
+	bat := fx.server.def.bat
 	bat.evalHook = func(cts [][]*hecnn.CT) ([]*hecnn.CT, error) {
 		if len(cts) > 1 && failCoalesced.Load() {
 			return nil, errInjected

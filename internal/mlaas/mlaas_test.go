@@ -37,7 +37,7 @@ func newFixture(t testing.TB) *fixture {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
-	rtk := kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()), false)
+	rtk := kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()))
 
 	return &fixture{
 		params: params,

@@ -27,7 +27,7 @@ func newWorkersFixture(t testing.TB, workers int) *fixture {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
-	rtk := kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()), false)
+	rtk := kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel()))
 
 	return &fixture{
 		params: params,

@@ -186,10 +186,10 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 	}()
 
 	phaseStart := time.Now()
-	// A routed request swaps the serving runtime from the single-tenant
-	// default to the tenant's own: parameters, keys, compiled network,
-	// quota and batch domain.
-	run, quota := s.defRT, false
+	// A routed request swaps the serving runtime from the default to the
+	// tenant's own: parameters, keys, compiled network, quota and batch
+	// domain.
+	run, quota := s.def, false
 	h, err := readHeader(rw, func(h *header) (bool, error) {
 		if !h.route.IsZero() {
 			var we *wireError
@@ -211,9 +211,9 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 		return nil, err
 	}
 
-	params, want, kind := run.params, run.net.Layers[0].(*hecnn.ConvPacked).NumPositions(), "packed"
+	params, want, kind := run.ctx.Params, run.net.Layers[0].(*hecnn.ConvPacked).NumPositions(), "packed"
 	if h.batch {
-		params, want, kind = run.bparams, run.bat.net.InputSize(), "position-major"
+		params, want, kind = run.bat.ctx.Params, run.bat.net.InputSize(), "position-major"
 	}
 	if int(h.count) != want {
 		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d %s ciphertexts, got %d", want, kind, h.count)}
@@ -280,8 +280,8 @@ func (s *Server) evaluate(run *tenantRuntime, rt *reqTrace, cts []*hecnn.CT) *he
 	var out *hecnn.CT
 	if rt != nil {
 		tr := &hecnn.Tracer{}
-		if s.met != nil {
-			tr.Sink = s.met.observeLayer
+		if run.layers != nil {
+			tr.Sink = run.layers.observe
 		}
 		out = run.net.EvaluateTraced(run.backend(), cts, tr)
 		rt.layers = tr.Stats

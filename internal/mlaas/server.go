@@ -42,7 +42,9 @@ type Config struct {
 	// set fits it, the measured set plus headroom when it doesn't — BSGS
 	// networks outgrow the fixed default and would thrash. A negative
 	// value disables the cache entirely and every request re-encodes its
-	// weight plaintexts, as before PR4.
+	// weight plaintexts. The batch path's broadcast-plaintext cache takes
+	// the same value, but has no uncached mode: 0 is the stock default
+	// and a negative value leaves it unbounded.
 	CacheBytes int64
 	// IOTimeout is the rolling per-read/per-write deadline on a
 	// connection. Default 30s.
@@ -80,12 +82,10 @@ type Config struct {
 	// requests carrying a routing frame (wire.go) resolve through it to
 	// a per-tenant runtime — parameters, keys, compiled network, quota,
 	// batch domain — materialized by Models and cached keyed by the
-	// record's generation. Unrouted requests keep using the server's own
-	// single-tenant network, so a multi-tenant server still serves legacy
-	// clients. Requires Models.
+	// record's generation.
 	Registry *registry.Registry
 	// Models materializes a registry record into serving material; see
-	// ModelBuilder. Required when Registry is set.
+	// ModelBuilder. Nil means StandardCatalog().
 	Models ModelBuilder
 
 	// Metrics, when non-nil, receives the server's telemetry: request
@@ -136,30 +136,20 @@ type Stats struct {
 	Dropped     int // in-flight requests cut off by a forced shutdown
 }
 
-// Server evaluates encrypted inferences. It holds the compiled network,
-// the model weights (inside the network), and the evaluation keys — but no
-// secret key.
+// Server evaluates encrypted inferences. It holds the compiled networks,
+// the model weights (inside the networks), and the evaluation keys — but
+// no secret key.
 type Server struct {
-	params ckks.Parameters
-	net    *hecnn.Network
-	ctx    *hecnn.Context
-	cfg    Config
-	adm    *admitter
-	shed   *shedder // nil unless Config.ShedEWMA > 0
-	pool   *parallel.Pool
-	// compiled is the warmed serve-path cache of encoded weight
-	// plaintexts; nil when Config.CacheBytes < 0, in which case every
-	// request re-encodes through a plain crypto backend.
-	compiled *hecnn.CompiledNetwork
-	// Batched serving (nil unless Config.Batch is set): the batch-ring
-	// evaluation context and the scheduler coalescing batched requests.
-	bparams ckks.Parameters
-	bat     *batcher
-	// Multi-tenant serving (nil unless Config.Registry is set): routed
-	// requests resolve through the registry to per-tenant runtimes. defRT
-	// is the single-tenant default runtime every unrouted request uses.
+	cfg  Config
+	adm  *admitter
+	shed *shedder // nil unless Config.ShedEWMA > 0
+	pool *parallel.Pool
+	// def serves every unrouted request: the model NewServerWithConfig
+	// was given, built by newRuntime like every tenant's runtime.
+	def *tenantRuntime
+	// tenants resolves routed requests to per-tenant runtimes; nil
+	// unless Config.Registry is set.
 	tenants *tenantSet
-	defRT   *tenantRuntime
 
 	// met is nil when Config.Metrics is nil; reqSeq tags every exchange
 	// with a monotonically increasing id that appears in failure messages
@@ -192,7 +182,9 @@ func NewServer(params ckks.Parameters, henet *hecnn.Network, rlk *ckks.Relineari
 	return NewServerWithConfig(params, henet, rlk, rtk, Config{})
 }
 
-// NewServerWithConfig builds a server with explicit limits.
+// NewServerWithConfig builds a server with explicit limits. The given
+// network and keys (plus Config.Batch) become the default runtime that
+// serves unrouted requests.
 func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeys, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// One pool for the whole server: every request's limb/digit/rotation
@@ -200,20 +192,12 @@ func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks
 	// Workers budget (see Config.Workers). Evaluation stays deterministic,
 	// so attaching the pool never changes a response byte.
 	pool := parallel.New(cfg.Workers)
-	params.AttachPool(pool)
 	pool.SetMetrics(cfg.Metrics)
 	s := &Server{
-		pool:   pool,
-		params: params,
-		net:    henet,
-		ctx: &hecnn.Context{
-			Params:  params,
-			Encoder: ckks.NewEncoder(params),
-			Eval:    ckks.NewEvaluator(params, rlk, rtk),
-		},
+		pool:      pool,
 		cfg:       cfg,
 		adm:       newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, cfg.Metrics),
-		met:       newServerMetrics(cfg.Metrics, henet),
+		met:       newServerMetrics(cfg.Metrics),
 		flight:    cfg.Flight,
 		slowLog:   cfg.SlowRequestLog,
 		listeners: make(map[net.Listener]struct{}),
@@ -223,50 +207,13 @@ func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks
 	if cfg.ShedEWMA > 0 {
 		s.shed = newShedder(cfg.ShedEWMA, cfg.MaxConcurrent)
 	}
-	if cfg.CacheBytes >= 0 {
-		// Pre-encode every weight/bias plaintext at the exact levels and
-		// scales the compiled plan consumes, so steady-state requests
-		// perform zero Encoder.Encode calls (responses are bit-identical
-		// either way — see hecnn.TestCompiledZeroEncodeSteadyState).
-		// Unset budgets auto-size from the compiled operand set: BSGS
-		// operand sets outgrow the fixed default and would thrash the LRU
-		// on every request (hecnn.AutoPlaintextCacheBytes).
-		budget := cfg.CacheBytes
-		if budget == 0 {
-			budget = hecnn.AutoPlaintextCacheBytes(henet, params, params.MaxLevel())
-		}
-		s.compiled = hecnn.NewCompiledNetwork(henet, params, s.ctx.Encoder, budget)
-		s.compiled.SetMetrics(cfg.Metrics)
-		s.compiled.Warm(params.MaxLevel())
-	}
-	if cfg.Batch != nil {
-		bc := cfg.Batch.withDefaults()
-		s.bparams = bc.Params
-		bctx := &hecnn.Context{
-			Params:  bc.Params,
-			Encoder: ckks.NewEncoder(bc.Params),
-			Eval:    ckks.NewEvaluator(bc.Params, bc.Rlk, bc.Rtk),
-		}
-		cb := hecnn.NewCompiledBatched(bc.Net, bc.Params, bctx.Encoder, bc.CacheBytes)
-		cb.SetMetrics(cfg.Metrics)
-		cb.Warm(bc.Params.MaxLevel())
-		s.bat = newBatcher(bc, bctx, cb, s.adm, s.met)
-		s.bat.flight = cfg.Flight
-		go s.bat.run()
-	}
-	s.defRT = &tenantRuntime{
-		params:   s.params,
-		net:      s.net,
-		ctx:      s.ctx,
-		compiled: s.compiled,
-		bparams:  s.bparams,
-		bat:      s.bat,
-	}
+	s.def = s.newRuntime("", 0, &TenantModel{Params: params, Net: henet, Rlk: rlk, Rtk: rtk, Batch: cfg.Batch}, 0)
 	if cfg.Registry != nil {
-		if cfg.Models == nil {
-			panic("mlaas: Config.Registry requires Config.Models")
+		models := cfg.Models
+		if models == nil {
+			models = StandardCatalog()
 		}
-		s.tenants = newTenantSet(cfg.Registry, cfg.Models, s)
+		s.tenants = newTenantSet(cfg.Registry, models, s)
 	}
 	return s
 }
@@ -385,14 +332,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closeDrained()
 	}
 	s.mu.Unlock()
-	if s.bat != nil {
-		// Flush parked batch members immediately: their handlers are
-		// in-flight requests the drain below waits for.
-		s.bat.drain()
-	}
-	if s.tenants != nil {
-		s.tenants.forEachBatcher(func(b *batcher) { b.drain() })
-	}
+	// Flush parked batch members immediately: their handlers are
+	// in-flight requests the drain below waits for.
+	s.forEachBatcher((*batcher).drain)
 
 	var err error
 	select {
@@ -413,15 +355,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		l.Close()
 	}
 	s.mu.Unlock()
-	if s.bat != nil {
-		// Stop the scheduler; any member still pending (forced shutdown)
-		// is failed with StatusShuttingDown rather than evaluated.
-		s.bat.stop()
-	}
-	if s.tenants != nil {
-		s.tenants.forEachBatcher(func(b *batcher) { b.stop() })
-	}
+	// Stop the schedulers; any member still pending (forced shutdown) is
+	// failed with StatusShuttingDown rather than evaluated.
+	s.forEachBatcher((*batcher).stop)
 	return err
+}
+
+// forEachBatcher visits the batch scheduler of every resident runtime —
+// the default one and each tenant's — for Shutdown's drain and stop.
+func (s *Server) forEachBatcher(f func(*batcher)) {
+	rts := []*tenantRuntime{s.def}
+	if s.tenants != nil {
+		rts = s.tenants.appendResident(rts)
+	}
+	for _, rt := range rts {
+		if rt.bat != nil {
+			f(rt.bat)
+		}
+	}
 }
 
 func (s *Server) closeDrained() {

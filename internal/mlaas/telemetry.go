@@ -8,6 +8,7 @@ package mlaas
 // request path is bit-for-bit the untraced one.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -128,11 +129,43 @@ func (p phase) String() string {
 	return [...]string{"queue", "decode", "validate", "evaluate", "encode"}[p]
 }
 
-// layerMetrics is the pre-resolved per-layer sink.
-type layerMetrics struct {
+// layerMetrics is one runtime's pre-resolved per-layer sink, keyed by
+// layer name and labelled with the runtime's own network name.
+type layerMetrics map[string]layerHandles
+
+type layerHandles struct {
 	seconds *telemetry.Histogram
 	hops    *telemetry.Counter
 	ks      *telemetry.Counter
+}
+
+// newLayerMetrics resolves henet's per-layer handles on reg; nil when
+// reg is nil.
+func newLayerMetrics(reg *telemetry.Registry, henet *hecnn.Network) layerMetrics {
+	if reg == nil {
+		return nil
+	}
+	lm := layerMetrics{}
+	for _, l := range henet.Layers {
+		net, layer := telemetry.L("net", henet.Name), telemetry.L("layer", l.Name())
+		lm[l.Name()] = layerHandles{
+			seconds: reg.Histogram(MetricLayerSeconds, "per-layer evaluate wall time", nil, net, layer),
+			hops:    reg.Counter(MetricLayerHOPs, "per-layer HE operations executed", net, layer),
+			ks:      reg.Counter(MetricLayerKS, "per-layer KeySwitch operations executed", net, layer),
+		}
+	}
+	return lm
+}
+
+// observe is the hecnn.Tracer sink: one call per completed layer.
+func (lm layerMetrics) observe(st hecnn.LayerStat) {
+	h, ok := lm[st.Layer]
+	if !ok {
+		return
+	}
+	h.seconds.Observe(st.Wall.Seconds())
+	h.hops.Add(int64(st.HOPs))
+	h.ks.Add(int64(st.KeySwitches))
 }
 
 // serverMetrics holds every handle the request path needs, resolved once.
@@ -142,7 +175,6 @@ type serverMetrics struct {
 	request  *telemetry.Histogram
 	inflight *telemetry.Gauge
 	slow     *telemetry.Counter
-	layers   map[string]layerMetrics
 
 	batchOccupancy *telemetry.Histogram
 	batchFlushes   [numFlushReasons]*telemetry.Counter
@@ -160,11 +192,11 @@ type serverMetrics struct {
 	tenants  map[string]*[6]*telemetry.Counter
 }
 
-func newServerMetrics(reg *telemetry.Registry, henet *hecnn.Network) *serverMetrics {
+func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	if reg == nil {
 		return nil
 	}
-	m := &serverMetrics{layers: map[string]layerMetrics{}, reg: reg, tenants: map[string]*[6]*telemetry.Counter{}}
+	m := &serverMetrics{reg: reg, tenants: map[string]*[6]*telemetry.Counter{}}
 	for st := StatusOK; st <= StatusUnknownTenant; st++ {
 		m.requests[st] = reg.Counter(MetricRequestsTotal,
 			"completed exchanges by typed wire status", telemetry.L("status", st.String()))
@@ -190,16 +222,6 @@ func newServerMetrics(reg *telemetry.Registry, henet *hecnn.Network) *serverMetr
 		"requests refused at admission because their deadline was projected unreachable")
 	m.evalEWMA = reg.Gauge(MetricEvalEWMA,
 		"EWMA of evaluation latency feeding the overload shedder")
-	for _, l := range henet.Layers {
-		m.layers[l.Name()] = layerMetrics{
-			seconds: reg.Histogram(MetricLayerSeconds, "per-layer evaluate wall time", nil,
-				telemetry.L("net", henet.Name), telemetry.L("layer", l.Name())),
-			hops: reg.Counter(MetricLayerHOPs, "per-layer HE operations executed",
-				telemetry.L("net", henet.Name), telemetry.L("layer", l.Name())),
-			ks: reg.Counter(MetricLayerKS, "per-layer KeySwitch operations executed",
-				telemetry.L("net", henet.Name), telemetry.L("layer", l.Name())),
-		}
-	}
 	return m
 }
 
@@ -277,18 +299,59 @@ func (m *serverMetrics) setBatchBreaker(st breakerState) {
 	m.batchBreaker.Set(float64(st))
 }
 
-// observeLayer is the hecnn.Tracer sink: one call per completed layer.
-func (m *serverMetrics) observeLayer(st hecnn.LayerStat) {
-	if m == nil {
-		return
+// CheckAccounting checks the request accounting of a fleet of servers
+// sharing one metrics registry against snap, a snapshot taken while none
+// of them has a request in flight. routed holds the exchanges each
+// tenant was sent; everything else is unrouted. Each broken invariant is
+// reported by name:
+//
+//   - outcomes: MetricRequestsTotal summed over statuses equals the Stats
+//     outcomes (Served + BadRequests + Rejected + Panics);
+//   - served: MetricRequestsTotal{status="ok"} equals Served;
+//   - tenant: each tenant's MetricTenantRequests sum equals its routed
+//     exchanges, and the routed sums plus the unrouted remainder equal
+//     the global count (the remainder is never negative).
+func CheckAccounting(snap telemetry.Snapshot, routed map[string]int, fleet ...*Server) error {
+	var outcomes, served, global, ok, nRouted int64
+	for _, s := range fleet {
+		st := s.Stats()
+		outcomes += int64(st.Served + st.BadRequests + st.Rejected + st.Panics)
+		served += int64(st.Served)
 	}
-	lm, ok := m.layers[st.Layer]
-	if !ok {
-		return
+	if f := snap.Family(MetricRequestsTotal); f != nil {
+		for _, m := range f.Metrics {
+			global += int64(m.Value)
+			if m.Get("status") == StatusOK.String() {
+				ok += int64(m.Value)
+			}
+		}
 	}
-	lm.seconds.Observe(st.Wall.Seconds())
-	lm.hops.Add(int64(st.HOPs))
-	lm.ks.Add(int64(st.KeySwitches))
+	perTenant := map[string]int64{}
+	for name := range routed {
+		perTenant[name] = 0
+	}
+	if f := snap.Family(MetricTenantRequests); f != nil {
+		for _, m := range f.Metrics {
+			perTenant[m.Get("tenant")] += int64(m.Value)
+			nRouted += int64(m.Value)
+		}
+	}
+	var errs []error
+	if global != outcomes {
+		errs = append(errs, fmt.Errorf("accounting outcomes: %s sums to %d over statuses, Stats outcomes to %d", MetricRequestsTotal, global, outcomes))
+	}
+	if ok != served {
+		errs = append(errs, fmt.Errorf("accounting served: %s{status=ok} = %d, Stats.Served = %d", MetricRequestsTotal, ok, served))
+	}
+	for name, n := range perTenant {
+		if n != int64(routed[name]) {
+			errs = append(errs, fmt.Errorf("accounting tenant %q: %s sums to %d, want the %d exchanges routed to it", name, MetricTenantRequests, n, routed[name]))
+		}
+	}
+	if nRouted > global {
+		errs = append(errs, fmt.Errorf("accounting tenant: %d routed exchanges exceed the global count %d", nRouted, global))
+	}
+	return errors.Join(errs...)
 }
 
 // reqTrace carries one request's phase timings and layer breakdown from

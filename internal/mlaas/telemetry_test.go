@@ -92,6 +92,9 @@ func TestTelemetryFullInference(t *testing.T) {
 	if got := counterValue(t, snap, MetricRequestsTotal, telemetry.L("status", StatusOK.String())); got != 1 {
 		t.Fatalf("requests_total{status=ok} = %d, want 1", got)
 	}
+	if err := CheckAccounting(snap, nil, fx.server); err != nil {
+		t.Fatal(err)
+	}
 	req := snap.Family(MetricRequestSeconds).Metric()
 	if req == nil || req.Count != 1 {
 		t.Fatalf("request histogram count = %+v, want 1 observation", req)
@@ -268,6 +271,9 @@ func TestStatsSnapshotConsistentUnderLoad(t *testing.T) {
 	bad := counterValue(t, snap, MetricRequestsTotal, telemetry.L("status", StatusBadRequest.String()))
 	if ok != int64(goodReqs) || bad != int64(badReqs) {
 		t.Fatalf("telemetry counters ok=%d bad=%d, want %d/%d", ok, bad, goodReqs, badReqs)
+	}
+	if err := CheckAccounting(snap, nil, fx.server); err != nil {
+		t.Fatal(err)
 	}
 	if g := snap.Family(MetricInflight).Metric(); g.Value != 0 {
 		t.Fatalf("inflight = %v after all requests done", g.Value)

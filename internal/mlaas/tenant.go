@@ -11,7 +11,9 @@ package mlaas
 // runtime finish on it. The expensive pieces (key derivation, network
 // compilation, cache warm) run once per (tenant, generation) under
 // singleflight; the tenantSet is the only cache of them, so each new
-// generation builds its own hecnn.CompiledNetwork handle.
+// generation builds its own hecnn.CompiledNetwork handle. Unrouted
+// requests run on the server's default runtime, which newRuntime builds
+// the same way.
 
 import (
 	"fmt"
@@ -43,22 +45,78 @@ type TenantModel struct {
 // cached until the record's generation moves.
 type ModelBuilder func(rec registry.Record) (*TenantModel, error)
 
-// tenantRuntime is one tenant's resident serving state — or the
-// server's own single-tenant default when tenant is "".
+// tenantRuntime is one model's resident serving state: a registry
+// tenant's, or the server's default when tenant is "" (Record.Validate
+// refuses an empty tenant name, so the two never collide). newRuntime is
+// its only constructor.
 type tenantRuntime struct {
 	tenant   string
 	gen      uint64
-	params   ckks.Parameters
 	net      *hecnn.Network
 	ctx      *hecnn.Context
 	compiled *hecnn.CompiledNetwork // nil disables the plaintext cache
-	bparams  ckks.Parameters
-	bat      *batcher // nil disables batched serving for this runtime
+	bat      *batcher               // nil disables batched serving for this runtime
+	layers   layerMetrics           // nil when the server has no metrics
 
 	// quota is the tenant's admission quota (registry Record.Quota): a
 	// counting semaphore acquired after the server-wide admission slot.
 	// nil leaves the tenant bounded only by the server-wide limit.
 	quota chan struct{}
+}
+
+// newRuntime builds one resident runtime from its serving material —
+// for the server's default model and every registry tenant alike: attach
+// the shared worker pool, build the evaluator context and the per-layer
+// metric handles, size, build and warm the plaintext cache, and start the
+// batch domain when the model has one. quota > 0 caps the runtime's
+// concurrent requests.
+func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota int) *tenantRuntime {
+	tm.Params.AttachPool(s.pool)
+	rt := &tenantRuntime{
+		tenant: tenant,
+		gen:    gen,
+		net:    tm.Net,
+		ctx: &hecnn.Context{
+			Params:  tm.Params,
+			Encoder: ckks.NewEncoder(tm.Params),
+			Eval:    ckks.NewEvaluator(tm.Params, tm.Rlk, tm.Rtk),
+		},
+		layers: newLayerMetrics(s.cfg.Metrics, tm.Net),
+	}
+	if quota > 0 {
+		rt.quota = make(chan struct{}, quota)
+	}
+	if budget := s.cfg.CacheBytes; budget >= 0 {
+		// Pre-encode every weight/bias plaintext at the exact levels and
+		// scales the compiled plan consumes, so steady-state requests
+		// perform zero Encoder.Encode calls (responses are bit-identical
+		// either way — see hecnn.TestCompiledZeroEncodeSteadyState). An
+		// unset budget auto-sizes from the compiled operand set, so a
+		// model whose warm set exceeds the flat default (BSGS at MNIST
+		// scale) never silently thrashes its cache.
+		if budget == 0 {
+			budget = hecnn.AutoPlaintextCacheBytes(tm.Net, tm.Params, tm.Params.MaxLevel())
+		}
+		rt.compiled = hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, budget)
+		rt.compiled.SetMetrics(s.cfg.Metrics)
+		rt.compiled.Warm(tm.Params.MaxLevel())
+	}
+	if tm.Batch != nil {
+		bc := tm.Batch.withDefaults()
+		bc.Params.AttachPool(s.pool)
+		bctx := &hecnn.Context{
+			Params:  bc.Params,
+			Encoder: ckks.NewEncoder(bc.Params),
+			Eval:    ckks.NewEvaluator(bc.Params, bc.Rlk, bc.Rtk),
+		}
+		cb := hecnn.NewCompiledBatched(bc.Net, bc.Params, bctx.Encoder, s.cfg.CacheBytes)
+		cb.SetMetrics(s.cfg.Metrics)
+		cb.Warm(bc.Params.MaxLevel())
+		rt.bat = newBatcher(bc, bctx, cb, s.adm, s.met)
+		rt.bat.flight = s.cfg.Flight
+		go rt.bat.run()
+	}
+	return rt
 }
 
 // backend returns the evaluation backend for one request on this
@@ -105,9 +163,8 @@ type tenantEntry struct {
 type tenantSet struct {
 	reg   *registry.Registry
 	build ModelBuilder
-	// srv supplies the shared pieces a runtime plugs into: the worker
-	// pool, metrics, the admitter (per-tenant batchers share the
-	// server-wide evaluation slots), and the cache-sizing default.
+	// srv builds the runtimes (newRuntime), plugging each into the
+	// server's shared pieces.
 	srv *Server
 
 	mu      sync.Mutex
@@ -166,57 +223,14 @@ func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 	return e.rt, nil
 }
 
-// materialize builds one runtime from its record: derive the model and
-// keys, attach the shared worker pool, build and warm the plaintext
-// cache, and start the private batch domain when the record carries one.
+// materialize builds one runtime from its record: the catalog derives
+// the model and keys, newRuntime does the rest.
 func (ts *tenantSet) materialize(rec registry.Record) (*tenantRuntime, error) {
 	tm, err := ts.build(rec)
 	if err != nil {
 		return nil, fmt.Errorf("materializing tenant %q generation %d: %w", rec.Tenant, rec.Generation, err)
 	}
-	tm.Params.AttachPool(ts.srv.pool)
-	rt := &tenantRuntime{
-		tenant: rec.Tenant,
-		gen:    rec.Generation,
-		params: tm.Params,
-		net:    tm.Net,
-		ctx: &hecnn.Context{
-			Params:  tm.Params,
-			Encoder: ckks.NewEncoder(tm.Params),
-			Eval:    ckks.NewEvaluator(tm.Params, tm.Rlk, tm.Rtk),
-		},
-	}
-	if q := rec.Quota.MaxConcurrent; q > 0 {
-		rt.quota = make(chan struct{}, q)
-	}
-	if budget := ts.srv.cfg.CacheBytes; budget >= 0 {
-		if budget == 0 {
-			// Auto-size from the compiled operand set, so a tenant whose
-			// model's warm set exceeds the flat default (BSGS at MNIST
-			// scale) never silently thrashes its cache.
-			budget = hecnn.AutoPlaintextCacheBytes(tm.Net, tm.Params, tm.Params.MaxLevel())
-		}
-		rt.compiled = hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, budget)
-		rt.compiled.SetMetrics(ts.srv.cfg.Metrics)
-		rt.compiled.Warm(tm.Params.MaxLevel())
-	}
-	if tm.Batch != nil {
-		bc := tm.Batch.withDefaults()
-		rt.bparams = bc.Params
-		bc.Params.AttachPool(ts.srv.pool)
-		bctx := &hecnn.Context{
-			Params:  bc.Params,
-			Encoder: ckks.NewEncoder(bc.Params),
-			Eval:    ckks.NewEvaluator(bc.Params, bc.Rlk, bc.Rtk),
-		}
-		cbat := hecnn.NewCompiledBatched(bc.Net, bc.Params, bctx.Encoder, bc.CacheBytes)
-		cbat.SetMetrics(ts.srv.cfg.Metrics)
-		cbat.Warm(bc.Params.MaxLevel())
-		rt.bat = newBatcher(bc, bctx, cbat, ts.srv.adm, ts.srv.met)
-		rt.bat.flight = ts.srv.cfg.Flight
-		go rt.bat.run()
-	}
-	return rt, nil
+	return ts.srv.newRuntime(rec.Tenant, rec.Generation, tm, rec.Quota.MaxConcurrent), nil
 }
 
 // notify is the registry subscription: gen is the generation after the
@@ -246,18 +260,14 @@ func (ts *tenantSet) retire(e *tenantEntry) {
 	e.rt.bat.stop()
 }
 
-// forEachBatcher visits every resident runtime's private batcher — the
-// server's drain/stop fan-out.
-func (ts *tenantSet) forEachBatcher(f func(*batcher)) {
+// appendResident appends every resident runtime to rts.
+func (ts *tenantSet) appendResident(rts []*tenantRuntime) []*tenantRuntime {
 	ts.mu.Lock()
-	bats := make([]*batcher, 0, len(ts.entries))
+	defer ts.mu.Unlock()
 	for _, e := range ts.entries {
-		if e.rt != nil && e.rt.bat != nil {
-			bats = append(bats, e.rt.bat)
+		if e.rt != nil {
+			rts = append(rts, e.rt)
 		}
 	}
-	ts.mu.Unlock()
-	for _, b := range bats {
-		f(b)
-	}
+	return rts
 }

@@ -14,11 +14,18 @@ import (
 
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/registry"
+	"fxhenn/internal/telemetry"
 )
 
 // newTenantFixture builds a multi-tenant server over an in-memory
 // registry with the standard catalog, plus a dialable listener.
 func newTenantFixture(t *testing.T, recs ...registry.Record) (*Server, *registry.Registry, string) {
+	return newTenantFixtureWith(t, Config{}, recs...)
+}
+
+// newTenantFixtureWith is newTenantFixture with cfg's limits and
+// telemetry; the registry (and the default catalog) are filled in here.
+func newTenantFixtureWith(t *testing.T, cfg Config, recs ...registry.Record) (*Server, *registry.Registry, string) {
 	t.Helper()
 	fx := newFixture(t)
 	reg := registry.New(registry.NewMemStore())
@@ -27,10 +34,8 @@ func newTenantFixture(t *testing.T, recs ...registry.Record) (*Server, *registry
 			t.Fatal(err)
 		}
 	}
-	s := NewServerWithConfig(fx.params, fx.henet, fx.rlk, fx.rtk, Config{
-		Registry: reg,
-		Models:   StandardCatalog(),
-	})
+	cfg.Registry = reg
+	s := NewServerWithConfig(fx.params, fx.henet, fx.rlk, fx.rtk, cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +106,58 @@ func TestTenantRoutedInference(t *testing.T) {
 	}
 	if s.Served() != 2 {
 		t.Fatalf("served = %d, want 2", s.Served())
+	}
+}
+
+// TestTenantLayerMetricsUseTenantNet: a routed request's per-layer
+// metrics land under its tenant's own network label, and the default
+// network's series stay at zero — every runtime owns its layer handles.
+// The two tiny networks share layer names (Cnv1, Act1, …), so a lookup
+// keyed by layer name alone would misfile them.
+func TestTenantLayerMetricsUseTenantNet(t *testing.T) {
+	bob := registry.Record{Tenant: "bob", Model: "tinyconv", WeightSeed: 200, KeySeed: 201}
+	met := telemetry.NewRegistry()
+	s, reg, addr := newTenantFixtureWith(t, Config{Metrics: met}, bob)
+	rec, err := reg.Lookup("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := StandardTenantClient(rec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pnet, err := StandardPlaintext(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dialT(t, addr)
+	_, err = client.Infer(context.Background(), conn, tenantImage(pnet, 3))
+	conn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	snap := met.Snapshot()
+	if err := CheckAccounting(snap, map[string]int{"bob": 1}, s); err != nil {
+		t.Fatal(err)
+	}
+	layerCount := func(net, layer string) int64 {
+		m := snap.Family(MetricLayerSeconds).Metric(telemetry.L("net", net), telemetry.L("layer", layer))
+		if m == nil {
+			return -1
+		}
+		return m.Count
+	}
+	for _, l := range pnet.Layers {
+		if got := layerCount(pnet.Name, l.Name()); got != 1 {
+			t.Errorf("%s{net=%q,layer=%q} count = %d, want 1", MetricLayerSeconds, pnet.Name, l.Name(), got)
+		}
+	}
+	def := s.def.net
+	for _, l := range def.Layers {
+		if got := layerCount(def.Name, l.Name()); got != 0 {
+			t.Errorf("%s{net=%q,layer=%q} count = %d after zero unrouted requests, want 0", MetricLayerSeconds, def.Name, l.Name(), got)
+		}
 	}
 }
 

@@ -85,8 +85,8 @@ type RouteHeader struct {
 	Generation uint64
 }
 
-// IsZero reports whether the header routes nowhere (the single-tenant
-// default path).
+// IsZero reports whether the header routes nowhere (the server's
+// default runtime).
 func (h RouteHeader) IsZero() bool { return h.Tenant == "" }
 
 // header is everything a request carries ahead of its ciphertexts.
