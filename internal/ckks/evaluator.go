@@ -288,10 +288,12 @@ func (ev *Evaluator) automorphismNew(ct *Ciphertext, g uint64) *Ciphertext {
 func (ev *Evaluator) keySwitchCore(c *ring.Poly, swk *SwitchingKey) (u0, u1 *ring.Poly) {
 	r := ev.params.Ring()
 	k := c.K()
+	swk.check(k)
 	n := r.N
 	sp := ev.spIdx
 	spMod := r.Mods[sp]
 	spTab := r.Tables[sp]
+	kp := swk.B[0].K() - 1 // the key's special-prime row is its last
 
 	cc := c.Copy()
 	r.INTT(cc)
@@ -324,8 +326,8 @@ func (ev *Evaluator) keySwitchCore(c *ring.Poly, swk *SwitchingKey) (u0, u1 *rin
 				spMod.ReduceVec(digit, cc.Coeffs[i])
 				spTab.Forward(digit)
 				terms = lazyMACGuard(spMod, u0p, u1p, terms, maxLazy)
-				spMod.MulMontAddLazyVec(u0p, digit, swk.B[i].Coeffs[sp])
-				spMod.MulMontAddLazyVec(u1p, digit, swk.A[i].Coeffs[sp])
+				spMod.MulMontAddLazyVec(u0p, digit, swk.B[i].Coeffs[kp])
+				spMod.MulMontAddLazyVec(u1p, digit, swk.A[i].Coeffs[kp])
 			}
 			spMod.ReduceVec(u0p, u0p)
 			spMod.ReduceVec(u1p, u1p)

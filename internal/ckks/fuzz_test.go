@@ -3,6 +3,8 @@ package ckks
 import (
 	"bytes"
 	"testing"
+
+	"fxhenn/internal/ring"
 )
 
 // FuzzReadCiphertext hardens the wire format: arbitrary byte streams must
@@ -58,19 +60,37 @@ func FuzzReadSwitchingKey(f *testing.F) {
 	if _, err := rlk.SwitchingKey.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if _, err := rlk.AtLevel(1).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Add(valid)
 	f.Add(valid[:20])
 	f.Add([]byte{0xC4, 0xFF, 0})
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		swk, err := ReadSwitchingKey(bytes.NewReader(data), params)
 		if err != nil {
 			return
 		}
-		if len(swk.B) != len(swk.A) || len(swk.B) < 1 || len(swk.B) > params.L {
+		if len(swk.B) != len(swk.A) || swk.Level() < 1 || swk.Level() > params.L {
 			t.Fatal("parsed key with bad digit structure")
+		}
+		// Every digit's polys hold the digits' q-rows plus the special row.
+		for i := range swk.B {
+			for _, p := range []*ring.Poly{swk.B[i], swk.A[i]} {
+				if p.K() != swk.Level()+1 {
+					t.Fatalf("digit %d: %d rows for a level-%d key", i, p.K(), swk.Level())
+				}
+				for _, row := range p.Coeffs {
+					if len(row) != params.N() {
+						t.Fatalf("digit %d: row of %d coefficients, want %d", i, len(row), params.N())
+					}
+				}
+			}
 		}
 	})
 }

@@ -91,11 +91,12 @@ func (ev *Evaluator) rotateWithDecomposition(ct *Ciphertext, hd *HoistedDecompos
 	if !ok {
 		panic(fmt.Sprintf("ckks: missing Galois key for rotation %d", k))
 	}
-	r := ev.params.Ring()
 	level := hd.level
+	swk.check(level)
+	r := ev.params.Ring()
 	n := r.N
-	sp := ev.spIdx
-	spMod := r.Mods[sp]
+	spMod := r.Mods[ev.spIdx]
+	kp := swk.B[0].K() - 1 // the key's special-prime row is its last
 	perm := r.NTTAutomorphismIndex(g)
 
 	u0 := r.NewPoly(level)
@@ -118,8 +119,8 @@ func (ev *Evaluator) rotateWithDecomposition(ct *Ciphertext, hd *HoistedDecompos
 			for i := 0; i < level; i++ {
 				ring.PermuteVec(tmp, hd.digitsP[i], perm)
 				terms = lazyMACGuard(spMod, u0p, u1p, terms, maxLazy)
-				spMod.MulMontAddLazyVec(u0p, tmp, swk.B[i].Coeffs[sp])
-				spMod.MulMontAddLazyVec(u1p, tmp, swk.A[i].Coeffs[sp])
+				spMod.MulMontAddLazyVec(u0p, tmp, swk.B[i].Coeffs[kp])
+				spMod.MulMontAddLazyVec(u1p, tmp, swk.A[i].Coeffs[kp])
 			}
 			spMod.ReduceVec(u0p, u0p)
 			spMod.ReduceVec(u1p, u1p)

@@ -22,9 +22,51 @@ type PublicKey struct {
 // to the canonical secret s. It holds one (B_i, A_i) RLWE pair per RNS digit
 // (the paper's KeySwitch keys, which it notes are "read-only and in large
 // data volume" and therefore stored off-chip). All polys are NTT-domain over
-// the full basis including the special prime.
+// the digits' q-primes plus the special prime, which is always the last
+// row: a generated key has L digits over the full basis, a level view
+// (AtLevel) l digits over q_0..q_{l-1} and p.
 type SwitchingKey struct {
 	B, A []*ring.Poly
+}
+
+// Level returns the number of digits swk holds: it switches operands at
+// levels up to Level().
+func (swk *SwitchingKey) Level() int { return len(swk.B) }
+
+// AtLevel returns a view of swk that switches operands at levels up to l:
+// its first l digits, each holding rows q_0..q_{l-1} plus the
+// special-prime row. A keyswitch at level k ≤ l reads only those rows, so
+// the view's results are bit-identical to swk's. The rows are shared with
+// swk, not copied; swk's other rows are garbage once swk is dropped. It
+// panics if l is outside [1, Level()].
+func (swk *SwitchingKey) AtLevel(l int) *SwitchingKey {
+	if l < 1 || l > swk.Level() {
+		panic(fmt.Sprintf("ckks: switching key view at level %d outside [1,%d]", l, swk.Level()))
+	}
+	v := &SwitchingKey{B: make([]*ring.Poly, l), A: make([]*ring.Poly, l)}
+	for i := range l {
+		v.B[i] = levelRows(swk.B[i], l)
+		v.A[i] = levelRows(swk.A[i], l)
+	}
+	return v
+}
+
+// levelRows returns p's first l rows followed by its last, the
+// special-prime row.
+func levelRows(p *ring.Poly, l int) *ring.Poly {
+	rows := make([][]uint64, l+1)
+	copy(rows, p.Coeffs[:l])
+	rows[l] = p.Coeffs[p.K()-1]
+	return &ring.Poly{Coeffs: rows}
+}
+
+// check panics, naming both levels, unless swk switches operands at
+// level: a view trimmed below an operand's level must fail by name, not
+// by reading a row it does not hold.
+func (swk *SwitchingKey) check(level int) {
+	if level > swk.Level() {
+		panic(fmt.Sprintf("ckks: switching key holds levels ≤ %d, operand at level %d", swk.Level(), level))
+	}
 }
 
 // RelinearizationKey switches the degree-2 term s² back to s after CCmult.

@@ -201,19 +201,37 @@ func ReadPublicKey(r io.Reader, params Parameters) (*PublicKey, error) {
 	if tag[0] != tagPublicKey {
 		return nil, fmt.Errorf("ckks: %w: bad public key tag 0x%02x", ErrMalformed, tag[0])
 	}
-	b, err := ring.ReadPoly(r, params.L, params.N())
+	b, err := readKeyPoly(r, params, params.L)
 	if err != nil {
 		return nil, err
 	}
-	a, err := ring.ReadPoly(r, params.L, params.N())
+	a, err := readKeyPoly(r, params, params.L)
 	if err != nil {
 		return nil, err
 	}
 	return &PublicKey{B: b, A: a}, nil
 }
 
-// WriteTo serializes a switching key (all digits; the paper's "large data
-// volume" keyswitch keys).
+// readKeyPoly reads one key polynomial that must hold exactly rows rows of
+// params.N() coefficients: key material of any other shape is malformed,
+// and would otherwise surface as an index panic at its first use.
+func readKeyPoly(r io.Reader, params Parameters, rows int) (*ring.Poly, error) {
+	p, err := ring.ReadPoly(r, rows, params.N())
+	if errors.Is(err, ring.ErrDimensions) {
+		return nil, fmt.Errorf("ckks: %w: %v", ErrMalformed, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.K() != rows || len(p.Coeffs[0]) != params.N() {
+		return nil, fmt.Errorf("ckks: %w: key poly of %d×%d, want %d×%d",
+			ErrMalformed, p.K(), len(p.Coeffs[0]), rows, params.N())
+	}
+	return p, nil
+}
+
+// WriteTo serializes a switching key (all its digits; the paper's "large
+// data volume" keyswitch keys).
 func (swk *SwitchingKey) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	hdr := [3]byte{tagSwitchKey, byte(len(swk.B)), 0}
@@ -234,7 +252,9 @@ func (swk *SwitchingKey) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadSwitchingKey deserializes a switching key.
+// ReadSwitchingKey deserializes a switching key: a generated key or a
+// level view, each digit's polys holding exactly digits+1 rows (the
+// digits' q-primes, then the special prime).
 func ReadSwitchingKey(r io.Reader, params Parameters) (*SwitchingKey, error) {
 	hdr := [3]byte{}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -248,13 +268,12 @@ func ReadSwitchingKey(r io.Reader, params Parameters) (*SwitchingKey, error) {
 		return nil, fmt.Errorf("ckks: %w: implausible digit count %d", ErrMalformed, digits)
 	}
 	swk := &SwitchingKey{}
-	full := params.L + 1
 	for i := 0; i < digits; i++ {
-		b, err := ring.ReadPoly(r, full, params.N())
+		b, err := readKeyPoly(r, params, digits+1)
 		if err != nil {
 			return nil, err
 		}
-		a, err := ring.ReadPoly(r, full, params.N())
+		a, err := readKeyPoly(r, params, digits+1)
 		if err != nil {
 			return nil, err
 		}

@@ -220,21 +220,33 @@ func TestCiphertextSizeMatchesParams(t *testing.T) {
 	}
 }
 
-// TestKeySizeAccounting: the analytic evaluation-key size matches the
-// actual serialized sizes.
+// TestKeySizeAccounting: the analytic switching-key size at level l
+// matches the serialized size of a generated key (l = L) and of every
+// level view.
 func TestKeySizeAccounting(t *testing.T) {
 	tc := newTestContext(t, []int{1, 2})
-	var buf bytes.Buffer
-	if _, err := tc.rlk.SwitchingKey.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	keys := []*SwitchingKey{&tc.rlk.SwitchingKey}
+	for _, swk := range tc.rtk.Keys {
+		keys = append(keys, swk)
 	}
-	if buf.Len() != tc.rlk.SwitchingKey.SerializedSize() {
-		t.Fatalf("rlk size %d != advertised %d", buf.Len(), tc.rlk.SwitchingKey.SerializedSize())
+	for _, full := range keys {
+		for l := 1; l <= full.Level(); l++ {
+			swk := full.AtLevel(l)
+			if l == full.Level() {
+				swk = full
+			}
+			var buf bytes.Buffer
+			if _, err := swk.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			want := SwitchingKeyBytes(tc.params, l)
+			if int64(buf.Len()) != want || int64(swk.SerializedSize()) != want {
+				t.Fatalf("level %d: wrote %d, SerializedSize %d, analytic %d", l, buf.Len(), swk.SerializedSize(), want)
+			}
+		}
 	}
-	total := int64(tc.rlk.SwitchingKey.SerializedSize() + tc.rtk.SerializedSize())
-	want := EvaluationKeyBytes(tc.params, len(tc.rtk.Keys))
-	if total != want {
-		t.Fatalf("evaluation key bytes %d != analytic %d", total, want)
+	if got, want := int64(tc.rtk.SerializedSize()), int64(len(tc.rtk.Keys))*SwitchingKeyBytes(tc.params, tc.params.L); got != want {
+		t.Fatalf("rotation keys %d bytes, analytic %d", got, want)
 	}
 	var pkBuf bytes.Buffer
 	tc.pk.WriteTo(&pkBuf) //nolint:errcheck

@@ -28,11 +28,11 @@ func (rk *RotationKeys) SerializedSize() int {
 	return n
 }
 
-// EvaluationKeyBytes returns the total evaluation-key material a server
-// needs for the given rotation count: the relinearization key plus one
-// Galois key per rotation, each L digits of two (L+1)-row polynomials.
-func EvaluationKeyBytes(params Parameters, rotations int) int64 {
-	perPoly := int64(8 + 8*(params.L+1)*params.N())
-	perKey := int64(3) + 2*perPoly*int64(params.L)
-	return perKey * int64(rotations+1)
+// SwitchingKeyBytes returns the serialized size of a switching key at
+// level l — a generated key at l = L, or a level view (AtLevel): l digits,
+// each two polys of l+1 rows (q_0..q_{l-1} and the special prime). The
+// resident size is the same up to the headers.
+func SwitchingKeyBytes(params Parameters, l int) int64 {
+	perPoly := int64(8 + 8*(l+1)*params.N())
+	return 3 + 2*perPoly*int64(l)
 }

@@ -123,12 +123,12 @@ type Recorder struct {
 	Layers    []*LayerEvents
 	byName    map[string]*LayerEvents
 	current   *LayerEvents
-	rotations map[int]struct{}
+	rotations map[int]int // nonzero amount → highest level rotated at
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{byName: map[string]*LayerEvents{}, rotations: map[int]struct{}{}}
+	return &Recorder{byName: map[string]*LayerEvents{}, rotations: map[int]int{}}
 }
 
 // SetLayer switches the active layer.
@@ -155,11 +155,11 @@ func (r *Recorder) record(op ckks.Op, level int) {
 	r.current.Events = append(r.current.Events, ckks.Event{Op: op, Level: level})
 }
 
-func (r *Recorder) recordRotation(k int) {
+func (r *Recorder) recordRotation(k, level int) {
 	if r == nil {
 		return
 	}
-	r.rotations[k] = struct{}{}
+	r.rotations[k] = max(r.rotations[k], level)
 }
 
 // Rotations returns the sorted set of rotation amounts used.
@@ -304,7 +304,7 @@ func (b *cryptoBackend) Rotate(x *CT, k int) *CT {
 	}
 	out := b.ctx.Eval.RotateNew(x.ct, k)
 	b.rec.record(ckks.OpRotate, x.ct.Level())
-	b.rec.recordRotation(k)
+	b.rec.recordRotation(k, x.ct.Level())
 	return WrapCiphertext(out)
 }
 
@@ -330,7 +330,7 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 			continue
 		}
 		b.rec.record(ckks.OpRotate, x.ct.Level())
-		b.rec.recordRotation(k)
+		b.rec.recordRotation(k, x.ct.Level())
 		out[i] = WrapCiphertext(rot[k])
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/parallel"
 )
@@ -26,7 +27,9 @@ const encoderTolerance = 1e-2
 // vs uncached. Every program is also evaluated through passThrough, which
 // gets the unfused call stream a foreign Backend sees, and must match the
 // crypto backend's fused, in-place evaluation byte for byte and event for
-// event without either touching its inputs. This is the single place all
+// event without either touching its inputs. The ladder and BSGS programs
+// evaluated with level views of their keys (KeyViews, as a server holds
+// them) must match the full keys by digest. This is the single place all
 // the paths meet; it runs in tier-1.
 func TestDifferentialEvaluationPaths(t *testing.T) {
 	profiles := []struct {
@@ -126,6 +129,21 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 					}
 				}
 
+				// Path 7 — level views: each key trimmed to the highest
+				// level the program uses it at, as a server holds them,
+				// is bit-identical to the full keys in both compile modes.
+				for _, p := range []struct {
+					name   string
+					net    *Network
+					digest string
+				}{{"lola", lola, lolaDigest}, {"bsgs", diag, bsgsDigest}} {
+					ctx7 := viewContext(t, p.net, params, ctxSeed)
+					out7 := p.net.EvaluateEncrypted(NewCryptoBackend(ctx7, nil), encryptInput(p.net, ctx7, img))
+					if d := out7.Ciphertext().Digest(); d != p.digest {
+						t.Errorf("%s with level views: digest %s != full keys %s", p.name, d, p.digest)
+					}
+				}
+
 				// Path 4 — CryptoNets-batched (the throughput path), with a
 				// second image in the batch so slot demux is exercised too.
 				bnet, err := CompileBatched(pnet, params.Slots())
@@ -192,6 +210,30 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 			})
 		}
 	}
+}
+
+// viewContext is NewContext(params, seed, n's rotations) with an
+// evaluator over the level views n.KeyViews derives from the same keys,
+// regenerated from seed in NewContext's draw order. It fails unless some
+// key was actually trimmed.
+func viewContext(t *testing.T, n *Network, params ckks.Parameters, seed int64) *Context {
+	t.Helper()
+	top := params.MaxLevel()
+	rots := n.RotationsNeeded(top)
+	ctx := NewContext(params, seed, rots)
+	kg := ckks.NewKeyGenerator(params, seed)
+	sk := kg.GenSecretKey()
+	kg.GenPublicKey(sk)
+	rlk, rtk := n.KeyViews(params, top, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, rots))
+	trimmed := rlk.Level() < params.L
+	for _, swk := range rtk.Keys {
+		trimmed = trimmed || swk.Level() < params.L
+	}
+	if !trimmed {
+		t.Fatalf("%s: no key trimmed below level %d", n.Name, params.L)
+	}
+	ctx.Eval = ckks.NewEvaluator(params, rlk, rtk)
+	return ctx
 }
 
 // passThrough hides the crypto backend behind the Backend interface, so

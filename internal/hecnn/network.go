@@ -2,7 +2,9 @@ package hecnn
 
 import (
 	"fmt"
+	"slices"
 
+	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
 )
 
@@ -301,8 +303,60 @@ func (n *Network) run(ctx *Context, img *cnn.Tensor, b Backend, tr *Tracer) []fl
 	return out[:n.Layers[len(n.Layers)-1].OutElems()]
 }
 
-// RotationsNeeded returns the rotation amounts to generate Galois keys for,
-// folded over the program from inputs at startLevel.
+// RotationsNeeded returns the sorted rotation amounts to generate Galois
+// keys for, folded over the program from inputs at startLevel.
 func (n *Network) RotationsNeeded(startLevel int) []int {
-	return n.Count(startLevel).Rotations()
+	_, rots := n.prog.keyLevels(startLevel)
+	out := make([]int, 0, len(rots))
+	for k := range rots {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// KeyViews returns level views (ckks.SwitchingKey.AtLevel) of the
+// evaluation keys holding exactly what evaluating the network from inputs
+// at startLevel uses: the relinearization key up to the highest level the
+// program squares at, and each Galois key up to the highest level any
+// rotation amount mapping to its element rotates at. Keys the program
+// never uses are dropped, a missing key stays missing and a key shorter
+// than its use stays as it is, so evaluation fails by name as it would
+// with the given keys. The views share rows with rlk and rtk, whose other
+// rows become garbage once the caller drops them; the evaluation's
+// ciphertexts are bit-identical either way.
+func (n *Network) KeyViews(params ckks.Parameters, startLevel int, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeys) (*ckks.RelinearizationKey, *ckks.RotationKeys) {
+	relin, galois := n.galoisLevels(params, startLevel)
+	view := func(swk *ckks.SwitchingKey, l int) *ckks.SwitchingKey {
+		return swk.AtLevel(min(l, swk.Level()))
+	}
+	var vrlk *ckks.RelinearizationKey
+	if rlk != nil && relin > 0 {
+		vrlk = &ckks.RelinearizationKey{SwitchingKey: *view(&rlk.SwitchingKey, relin)}
+	}
+	if rtk == nil || len(galois) == 0 {
+		return vrlk, nil
+	}
+	vrtk := &ckks.RotationKeys{Keys: make(map[uint64]*ckks.SwitchingKey, len(galois))}
+	for g, l := range galois {
+		if swk, ok := rtk.Keys[g]; ok {
+			vrtk.Keys[g] = view(swk, l)
+		}
+	}
+	return vrlk, vrtk
+}
+
+// galoisLevels is the program's key-level fold keyed as the keys are:
+// the highest level at which evaluating n from inputs at startLevel
+// relinearizes (0 when it never does), and the highest level at which it
+// uses each Galois element — the maximum over every rotation amount that
+// maps to it, since on a small ring distinct amounts can share one.
+func (n *Network) galoisLevels(params ckks.Parameters, startLevel int) (relin int, galois map[uint64]int) {
+	relin, rots := n.prog.keyLevels(startLevel)
+	galois = make(map[uint64]int, len(rots))
+	for k, l := range rots {
+		g := params.GaloisElementForRotation(k)
+		galois[g] = max(galois[g], l)
+	}
+	return relin, galois
 }

@@ -1,9 +1,9 @@
 package hecnn
 
 // The lowered program (see the package comment): evaluation interprets
-// it (run); counts, rotation sets, cache keys and noise bounds fold over it
-// (count, operands, EstimatePrecision), their levels and scales from one
-// schedule fold.
+// it (run); counts, key sets and their levels, cache keys and noise
+// bounds fold over it (count, keyLevels, operands, EstimatePrecision),
+// their levels and scales from one schedule fold.
 
 import (
 	"fmt"
@@ -448,11 +448,29 @@ func (p *program) count(startLevel int, rec *Recorder) []LayerStat {
 		case opRotate, opRotateMany:
 			if k != 0 {
 				event(c.layer, ckks.OpRotate, x.level)
-				rec.recordRotation(k)
+				rec.recordRotation(k, x.level)
 			}
 		}
 	})
 	return stats
+}
+
+// keyLevels folds the highest level at which p, from inputs at
+// startLevel, relinearizes (0 when it never does) and rotates by each
+// nonzero amount: the levels its evaluation keys must hold.
+func (p *program) keyLevels(startLevel int) (relin int, rots map[int]int) {
+	rots = map[int]int{}
+	p.schedule(nil, startLevel, func(c *instr, k int, x, _ sched) {
+		switch c.op {
+		case opSquare:
+			relin = max(relin, x.level)
+		case opRotate, opRotateMany:
+			if k != 0 {
+				rots[k] = max(rots[k], x.level)
+			}
+		}
+	})
+	return relin, rots
 }
 
 // operandKey names one encoded plaintext operand: a plain of the program

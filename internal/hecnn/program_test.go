@@ -1,6 +1,7 @@
 package hecnn
 
 import (
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -52,15 +53,46 @@ func sameEvents(t *testing.T, what string, fold, live *Recorder) {
 			t.Fatalf("%s: layer %d is %s %v, crypto run %s %v", what, i, dl.Layer, dl.Events, ll.Layer, ll.Events)
 		}
 	}
-	if d, l := fold.Rotations(), live.Rotations(); !slices.Equal(d, l) {
-		t.Fatalf("%s: rotations %v, crypto run %v", what, d, l)
+	if !maps.Equal(fold.rotations, live.rotations) {
+		t.Fatalf("%s: rotation amounts and levels %v, crypto run %v", what, fold.rotations, live.rotations)
 	}
+}
+
+// sameKeyLevels fails unless the key-level fold matches what a crypto run
+// of net recorded into live: the highest level it relinearized at, and per
+// Galois element the highest level any rotation mapping to it ran at. It
+// returns how many rotation amounts alias another's element.
+func sameKeyLevels(t *testing.T, net *Network, params ckks.Parameters, live *Recorder) (aliased int) {
+	t.Helper()
+	relin, galois := net.galoisLevels(params, params.MaxLevel())
+	liveRelin := 0
+	for _, le := range live.Layers {
+		for _, e := range le.Events {
+			if e.Op == ckks.OpRelin {
+				liveRelin = max(liveRelin, e.Level)
+			}
+		}
+	}
+	if relin != liveRelin {
+		t.Errorf("relinearization key level %d, crypto run relinearized at %d", relin, liveRelin)
+	}
+	liveGalois := map[uint64]int{}
+	for k, l := range live.rotations {
+		g := params.GaloisElementForRotation(k)
+		liveGalois[g] = max(liveGalois[g], l)
+	}
+	if !maps.Equal(galois, liveGalois) {
+		t.Errorf("Galois key levels %v, crypto run rotated at %v", galois, liveGalois)
+	}
+	return len(live.rotations) - len(liveGalois)
 }
 
 // TestDryRunMatchesCrypto: the folds over a lowered program and a crypto
 // evaluation of it agree. Event for event the count fold records the same
-// per-layer (op, level) stream and the same rotation set as the crypto
-// backend — so Count-derived Galois keys and profiles match evaluation —
+// per-layer (op, level) stream and the same rotation set and levels as the
+// crypto backend — so Count-derived profiles match evaluation — the
+// key-level fold gives each key the highest level the run used it at —
+// so the server's level views (KeyViews) hold every row it reads —
 // and the operand fold visits exactly the keys the crypto run asks its
 // plainSource for, so Warm fills precisely what inference consumes.
 func TestDryRunMatchesCrypto(t *testing.T) {
@@ -86,6 +118,12 @@ func TestDryRunMatchesCrypto(t *testing.T) {
 				net.run(ctx, img, &cryptoBackend{ctx, live, recordKeys(&liveKeys, ctx.encodeOperand)}, nil)
 
 				sameEvents(t, "Count", net.Count(top), live)
+				aliased := sameKeyLevels(t, net, params, live)
+				// On the N = 256 ring, ladder Tiny-MNIST rotates by two
+				// amounts that share one Galois element.
+				if prof.name == "tiny" && mode.name == "ladder" && aliased == 0 {
+					t.Error("no aliased rotation amounts: the per-element maximum is not exercised")
+				}
 				if keys := foldKeys(net.prog, params, top); !slices.Equal(keys, liveKeys) {
 					t.Fatalf("operand fold keys %v\ncrypto run requested %v", keys, liveKeys)
 				}
@@ -242,4 +280,58 @@ func TestOwnershipExcludesSharedValues(t *testing.T) {
 	checkFusedMatchesUnfused(t, "hazards", fresh, func(b Backend, in []*CT) []*CT {
 		return []*CT{p.run(b, in, nil)[p.outputs()[0]]}
 	})
+}
+
+// TestKeyViews: KeyViews trims each key to its fold level, drops keys the
+// program never uses, and leaves a missing key missing and a key shorter
+// than its use as it is, so evaluation still fails by name.
+func TestKeyViews(t *testing.T) {
+	params := tinyParams()
+	top := params.MaxLevel()
+	pnet := cnn.NewTinyNet()
+	pnet.InitWeights(68)
+	net := Compile(pnet, params.Slots())
+	relin, galois := net.galoisLevels(params, top)
+	if relin == 0 || relin >= params.L || len(galois) < 2 {
+		t.Fatalf("fold gave relinearization level %d and %d Galois elements", relin, len(galois))
+	}
+
+	kg := ckks.NewKeyGenerator(params, 69)
+	sk := kg.GenSecretKey()
+	rlk := kg.GenRelinearizationKey(sk)
+	unused := params.Slots() / 2 // no ladder of the tiny net rotates by it
+	rtk := kg.GenRotationKeys(sk, append(net.RotationsNeeded(top), unused))
+	missing := params.GaloisElementForRotation(net.RotationsNeeded(top)[0])
+	delete(rtk.Keys, missing)
+	var short uint64
+	for g, l := range galois {
+		if g != missing && l > 1 {
+			short = g
+			rtk.Keys[g] = rtk.Keys[g].AtLevel(l - 1)
+			break
+		}
+	}
+
+	vrlk, vrtk := net.KeyViews(params, top, rlk, rtk)
+	if vrlk.Level() != relin {
+		t.Errorf("relinearization view at level %d, fold %d", vrlk.Level(), relin)
+	}
+	if _, ok := vrtk.Keys[params.GaloisElementForRotation(unused)]; ok {
+		t.Error("a key the program never uses was kept")
+	}
+	if _, ok := vrtk.Keys[missing]; ok {
+		t.Error("a missing key appeared")
+	}
+	if len(vrtk.Keys) != len(galois)-1 {
+		t.Errorf("%d views, want %d", len(vrtk.Keys), len(galois)-1)
+	}
+	for g, swk := range vrtk.Keys {
+		want := galois[g]
+		if g == short {
+			want--
+		}
+		if swk.Level() != want {
+			t.Errorf("element %d: view at level %d, want %d", g, swk.Level(), want)
+		}
+	}
 }

@@ -70,8 +70,17 @@ type tenantRuntime struct {
 // metric handles, size, build and warm the plaintext cache, and start the
 // batch domain when the model has one. quota > 0 caps the runtime's
 // concurrent requests.
+//
+// The evaluator holds level views of tm's keys (hecnn.Network.KeyViews):
+// each key only up to the highest level the program uses it at, and no
+// key it never uses. Requests enter at the top level (ValidateCiphertexts),
+// so the views serve every valid request bit-identically to the full
+// keys, and the full keys' other rows become garbage once the caller drops
+// tm. The batch domain keeps its keys whole: its small ring makes them
+// negligible.
 func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota int) *tenantRuntime {
 	tm.Params.AttachPool(s.pool)
+	rlk, rtk := tm.Net.KeyViews(tm.Params, tm.Params.MaxLevel(), tm.Rlk, tm.Rtk)
 	rt := &tenantRuntime{
 		tenant: tenant,
 		gen:    gen,
@@ -79,7 +88,7 @@ func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota in
 		ctx: &hecnn.Context{
 			Params:  tm.Params,
 			Encoder: ckks.NewEncoder(tm.Params),
-			Eval:    ckks.NewEvaluator(tm.Params, tm.Rlk, tm.Rtk),
+			Eval:    ckks.NewEvaluator(tm.Params, rlk, rtk),
 		},
 		layers: newLayerMetrics(s.cfg.Metrics, tm.Net),
 	}

@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/registry"
 	"fxhenn/internal/telemetry"
@@ -508,4 +510,79 @@ func mustRuntime(t *testing.T, ts *tenantSet, rec registry.Record) *tenantRuntim
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// TestTenantKeyViews: a runtime evaluates with level views of the keys its
+// builder supplies (hecnn.Network.KeyViews). A key set padded with keys
+// the program never uses still serves the catalog's exact response, and a
+// key shorter than the level the program uses it at fails the request by
+// name as StatusInternal, not with an index panic.
+func TestTenantKeyViews(t *testing.T) {
+	padded := registry.Record{Tenant: "padded", Model: "tiny", WeightSeed: 100, KeySeed: 101}
+	short := registry.Record{Tenant: "short", Model: "tiny", WeightSeed: 100, KeySeed: 101}
+	plain := registry.Record{Tenant: "plain", Model: "tiny", WeightSeed: 100, KeySeed: 101}
+	build := func(rec registry.Record) (*TenantModel, error) {
+		tm, err := StandardCatalog()(rec)
+		if err != nil {
+			return nil, err
+		}
+		switch rec.Tenant {
+		case "padded":
+			// Keys under elements no rotation maps to: never read.
+			swk, n := tm.Rtk.Keys[tm.Params.GaloisElementForRotation(1)], len(tm.Rtk.Keys)
+			for k := 3; k < 9; k += 2 {
+				if g := tm.Params.GaloisElementForRotation(-k); tm.Rtk.Keys[g] == nil {
+					tm.Rtk.Keys[g] = swk
+				}
+			}
+			if swk == nil || len(tm.Rtk.Keys) == n {
+				return nil, errors.New("no key padded")
+			}
+		case "short":
+			tm.Rlk = &ckks.RelinearizationKey{SwitchingKey: *tm.Rlk.AtLevel(2)}
+		}
+		return tm, nil
+	}
+	_, reg, addr := newTenantFixtureWith(t, Config{Models: build}, padded, short, plain)
+
+	infer := func(rec registry.Record) (string, error) {
+		t.Helper()
+		got, err := reg.Lookup(rec.Tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := StandardTenantClient(got, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pnet, err := StandardPlaintext(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := dialT(t, addr)
+		defer conn.Close()
+		trw := newTimedRW(conn, client.Timeout, time.Time{})
+		h := client.header(nil)
+		if _, err := writeRequest(trw, h, client.encryptRequest(tenantImage(pnet, 3))); err != nil {
+			t.Fatal(err)
+		}
+		resp, _, err := readResponse(trw, client.params, h, 1)
+		if err != nil {
+			return "", err
+		}
+		return resp.cts[0].Digest(), nil
+	}
+	want, err := infer(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := infer(padded); err != nil || got != want {
+		t.Fatalf("padded key set: digest %s err %v, want %s", got, err, want)
+	}
+	_, err = infer(short)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != StatusInternal ||
+		!strings.Contains(se.Msg, "switching key holds levels ≤ 2, operand at level 6") {
+		t.Fatalf("short relinearization key: err = %v, want StatusInternal naming both levels", err)
+	}
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -11,6 +12,10 @@ import (
 // ciphertext and key material the MLaaS protocol moves between client and
 // server — the traffic whose volume the paper's "5-6 orders of magnitude"
 // overhead refers to.
+
+// ErrDimensions marks a serialized polynomial whose header declares a row
+// count or degree outside the reader's bounds.
+var ErrDimensions = errors.New("implausible poly dimensions")
 
 // WriteTo serializes p.
 func (p *Poly) WriteTo(w io.Writer) (int64, error) {
@@ -48,7 +53,7 @@ func ReadPoly(r io.Reader, maxK, maxN int) (*Poly, error) {
 	k := int(binary.LittleEndian.Uint32(hdr[0:]))
 	n := int(binary.LittleEndian.Uint32(hdr[4:]))
 	if k < 1 || k > maxK || n < 1 || n > maxN {
-		return nil, fmt.Errorf("ring: implausible poly dimensions %dx%d", k, n)
+		return nil, fmt.Errorf("ring: %w %dx%d", ErrDimensions, k, n)
 	}
 	p := &Poly{Coeffs: make([][]uint64, k)}
 	buf := make([]byte, 8*n)
