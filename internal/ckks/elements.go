@@ -71,6 +71,7 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	if !pt.IsNTT {
 		panic("ckks: Encrypt requires an NTT-domain plaintext")
 	}
+	checkNormalForm(pt, "Encrypt")
 	r := enc.params.Ring()
 	level := pt.Level()
 

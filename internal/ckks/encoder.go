@@ -43,21 +43,50 @@ func NewEncoder(params Parameters) *Encoder {
 // scale and level. Level counts active q_i primes, as for ciphertexts.
 //
 // Reuse contract: every Evaluator operation that consumes a plaintext
-// (AddPlainNew, MulPlainNew, MulPlainAdd) treats it as strictly
+// (AddPlainNew, MulPlainNew, MulPlainSum) treats it as strictly
 // read-only, so one Plaintext may be used as an operand any number of
 // times — including by concurrent evaluator calls — and its serialized
 // form never changes.
 // The serve-path weight cache (hecnn.CompiledNetwork) encodes each weight
 // vector once and shares the Plaintext across every request on this
 // contract; TestPlaintextReuseContract pins it with digests.
+//
+// IsMontgomery marks a PCmult operand whose residues are held as x·2^64
+// mod q (Encoder.MForm): MulPlainSum requires that form and MulPlainNew
+// accepts either. Every other consumer — AddPlainNew, Encrypt, decoding,
+// WriteTo — refuses it by name rather than read its residues as normal.
 type Plaintext struct {
-	Value *ring.Poly
-	Scale float64
-	IsNTT bool
+	Value        *ring.Poly
+	Scale        float64
+	IsNTT        bool
+	IsMontgomery bool
 }
 
 // Level returns the number of active primes in the plaintext.
 func (p *Plaintext) Level() int { return p.Value.K() }
+
+// errMontgomery is the refusal of a consumer that reads normal-form
+// residues only.
+const errMontgomery = "plaintext is in Montgomery form, a PCmult operand only"
+
+// checkNormalForm panics, naming the operation, when pt is in Montgomery
+// form.
+func checkNormalForm(pt *Plaintext, op string) {
+	if pt.IsMontgomery {
+		panic("ckks: " + op + ": " + errMontgomery)
+	}
+}
+
+// MForm converts pt in place into Montgomery form, the operand form of
+// MulPlainSum. REDC of a Montgomery-form operand is exact, so every
+// product it enters is bit-identical to the normal form's.
+func (e *Encoder) MForm(pt *Plaintext) {
+	if pt.IsMontgomery {
+		panic("ckks: MForm: " + errMontgomery + " already")
+	}
+	e.params.Ring().MForm(pt.Value, pt.Value)
+	pt.IsMontgomery = true
+}
 
 // EncodeComplex encodes at most N/2 complex values at the given level and
 // scale, returning an NTT-domain plaintext. Shorter inputs are zero-padded.
@@ -170,6 +199,7 @@ func setRounded(r *ring.Ring, pt *ring.Poly, j int, v float64, tmp *big.Int) {
 // DecodeComplex decodes a coefficient-domain-or-NTT plaintext back to its
 // N/2 complex slot values.
 func (e *Encoder) DecodeComplex(pt *Plaintext) []complex128 {
+	checkNormalForm(pt, "decode")
 	r := e.params.Ring()
 	poly := pt.Value
 	if pt.IsNTT {

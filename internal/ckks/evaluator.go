@@ -111,6 +111,7 @@ func (ev *Evaluator) AddPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	if pt.Level() < level {
 		panic("ckks: PCadd plaintext level below ciphertext level")
 	}
+	checkNormalForm(pt, "PCadd")
 	checkScales(ct.Scale, pt.Scale)
 	r := ev.params.Ring()
 	out := ct.Copy()
@@ -120,9 +121,10 @@ func (ev *Evaluator) AddPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 }
 
 // MulPlainNew returns ct ⊙ pt (PCmult). Scales multiply; a Rescale is
-// normally applied afterwards, as in the paper's NKS pipeline. pt is
-// read-only (see the Plaintext reuse contract): it may be shared by
-// concurrent AddPlainNew/MulPlainNew calls.
+// normally applied afterwards, as in the paper's NKS pipeline. pt may be
+// in either form: a Montgomery-form operand multiplies by REDC, to the
+// same bits. pt is read-only (see the Plaintext reuse contract): it may be
+// shared by concurrent AddPlainNew/MulPlainNew calls.
 func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	level := ct.Level()
 	if pt.Level() < level {
@@ -133,38 +135,79 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	out.Scale = ct.Scale * pt.Scale
 	ptv := truncate(pt.Value, level)
 	for i := range out.Value {
-		r.MulCoeffs(out.Value[i], ct.Value[i], ptv)
+		if pt.IsMontgomery {
+			r.MulCoeffsMont(out.Value[i], ct.Value[i], ptv)
+		} else {
+			r.MulCoeffs(out.Value[i], ct.Value[i], ptv)
+		}
 	}
 	ev.record(OpPCmult, level)
 	return out
 }
 
-// MulPlainAdd sets acc += ct ⊙ pt: MulPlainNew followed by AddNew(acc,
-// product), fused into one fully reduced multiply-accumulate per
+// MulPlainSum sets acc += Σ_i cts[i] ⊙ pts[i]: the chain MulPlainNew,
+// AddNew(acc, product), … pair by pair, as one multiply-accumulate per
 // coefficient with no intermediate ciphertext — the HE-MAC of the
-// accelerator's PCmult→CCadd stream, and bit-identical to the two calls.
-// acc keeps its scale, which must agree with ct.Scale·pt.Scale, and drops
-// to the common level of acc and ct. pt is read-only (see the Plaintext
-// reuse contract). It records PCmult and CCadd, the two operations it
-// replaces.
-func (ev *Evaluator) MulPlainAdd(acc, ct *Ciphertext, pt *Plaintext) {
-	ctLevel := ct.Level()
-	if pt.Level() < ctLevel {
-		panic("ckks: PCmult plaintext level below ciphertext level")
+// accelerator's PCmult→CCadd stream, and bit-identical to those calls.
+// Every pts[i] must be in Montgomery form (Encoder.MForm). acc keeps its
+// scale, which must agree with each cts[i].Scale·pts[i].Scale, and drops
+// to the lowest level among acc and cts. cts[i] may be acc itself. The
+// pts are read-only (see the Plaintext reuse contract). It records PCmult
+// and CCadd for each pair, the events of the calls it replaces.
+//
+// Rows run outside, on the ring's pool, and terms inside, as in
+// keySwitchCore: each term deposits an unreduced REDC product in [0, 2q)
+// (MulMontAddLazyVec), lazyMACGuard reduces before the accumulator could
+// overflow, and one ReduceVec per row leaves it canonical (the
+// lazy-reduction bounds contract, DESIGN.md §16). With no pool it
+// allocates nothing.
+func (ev *Evaluator) MulPlainSum(acc *Ciphertext, cts []*Ciphertext, pts []*Plaintext) {
+	if len(cts) != len(pts) {
+		panic(fmt.Sprintf("ckks: MulPlainSum of %d ciphertexts and %d plaintexts", len(cts), len(pts)))
 	}
-	if acc.Degree() != ct.Degree() {
-		panic("ckks: CCadd degree mismatch")
+	accLevel, level := acc.Level(), acc.Level()
+	for i, ct := range cts {
+		if pts[i].Level() < ct.Level() {
+			panic("ckks: PCmult plaintext level below ciphertext level")
+		}
+		if !pts[i].IsMontgomery {
+			panic("ckks: MulPlainSum: plaintext is in normal form; the chain takes Montgomery form (Encoder.MForm)")
+		}
+		if acc.Degree() != ct.Degree() {
+			panic("ckks: CCadd degree mismatch")
+		}
+		checkScales(acc.Scale, ct.Scale*pts[i].Scale)
+		level = min(level, ct.Level())
 	}
-	checkScales(acc.Scale, ct.Scale*pt.Scale)
-	level := min(acc.Level(), ctLevel)
 	dropTo(acc, level)
 	r := ev.params.Ring()
-	ptv := truncate(pt.Value, level)
-	for i := range acc.Value {
-		r.MulCoeffsAdd(acc.Value[i], truncate(ct.Value[i], level), ptv)
+	if pool := r.RowPool(level); pool != nil {
+		pool.Do(level, func(j int) { mulPlainSumRow(r.Mods[j], j, acc, cts, pts) })
+	} else {
+		for j := range level {
+			mulPlainSumRow(r.Mods[j], j, acc, cts, pts)
+		}
 	}
-	ev.record(OpPCmult, ctLevel)
-	ev.record(OpCCadd, level)
+	for _, ct := range cts {
+		accLevel = min(accLevel, ct.Level())
+		ev.record(OpPCmult, ct.Level())
+		ev.record(OpCCadd, accLevel)
+	}
+}
+
+// mulPlainSumRow accumulates MulPlainSum's terms into row j of every part
+// of acc. The canonical accumulator counts as one lazy term.
+func mulPlainSumRow(m modarith.Modulus, j int, acc *Ciphertext, cts []*Ciphertext, pts []*Plaintext) {
+	maxLazy := m.MaxLazyAdds()
+	for part, p := range acc.Value {
+		row := p.Coeffs[j]
+		terms := 1
+		for i, ct := range cts {
+			terms = lazyMACGuard(m, terms, maxLazy, row)
+			m.MulMontAddLazyVec(row, ct.Value[part].Coeffs[j], pts[i].Value.Coeffs[j])
+		}
+		m.ReduceVec(row, row)
+	}
 }
 
 // MulNew returns a ⊗ b (CCmult) followed by relinearization when a
@@ -202,7 +245,9 @@ func (ev *Evaluator) RelinearizeNew(ct *Ciphertext) *Ciphertext {
 	}
 	level := ct.Level()
 	r := ev.params.Ring()
-	u0, u1 := ev.keySwitchCore(ct.Value[2], &ev.rlk.SwitchingKey)
+	d2 := ct.Value[2].Copy()
+	r.INTT(d2)
+	u0, u1 := ev.keySwitchCore(d2, &ev.rlk.SwitchingKey)
 	out := NewCiphertext(ev.params, 2, level)
 	out.Scale = ct.Scale
 	r.Add(out.Value[0], ct.Value[0], u0)
@@ -259,44 +304,38 @@ func (ev *Evaluator) automorphismNew(ct *Ciphertext, g uint64) *Ciphertext {
 	}
 	level := ct.Level()
 	r := ev.params.Ring()
+	perm := r.NTTAutomorphismIndex(g)
 
-	// Apply σ_g in the coefficient domain to both parts.
-	c0 := ct.Value[0].Copy()
-	c1 := ct.Value[1].Copy()
-	r.INTT(c0)
+	// σ_g(ct) decrypts under σ_g(s); switch its c1 part back to s. The
+	// keyswitch decomposes σ_g(c1) in the coefficient domain, so σ_g is
+	// applied as an NTT-domain permutation and transformed back once.
+	c1 := r.NewPoly(level)
+	r.PermuteNTT(c1, ct.Value[1], perm)
 	r.INTT(c1)
-	p0 := r.NewPoly(level)
-	p1 := r.NewPoly(level)
-	r.Automorphism(p0, c0, g)
-	r.Automorphism(p1, c1, g)
-	r.NTT(p0)
-	r.NTT(p1)
-
-	// σ_g(ct) now decrypts under σ_g(s); switch the c1 part back to s.
-	u0, u1 := ev.keySwitchCore(p1, swk)
-	r.Add(p0, p0, u0)
+	u0, u1 := ev.keySwitchCore(c1, swk)
+	// σ_g(c0) directly in the NTT domain, added into the keyswitched c0.
+	r.PermuteNTTAdd(u0, ct.Value[0], perm)
 	ev.record(OpRotate, level)
-	return &Ciphertext{Value: []*ring.Poly{p0, u1}, Scale: ct.Scale}
+	return &Ciphertext{Value: []*ring.Poly{u0, u1}, Scale: ct.Scale}
 }
 
 // keySwitchCore computes the RNS-digit-decomposition keyswitch of the
-// NTT-domain polynomial c at level k: it accumulates Σ_i d_i ⊗ (B_i, A_i)
-// over the extended basis (q_0..q_{k-1}, p) and divides by the special
-// modulus p. This is the paper's bottleneck HE operation (OP5): per digit it
-// costs one INTT plus one NTT per target modulus, which is where the
-// L-times-slower KS pipeline stage of Fig. 3 comes from.
-func (ev *Evaluator) keySwitchCore(c *ring.Poly, swk *SwitchingKey) (u0, u1 *ring.Poly) {
+// coefficient-domain polynomial cc at level k, which it only reads: it
+// accumulates Σ_i d_i ⊗ (B_i, A_i) over the extended basis
+// (q_0..q_{k-1}, p) and divides by the special modulus p, returning the
+// NTT-domain result. This is the paper's bottleneck HE operation (OP5):
+// per digit it costs one NTT per target modulus on top of the caller's
+// INTT, which is where the L-times-slower KS pipeline stage of Fig. 3
+// comes from.
+func (ev *Evaluator) keySwitchCore(cc *ring.Poly, swk *SwitchingKey) (u0, u1 *ring.Poly) {
 	r := ev.params.Ring()
-	k := c.K()
+	k := cc.K()
 	swk.check(k)
 	n := r.N
 	sp := ev.spIdx
 	spMod := r.Mods[sp]
 	spTab := r.Tables[sp]
 	kp := swk.B[0].K() - 1 // the key's special-prime row is its last
-
-	cc := c.Copy()
-	r.INTT(cc)
 
 	u0 = r.NewPoly(k)
 	u1 = r.NewPoly(k)
@@ -325,7 +364,7 @@ func (ev *Evaluator) keySwitchCore(c *ring.Poly, swk *SwitchingKey) (u0, u1 *rin
 			for i := 0; i < k; i++ {
 				spMod.ReduceVec(digit, cc.Coeffs[i])
 				spTab.Forward(digit)
-				terms = lazyMACGuard(spMod, u0p, u1p, terms, maxLazy)
+				terms = lazyMACGuard(spMod, terms, maxLazy, u0p, u1p)
 				spMod.MulMontAddLazyVec(u0p, digit, swk.B[i].Coeffs[kp])
 				spMod.MulMontAddLazyVec(u1p, digit, swk.A[i].Coeffs[kp])
 			}
@@ -344,7 +383,7 @@ func (ev *Evaluator) keySwitchCore(c *ring.Poly, swk *SwitchingKey) (u0, u1 *rin
 				mj.ReduceVec(digit, d)
 			}
 			r.Tables[j].Forward(digit)
-			terms = lazyMACGuard(mj, u0.Coeffs[j], u1.Coeffs[j], terms, maxLazy)
+			terms = lazyMACGuard(mj, terms, maxLazy, u0.Coeffs[j], u1.Coeffs[j])
 			mj.MulMontAddLazyVec(u0.Coeffs[j], digit, swk.B[i].Coeffs[j])
 			mj.MulMontAddLazyVec(u1.Coeffs[j], digit, swk.A[i].Coeffs[j])
 		}
@@ -357,16 +396,18 @@ func (ev *Evaluator) keySwitchCore(c *ring.Poly, swk *SwitchingKey) (u0, u1 *rin
 	return u0, u1
 }
 
-// lazyMACGuard accounts for one more lazy MAC into the two accumulators:
+// lazyMACGuard accounts for one more lazy MAC into the accumulators:
 // a reduced accumulator counts as one lazy term and every MulMontAddLazyVec
 // adds another, so when the next term would exceed maxLazy the accumulators
 // are reduced down to a single term. With 30–50-bit production primes
 // maxLazy is in the billions and the reduction never fires; it exists for
-// the q-near-2^62 corner the modarith property tests pin.
-func lazyMACGuard(m modarith.Modulus, acc0, acc1 []uint64, terms, maxLazy int) int {
+// the q-near-2^62 corner the modarith property tests and
+// TestMulPlainSumLazyBound pin.
+func lazyMACGuard(m modarith.Modulus, terms, maxLazy int, accs ...[]uint64) int {
 	if terms+1 > maxLazy {
-		m.ReduceVec(acc0, acc0)
-		m.ReduceVec(acc1, acc1)
+		for _, acc := range accs {
+			m.ReduceVec(acc, acc)
+		}
 		terms = 1
 	}
 	return terms + 1

@@ -118,7 +118,7 @@ func (ev *Evaluator) rotateWithDecomposition(ct *Ciphertext, hd *HoistedDecompos
 			terms := 0
 			for i := 0; i < level; i++ {
 				ring.PermuteVec(tmp, hd.digitsP[i], perm)
-				terms = lazyMACGuard(spMod, u0p, u1p, terms, maxLazy)
+				terms = lazyMACGuard(spMod, terms, maxLazy, u0p, u1p)
 				spMod.MulMontAddLazyVec(u0p, tmp, swk.B[i].Coeffs[kp])
 				spMod.MulMontAddLazyVec(u1p, tmp, swk.A[i].Coeffs[kp])
 			}
@@ -131,7 +131,7 @@ func (ev *Evaluator) rotateWithDecomposition(ct *Ciphertext, hd *HoistedDecompos
 		terms := 0
 		for i := 0; i < level; i++ {
 			ring.PermuteVec(tmp, hd.digitsQ[i][j], perm)
-			terms = lazyMACGuard(mj, u0.Coeffs[j], u1.Coeffs[j], terms, maxLazy)
+			terms = lazyMACGuard(mj, terms, maxLazy, u0.Coeffs[j], u1.Coeffs[j])
 			mj.MulMontAddLazyVec(u0.Coeffs[j], tmp, swk.B[i].Coeffs[j])
 			mj.MulMontAddLazyVec(u1.Coeffs[j], tmp, swk.A[i].Coeffs[j])
 		}

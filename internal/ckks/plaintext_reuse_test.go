@@ -8,10 +8,11 @@ import (
 // TestPlaintextReuseContract pins the contract the serve-path weight
 // cache (hecnn.CompiledNetwork) is built on: a Plaintext used as an
 // evaluator operand is strictly read-only. One encoded plaintext, shared
-// by many concurrent AddPlainNew/MulPlainNew/MulPlainAdd calls at full
-// and truncated levels, must (a) keep a bit-identical serialized digest
-// and (b) produce result ciphertexts bit-identical to serial evaluation
-// with a private copy of the same plaintext.
+// by many concurrent AddPlainNew/MulPlainNew calls, and its Montgomery
+// form, shared by MulPlainNew/MulPlainSum calls, at full and truncated
+// levels, must (a) keep bit-identical residues and (b) produce result
+// ciphertexts bit-identical to serial evaluation with a private
+// normal-form copy of the same plaintext.
 func TestPlaintextReuseContract(t *testing.T) {
 	tc := newTestContext(t, nil)
 	params := tc.params
@@ -26,6 +27,9 @@ func TestPlaintextReuseContract(t *testing.T) {
 		t.Fatal("two encodings of the same vector differ; encoder not deterministic")
 	}
 	before := shared.Digest()
+	sharedMont := tc.enc.Encode(vals, params.MaxLevel(), params.Scale)
+	tc.enc.MForm(sharedMont)
+	montBefore := sharedMont.Value.Copy()
 
 	// Ciphertexts at the top level and one below it: the truncated-level
 	// path reads a sub-slice view of the plaintext poly, which is exactly
@@ -41,21 +45,26 @@ func TestPlaintextReuseContract(t *testing.T) {
 	wantAddTop := tc.eval.AddPlainNew(ctTop, private).Digest()
 	wantMulLow := tc.eval.MulPlainNew(ctLow, private).Digest()
 	wantAddLow := tc.eval.AddPlainNew(ctLow, private).Digest()
-	// MulPlainAdd accumulates into a private top-level accumulator: the
-	// unfused MulPlainNew + AddNew is its reference, and the low-level
-	// product drops the accumulator to the product's level.
+	// MulPlainSum accumulates into a private top-level accumulator: the
+	// unfused MulPlainNew + AddNew pairs are its reference, and the
+	// low-level product drops the accumulator to the product's level.
 	acc := tc.eval.MulPlainNew(ctTop, private)
 	wantMacTop := tc.eval.AddNew(acc, tc.eval.MulPlainNew(ctTop, private)).Digest()
-	wantMacLow := tc.eval.AddNew(acc, tc.eval.MulPlainNew(ctLow, private)).Digest()
-	mulPlainAdd := func(eval *Evaluator, ct *Ciphertext) string {
+	wantMacLow := tc.eval.AddNew(tc.eval.AddNew(acc, tc.eval.MulPlainNew(ctTop, private)),
+		tc.eval.MulPlainNew(ctLow, private)).Digest()
+	mulPlainSum := func(eval *Evaluator, cts ...*Ciphertext) string {
 		dst := acc.Copy()
-		eval.MulPlainAdd(dst, ct, shared)
+		pts := make([]*Plaintext, len(cts))
+		for i := range pts {
+			pts[i] = sharedMont
+		}
+		eval.MulPlainSum(dst, cts, pts)
 		return dst.Digest()
 	}
 
 	const workers = 16
 	var wg sync.WaitGroup
-	errs := make(chan string, workers*6)
+	errs := make(chan string, workers*8)
 	check := func(what, got, want string) {
 		if got != want {
 			errs <- what + ": " + got + " != " + want
@@ -73,8 +82,10 @@ func TestPlaintextReuseContract(t *testing.T) {
 			check("PCadd@top", eval.AddPlainNew(ctTop, shared).Digest(), wantAddTop)
 			check("PCmult@low", eval.MulPlainNew(ctLow, shared).Digest(), wantMulLow)
 			check("PCadd@low", eval.AddPlainNew(ctLow, shared).Digest(), wantAddLow)
-			check("MulPlainAdd@top", mulPlainAdd(eval, ctTop), wantMacTop)
-			check("MulPlainAdd@low", mulPlainAdd(eval, ctLow), wantMacLow)
+			check("PCmult(Montgomery)@top", eval.MulPlainNew(ctTop, sharedMont).Digest(), wantMulTop)
+			check("PCmult(Montgomery)@low", eval.MulPlainNew(ctLow, sharedMont).Digest(), wantMulLow)
+			check("MulPlainSum@top", mulPlainSum(eval, ctTop), wantMacTop)
+			check("MulPlainSum@top,low", mulPlainSum(eval, ctTop, ctLow), wantMacLow)
 		}()
 	}
 	wg.Wait()
@@ -84,5 +95,8 @@ func TestPlaintextReuseContract(t *testing.T) {
 	}
 	if after := shared.Digest(); after != before {
 		t.Fatalf("plaintext mutated by evaluator use: digest %s → %s", before, after)
+	}
+	if !params.Ring().Equal(sharedMont.Value, montBefore) {
+		t.Fatal("Montgomery-form plaintext mutated by evaluator use")
 	}
 }

@@ -111,9 +111,10 @@ func TestAddAlignsMismatchedLevels(t *testing.T) {
 }
 
 // TestDestinationFormsMatchNew: each destination form writes exactly what
-// its allocating form (or, for MulPlainAdd, MulPlainNew then AddNew)
-// returns — digest, level, scale — and records the same trace events,
-// whichever operand it writes into and whatever the operands' levels.
+// its allocating form (or, for MulPlainSum, MulPlainNew then AddNew per
+// term) returns — digest, level, scale — and records the same trace
+// events, whichever operand it writes into and whatever the operands'
+// levels.
 func TestDestinationFormsMatchNew(t *testing.T) {
 	tc := newTestContext(t, nil)
 	rng := rand.New(rand.NewSource(13))
@@ -121,6 +122,18 @@ func TestDestinationFormsMatchNew(t *testing.T) {
 	lo := tc.encryptVec(randVec(8, 5, rng), 2)
 	pt := tc.enc.Encode(randVec(8, 1, rng), 4, tc.params.Scale)
 	acc := tc.eval.MulPlainNew(hi, pt)
+	ptMont := tc.enc.Encode(randVec(8, 1, rng), 4, tc.params.Scale)
+	tc.enc.MForm(ptMont)
+	three := tc.enc.EncodeConst(3, 4, 1) // at scale 1, so ct·three keeps ct's scale
+	tc.enc.MForm(three)
+	mulPlainSum := func(cts ...*Ciphertext) *Ciphertext {
+		a, pts := acc.Copy(), make([]*Plaintext, len(cts))
+		for i := range pts {
+			pts[i] = ptMont
+		}
+		tc.eval.MulPlainSum(a, cts, pts)
+		return a
+	}
 
 	for _, c := range []struct {
 		name           string
@@ -132,8 +145,20 @@ func TestDestinationFormsMatchNew(t *testing.T) {
 			func() *Ciphertext { b := hi.Copy(); tc.eval.Add(b, lo, b); return b }},
 		{"Rescale", func() *Ciphertext { return tc.eval.RescaleNew(hi) },
 			func() *Ciphertext { a := hi.Copy(); tc.eval.Rescale(a); return a }},
-		{"MulPlainAdd", func() *Ciphertext { return tc.eval.AddNew(acc, tc.eval.MulPlainNew(lo, pt)) },
-			func() *Ciphertext { a := acc.Copy(); tc.eval.MulPlainAdd(a, lo, pt); return a }},
+		{"MulPlainSum", func() *Ciphertext { return tc.eval.AddNew(acc, tc.eval.MulPlainNew(lo, ptMont)) },
+			func() *Ciphertext { return mulPlainSum(lo) }},
+		{"MulPlainSum chain", func() *Ciphertext {
+			s := tc.eval.AddNew(acc, tc.eval.MulPlainNew(hi, ptMont))
+			s = tc.eval.AddNew(s, tc.eval.MulPlainNew(lo, ptMont))
+			return tc.eval.AddNew(s, tc.eval.MulPlainNew(hi, ptMont))
+		}, func() *Ciphertext { return mulPlainSum(hi, lo, hi) }},
+		{"MulPlainSum into its own term", func() *Ciphertext {
+			return tc.eval.AddNew(hi, tc.eval.MulPlainNew(hi, three))
+		}, func() *Ciphertext {
+			a := hi.Copy()
+			tc.eval.MulPlainSum(a, []*Ciphertext{a}, []*Plaintext{three})
+			return a
+		}},
 	} {
 		tc.eval.Trace.Reset()
 		want := c.alloc()

@@ -114,7 +114,7 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 func (ct *Ciphertext) Digest() string {
 	h := sha256.New()
 	if _, err := ct.WriteTo(h); err != nil {
-		panic(err) // hash.Hash never errors on Write
+		panic(err) // a Montgomery-form plaintext; hash.Hash never errors on Write
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -134,13 +134,16 @@ func (ct *Ciphertext) SerializedSize() int {
 func (pt *Plaintext) Digest() string {
 	h := sha256.New()
 	if _, err := pt.WriteTo(h); err != nil {
-		panic(err) // hash.Hash never errors on Write
+		panic(err) // a Montgomery-form plaintext; hash.Hash never errors on Write
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // WriteTo serializes the plaintext (scale, NTT flag, poly).
 func (pt *Plaintext) WriteTo(w io.Writer) (int64, error) {
+	if pt.IsMontgomery {
+		return 0, errors.New("ckks: WriteTo: " + errMontgomery)
+	}
 	var n int64
 	hdr := [11]byte{tagPlaintext}
 	binary.LittleEndian.PutUint64(hdr[1:], math.Float64bits(pt.Scale))

@@ -65,7 +65,7 @@ func TestAutoCacheBytesBSGSMNIST(t *testing.T) {
 	stub := enc.Encode(make([]float64, params.Slots()), params.MaxLevel(), params.Scale)
 	warmTwice := func(budget int64) (evictions int64) {
 		cn := NewCompiledNetwork(net, params, enc, budget)
-		cn.encode = func(Plain, int, float64) *ckks.Plaintext { return stub }
+		cn.encode = func(Plain, operandKey) *ckks.Plaintext { return stub }
 		cn.Warm(params.MaxLevel()) // fill
 		cn.Warm(params.MaxLevel()) // steady state: every operand should hit
 		return cn.CacheStats().Evictions

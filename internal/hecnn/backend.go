@@ -194,35 +194,51 @@ func (r *Recorder) TotalKeySwitches() int {
 // Layer returns the trace of the named layer, or nil.
 func (r *Recorder) Layer(name string) *LayerEvents { return r.byName[name] }
 
-// plainSource supplies the encoded form of a plaintext operand at the
-// (level, scale) the schedule consumes it at. Its two forms —
-// Context.encodeOperand (uncached) and the compiled handles' cache — are
-// all that distinguishes one crypto backend from another, and Warm fills
-// the cache under the keys of the same program fold, so the two can never
-// disagree on a key.
-type plainSource func(w Plain, level int, scale float64) *ckks.Plaintext
+// plainSource supplies the encoded form of plaintext operand w under key
+// k: the level and scale the schedule consumes it at, and its form. Its
+// two forms — Context.encodeOperand (uncached) and the compiled handles'
+// cache — are all that distinguishes one crypto backend from another, and
+// Warm fills the cache under the keys of the same program fold, so the
+// two can never disagree on a key.
+type plainSource func(w Plain, k operandKey) *ckks.Plaintext
 
 // encodePlain is the one encode rule: EncodeConst for a broadcast scalar,
-// Encode of the slot vector otherwise.
-func encodePlain(enc *ckks.Encoder, w Plain, level int, scale float64) *ckks.Plaintext {
+// Encode of the slot vector otherwise, converted in place to Montgomery
+// form for a PCmult operand.
+func encodePlain(enc *ckks.Encoder, w Plain, k operandKey) *ckks.Plaintext {
+	var pt *ckks.Plaintext
 	if w.IsConst {
-		return enc.EncodeConst(w.Const, level, scale)
+		pt = enc.EncodeConst(w.Const, k.level, k.scale)
+	} else {
+		pt = enc.Encode(w.Make(), k.level, k.scale)
 	}
-	return enc.Encode(w.Make(), level, scale)
+	if k.mont {
+		enc.MForm(pt)
+	}
+	return pt
 }
 
 // cryptoBackend executes operations on real ciphertexts, taking plaintext
-// operands from plain and recording each op into rec (when not nil).
+// operands from plain and recording each op into rec (when not nil). cts
+// and pts are mulPlainSum's reused operand lists.
 type cryptoBackend struct {
 	ctx   *Context
 	rec   *Recorder
 	plain plainSource
+	cts   []*ckks.Ciphertext
+	pts   []*ckks.Plaintext
 }
 
 // NewCryptoBackend returns a Backend executing on ctx and tracing into rec
 // (rec may be nil to skip tracing). Plaintext operands are encoded on use.
 func NewCryptoBackend(ctx *Context, rec *Recorder) Backend {
-	return &cryptoBackend{ctx, rec, ctx.encodeOperand}
+	return &cryptoBackend{ctx: ctx, rec: rec, plain: ctx.encodeOperand}
+}
+
+// mulOperand is w as PCmult consumes it at level: at the encoding scale,
+// in Montgomery form.
+func (b *cryptoBackend) mulOperand(w Plain, level int) *ckks.Plaintext {
+	return b.plain(w, operandKey{w.id, level, b.ctx.Params.Scale, true})
 }
 
 func (b *cryptoBackend) SetLayer(name string) {
@@ -233,14 +249,14 @@ func (b *cryptoBackend) SetLayer(name string) {
 
 func (b *cryptoBackend) PCmult(x *CT, w Plain) *CT {
 	level := x.ct.Level()
-	out := b.ctx.Eval.MulPlainNew(x.ct, b.plain(w, level, b.ctx.Params.Scale))
+	out := b.ctx.Eval.MulPlainNew(x.ct, b.mulOperand(w, level))
 	b.rec.record(ckks.OpPCmult, level)
 	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) PCadd(x *CT, w Plain) *CT {
 	level := x.ct.Level()
-	out := b.ctx.Eval.AddPlainNew(x.ct, b.plain(w, level, x.ct.Scale))
+	out := b.ctx.Eval.AddPlainNew(x.ct, b.plain(w, operandKey{w.id, level, x.ct.Scale, false}))
 	b.rec.record(ckks.OpPCadd, level)
 	return WrapCiphertext(out)
 }
@@ -264,15 +280,30 @@ func (b *cryptoBackend) Rescale(x *CT) *CT {
 	return WrapCiphertext(out)
 }
 
-// mulPlainAdd is PCmult(x, w) then CCadd(acc, product) as one
-// multiply-accumulate into acc, a value the evaluation owns that dies at
-// the CCadd. It asks plain for w and records events exactly as the two
-// calls do.
-func (b *cryptoBackend) mulPlainAdd(acc, x *CT, w Plain) *CT {
-	level := x.ct.Level()
-	b.ctx.Eval.MulPlainAdd(acc.ct, x.ct, b.plain(w, level, b.ctx.Params.Scale))
-	b.rec.record(ckks.OpPCmult, level)
-	return b.adopt(acc, ckks.OpCCadd, acc.ct.Level())
+// term queues PCmult(x, w) as the next pair of a multiply-accumulate
+// chain, asking plain for w now, where the unfused PCmult would.
+func (b *cryptoBackend) term(x *CT, w Plain) {
+	b.cts = append(b.cts, x.ct)
+	b.pts = append(b.pts, b.mulOperand(w, x.ct.Level()))
+}
+
+// mulPlainSum runs the queued chain — PCmult(x_i, w_i) then CCadd(acc,
+// product) for each term in order — as one multiply-accumulate into acc,
+// a value the evaluation owns that dies at the first CCadd. It records
+// events exactly as the unfused calls do, pair by pair.
+func (b *cryptoBackend) mulPlainSum(acc *CT) *CT {
+	at := acc.ct.Level()
+	b.ctx.Eval.MulPlainSum(acc.ct, b.cts, b.pts)
+	for _, ct := range b.cts {
+		at = min(at, ct.Level())
+		b.rec.record(ckks.OpPCmult, ct.Level())
+		b.rec.record(ckks.OpCCadd, at)
+	}
+	clear(b.cts)
+	clear(b.pts)
+	b.cts, b.pts = b.cts[:0], b.pts[:0]
+	acc.level = acc.ct.Level()
+	return acc
 }
 
 // addInto is CCadd(x, y) written into dst, whichever of x and y the

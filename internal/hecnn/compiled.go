@@ -19,9 +19,10 @@ const DefaultPlaintextCacheBytes = 256 << 20
 // plainCache is the serve-path core of CompiledNetwork and
 // CompiledBatched: a byte-bounded, singleflight cache of one program's
 // plaintext operands, each encoded at the exact (level, scale) the
-// program's schedule consumes it at and keyed by (plain, level, scale).
+// program's schedule consumes it at, in the form its consumer takes, and
+// keyed by (plain, level, scale, form).
 // Lowering interns an IsConst operand by value, so one broadcast scalar
-// consumed at one (level, scale) is one entry wherever the program uses it
+// consumed at one (level, scale, form) is one entry wherever the program uses it
 // — a batched conv reuses each kernel weight at every output position, so
 // FxHENN-MNIST's ~107K batched operand consumptions collapse to a few
 // thousand entries. Every other operand is its own entry.
@@ -41,7 +42,7 @@ type plainCache struct {
 	// steady-state-zero-encodes tests pin. encode is the seam those tests
 	// use to fail on any encode after Warm.
 	encodeCalls atomic.Int64
-	encode      func(w Plain, level int, scale float64) *ckks.Plaintext
+	encode      plainSource
 }
 
 // init sets up the cache for prog. maxBytes bounds the resident encoded
@@ -56,9 +57,9 @@ func (pc *plainCache) init(prog *program, params ckks.Parameters, enc *ckks.Enco
 	}
 	pc.prog, pc.params, pc.metric = prog, params, metric
 	pc.pts = cache.New[operandKey, *ckks.Plaintext](maxBytes)
-	pc.encode = func(w Plain, level int, scale float64) *ckks.Plaintext {
+	pc.encode = func(w Plain, k operandKey) *ckks.Plaintext {
 		pc.encodeCalls.Add(1)
-		return encodePlain(enc, w, level, scale)
+		return encodePlain(enc, w, k)
 	}
 }
 
@@ -93,23 +94,23 @@ func (pc *plainCache) Warm(startLevel int) {
 // handle's parameters; rec may be nil to skip tracing. The returned
 // backend is single-request, like NewCryptoBackend's.
 func (pc *plainCache) Backend(ctx *Context, rec *Recorder) Backend {
-	return &cryptoBackend{ctx, rec, pc.source}
+	return &cryptoBackend{ctx: ctx, rec: rec, plain: pc.source}
 }
 
 // source is the cached plainSource. An operand from outside the program
 // is encoded uncached.
-func (pc *plainCache) source(w Plain, level int, scale float64) *ckks.Plaintext {
+func (pc *plainCache) source(w Plain, k operandKey) *ckks.Plaintext {
 	if w.id == 0 {
-		return pc.encode(w, level, scale)
+		return pc.encode(w, k)
 	}
-	return pc.get(w, operandKey{w.id, level, scale})
+	return pc.get(w, k)
 }
 
 // get returns w encoded under k, encoding on first use; concurrent
 // requests for one key share one encode.
 func (pc *plainCache) get(w Plain, k operandKey) *ckks.Plaintext {
 	pt, err := pc.pts.GetOrCompute(k, func() (*ckks.Plaintext, int64, error) {
-		return pc.encode(w, k.level, k.scale), int64(pc.params.PlaintextBytes(k.level)), nil
+		return pc.encode(w, k), int64(pc.params.PlaintextBytes(k.level)), nil
 	})
 	if err != nil {
 		// The fill cannot fail; keep the impossible branch loud.

@@ -1,6 +1,7 @@
 package hecnn
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 			if warmEncodes == 0 {
 				t.Fatal("Warm encoded nothing — operand fold broken")
 			}
-			cn.encode = func(Plain, int, float64) *ckks.Plaintext {
+			cn.encode = func(Plain, operandKey) *ckks.Plaintext {
 				t.Fatal("Encoder.Encode called during steady-state cached inference")
 				return nil
 			}
@@ -120,6 +121,63 @@ func TestCompiledWarmMatchesConsumption(t *testing.T) {
 	}
 	if st.Hits <= warm.Hits {
 		t.Fatalf("inference produced no cache hits (hits %d → %d)", warm.Hits, st.Hits)
+	}
+}
+
+// sharedConstLayer consumes one broadcast scalar — one interned plain id —
+// as a PCmult operand and as a PCadd operand at the same level and
+// scale: x·c + (y+c)·c.
+type sharedConstLayer struct{}
+
+func (sharedConstLayer) Name() string    { return "shared-const" }
+func (sharedConstLayer) Kind() LayerKind { return NKS }
+func (sharedConstLayer) OutElems() int   { return 1 }
+
+func (sharedConstLayer) Apply(b Backend, in *State) *State {
+	c := Plain{IsConst: true, Const: 0.75}
+	out := b.CCadd(b.PCmult(in.CTs[0], c), b.PCmult(b.PCadd(in.CTs[1], c), c))
+	return &State{CTs: []*CT{out}, Kind: Contiguous, N: 1}
+}
+
+// TestOperandFormInCacheKey: the cache key carries the operand's form,
+// so a scalar both PCmult and PCadd consume at one level and scale is
+// two entries — a Montgomery-form one for the products and a normal one
+// for the sum — and the cached evaluation is bit-identical to the
+// uncached one and decrypts to x·c + (y+c)·c.
+func TestOperandFormInCacheKey(t *testing.T) {
+	params := tinyParams()
+	p := lowerLayers([]Layer{sharedConstLayer{}}, 2)
+	var keys []operandKey
+	p.operands(&params, params.MaxLevel(), func(k operandKey) { keys = append(keys, k) })
+	if len(keys) != 3 || keys[0].plain != keys[1].plain || keys[0].level != keys[1].level ||
+		keys[0].scale != keys[1].scale || keys[0].mont == keys[1].mont {
+		t.Fatalf("operand keys %v: want the PCmult and PCadd consumptions of one plain at one level and scale", keys)
+	}
+
+	x, y := 0.5, -0.25
+	eval := func(cached bool) (*Context, *CT, *plainCache) {
+		ctx := NewContext(params, 91, nil)
+		in := []*CT{ctx.EncryptVector([]float64{x}), ctx.EncryptVector([]float64{y})}
+		b := NewCryptoBackend(ctx, nil)
+		var pc *plainCache
+		if cached {
+			pc = &plainCache{}
+			pc.init(p, params, ctx.Encoder, 0, "test")
+			pc.Warm(params.MaxLevel())
+			b = pc.Backend(ctx, nil)
+		}
+		return ctx, p.run(b, in, nil)[p.outputs()[0]], pc
+	}
+	_, want, _ := eval(false)
+	ctx, got, pc := eval(true)
+	if st := pc.CacheStats(); st.Entries != 2 || st.Misses != 2 {
+		t.Errorf("cache holds %d entries after %d misses, want 2 and 2", st.Entries, st.Misses)
+	}
+	if got.Ciphertext().Digest() != want.Ciphertext().Digest() {
+		t.Error("cached evaluation differs from the uncached one")
+	}
+	if v, exact := ctx.DecryptVector(got)[0], x*0.75+(y+0.75)*0.75; math.Abs(v-exact) > 1e-3 {
+		t.Errorf("decrypted %g, want %g", v, exact)
 	}
 }
 

@@ -50,6 +50,6 @@ func (c *Context) DecryptVector(ct *CT) []float64 {
 
 // encodeOperand is the uncached plainSource: every operand is encoded on
 // use.
-func (c *Context) encodeOperand(w Plain, level int, scale float64) *ckks.Plaintext {
-	return encodePlain(c.Encoder, w, level, scale)
+func (c *Context) encodeOperand(w Plain, k operandKey) *ckks.Plaintext {
+	return encodePlain(c.Encoder, w, k)
 }

@@ -33,12 +33,16 @@ const (
 // backend may write the instruction's result into it. fuseNext marks a
 // PCmult whose product the next instruction, a CCadd with ownX, reads
 // last as its second operand: the pair runs as one multiply-accumulate.
+// chainNext marks a fused PCmult whose pair's sum the next pair, fused
+// too and in the same layer, accumulates into: a maximal run of such
+// pairs is one chain, and runs as one multiply-accumulate.
 const (
 	lastX uint8 = 1 << iota
 	lastArg
 	ownX
 	ownArg
 	fuseNext
+	chainNext
 )
 
 // instr is one lowered Backend call. It reads value x and defines the
@@ -146,8 +150,9 @@ func (lw *lowering) endLayer(name string, outs []*CT) {
 }
 
 // finish marks each value's last use (never the outputs') and which dying
-// values the evaluation owns, fuses PCmult→CCadd pairs, and returns the
-// program, its tables trimmed to length and the intern map dropped.
+// values the evaluation owns, fuses PCmult→CCadd pairs and chains them,
+// and returns the program, its tables trimmed to length and the intern
+// map dropped.
 //
 // A value is owned when an instruction of this evaluation defined it as a
 // ciphertext no other value shares: never an input, and never either side
@@ -218,6 +223,16 @@ func (lw *lowering) finish() *program {
 			c.flags |= fuseNext
 		}
 	}
+	// Pair pc's sum is value product[pc]+1. The next pair continues the
+	// chain when its CCadd accumulates into that sum and its PCmult does
+	// not read it: the chain materializes no partial sum.
+	for pc := 0; pc+3 < len(p.code); pc++ {
+		c, mul, sum := &p.code[pc], &p.code[pc+2], product[pc]+1
+		if c.flags&fuseNext != 0 && mul.flags&fuseNext != 0 && mul.layer == c.layer &&
+			p.code[pc+3].x == sum && mul.x != sum {
+			c.flags |= chainNext
+		}
+	}
 	return &p
 }
 
@@ -255,10 +270,11 @@ func (lw *lowering) RotateMany(x *CT, ks []int) []*CT {
 // counts from the count fold, wall time from this run.
 //
 // On the package's own crypto backend, run also acts on the ownership
-// flags: a fused PCmult→CCadd pair becomes one multiply-accumulate into
-// the CCadd's dying first operand, and a CCadd or Rescale writes into an
-// owned operand that dies there. Events, operand requests and ciphertexts
-// are identical to the unfused calls, which every other Backend receives.
+// flags: a chain of fused PCmult→CCadd pairs becomes one
+// multiply-accumulate into the first CCadd's dying first operand, and a
+// CCadd or Rescale writes into an owned operand that dies there. Events,
+// operand requests and ciphertexts are identical to the unfused calls,
+// which every other Backend receives.
 func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 	if len(in) != p.inputs {
 		panic(fmt.Sprintf("hecnn: %s expects %d inputs, got %d", p.layers[0].name, p.inputs, len(in)))
@@ -289,12 +305,22 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 					vals[next] = b.PCmult(x, p.plain(c.arg))
 					break
 				}
-				// The product (value next) is never materialized: the
-				// CCadd (value next+1) accumulates it into its x.
-				add := &p.code[pc+1]
-				vals[next+1] = cb.mulPlainAdd(vals[add.x], x, p.plain(c.arg))
-				add.release(vals)
-				pc, n = pc+1, 2
+				// Neither a product nor a partial sum is materialized:
+				// the chain's last CCadd defines the one sum, accumulated
+				// into the first CCadd's x.
+				acc, first := vals[p.code[pc+1].x], pc
+				for ; ; pc += 2 {
+					cb.term(vals[p.code[pc].x], p.plain(p.code[pc].arg))
+					if p.code[pc].flags&chainNext == 0 {
+						break
+					}
+				}
+				pc++
+				n = pc - first + 1
+				vals[next+n-1] = cb.mulPlainSum(acc)
+				for _, d := range p.code[first+1 : pc+1] {
+					d.release(vals)
+				}
 			case opPCadd:
 				vals[next] = b.PCadd(x, p.plain(c.arg))
 			case opCCadd:
@@ -474,11 +500,14 @@ func (p *program) keyLevels(startLevel int) (relin int, rots map[int]int) {
 }
 
 // operandKey names one encoded plaintext operand: a plain of the program
-// at the level and scale the schedule consumes it at.
+// at the level and scale the schedule consumes it at, in the form its
+// consumer takes — so an interned scalar that PCmult and PCadd both
+// consume at one level and scale is two operands.
 type operandKey struct {
 	plain int32
 	level int
 	scale float64
+	mont  bool // Montgomery form: a PCmult operand (ckks.Encoder.MForm)
 }
 
 // operands calls visit with the key of every plaintext operand
@@ -489,9 +518,9 @@ func (p *program) operands(params *ckks.Parameters, startLevel int, visit func(o
 	p.schedule(params, startLevel, func(c *instr, _ int, x, _ sched) {
 		switch c.op {
 		case opPCmult:
-			visit(operandKey{c.arg, x.level, params.Scale})
+			visit(operandKey{c.arg, x.level, params.Scale, true})
 		case opPCadd:
-			visit(operandKey{c.arg, x.level, x.scale})
+			visit(operandKey{c.arg, x.level, x.scale, false})
 		}
 	})
 }

@@ -28,9 +28,9 @@ func countLayer(l Layer, in *State, startLevel int) (*Recorder, *State, int) {
 // recordKeys wraps inner so every operand it is asked for is appended to
 // dst under its cache key.
 func recordKeys(dst *[]operandKey, inner plainSource) plainSource {
-	return func(w Plain, level int, scale float64) *ckks.Plaintext {
-		*dst = append(*dst, operandKey{w.id, level, scale})
-		return inner(w, level, scale)
+	return func(w Plain, k operandKey) *ckks.Plaintext {
+		*dst = append(*dst, k)
+		return inner(w, k)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestDryRunMatchesCrypto(t *testing.T) {
 				live := NewRecorder()
 				var liveKeys []operandKey
 				img := randomImage(pnet.InC, pnet.InH, pnet.InW, 63)
-				net.run(ctx, img, &cryptoBackend{ctx, live, recordKeys(&liveKeys, ctx.encodeOperand)}, nil)
+				net.run(ctx, img, &cryptoBackend{ctx: ctx, rec: live, plain: recordKeys(&liveKeys, ctx.encodeOperand)}, nil)
 
 				sameEvents(t, "Count", net.Count(top), live)
 				aliased := sameKeyLevels(t, net, params, live)
@@ -142,7 +142,7 @@ func TestDryRunMatchesCrypto(t *testing.T) {
 
 		live := NewRecorder()
 		var liveKeys []operandKey
-		if _, err := bnet.runBatch(ctx, images, &cryptoBackend{ctx, live, recordKeys(&liveKeys, ctx.encodeOperand)}); err != nil {
+		if _, err := bnet.runBatch(ctx, images, &cryptoBackend{ctx: ctx, rec: live, plain: recordKeys(&liveKeys, ctx.encodeOperand)}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -221,23 +221,92 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // TestOwnedValuesEvaluateInPlace pins the mechanism behind the serve
-// path's allocation figure: on the crypto backend, a warm tiny BSGS
-// evaluation fuses each PCmult into the CCadd that consumes it and writes
-// CCadd and Rescale results into dying owned values, so it allocates at
-// most 60 % of the bytes the same evaluation allocates through
-// passThrough, which receives the unfused call stream.
+// path's allocation figure: on the crypto backend, a warm evaluation —
+// tiny BSGS, and batched tiny — runs each chain of PCmult→CCadd pairs as
+// one multiply-accumulate and writes CCadd and Rescale results into dying
+// owned values, so it allocates at most 60 % of the bytes the same
+// evaluation allocates through passThrough, which receives the unfused
+// call stream.
 func TestOwnedValuesEvaluateInPlace(t *testing.T) {
+	check := func(name string, eval func(wrap func(Backend) Backend)) {
+		t.Helper()
+		fused := allocatedBytes(func() { eval(func(b Backend) Backend { return b }) })
+		unfused := allocatedBytes(func() { eval(func(b Backend) Backend { return passThrough{b} }) })
+		if float64(fused) > 0.6*float64(unfused) {
+			t.Errorf("%s: in-place evaluation allocated %d KB, unfused %d KB (%.0f %%), want at most 60 %%",
+				name, fused>>10, unfused>>10, 100*float64(fused)/float64(unfused))
+		}
+		t.Logf("%s: in-place %d KB, unfused %d KB", name, fused>>10, unfused>>10)
+	}
+
 	params, net, ctx, img := compiledFixture(t, Options{BSGS: true})
 	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
 	cn.Warm(params.MaxLevel())
 	in := encryptInput(net, ctx, img)
-	fused := allocatedBytes(func() { net.EvaluateEncrypted(cn.Backend(ctx, nil), in) })
-	unfused := allocatedBytes(func() { net.EvaluateEncrypted(passThrough{cn.Backend(ctx, nil)}, in) })
-	if float64(fused) > 0.6*float64(unfused) {
-		t.Fatalf("in-place evaluation allocated %d KB, unfused %d KB (%.0f %%), want at most 60 %%",
-			fused>>10, unfused>>10, 100*float64(fused)/float64(unfused))
+	check("tiny BSGS", func(wrap func(Backend) Backend) { net.EvaluateEncrypted(wrap(cn.Backend(ctx, nil)), in) })
+
+	pnet := cnn.NewTinyNet()
+	pnet.InitWeights(11)
+	bnet, err := CompileBatched(pnet, params.Slots())
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("in-place %d KB, unfused %d KB", fused>>10, unfused>>10)
+	cb := NewCompiledBatched(bnet, params, ctx.Encoder, 0)
+	cb.Warm(params.MaxLevel())
+	packed, err := bnet.PackBatch([]*cnn.Tensor{img, img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin []*CT
+	for _, v := range packed {
+		bin = append(bin, ctx.EncryptVector(v))
+	}
+	check("batched tiny", func(wrap func(Backend) Backend) { bnet.Evaluate(wrap(cb.Backend(ctx, nil)), bin) })
+}
+
+// chainLayer is a layer of one output that emit builds from the inputs.
+type chainLayer struct {
+	name string
+	emit func(b Backend, in []*CT) *CT
+}
+
+func (l chainLayer) Name() string  { return l.name }
+func (chainLayer) Kind() LayerKind { return NKS }
+func (chainLayer) OutElems() int   { return 1 }
+func (l chainLayer) Apply(b Backend, in *State) *State {
+	return &State{CTs: []*CT{l.emit(b, in.CTs)}, Kind: Contiguous, N: 1}
+}
+
+// TestFinishChainsFusedPairs: finish marks each maximal run of fused
+// pairs in one layer whose CCadd accumulates the previous pair's sum, and
+// ends a run where the next PCmult reads that sum or the layer ends.
+func TestFinishChainsFusedPairs(t *testing.T) {
+	w := func(c float64) Plain { return Plain{IsConst: true, Const: c} }
+	p := lowerLayers([]Layer{
+		chainLayer{"first", func(b Backend, in []*CT) *CT {
+			x, y := in[0], in[1]
+			s := b.PCmult(x, w(1))               // pc 0: the first sum's x
+			s = b.CCadd(s, b.PCmult(y, w(2)))    // pc 1: chains to pc 3
+			s = b.CCadd(s, b.PCmult(x, w(3)))    // pc 3: its sum is the next PCmult's operand
+			s = b.CCadd(s, b.PCmult(s, w(4)))    // pc 5: chains to pc 7
+			return b.CCadd(s, b.PCmult(y, w(5))) // pc 7: the layer ends
+		}},
+		chainLayer{"second", func(b Backend, in []*CT) *CT {
+			return b.CCadd(in[0], b.PCmult(in[0], w(6))) // pc 9: a chain of one
+		}},
+	}, 2)
+	var fused, chained []int
+	for pc, c := range p.code {
+		if c.flags&fuseNext != 0 {
+			fused = append(fused, pc)
+		}
+		if c.flags&chainNext != 0 {
+			chained = append(chained, pc)
+		}
+	}
+	if !slices.Equal(fused, []int{1, 3, 5, 7, 9}) || !slices.Equal(chained, []int{1, 5}) {
+		t.Fatalf("fused pairs at %v and chain links at %v, want [1 3 5 7 9] and [1 5]", fused, chained)
+	}
 }
 
 // hazardLayer emits the shapes whose dying operands the evaluation does

@@ -185,7 +185,6 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 		}
 	}()
 
-	phaseStart := time.Now()
 	// A routed request swaps the serving runtime from the default to the
 	// tenant's own: parameters, keys, compiled network, quota and batch
 	// domain.
@@ -210,6 +209,9 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 	if err != nil {
 		return nil, err
 	}
+	// Decode starts once the header is in: until then the server only
+	// waits for a client that may still be encrypting.
+	phaseStart := time.Now()
 
 	params, want, kind := run.ctx.Params, run.net.Layers[0].(*hecnn.ConvPacked).NumPositions(), "packed"
 	if h.batch {

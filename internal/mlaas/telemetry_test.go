@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -129,6 +130,38 @@ func TestTelemetryFullInference(t *testing.T) {
 	}
 	if int(hops) != rec.TotalHOPs() || int(ks) != rec.TotalKeySwitches() {
 		t.Fatalf("layer metrics %d/%d != dry-run trace %d/%d", hops, ks, rec.TotalHOPs(), rec.TotalKeySwitches())
+	}
+}
+
+// slowWriter delays its first Write, as a client that connects and then
+// spends that long encrypting does.
+type slowWriter struct {
+	net.Conn
+	delay time.Duration
+	once  sync.Once
+}
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { time.Sleep(w.delay) })
+	return w.Conn.Write(p)
+}
+
+// TestDecodePhaseExcludesClientDelay: the decode phase starts once the
+// request header is read, so the time a client takes before it writes —
+// 300 ms here — is not charged to the server's decoding.
+func TestDecodePhaseExcludesClientDelay(t *testing.T) {
+	fx := newMetricsFixture(t, Config{})
+	conn := fx.dial(t)
+	defer conn.Close()
+	if _, err := fx.client.Infer(context.Background(), &slowWriter{Conn: conn, delay: 300 * time.Millisecond}, randomImage(4)); err != nil {
+		t.Fatal(err)
+	}
+	m := fx.reg.Snapshot().Family(MetricPhaseSeconds).Metric(telemetry.L("phase", "decode"))
+	if m == nil || m.Count != 1 {
+		t.Fatalf("decode phase histogram %+v, want 1 observation", m)
+	}
+	if m.Sum >= 0.1 {
+		t.Fatalf("decode phase %.0f ms, want under 100 ms: it counts the client's delay", 1000*m.Sum)
 	}
 }
 

@@ -227,12 +227,34 @@ func (r *Ring) MulCoeffs(out, a, b *Poly) {
 	})
 }
 
-// MulCoeffsAdd computes out += a ⊙ b, the HE-MAC kernel of the accelerator.
+// MulCoeffsAdd computes out += a ⊙ b, both operands in normal form. The
+// HE-MAC of PCmult chains is ckks.Evaluator.MulPlainSum.
 func (r *Ring) MulCoeffsAdd(out, a, b *Poly) {
 	k := r.checkSameK(out, a, b)
 	r.do(k, minParallelCoeffs, func(i int) {
 		r.Mods[i].MulAddVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	})
+}
+
+// MulCoeffsMont computes out = a ⊙ b with b in Montgomery form (see
+// MForm): bit-identical to MulCoeffs of b's normal form, with REDC in
+// place of Barrett.
+func (r *Ring) MulCoeffsMont(out, a, bMont *Poly) {
+	k := r.checkSameK(out, a, bMont)
+	r.do(k, minParallelCoeffs, func(i int) {
+		r.Mods[i].MulMontVec(out.Coeffs[i], a.Coeffs[i], bMont.Coeffs[i])
+	})
+}
+
+// RowPool returns the attached pool when a pointwise operation over rows
+// residue rows would fan out to it, and nil when it would run serially:
+// the dispatch rule of the pointwise ops, for callers that run their own
+// row loops.
+func (r *Ring) RowPool(rows int) *parallel.Pool {
+	if rows >= 2 && rows*r.N >= minParallelCoeffs {
+		return r.pool.Load()
+	}
+	return nil
 }
 
 // MulScalar computes out = s * a for a word scalar s.
