@@ -16,7 +16,7 @@
 // client against an in-process server.
 //
 // Every flag's -h text states its default and its off value. In brief:
-// -cache-bytes bounds the pre-encoded weight cache behind zero-encode
+// -cache-bytes budgets the pre-encoded weights behind zero-encode
 // steady state; -workers sizes the evaluation pool (results are
 // bit-identical at any size); -bsgs compiles linear layers as
 // baby-step/giant-step diagonal transforms; -batch-size/-batch-window
@@ -62,7 +62,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "weight/key seed")
 	maxConcurrent := flag.Int("max-concurrent", 4, "evaluation slots before requests are refused busy")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue: requests beyond the evaluation slots wait here, up to their budget, before busy (0 = fail fast)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for the encoded-weight plaintext cache (0 = auto-size from the compiled operand set, negative disables caching)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "residency budget for encoded weight plaintexts, LoLa and batch domain alike (0 = the whole operand set, negative = none resident: every request re-encodes; positive keeps operands in first-use order while they fit)")
 	workers := flag.Int("workers", 0, "evaluation worker pool size shared by all requests (0 = GOMAXPROCS, 1 = serial)")
 	bsgs := flag.Bool("bsgs", false, "compile linear layers as BSGS diagonal transforms (baby-step/giant-step rotations; falls back to the ladder where it loses)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "rolling per-read/write deadline")

@@ -1,282 +1,22 @@
-// Package cache provides the generic byte-bounded LRU cache behind the
-// serve-path precomputation layer: hecnn's per-network encoded-plaintext
-// store keeps its weight material here so steady-state inference reuses
-// one encoding across every request while a hard byte budget bounds the
-// server's resident precompute footprint.
-//
-// The cache is safe for concurrent use and deduplicates concurrent fills:
-// GetOrCompute guarantees that, per key, the fill function runs at most
-// once at a time — every concurrent caller for the same key blocks on the
-// single in-flight computation and shares its result (the "singleflight"
-// discipline). Purge invalidates atomically: fills that were already in
-// flight when Purge ran complete normally for their callers but are not
-// inserted, so no stale value survives an invalidation.
-//
-// Telemetry is opt-in via SetMetrics; with it disabled every counter is a
-// nil-safe no-op, keeping the hit path to one mutex acquisition.
+// Package cache names the telemetry of hecnn's operand tables — the
+// encoded weight plaintexts a compiled network keeps resident — so the
+// serving stack and the benchmark read one set of families and one
+// snapshot type.
 package cache
 
-import (
-	"sync"
-
-	"fxhenn/internal/telemetry"
-)
-
-// Metric families exported when SetMetrics attaches a registry. All carry
-// a {cache="<name>"} label so several caches share the families.
+// Metric families a compiled network's operand table exports. All carry
+// a {cache="<name>"} label: hecnn_plaintext or hecnn_batched_plaintext.
 const (
-	MetricHits      = "cache_hits_total"
-	MetricMisses    = "cache_misses_total"
-	MetricEvictions = "cache_evictions_total"
-	MetricEntries   = "cache_entries"
-	MetricBytes     = "cache_bytes"
+	MetricHits    = "cache_hits_total"   // operand lookups served from a resident plaintext
+	MetricMisses  = "cache_misses_total" // encoder calls: warm-up plus every non-resident use
+	MetricEntries = "cache_entries"      // resident plaintexts, summed over live tables
+	MetricBytes   = "cache_bytes"        // resident plaintext bytes, summed over live tables
 )
 
-// Stats is a point-in-time snapshot of a cache's counters.
+// Stats is a point-in-time snapshot of one operand table.
 type Stats struct {
-	Hits      int64 // lookups served from a resident or in-flight entry
-	Misses    int64 // lookups that ran the fill function
-	Evictions int64 // entries removed to honor the byte budget
-	Entries   int   // resident entries
-	Bytes     int64 // resident bytes (as reported by the fills)
-	MaxBytes  int64 // configured budget (0 = unbounded)
-}
-
-// entry is one resident value on the intrusive LRU list.
-type entry[K comparable, V any] struct {
-	key        K
-	val        V
-	size       int64
-	prev, next *entry[K, V]
-}
-
-// call is one in-flight fill; concurrent callers for its key block on
-// done and share val/err.
-type call[V any] struct {
-	done chan struct{}
-	val  V
-	size int64
-	err  error
-}
-
-// Cache is a byte-bounded LRU map with singleflight fills. Construct with
-// New; the zero value is not usable.
-type Cache[K comparable, V any] struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[K]*entry[K, V]
-	inflight map[K]*call[V]
-	epoch    uint64 // bumped by Purge; in-flight fills from older epochs are not inserted
-	// head is most recently used, tail least; both nil when empty.
-	head, tail *entry[K, V]
-
-	hits, misses, evictions int64
-
-	mHits      *telemetry.Counter
-	mMisses    *telemetry.Counter
-	mEvictions *telemetry.Counter
-	mEntries   *telemetry.Gauge
-	mBytes     *telemetry.Gauge
-}
-
-// New creates a cache bounded to maxBytes of resident values (sizes are
-// whatever the fill functions report — bytes by convention). maxBytes <= 0
-// disables the bound.
-func New[K comparable, V any](maxBytes int64) *Cache[K, V] {
-	return &Cache[K, V]{
-		maxBytes: maxBytes,
-		entries:  map[K]*entry[K, V]{},
-		inflight: map[K]*call[V]{},
-	}
-}
-
-// SetMetrics registers this cache's counters and gauges on reg under the
-// given cache name. A nil registry leaves telemetry disabled.
-func (c *Cache[K, V]) SetMetrics(reg *telemetry.Registry, name string) {
-	l := telemetry.L("cache", name)
-	c.mHits = reg.Counter(MetricHits, "cache lookups served without computing", l)
-	c.mMisses = reg.Counter(MetricMisses, "cache lookups that ran the fill function", l)
-	c.mEvictions = reg.Counter(MetricEvictions, "cache entries evicted to honor the byte budget", l)
-	c.mEntries = reg.Gauge(MetricEntries, "resident cache entries", l)
-	c.mBytes = reg.Gauge(MetricBytes, "resident cache bytes", l)
-}
-
-// Get returns the cached value for k, marking it most recently used.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if ok {
-		c.moveFront(e)
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-	if ok {
-		c.mHits.Inc()
-		return e.val, true
-	}
-	c.mMisses.Inc()
-	var zero V
-	return zero, false
-}
-
-// GetOrCompute returns the value for k, running fill at most once across
-// all concurrent callers when the key is absent. fill reports the value's
-// size toward the byte budget; a fill error is returned to every waiting
-// caller and nothing is cached.
-func (c *Cache[K, V]) GetOrCompute(k K, fill func() (V, int64, error)) (V, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.moveFront(e)
-		c.hits++
-		c.mu.Unlock()
-		c.mHits.Inc()
-		return e.val, nil
-	}
-	if cl, ok := c.inflight[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		c.mHits.Inc()
-		<-cl.done
-		return cl.val, cl.err
-	}
-	cl := &call[V]{done: make(chan struct{})}
-	c.inflight[k] = cl
-	epoch := c.epoch
-	c.misses++
-	c.mu.Unlock()
-	c.mMisses.Inc()
-
-	cl.val, cl.size, cl.err = fill()
-
-	c.mu.Lock()
-	if c.inflight[k] == cl {
-		delete(c.inflight, k)
-	}
-	// Insert only when the fill succeeded and no Purge invalidated the
-	// epoch it started under (callers still get the computed value).
-	if cl.err == nil && epoch == c.epoch {
-		c.insert(k, cl.val, cl.size)
-	}
-	c.mu.Unlock()
-	close(cl.done)
-	return cl.val, cl.err
-}
-
-// Put inserts (or replaces) a value directly.
-func (c *Cache[K, V]) Put(k K, v V, size int64) {
-	c.mu.Lock()
-	c.insert(k, v, size)
-	c.mu.Unlock()
-}
-
-// Remove drops k if resident.
-func (c *Cache[K, V]) Remove(k K) {
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.unlink(e)
-	}
-	c.publishSizeLocked()
-	c.mu.Unlock()
-}
-
-// Purge drops every resident entry and invalidates in-flight fills: a
-// fill running when Purge is called still returns its value to its
-// callers but is not inserted into the cache.
-func (c *Cache[K, V]) Purge() {
-	c.mu.Lock()
-	c.entries = map[K]*entry[K, V]{}
-	c.head, c.tail = nil, nil
-	c.bytes = 0
-	c.epoch++
-	c.publishSizeLocked()
-	c.mu.Unlock()
-}
-
-// Stats snapshots the counters.
-func (c *Cache[K, V]) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.entries), Bytes: c.bytes, MaxBytes: c.maxBytes,
-	}
-}
-
-// insert adds or replaces k and evicts from the LRU tail until the byte
-// budget holds. Callers hold c.mu. A value larger than the whole budget is
-// inserted and immediately evicted: callers still received it, it just
-// never stays resident.
-func (c *Cache[K, V]) insert(k K, v V, size int64) {
-	if e, ok := c.entries[k]; ok {
-		c.unlink(e)
-	}
-	e := &entry[K, V]{key: k, val: v, size: size}
-	c.entries[k] = e
-	c.pushFront(e)
-	c.bytes += size
-	if c.maxBytes > 0 {
-		for c.bytes > c.maxBytes && c.tail != nil {
-			c.evictions++
-			c.mEvictions.Inc()
-			c.unlink(c.tail)
-		}
-	}
-	c.publishSizeLocked()
-}
-
-func (c *Cache[K, V]) publishSizeLocked() {
-	c.mEntries.Set(float64(len(c.entries)))
-	c.mBytes.Set(float64(c.bytes))
-}
-
-func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache[K, V]) unlink(e *entry[K, V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	c.bytes -= e.size
-	delete(c.entries, e.key)
-}
-
-func (c *Cache[K, V]) moveFront(e *entry[K, V]) {
-	if c.head == e {
-		return
-	}
-	// Detach without touching the bookkeeping unlink does.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
+	Hits    int64 // lookups served from a resident plaintext
+	Misses  int64 // encoder calls
+	Entries int   // resident plaintexts
+	Bytes   int64 // resident bytes
 }

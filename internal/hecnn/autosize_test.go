@@ -5,11 +5,13 @@ import (
 
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
+	"fxhenn/internal/ring"
 )
 
 // TestPlanCacheBytesMatchesWarm pins PlanCacheBytes' exactness: the
-// folded byte count must equal the cache's own resident-bytes
-// accounting after a real unbounded Warm, in both compile modes.
+// folded byte count equals the table's own resident bytes after a real
+// Warm with every operand resident, in both compile modes and for the
+// fixture whose shared scalar fills two slots, one per form.
 func TestPlanCacheBytesMatchesWarm(t *testing.T) {
 	params := tinyParams()
 	for _, mode := range []struct {
@@ -18,65 +20,70 @@ func TestPlanCacheBytesMatchesWarm(t *testing.T) {
 	}{
 		{"ladder", Options{}},
 		{"bsgs", Options{BSGS: true}},
+		{"two-form", Options{}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			pnet := cnn.NewTinyNet()
-			pnet.InitWeights(3)
-			net := CompileWith(pnet, params.Slots(), mode.opts)
+			var net *Network
+			if mode.name == "two-form" {
+				net = &Network{prog: lowerLayers([]Layer{sharedConstLayer{}}, 2)}
+			} else {
+				pnet := cnn.NewTinyNet()
+				pnet.InitWeights(3)
+				net = CompileWith(pnet, params.Slots(), mode.opts)
+			}
 			need := PlanCacheBytes(net, params, params.MaxLevel())
 			if need <= 0 {
 				t.Fatalf("PlanCacheBytes = %d, want > 0", need)
 			}
-			cn := NewCompiledNetwork(net, params, ckks.NewEncoder(params), -1) // unbounded
+			cn := NewCompiledNetwork(net, params, ckks.NewEncoder(params), 0)
 			cn.Warm(params.MaxLevel())
 			if got := cn.CacheStats().Bytes; got != need {
-				t.Fatalf("warm cache holds %d bytes, PlanCacheBytes predicted %d", got, need)
+				t.Fatalf("warm table holds %d bytes, PlanCacheBytes predicted %d", got, need)
 			}
 		})
 	}
 }
 
-// TestAutoCacheBytesBSGSMNIST is the regression test for the silent
-// BSGS cache-thrash (PERFORMANCE.md §5): the MNIST BSGS operand set
-// exceeds the 256 MiB default budget, so a server warming it under the
-// default evicts its own working set on every pass — strictly worse
-// than no cache. The fix: AutoPlaintextCacheBytes sizes the budget from
-// the compiled operand set, and a warm + steady-state pass under it
-// must see zero evictions. The encode seam is stubbed so the test
-// measures cache accounting (which uses the declared PlaintextBytes
-// sizes either way) without paying for a thousand real MNIST encodes.
+// TestAutoCacheBytesBSGSMNIST: the MNIST BSGS operand set (~343 MB,
+// PERFORMANCE.md §5) is wholly resident under the auto budget — and
+// under the default 0 — so a warm table serves every consumption of an
+// evaluation's operand fold without one encode. The encode seam is
+// stubbed, so the test checks residency, not a thousand real MNIST
+// encodes; the table's byte accounting uses PlaintextBytes either way.
 func TestAutoCacheBytesBSGSMNIST(t *testing.T) {
 	params := ckks.ParamsMNIST()
 	pnet := cnn.NewMNISTNet()
 	pnet.InitWeights(1)
 	net := CompileWith(pnet, params.Slots(), Options{BSGS: true})
+	top := params.MaxLevel()
 
-	need := PlanCacheBytes(net, params, params.MaxLevel())
-	if need <= DefaultPlaintextCacheBytes {
-		t.Fatalf("BSGS MNIST operand set is %d bytes, expected to exceed the %d default — the scenario this fix exists for is gone",
-			need, int64(DefaultPlaintextCacheBytes))
+	need := PlanCacheBytes(net, params, top)
+	if auto := AutoPlaintextCacheBytes(net, params, top); auto != need {
+		t.Fatalf("auto budget %d != operand set %d", auto, need)
 	}
-	auto := AutoPlaintextCacheBytes(net, params, params.MaxLevel())
-	if auto < need {
-		t.Fatalf("auto budget %d below the operand set %d", auto, need)
-	}
-
 	enc := ckks.NewEncoder(params)
-	stub := enc.Encode(make([]float64, params.Slots()), params.MaxLevel(), params.Scale)
-	warmTwice := func(budget int64) (evictions int64) {
+	for _, budget := range []int64{need, 0} {
 		cn := NewCompiledNetwork(net, params, enc, budget)
-		cn.encode = func(Plain, operandKey) *ckks.Plaintext { return stub }
-		cn.Warm(params.MaxLevel()) // fill
-		cn.Warm(params.MaxLevel()) // steady state: every operand should hit
-		return cn.CacheStats().Evictions
-	}
-
-	// Under the old default the warm pass must thrash (that is the bug);
-	// under the auto budget the steady state must be eviction-free.
-	if ev := warmTwice(DefaultPlaintextCacheBytes); ev == 0 {
-		t.Fatalf("default budget fit the BSGS operand set (%d bytes) without evicting — regression scenario vanished", need)
-	}
-	if ev := warmTwice(auto); ev != 0 {
-		t.Fatalf("auto-sized budget %d still evicted %d entries warming a %d-byte operand set", auto, ev, need)
+		cn.encode = func(_ Plain, k operandKey) *ckks.Plaintext {
+			// Residues are never read: only the key the table checks.
+			return &ckks.Plaintext{Value: &ring.Poly{Coeffs: make([][]uint64, k.level)}, Scale: k.scale, IsMontgomery: k.mont}
+		}
+		cn.Warm(top)
+		warm := cn.CacheStats()
+		if warm.Bytes != need {
+			t.Fatalf("budget %d: %d resident bytes, want the whole %d-byte operand set", budget, warm.Bytes, need)
+		}
+		cn.encode = func(Plain, operandKey) *ckks.Plaintext {
+			t.Fatalf("budget %d: a warm BSGS operand was not resident", budget)
+			return nil
+		}
+		uses := int64(0)
+		net.prog.operands(&params, top, func(k operandKey) {
+			uses++
+			cn.source(net.prog.plain(k.plain), k)
+		})
+		if hits := cn.CacheStats().Hits; hits != uses {
+			t.Fatalf("budget %d: %d of %d uses served resident", budget, hits, uses)
+		}
 	}
 }

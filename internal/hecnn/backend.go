@@ -7,8 +7,8 @@
 // and keeps the result: a flat program of HE operations (program.go).
 // Evaluation is the one interpreter of that program; the per-layer
 // HE-operation profiles ("HOPs", "KS") that drive the paper's resource
-// models and design space exploration, the Galois rotation set, cache
-// warming and sizing, and the analytic noise bound are folds over it. The
+// models and design space exploration, the Galois rotation set, operand
+// residency and its size, and the analytic noise bound are folds over it. The
 // paper's point that "to make an accurate evaluation, we must extract the
 // HE operations and data relations at this level" is this package.
 //
@@ -197,9 +197,9 @@ func (r *Recorder) Layer(name string) *LayerEvents { return r.byName[name] }
 // plainSource supplies the encoded form of plaintext operand w under key
 // k: the level and scale the schedule consumes it at, and its form. Its
 // two forms — Context.encodeOperand (uncached) and the compiled handles'
-// cache — are all that distinguishes one crypto backend from another, and
-// Warm fills the cache under the keys of the same program fold, so the
-// two can never disagree on a key.
+// operand table — are all that distinguishes one crypto backend from
+// another, and Warm fills the table under the keys of the same program
+// fold, checking each resident plaintext against the key it is asked for.
 type plainSource func(w Plain, k operandKey) *ckks.Plaintext
 
 // encodePlain is the one encode rule: EncodeConst for a broadcast scalar,

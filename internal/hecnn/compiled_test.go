@@ -88,23 +88,6 @@ func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 	}
 }
 
-// TestCompiledColdFillsOnDemand: without Warm, the first inference fills
-// the cache (encodes > 0) and the second performs zero new encodes —
-// get-or-compute alone reaches the steady state.
-func TestCompiledColdFillsOnDemand(t *testing.T) {
-	params, net, ctx, img := compiledFixture(t, Options{})
-	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
-	net.EvaluateEncrypted(cn.Backend(ctx, nil), encryptInput(net, ctx, img))
-	afterFirst := cn.EncodeCalls()
-	if afterFirst == 0 {
-		t.Fatal("cold run performed no encodes")
-	}
-	net.EvaluateEncrypted(cn.Backend(ctx, nil), encryptInput(net, ctx, img))
-	if got := cn.EncodeCalls(); got != afterFirst {
-		t.Fatalf("second cold-path run re-encoded: %d → %d", afterFirst, got)
-	}
-}
-
 // TestCompiledWarmMatchesConsumption: Warm must pre-encode exactly the
 // operand set an inference consumes — a warm run followed by one
 // inference shows hits only, and the miss count equals the warm encode
@@ -139,11 +122,11 @@ func (sharedConstLayer) Apply(b Backend, in *State) *State {
 	return &State{CTs: []*CT{out}, Kind: Contiguous, N: 1}
 }
 
-// TestOperandFormInCacheKey: the cache key carries the operand's form,
+// TestOperandFormInCacheKey: the operand key carries the operand's form,
 // so a scalar both PCmult and PCadd consume at one level and scale is
-// two entries — a Montgomery-form one for the products and a normal one
-// for the sum — and the cached evaluation is bit-identical to the
-// uncached one and decrypts to x·c + (y+c)·c.
+// two resident slots — a Montgomery-form one for the products and a
+// normal one for the sum — and the cached evaluation is bit-identical to
+// the uncached one and decrypts to x·c + (y+c)·c.
 func TestOperandFormInCacheKey(t *testing.T) {
 	params := tinyParams()
 	p := lowerLayers([]Layer{sharedConstLayer{}}, 2)
@@ -155,13 +138,13 @@ func TestOperandFormInCacheKey(t *testing.T) {
 	}
 
 	x, y := 0.5, -0.25
-	eval := func(cached bool) (*Context, *CT, *plainCache) {
+	eval := func(cached bool) (*Context, *CT, *operandTable) {
 		ctx := NewContext(params, 91, nil)
 		in := []*CT{ctx.EncryptVector([]float64{x}), ctx.EncryptVector([]float64{y})}
 		b := NewCryptoBackend(ctx, nil)
-		var pc *plainCache
+		var pc *operandTable
 		if cached {
-			pc = &plainCache{}
+			pc = &operandTable{}
 			pc.init(p, params, ctx.Encoder, 0, "test")
 			pc.Warm(params.MaxLevel())
 			b = pc.Backend(ctx, nil)
@@ -171,7 +154,7 @@ func TestOperandFormInCacheKey(t *testing.T) {
 	_, want, _ := eval(false)
 	ctx, got, pc := eval(true)
 	if st := pc.CacheStats(); st.Entries != 2 || st.Misses != 2 {
-		t.Errorf("cache holds %d entries after %d misses, want 2 and 2", st.Entries, st.Misses)
+		t.Errorf("table holds %d entries after %d misses, want 2 and 2", st.Entries, st.Misses)
 	}
 	if got.Ciphertext().Digest() != want.Ciphertext().Digest() {
 		t.Error("cached evaluation differs from the uncached one")
@@ -184,7 +167,7 @@ func TestOperandFormInCacheKey(t *testing.T) {
 // TestCompiledHandlePerProgram pins that a handle is bound to the program
 // it was built for: recompiling the same CNN in another mode (BSGS, with
 // its own operand set and Galois keys) takes a new handle, which warms its
-// own operands without touching the first handle's cache and evaluates
+// own operands without touching the first handle's table and evaluates
 // bit-identically to the uncached BSGS path.
 func TestCompiledHandlePerProgram(t *testing.T) {
 	params, net, ctx, _ := compiledFixture(t, Options{})
@@ -192,7 +175,7 @@ func TestCompiledHandlePerProgram(t *testing.T) {
 	cn.Warm(params.MaxLevel())
 	ladder := cn.CacheStats()
 	if ladder.Entries == 0 {
-		t.Fatal("warm cache empty")
+		t.Fatal("warm table empty")
 	}
 
 	// Fresh fixtures with identical seeds: cached-BSGS must equal
@@ -210,7 +193,7 @@ func TestCompiledHandlePerProgram(t *testing.T) {
 		t.Fatalf("cached BSGS digest %s != uncached %s", got, want)
 	}
 	if st := cn.CacheStats(); st != ladder {
-		t.Fatalf("another program's handle changed the ladder cache: %+v → %+v", ladder, st)
+		t.Fatalf("another program's handle changed the ladder table: %+v → %+v", ladder, st)
 	}
 }
 
@@ -283,24 +266,102 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestCompiledByteBudgetEviction: a budget too small for the operand set
-// still yields correct results — entries evict and re-encode — proving
-// the budget bounds memory, not correctness.
-func TestCompiledByteBudgetEviction(t *testing.T) {
-	params, net, ctx, img := compiledFixture(t, Options{})
-	// One top-level plaintext is PlaintextBytes(7) bytes; budget two of
-	// them so the working set cannot stay resident.
-	cn := NewCompiledNetwork(net, params, ctx.Encoder, int64(2*params.PlaintextBytes(params.MaxLevel())))
-	cn.Warm(params.MaxLevel())
-	out := net.EvaluateEncrypted(cn.Backend(ctx, nil), encryptInput(net, ctx, img))
-	if out.Ciphertext() == nil {
-		t.Fatal("no output ciphertext")
+// TestCompiledByteBudget: under half of PlanCacheBytes the table keeps
+// operands resident in first-consumption order while they fit, and one
+// evaluation encodes exactly the consumptions the residency fold leaves
+// non-resident — a count known before the run, not an LRU's accident —
+// with a digest equal to the uncached path's and resident bytes within
+// the budget.
+func TestCompiledByteBudget(t *testing.T) {
+	_, net, ctx, img := compiledFixture(t, Options{})
+	want := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img)).Ciphertext().Digest()
+
+	params, net2, ctx2, img2 := compiledFixture(t, Options{})
+	top := params.MaxLevel()
+	budget := PlanCacheBytes(net2, params, top) / 2
+	resident := map[operandKey]bool{}
+	net2.prog.residents(&params, top, budget, func(_ int, k operandKey) { resident[k] = true })
+	var uses, nonResident int64
+	net2.prog.operands(&params, top, func(k operandKey) {
+		uses++
+		if !resident[k] {
+			nonResident++
+		}
+	})
+	if nonResident == 0 || nonResident == uses {
+		t.Fatalf("half budget leaves %d of %d uses non-resident, want some of each", nonResident, uses)
+	}
+
+	cn := NewCompiledNetwork(net2, params, ctx2.Encoder, budget)
+	cn.Warm(top)
+	warm := cn.CacheStats()
+	if warm.Entries != len(resident) || warm.Bytes > budget || warm.Bytes == 0 {
+		t.Fatalf("warm table %+v, want %d entries within %d bytes", warm, len(resident), budget)
+	}
+	got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), encryptInput(net2, ctx2, img2)).Ciphertext().Digest()
+	if got != want {
+		t.Fatalf("budgeted digest %s != uncached %s", got, want)
 	}
 	st := cn.CacheStats()
-	if st.Evictions == 0 {
-		t.Fatalf("tiny budget evicted nothing: %+v", st)
+	if enc := st.Misses - warm.Misses; enc != nonResident {
+		t.Fatalf("evaluation encoded %d operands, the fold predicts %d", enc, nonResident)
 	}
-	if st.Bytes > st.MaxBytes {
-		t.Fatalf("byte budget violated: %+v", st)
+	if hits := st.Hits - warm.Hits; hits != uses-nonResident {
+		t.Fatalf("evaluation hit %d resident operands, want %d", hits, uses-nonResident)
+	}
+}
+
+// TestOperandLookupAllocs: a warm lookup is a slice index and a key
+// check — it allocates nothing.
+func TestOperandLookupAllocs(t *testing.T) {
+	params, net, ctx, _ := compiledFixture(t, Options{})
+	cn := NewCompiledNetwork(net, params, ctx.Encoder, 0)
+	cn.Warm(params.MaxLevel())
+	var keys []operandKey
+	net.prog.operands(&params, params.MaxLevel(), func(k operandKey) { keys = append(keys, k) })
+	plains := make([]Plain, len(keys))
+	for i, k := range keys {
+		plains[i] = net.prog.plain(k.plain)
+	}
+	before := cn.EncodeCalls()
+	allocs := testing.AllocsPerRun(10, func() {
+		for i, k := range keys {
+			cn.source(plains[i], k)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm pass over %d lookups allocated %v times", len(keys), allocs)
+	}
+	if cn.EncodeCalls() != before {
+		t.Fatal("a warm lookup encoded")
+	}
+}
+
+// TestCompiledOtherStartLevel: inputs one level below Warm's consume
+// every operand under a key no resident plaintext carries. The table
+// encodes each such use instead of serving a plaintext at the wrong
+// level, so the evaluation is digest-identical to the uncached backend.
+func TestCompiledOtherStartLevel(t *testing.T) {
+	lower := func(cts []*CT) []*CT {
+		for _, ct := range cts {
+			ct.Ciphertext().DropLevel(1)
+		}
+		return cts
+	}
+	_, net, ctx, img := compiledFixture(t, Options{})
+	want := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), lower(encryptInput(net, ctx, img))).Ciphertext().Digest()
+
+	params, net2, ctx2, img2 := compiledFixture(t, Options{})
+	cn := NewCompiledNetwork(net2, params, ctx2.Encoder, 0)
+	cn.Warm(params.MaxLevel())
+	warm := cn.CacheStats()
+	got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), lower(encryptInput(net2, ctx2, img2))).Ciphertext().Digest()
+	if got != want {
+		t.Fatalf("digest %s one level below Warm's != uncached %s", got, want)
+	}
+	var uses int64
+	net2.prog.operands(&params, params.MaxLevel()-1, func(operandKey) { uses++ })
+	if st := cn.CacheStats(); st.Misses-warm.Misses != uses || st.Hits != warm.Hits {
+		t.Fatalf("table %+v after warm %+v: want all %d uses encoded, none served", st, warm, uses)
 	}
 }

@@ -1,9 +1,10 @@
 package hecnn
 
 // The lowered program (see the package comment): evaluation interprets
-// it (run); counts, key sets and their levels, cache keys and noise
-// bounds fold over it (count, keyLevels, operands, EstimatePrecision),
-// their levels and scales from one schedule fold.
+// it (run); counts, key sets and their levels, operand keys and their
+// residency, and noise bounds fold over it (count, keyLevels, operands,
+// residents, EstimatePrecision), their levels and scales from one
+// schedule fold.
 
 import (
 	"fmt"
@@ -122,7 +123,7 @@ func (lw *lowering) emit(op opcode, x *CT, arg int) *lowering {
 }
 
 // plain returns w's plain id. An IsConst plain is interned by value, so
-// equal broadcast scalars share one id and one cached encoding, and is
+// equal broadcast scalars share one id and one resident encoding, and is
 // kept as its scalar alone; every other plain is its own operand.
 func (lw *lowering) plain(w Plain) int {
 	if !w.IsConst {
@@ -522,6 +523,49 @@ func (p *program) operands(params *ckks.Parameters, startLevel int, visit func(o
 		case opPCadd:
 			visit(operandKey{c.arg, x.level, x.scale, false})
 		}
+	})
+}
+
+// slots is the length of an operand table over p: a normal and a
+// Montgomery slot for each plain id in -len(consts)..len(plains).
+func (p *program) slots() int { return 2 * (len(p.consts) + len(p.plains) + 1) }
+
+// slot is the operand table index of plain id in the given form. Plain
+// ids are dense, so this is a shift; id 0 — an operand from outside the
+// program — has slots nothing ever fills.
+func (p *program) slot(id int32, mont bool) int {
+	s := 2 * (int(id) + len(p.consts))
+	if mont {
+		s++
+	}
+	return s
+}
+
+// residents is the operand table's one residency rule, shared by Warm and
+// PlanCacheBytes. It calls visit once per resident slot, in
+// first-consumption order, with the key that first consumption asks for.
+// maxBytes == 0 keeps every slot resident and a negative maxBytes none; a
+// positive maxBytes keeps each slot that still fits the budget when it is
+// first consumed. A slot's later consumptions under another key — another
+// start level's, or a second key for one (id, form) — are not resident.
+func (p *program) residents(params *ckks.Parameters, startLevel int, maxBytes int64, visit func(slot int, k operandKey)) {
+	if maxBytes < 0 {
+		return
+	}
+	seen := make([]bool, p.slots())
+	var used int64
+	p.operands(params, startLevel, func(k operandKey) {
+		s := p.slot(k.plain, k.mont)
+		if seen[s] {
+			return
+		}
+		seen[s] = true
+		size := int64(params.PlaintextBytes(k.level))
+		if maxBytes > 0 && used+size > maxBytes {
+			return
+		}
+		used += size
+		visit(s, k)
 	})
 }
 

@@ -3,17 +3,20 @@ package mlaas
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fxhenn/internal/cache"
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/hecnn"
@@ -240,6 +243,65 @@ func TestBatchedDisabledServerRejectsMagic(t *testing.T) {
 	st, msg := parseFailure(t, handleBuf(fx.server, hdr[:]))
 	if st != StatusBadRequest || !strings.Contains(msg, "outside [1,") {
 		t.Fatalf("status = %v (%q), want bad-count refusal", st, msg)
+	}
+}
+
+// readRecorder keeps every byte read through it.
+type readRecorder struct {
+	io.ReadWriter
+	got bytes.Buffer
+}
+
+func (r *readRecorder) Read(p []byte) (int, error) {
+	n, err := r.ReadWriter.Read(p)
+	r.got.Write(p[:n])
+	return n, err
+}
+
+// TestBatchDomainCacheBytes: the batch domain honours Config.CacheBytes
+// as the LoLa path does. With -1 nothing is resident — every batch
+// encodes its operands and cache_bytes{cache="hecnn_batched_plaintext"}
+// stays 0 — and the raw responses are byte-identical to a server whose
+// default budget keeps every operand resident and encodes nothing after
+// warm-up.
+func TestBatchDomainCacheBytes(t *testing.T) {
+	const batches = 2
+	serve := func(budget int64) (responses []string, encodes []int64, residentBytes float64) {
+		reg := telemetry.NewRegistry()
+		fx := newBatchFixture(t, Config{Metrics: reg, CacheBytes: budget}, 2, time.Millisecond)
+		cb := fx.server.def.bat.cb
+		bc := fx.batchClient(9)
+		encodes = append(encodes, cb.EncodeCalls())
+		for i := range batches {
+			conn, done := serveOne(t, fx.server)
+			rec := &readRecorder{ReadWriter: conn}
+			if _, err := bc.Infer(context.Background(), rec, randomImage(int64(60+i))); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			<-done
+			responses = append(responses, fmt.Sprintf("%x", sha256.Sum256(rec.got.Bytes())))
+			encodes = append(encodes, cb.EncodeCalls())
+		}
+		m := reg.Snapshot().Family(cache.MetricBytes).Metric(telemetry.L("cache", "hecnn_batched_plaintext"))
+		return responses, encodes, m.Value
+	}
+	want, resident, bytesAll := serve(0)
+	got, uncached, bytesNone := serve(-1)
+	if !slices.Equal(got, want) {
+		t.Fatalf("responses with nothing resident %v, with everything resident %v", got, want)
+	}
+	for i := 1; i <= batches; i++ {
+		if resident[i] != resident[0] {
+			t.Errorf("default budget: encodes %v grew after warm-up", resident)
+		}
+		if uncached[i] <= uncached[i-1] {
+			t.Errorf("CacheBytes -1: encodes %v did not grow per batch", uncached)
+		}
+	}
+	if uncached[0] != 0 || bytesNone != 0 || bytesAll == 0 {
+		t.Errorf("warm-up encodes %d and cache_bytes %g with nothing resident, cache_bytes %g with everything",
+			uncached[0], bytesNone, bytesAll)
 	}
 }
 

@@ -35,16 +35,15 @@ type Config struct {
 	// reported in the queue phase histogram, MetricQueueWait, and counted
 	// against the request's budget.
 	QueueDepth int
-	// CacheBytes bounds the server's encoded-plaintext cache (the
-	// hecnn.CompiledNetwork behind steady-state zero-encode inference).
-	// 0 (the default) auto-sizes from the compiled operand set
-	// (hecnn.AutoPlaintextCacheBytes): the stock default when the warm
-	// set fits it, the measured set plus headroom when it doesn't — BSGS
-	// networks outgrow the fixed default and would thrash. A negative
-	// value disables the cache entirely and every request re-encodes its
-	// weight plaintexts. The batch path's broadcast-plaintext cache takes
-	// the same value, but has no uncached mode: 0 is the stock default
-	// and a negative value leaves it unbounded.
+	// CacheBytes is the residency budget of each runtime's encoded
+	// weight plaintexts (the hecnn.CompiledNetwork operand table behind
+	// steady-state zero-encode inference), with one meaning for the LoLa
+	// and the batch domain alike. 0 (the default) keeps the whole operand
+	// set resident (hecnn.PlanCacheBytes). A negative value keeps none:
+	// every request re-encodes its weight plaintexts. A positive value
+	// keeps operands in first-consumption order while they fit and
+	// encodes the rest per use. Responses are bit-identical under any
+	// budget.
 	CacheBytes int64
 	// IOTimeout is the rolling per-read/per-write deadline on a
 	// connection. Default 30s.

@@ -2,14 +2,14 @@ package mlaas
 
 // Multi-tenant serving. A server with Config.Registry set resolves each
 // routed request (wire.go) to a tenantRuntime: the tenant's CKKS
-// parameters, compiled network, evaluation keys, warmed plaintext cache,
+// parameters, compiled network, evaluation keys, warm operand table,
 // admission quota, and — when the record enables it — a private batch
 // domain. Runtimes are materialized lazily from the registry record by
 // Config.Models and cached keyed by the record's generation, so a key
 // rotation or model update invalidates exactly one tenant's runtime and
 // the next request rebuilds it; requests already evaluating on the old
 // runtime finish on it. The expensive pieces (key derivation, network
-// compilation, cache warm) run once per (tenant, generation) under
+// compilation, operand warm-up) run once per (tenant, generation) under
 // singleflight; the tenantSet is the only cache of them, so each new
 // generation builds its own hecnn.CompiledNetwork handle. Unrouted
 // requests run on the server's default runtime, which newRuntime builds
@@ -54,9 +54,9 @@ type tenantRuntime struct {
 	gen      uint64
 	net      *hecnn.Network
 	ctx      *hecnn.Context
-	compiled *hecnn.CompiledNetwork // nil disables the plaintext cache
-	bat      *batcher               // nil disables batched serving for this runtime
-	layers   layerMetrics           // nil when the server has no metrics
+	compiled *hecnn.CompiledNetwork
+	bat      *batcher     // nil disables batched serving for this runtime
+	layers   layerMetrics // nil when the server has no metrics
 
 	// quota is the tenant's admission quota (registry Record.Quota): a
 	// counting semaphore acquired after the server-wide admission slot.
@@ -67,9 +67,9 @@ type tenantRuntime struct {
 // newRuntime builds one resident runtime from its serving material —
 // for the server's default model and every registry tenant alike: attach
 // the shared worker pool, build the evaluator context and the per-layer
-// metric handles, size, build and warm the plaintext cache, and start the
-// batch domain when the model has one. quota > 0 caps the runtime's
-// concurrent requests.
+// metric handles, warm the operand table under Config.CacheBytes, and
+// start the batch domain when the model has one, whose table takes the
+// same budget. quota > 0 caps the runtime's concurrent requests.
 //
 // The evaluator holds level views of tm's keys (hecnn.Network.KeyViews):
 // each key only up to the highest level the program uses it at, and no
@@ -95,21 +95,14 @@ func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota in
 	if quota > 0 {
 		rt.quota = make(chan struct{}, quota)
 	}
-	if budget := s.cfg.CacheBytes; budget >= 0 {
-		// Pre-encode every weight/bias plaintext at the exact levels and
-		// scales the compiled plan consumes, so steady-state requests
-		// perform zero Encoder.Encode calls (responses are bit-identical
-		// either way — see hecnn.TestCompiledZeroEncodeSteadyState). An
-		// unset budget auto-sizes from the compiled operand set, so a
-		// model whose warm set exceeds the flat default (BSGS at MNIST
-		// scale) never silently thrashes its cache.
-		if budget == 0 {
-			budget = hecnn.AutoPlaintextCacheBytes(tm.Net, tm.Params, tm.Params.MaxLevel())
-		}
-		rt.compiled = hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, budget)
-		rt.compiled.SetMetrics(s.cfg.Metrics)
-		rt.compiled.Warm(tm.Params.MaxLevel())
-	}
+	// Pre-encode the resident weight/bias plaintexts at the exact levels
+	// and scales the compiled plan consumes; with the default budget that
+	// is all of them, and steady-state requests perform zero
+	// Encoder.Encode calls. Responses are bit-identical under any budget
+	// (hecnn.TestCompiledZeroEncodeSteadyState, TestCompiledByteBudget).
+	rt.compiled = hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, s.cfg.CacheBytes)
+	rt.compiled.SetMetrics(s.cfg.Metrics)
+	rt.compiled.Warm(tm.Params.MaxLevel())
 	if tm.Batch != nil {
 		bc := tm.Batch.withDefaults()
 		bc.Params.AttachPool(s.pool)
@@ -129,13 +122,28 @@ func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota in
 }
 
 // backend returns the evaluation backend for one request on this
-// runtime: the warmed compiled-network backend when the cache is
-// enabled, a plain crypto backend otherwise. It records no trace.
+// runtime, over its operand table. It records no trace.
 func (rt *tenantRuntime) backend() hecnn.Backend {
-	if rt.compiled != nil {
-		return rt.compiled.Backend(rt.ctx, nil)
+	return rt.compiled.Backend(rt.ctx, nil)
+}
+
+// release withdraws the runtime's operand tables from the cache gauges:
+// it is no longer resident, though requests already on it finish.
+func (rt *tenantRuntime) release() {
+	rt.compiled.Release()
+	if rt.bat != nil {
+		rt.bat.cb.Release()
 	}
-	return hecnn.NewCryptoBackend(rt.ctx, nil)
+}
+
+// retire releases a superseded runtime and stops its private batch
+// domain. It needs no other teardown — in-flight requests hold their own
+// references and finish on it.
+func (rt *tenantRuntime) retire() {
+	rt.release()
+	if rt.bat != nil {
+		rt.bat.stop()
+	}
 }
 
 // acquireQuota claims one tenant-quota slot, fail-fast: a tenant at its
@@ -160,12 +168,14 @@ func (rt *tenantRuntime) releaseQuota() {
 }
 
 // tenantEntry is one tenant's resident runtime slot in the tenantSet:
-// built once per (tenant, generation) under its once.
+// built once per (tenant, generation) under its once. rt, err and retired
+// are written under the tenantSet's mu.
 type tenantEntry struct {
-	gen  uint64
-	once sync.Once
-	rt   *tenantRuntime
-	err  error
+	gen     uint64
+	once    sync.Once
+	rt      *tenantRuntime
+	err     error
+	retired bool
 }
 
 // tenantSet resolves registry records to resident runtimes.
@@ -200,13 +210,18 @@ func newTenantSet(reg *registry.Registry, build ModelBuilder, srv *Server) *tena
 // generation share one build, and a failed build is retried by the next
 // request. The resident generation is monotonic: a reader that looked up
 // the record just before a rotate gets a one-off runtime for its keys
-// without evicting the newer resident one.
+// without evicting the newer resident one; the one-off is never resident,
+// so its tables count in no gauge.
 func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 	ts.mu.Lock()
 	e, ok := ts.entries[rec.Tenant]
 	if ok && rec.Generation < e.gen {
 		ts.mu.Unlock()
-		return ts.materialize(rec)
+		rt, err := ts.materialize(rec)
+		if err == nil {
+			rt.release()
+		}
+		return rt, err
 	}
 	if !ok || e.gen != rec.Generation {
 		e = &tenantEntry{gen: rec.Generation}
@@ -218,7 +233,16 @@ func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 		ts.mu.Unlock()
 	}
 
-	e.once.Do(func() { e.rt, e.err = ts.materialize(rec) })
+	e.once.Do(func() {
+		rt, err := ts.materialize(rec)
+		ts.mu.Lock()
+		e.rt, e.err = rt, err
+		retired := e.retired
+		ts.mu.Unlock()
+		if retired && rt != nil {
+			rt.retire() // superseded while it was being built
+		}
+	})
 	if e.err != nil {
 		// A failed build must not wedge the generation: drop the entry (if
 		// still current) so the next request retries.
@@ -259,14 +283,19 @@ func (ts *tenantSet) notify(tenant string, gen uint64) {
 	}
 }
 
-// retire stops a superseded entry's private batch domain. The runtime
-// itself needs no teardown — in-flight requests hold their own
-// references and finish on it.
+// retire retires a superseded entry's runtime, or leaves that to its
+// build when the build is still running.
 func (ts *tenantSet) retire(e *tenantEntry) {
-	if e == nil || e.rt == nil || e.rt.bat == nil {
+	if e == nil {
 		return
 	}
-	e.rt.bat.stop()
+	ts.mu.Lock()
+	e.retired = true
+	rt := e.rt
+	ts.mu.Unlock()
+	if rt != nil {
+		rt.retire()
+	}
 }
 
 // appendResident appends every resident runtime to rts.

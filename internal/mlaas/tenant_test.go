@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"fxhenn/internal/cache"
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
+	"fxhenn/internal/hecnn"
 	"fxhenn/internal/registry"
 	"fxhenn/internal/telemetry"
 )
@@ -501,6 +503,59 @@ func TestTenantSetBuildsOncePerGeneration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTenantCacheBytesGauge: runtimes sharing a registry sum their
+// resident operand bytes on cache_bytes{cache="hecnn_plaintext"} rather
+// than overwrite each other, and a runtime the tenant set drops — rotated
+// away, or a one-off built for a stale generation — leaves no bytes
+// behind. At each step the gauge equals the sum of PlanCacheBytes over
+// the live runtimes: the server's default one and each resident tenant's.
+func TestTenantCacheBytesGauge(t *testing.T) {
+	alice := registry.Record{Tenant: "alice", Model: "tiny", WeightSeed: 100, KeySeed: 101}
+	bob := registry.Record{Tenant: "bob", Model: "tinyconv", WeightSeed: 200, KeySeed: 201}
+	met := telemetry.NewRegistry()
+	s, reg, _ := newTenantFixtureWith(t, Config{Metrics: met}, alice, bob)
+	plan := func(rt *tenantRuntime) float64 {
+		return float64(hecnn.PlanCacheBytes(rt.net, rt.ctx.Params, rt.ctx.Params.MaxLevel()))
+	}
+	check := func(step string, live ...*tenantRuntime) {
+		t.Helper()
+		want := plan(s.def)
+		for _, rt := range live {
+			want += plan(rt)
+		}
+		m := met.Snapshot().Family(cache.MetricBytes).Metric(telemetry.L("cache", "hecnn_plaintext"))
+		if m == nil || m.Value != want {
+			t.Fatalf("%s: cache_bytes %v, want %v", step, m, want)
+		}
+	}
+	lookup := func(tenant string) registry.Record {
+		rec, err := reg.Lookup(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+
+	check("default runtime only")
+	a1 := mustRuntime(t, s.tenants, lookup("alice"))
+	b := mustRuntime(t, s.tenants, lookup("bob"))
+	check("two tenants resident", a1, b)
+	if plan(a1) == plan(b) {
+		t.Fatal("both tenants plan the same bytes: the sum cannot tell them apart")
+	}
+	stale := lookup("alice")
+	if _, err := reg.Rotate("alice", 102); err != nil {
+		t.Fatal(err)
+	}
+	check("alice rotated away", b)
+	a2 := mustRuntime(t, s.tenants, lookup("alice"))
+	check("alice rebuilt", a2, b)
+	if oneOff := mustRuntime(t, s.tenants, stale); oneOff == a2 {
+		t.Fatal("stale generation served by the resident runtime")
+	}
+	check("after a stale one-off", a2, b)
 }
 
 func mustRuntime(t *testing.T, ts *tenantSet, rec registry.Record) *tenantRuntime {
