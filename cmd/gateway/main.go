@@ -5,10 +5,11 @@
 // Tenant state (keys, compiled network, warmed plaintext cache) lives on
 // the shards — run any number of gateways in front of the same fleet.
 //
-// Shards are named endpoints (-shards name=addr,...); unreachable ones
-// trip a per-shard dial breaker (-breaker-threshold, -breaker-cooldown)
-// and requests re-route deterministically to the tenant's next shard in
-// ring order. When no shard answers, clients get a typed busy refusal in
+// Shards are named endpoints (-shards name=addr,...); each has a breaker
+// (-breaker-threshold, -breaker-cooldown) that failed exchanges trip —
+// an unreachable shard, or one that tears or corrupts its response — and
+// requests re-route deterministically to the tenant's next shard in ring
+// order. When no shard answers, clients get a typed busy refusal in
 // the protocol's own vocabulary, so their normal backoff applies.
 //
 // SIGINT/SIGTERM closes the listener and tears down active splices.
@@ -42,7 +43,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	shardList := flag.String("shards", "", "comma-separated name=addr evaluator shards (required)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "client/shard deadline and shard dial budget")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive dial failures that open a shard's breaker")
+	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failed exchanges that open a shard's breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before allowing a probe")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address (empty disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for active splices")

@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// TestBreakerLifecycle walks a shard's dial breaker through the full
-// state machine as the gateway drives it: closed → open at the threshold
+// TestBreakerLifecycle walks a shard's breaker through the full state
+// machine as the gateway's dials drive it: closed → open at the threshold
 // → one probe only after the cooldown → re-open on probe failure, with
 // the cooldown fixed rather than doubled → closed on probe success, old
 // failures forgotten.

@@ -13,10 +13,11 @@ package gateway
 // cluster==single, cached==uncached and traced==untraced.
 //
 // The chaos suite drives the failure paths deterministically: a killed
-// shard trips its dial breaker and the tenant re-routes to the next
-// shard in ring order; a registry miss surfaces as the typed
-// unknown-tenant status through the splice; a faultnet-injected drop on
-// the gateway→shard link tears the response visibly instead of hanging.
+// shard trips its breaker and the tenant re-routes to the next shard in
+// ring order; a registry miss surfaces as the typed unknown-tenant status
+// through the splice; a faultnet-injected drop on the gateway→shard link
+// tears the response visibly instead of hanging, and counts against the
+// shard. The replica fault schedules live in chaos_test.go.
 // The mixed-tenant hammer (scaled by FXHENN_HAMMER_ITERS, run under
 // -race in nightly) keeps all of it honest under concurrency.
 
@@ -95,11 +96,13 @@ type cluster struct {
 // telemetry.
 func startShard(t *testing.T, name string, reg *registry.Registry, base *baseCeremony, cacheBytes int64, met *telemetry.Registry) *clusterShard {
 	t.Helper()
-	srv := mlaas.NewServerWithConfig(base.params, base.henet, base.rlk, base.rtk, mlaas.Config{
-		Registry:   reg,
-		CacheBytes: cacheBytes,
-		Metrics:    met,
-	})
+	return startShardWith(t, name, base, mlaas.Config{Registry: reg, CacheBytes: cacheBytes, Metrics: met})
+}
+
+// startShardWith starts one evaluator shard under cfg.
+func startShardWith(t *testing.T, name string, base *baseCeremony, cfg mlaas.Config) *clusterShard {
+	t.Helper()
+	srv := mlaas.NewServerWithConfig(base.params, base.henet, base.rlk, base.rtk, cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +527,9 @@ func TestClusterUnknownTenantThroughGateway(t *testing.T) {
 
 // TestClusterFaultnetDropMidResponse: a gateway→shard link that dies
 // mid-response must tear the client's exchange visibly (transport error
-// or short response), never hang or deliver silently truncated logits.
+// or short response), never hang or deliver silently truncated logits —
+// and the torn exchange counts against the shard's breaker even though
+// its dial succeeded.
 func TestClusterFaultnetDropMidResponse(t *testing.T) {
 	base := newBaseCeremony()
 	rec := registry.Record{Tenant: "t-ladder", Model: "tiny", WeightSeed: 100, KeySeed: 101}
@@ -536,7 +541,7 @@ func TestClusterFaultnetDropMidResponse(t *testing.T) {
 	shardAddr := sh.l.Addr().String()
 
 	// The gateway's upstream link drops after 64 response bytes.
-	gw := New(Config{}, Shard{
+	gw := New(Config{BreakerThreshold: 1}, Shard{
 		Name: "shard-0",
 		Dial: func(ctx context.Context) (net.Conn, error) {
 			var d net.Dialer
@@ -576,6 +581,9 @@ func TestClusterFaultnetDropMidResponse(t *testing.T) {
 	defer cancel()
 	if _, err = cl.Infer(ctx, conn, clusterImage(pnet, 5)); err == nil {
 		t.Fatal("dropped upstream link produced a successful inference")
+	}
+	if st := gw.BreakerState("shard-0"); st != "open" {
+		t.Fatalf("shard breaker %s after a torn exchange at threshold 1, want open", st)
 	}
 }
 

@@ -6,17 +6,25 @@
 // lives on the shard; the gateway holds only the ring and per-shard
 // breakers, so any number of gateways can front the same fleet.
 //
-// Unreachable shards trip a consecutive-failure breaker and the request
-// re-routes to the tenant's next shard in ring order — deterministically,
-// so every gateway re-routes the same tenant the same way. When no shard
-// answers, the gateway refuses in the protocol's own vocabulary
-// (mlaas.WriteFailure, StatusBusy) so ordinary clients back off and
-// retry rather than seeing a torn connection.
+// Each shard has a consecutive-failure breaker that judges whole
+// exchanges: a failed dial or prefix write, a response the shard tore
+// (a read error, or EOF before the status byte), a draining shard's
+// shutting-down refusal and, when the client asked for one, a CRC
+// trailer that does not match all count against it
+// (mlaas.RelayResponse). A request whose shard cannot take it re-routes
+// to the tenant's next shard in ring order — deterministically, so every
+// gateway re-routes the same tenant the same way; a request whose
+// response was torn or refused by a draining shard is the client's to
+// retry (mlaas.Retryable), and the retry finds the breaker already
+// judged. When no shard answers, the gateway refuses in the protocol's
+// own vocabulary (mlaas.WriteFailure, StatusBusy) so ordinary clients
+// back off and retry rather than seeing a torn connection.
 //
 // Shards leave the fleet by rolling drain (RemoveShard): the shard comes
 // off the ring first — new requests re-route immediately — then the call
 // waits for the shard's in-flight proxied requests to finish, mirroring
-// the evaluator's own Shutdown(ctx) contract.
+// the evaluator's own Shutdown(ctx) contract. The gateway's own Shutdown
+// does not wait: it tears down both sides of every active splice.
 package gateway
 
 import (
@@ -62,11 +70,14 @@ func (s Shard) dial(ctx context.Context) (net.Conn, error) {
 
 // Config bounds a Gateway. The zero value takes every default.
 type Config struct {
-	// IOTimeout is the rolling deadline for the client connection and
-	// the budget for dialing a shard. Default 30s.
+	// IOTimeout is the deadline for the client connection, the budget
+	// for dialing a shard, and the deadline for the whole shard
+	// exchange: a shard still sending when it expires is cut off and
+	// judged failed. Default 30s.
 	IOTimeout time.Duration
-	// BreakerThreshold is how many consecutive dial failures open a
-	// shard's breaker. Default 3.
+	// BreakerThreshold is how many consecutive failed exchanges open a
+	// shard's breaker (see the package comment for what fails one).
+	// Default 3.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects before
 	// allowing a probe, jittered ±20% and not doubled across open cycles
@@ -90,7 +101,7 @@ func (c Config) withDefaults() Config {
 }
 
 // shardState is the gateway's per-shard bookkeeping: the endpoint, the
-// dial breaker, and the in-flight count a rolling drain waits on.
+// exchange breaker, and the in-flight count a rolling drain waits on.
 type shardState struct {
 	shard   Shard
 	breaker *mlaas.Breaker
@@ -272,7 +283,10 @@ func (g *Gateway) Serve(l net.Listener) error {
 	}
 }
 
-// Shutdown closes the listeners and every spliced connection.
+// Shutdown closes the listeners and both sides of every spliced
+// connection, so in-flight exchanges end at once rather than at their
+// shard's last byte; the breakers' verdicts on them do not matter past
+// this point.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
 	g.closed = true
@@ -286,8 +300,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// track registers a live client connection for Shutdown teardown; the
-// returned func unregisters it.
+// track registers a live client or shard connection for Shutdown
+// teardown; the returned func unregisters it.
 func (g *Gateway) track(conn net.Conn) (func(), bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -314,7 +328,7 @@ func (g *Gateway) Handle(conn net.Conn) {
 	defer untrack()
 
 	conn.SetReadDeadline(time.Now().Add(g.cfg.IOTimeout)) //nolint:errcheck
-	hdr, consumed, _, err := mlaas.PeekRoute(conn)
+	hdr, consumed, crc, err := mlaas.PeekRoute(conn)
 	if err != nil {
 		// The prefix never arrived or was malformed; the shard-side parser
 		// would refuse it anyway, but there is nothing left to route.
@@ -341,51 +355,75 @@ func (g *Gateway) Handle(conn net.Conn) {
 		if !st.breaker.Allow() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.IOTimeout)
-		up, err := st.shard.dial(ctx)
-		cancel()
+		up, err := g.connect(st.shard, consumed)
 		if err != nil {
+			// Nothing of the client's stream past the prefix is read yet,
+			// so the next candidate can still take the whole request.
 			st.breaker.OnFailure()
 			continue
 		}
-		st.breaker.OnSuccess()
+		untrackUp, ok := g.track(up)
+		if !ok {
+			up.Close() // Shutdown raced the dial and has closed the client
+			return
+		}
 		if i > 0 {
 			g.rerouted(name)
 		}
 		g.routed(name)
 		st.enter()
-		g.splice(conn, up, consumed)
+		if g.splice(conn, up, crc) != nil {
+			st.breaker.OnFailure()
+		} else {
+			st.breaker.OnSuccess()
+		}
 		st.exit()
+		untrackUp()
 		return
 	}
 	g.refused()
 	mlaas.WriteFailure(conn, mlaas.StatusBusy, fmt.Sprintf("gateway: no shard reachable for tenant %q", hdr.Tenant))
 }
 
-// splice replays the peeked prefix to the shard, then copies bytes both
-// ways until the response completes (the shard closes its side) or
-// either peer fails.
-func (g *Gateway) splice(client, shard net.Conn, consumed []byte) {
-	defer shard.Close()
-	shard.SetDeadline(time.Now().Add(g.cfg.IOTimeout))  //nolint:errcheck
-	client.SetDeadline(time.Now().Add(g.cfg.IOTimeout)) //nolint:errcheck
-	if _, err := shard.Write(consumed); err != nil {
-		mlaas.WriteFailure(client, mlaas.StatusInternal, "gateway: shard went away mid-request")
-		return
+// connect dials a shard and replays the peeked prefix to it, both under
+// the IOTimeout.
+func (g *Gateway) connect(s Shard, consumed []byte) (net.Conn, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.IOTimeout)
+	defer cancel()
+	up, err := s.dial(ctx)
+	if err != nil {
+		return nil, err
 	}
+	up.SetDeadline(time.Now().Add(g.cfg.IOTimeout)) //nolint:errcheck
+	if _, err := up.Write(consumed); err != nil {
+		up.Close()
+		return nil, err
+	}
+	return up, nil
+}
+
+// splice copies the rest of the request to the shard and relays its
+// response to the client until the shard closes its side, returning the
+// shard's verdict (mlaas.RelayResponse). It leaves the client connection
+// open, so the caller records the verdict before the client can see the
+// exchange end and retry.
+func (g *Gateway) splice(client, shard net.Conn, crc bool) error {
+	defer shard.Close()
+	client.SetDeadline(time.Now().Add(g.cfg.IOTimeout)) //nolint:errcheck
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		io.Copy(shard, client) //nolint:errcheck // request side; shard read error ends the exchange
+		io.Copy(shard, client) //nolint:errcheck // request side; the shard's response judges the exchange
 		// Half-close toward the shard where the transport supports it, so
 		// a shard blocked on a short request sees EOF instead of a stall.
 		if cw, ok := shard.(interface{ CloseWrite() error }); ok {
 			cw.CloseWrite() //nolint:errcheck
 		}
 	}()
-	io.Copy(client, shard) //nolint:errcheck // response side
-	client.Close()         // unblocks the request-side copy if it is still parked
+	verdict := mlaas.RelayResponse(client, shard, crc)
+	client.SetReadDeadline(time.Now()) //nolint:errcheck // unparks the request side if it is still reading
 	<-done
+	return verdict
 }
 
 func (g *Gateway) routed(shard string) {

@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 
+	"fxhenn/internal/faultnet"
+	"fxhenn/internal/mlaas"
 	"fxhenn/internal/telemetry"
 )
 
@@ -153,6 +156,31 @@ func echoShard(t *testing.T, response []byte) (addr string) {
 	return l.Addr().String()
 }
 
+// homedOn returns a tenant whose home shard is shard.
+func homedOn(t *testing.T, g *Gateway, shard string) string {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		k := fmt.Sprintf("tenant-%d", i)
+		if home, _ := g.ring.Pick(k); home == shard {
+			return k
+		}
+	}
+	t.Fatalf("no tenant hashes to shard %s", shard)
+	return ""
+}
+
+// routedRequest is a minimal request routed to tenant: the route frame
+// ("1TNT", u16 length, name, u64 generation 0), then a count word.
+func routedRequest(tenant string) []byte {
+	var req bytes.Buffer
+	req.Write([]byte{0x31, 0x54, 0x4E, 0x54})
+	binary.Write(&req, binary.LittleEndian, uint16(len(tenant)))
+	req.WriteString(tenant)
+	binary.Write(&req, binary.LittleEndian, uint64(0))
+	req.Write([]byte{1, 0, 0, 0})
+	return req.Bytes()
+}
+
 // TestGatewayRerouteMetrics: a tenant whose home shard is dead lands on
 // the survivor; the routed and reroutes counters attribute it to the
 // serving shard.
@@ -163,26 +191,7 @@ func TestGatewayRerouteMetrics(t *testing.T) {
 		Shard{Name: "dead", Addr: "127.0.0.1:1"},
 		Shard{Name: "live", Addr: live})
 
-	// Find a tenant homed on the dead shard so the request re-routes.
-	tenant := ""
-	for i := 0; i < 10000; i++ {
-		k := fmt.Sprintf("tenant-%d", i)
-		if home, _ := g.ring.Pick(k); home == "dead" {
-			tenant = k
-			break
-		}
-	}
-	if tenant == "" {
-		t.Fatal("no tenant hashes to the dead shard")
-	}
-	var req bytes.Buffer
-	req.Write([]byte{0x31, 0x54, 0x4E, 0x54}) // routeMagic "1TNT"
-	binary.Write(&req, binary.LittleEndian, uint16(len(tenant)))
-	req.WriteString(tenant)
-	binary.Write(&req, binary.LittleEndian, uint64(0))
-	req.Write([]byte{1, 0, 0, 0})
-
-	resp := handleRaw(t, g, req.Bytes())
+	resp := handleRaw(t, g, routedRequest(homedOn(t, g, "dead")))
 	if !bytes.Equal(resp, []byte("pong")) {
 		t.Fatalf("spliced response %q, want pong", resp)
 	}
@@ -195,6 +204,118 @@ func TestGatewayRerouteMetrics(t *testing.T) {
 	}
 	if g.BreakerState("dead") != "open" {
 		t.Fatalf("dead shard breaker %s, want open", g.BreakerState("dead"))
+	}
+}
+
+// TestGatewayPrefixWriteFailureReroutes: a shard that accepts the dial but
+// fails the write of the peeked prefix has read nothing of the request,
+// so the gateway treats it like a failed dial — the breaker hears about
+// it and the next candidate serves the request.
+func TestGatewayPrefixWriteFailureReroutes(t *testing.T) {
+	live := echoShard(t, []byte("pong"))
+	g := New(Config{BreakerThreshold: 1},
+		Shard{Name: "broken", Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", live)
+			if err != nil {
+				return nil, err
+			}
+			return faultnet.New(conn, faultnet.Config{ResetAfterWrites: 1}), nil
+		}},
+		Shard{Name: "live", Addr: live})
+
+	resp := handleRaw(t, g, routedRequest(homedOn(t, g, "broken")))
+	if !bytes.Equal(resp, []byte("pong")) {
+		t.Fatalf("response %q, want the live shard's pong", resp)
+	}
+	if st := g.BreakerState("broken"); st != "open" {
+		t.Fatalf("broken shard breaker %s after a failed prefix write at threshold 1, want open", st)
+	}
+}
+
+// slowShard answers every request with an OK status byte, then — after a
+// pause long enough for the client to give up — 256 KiB more, then EOF.
+// It serves one connection and reports whether its writes all succeeded.
+func slowShard(t *testing.T) (addr string, wrote <-chan error) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	ch := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			ch <- err
+			return
+		}
+		defer conn.Close()
+		go io.Copy(io.Discard, conn) //nolint:errcheck // drain the request
+		_, err = conn.Write([]byte{0})
+		time.Sleep(200 * time.Millisecond)
+		for i := 0; err == nil && i < 8; i++ {
+			_, err = conn.Write(make([]byte, 32<<10))
+		}
+		ch <- err
+	}()
+	return l.Addr().String(), ch
+}
+
+// TestGatewayClientAbandonKeepsBreakerClosed: a client that gives up
+// mid-response — closing its connection, or letting its context deadline
+// expire — says nothing about the shard. The gateway drains the shard to
+// EOF for its verdict, and the breaker stays closed even at threshold 1.
+func TestGatewayClientAbandonKeepsBreakerClosed(t *testing.T) {
+	base := newBaseCeremony()
+	for _, mode := range []string{"close", "deadline"} {
+		t.Run(mode, func(t *testing.T) {
+			addr, wrote := slowShard(t)
+			g := New(Config{BreakerThreshold: 1}, Shard{Name: "a", Addr: addr})
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			handled := make(chan struct{})
+			go func() {
+				defer close(handled)
+				if conn, err := l.Accept(); err == nil {
+					g.Handle(conn)
+				}
+			}()
+			cli, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "close" {
+				cli.Write([]byte{1, 0, 0, 0}) //nolint:errcheck
+				if _, err := io.ReadFull(cli, make([]byte, 1)); err != nil {
+					t.Fatalf("reading the status byte: %v", err)
+				}
+			} else {
+				cl := mlaas.NewClient(base.params, base.henet, base.pk, base.sk, 7)
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				_, err := cl.Infer(ctx, cli, clusterImage(base.pnet, 5))
+				cancel()
+				if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("client error %v, want its own deadline", err)
+				}
+			}
+			cli.Close()
+
+			select {
+			case <-handled:
+			case <-time.After(10 * time.Second):
+				t.Fatal("gateway never finished the abandoned exchange")
+			}
+			if err := <-wrote; err != nil {
+				t.Fatalf("the gateway stopped draining the shard: %v", err)
+			}
+			if st := g.BreakerState("a"); st != "closed" {
+				t.Fatalf("breaker %s after a client abandoned a healthy exchange, want closed", st)
+			}
+		})
 	}
 }
 
@@ -261,6 +382,55 @@ func TestGatewayShutdown(t *testing.T) {
 	resp := handleRaw(t, g, []byte{1, 0, 0, 0})
 	if st, _ := readFailure(t, bytes.NewReader(resp)); st != 4 { // mlaas.StatusShuttingDown
 		t.Fatalf("post-shutdown Handle status %d, want shutting-down", st)
+	}
+}
+
+// TestGatewayShutdownEndsActiveSplices: Shutdown closes the shard side
+// of an active splice as well as the client side, so Serve returns at
+// once instead of waiting out the shard's response under IOTimeout.
+func TestGatewayShutdownEndsActiveSplices(t *testing.T) {
+	shardConns := make(chan net.Conn, 1)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		shardConns <- conn
+		io.Copy(io.Discard, conn) //nolint:errcheck // never responds
+	}()
+	g := New(Config{IOTimeout: 30 * time.Second}, Shard{Name: "slow", Addr: l.Addr().String()})
+	gl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- g.Serve(gl) }()
+
+	cli, err := net.Dial("tcp", gl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Write([]byte{1, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	defer (<-shardConns).Close()
+
+	if err := g.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-serveErr:
+		if !errors.Is(err, ErrGatewayClosed) {
+			t.Fatalf("Serve returned %v, want ErrGatewayClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still waiting on an active splice after Shutdown")
 	}
 }
 

@@ -1,15 +1,14 @@
 package mlaas
 
-// Circuit breaking: the one state machine behind the failover client (one
-// breaker per endpoint), the batch scheduler's degradation ladder (one
-// breaker on the batched evaluation path) and the gateway (one dial
-// breaker per shard). The machine is the classic three-state one — closed
-// (traffic flows), open (traffic is refused locally until a cooldown
-// elapses), half-open (exactly one probe is let through to test recovery)
-// — with a deterministic probe schedule: the cooldown doubles on every
-// consecutive open cycle up to a cap, and the jitter on each cooldown is
-// drawn from a seeded RNG, so a whole failure scenario replays
-// identically from its config.
+// Circuit breaking: the one state machine behind the batch scheduler's
+// degradation ladder (one breaker on the batched evaluation path) and the
+// gateway (one exchange breaker per shard). The machine is the classic
+// three-state one — closed (traffic flows), open (traffic is refused
+// locally until a cooldown elapses), half-open (exactly one probe is let
+// through to test recovery) — with a deterministic probe schedule: the
+// cooldown doubles on every consecutive open cycle up to a cap, and the
+// jitter on each cooldown is drawn from a seeded RNG, so a whole failure
+// scenario replays identically from its config.
 
 import (
 	"math/rand"
@@ -137,19 +136,6 @@ func (b *Breaker) OnFailure() {
 	}
 	// Failures reported while already open (late results from attempts
 	// admitted before the trip) change nothing.
-}
-
-// OnAbandon records an attempt whose outcome was never learned — a hedge
-// loser cancelled when another endpoint won the race. It must not judge
-// the endpoint, but a consumed half-open probe has to be released or the
-// breaker wedges: the state returns to open with the probe instant
-// unchanged (already past), so the next caller may probe immediately.
-func (b *Breaker) OnAbandon() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.state = breakerOpen
-	}
 }
 
 // openLocked trips to open and schedules the next probe: cooldown doubles

@@ -125,36 +125,3 @@ func TestBreakerCooldownDoublesAndCaps(t *testing.T) {
 		}
 	}
 }
-
-// TestBreakerAbandonReleasesProbe: a probe whose outcome was never
-// learned (hedge loser) must not wedge the breaker — the next caller may
-// probe immediately.
-func TestBreakerAbandonReleasesProbe(t *testing.T) {
-	b, clk := newClockedBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, Seed: 3})
-	b.OnFailure()
-	clk.advance(2 * time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused after cooldown")
-	}
-	b.OnAbandon()
-	if st := b.State(); st != breakerOpen {
-		t.Fatalf("state after abandoned probe = %s, want open", st)
-	}
-	if !b.Allow() {
-		t.Fatal("breaker refused a fresh probe after the previous one was abandoned")
-	}
-	b.OnSuccess()
-	if st := b.State(); st != breakerClosed {
-		t.Fatalf("state after successful re-probe = %s, want closed", st)
-	}
-}
-
-// TestBreakerAbandonOutsideProbeIsNoop: abandoning when no probe is
-// outstanding must not disturb a closed breaker.
-func TestBreakerAbandonOutsideProbeIsNoop(t *testing.T) {
-	b, _ := newClockedBreaker(BreakerConfig{})
-	b.OnAbandon()
-	if st := b.State(); st != breakerClosed {
-		t.Fatalf("state after stray abandon = %s, want closed", st)
-	}
-}

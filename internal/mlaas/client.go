@@ -3,7 +3,6 @@ package mlaas
 import (
 	"context"
 	"io"
-	"sync"
 	"time"
 
 	"fxhenn/internal/ckks"
@@ -45,28 +44,19 @@ type Client struct {
 	TenantGeneration uint64
 
 	// BytesSent / BytesReceived accumulate wire traffic; Retries counts
-	// extra attempts performed by InferRetry and InferHedged; Hedges
-	// counts hedged second attempts InferHedged fired.
+	// extra attempts performed by InferRetry.
 	BytesSent     int64
 	BytesReceived int64
 	Retries       int
-	Hedges        int
 
 	// Flight, when non-nil, enables client-side tracing: every
-	// Infer/InferRetry/InferHedged call runs under a root span whose
-	// trace context is propagated over the wire, with one child span per
-	// attempt tagged endpoint/breaker-state/hedge. Nil keeps wire bytes
-	// and the request path byte-identical to the untraced client.
+	// Infer/InferRetry call runs under a root span whose trace context is
+	// propagated over the wire, with one child span per InferRetry
+	// attempt. Nil keeps wire bytes and the request path byte-identical
+	// to the untraced client.
 	Flight *telemetry.FlightRecorder
 	// cm holds the pre-resolved client metric handles (SetMetrics).
 	cm *clientMetrics
-
-	// Failover state (failover.go): per-endpoint circuit breakers and the
-	// latency window behind the quantile-derived hedge delay. Guarded by
-	// foMu; lazily initialized on the first InferHedged call.
-	foMu       sync.Mutex
-	foBreakers map[string]*Breaker
-	foLat      latencyWindow
 }
 
 // NewClient builds the client side from the key material.
@@ -83,9 +73,8 @@ func NewClient(params ckks.Parameters, henet *hecnn.Network, pk *ckks.PublicKey,
 
 // Infer runs one encrypted inference over the connection and returns the
 // decrypted logits. The context's deadline bounds the whole exchange;
-// failures before any response byte arrive as *TransportError with
-// Partial=false (safe to retry on a fresh connection), failures after as
-// Partial=true, and typed server refusals as *StatusError.
+// connection failures arrive as *TransportError (Partial when some
+// response bytes had arrived) and typed server refusals as *StatusError.
 func (c *Client) Infer(ctx context.Context, conn io.ReadWriter, img *cnn.Tensor) ([]float64, error) {
 	sp := c.startClientTrace("infer")
 	logits, err := c.inferSpan(ctx, conn, img, sp)
@@ -127,8 +116,7 @@ func (c *Client) header(sp *telemetry.Span) header {
 
 // encryptRequest packs and encrypts the image into the per-position
 // ciphertexts of one request. The encryptor's randomness advances once
-// per call, so re-sending the returned ciphertexts (retry, hedge,
-// failover) reproduces the exchange bit-for-bit.
+// per call.
 func (c *Client) encryptRequest(img *cnn.Tensor) []*ckks.Ciphertext {
 	return encryptAll(c.params, c.encoder, c.encryptor, c.net.PackInput(img))
 }
@@ -142,8 +130,7 @@ func encryptAll(params ckks.Parameters, enc *ckks.Encoder, encr *ckks.Encryptor,
 	return cts
 }
 
-// decodeLogits decrypts and decodes the result ciphertext. Not safe for
-// concurrent use — callers racing attempts decode only the winner.
+// decodeLogits decrypts and decodes the result ciphertext.
 func (c *Client) decodeLogits(out *ckks.Ciphertext) []float64 {
 	logits := c.encoder.Decode(c.decryptor.Decrypt(out))
 	rows := c.net.Layers[len(c.net.Layers)-1].OutElems()

@@ -13,8 +13,9 @@ import (
 // before any authentication or admission, so it must never panic, and the
 // bytes it reports consumed must be exactly the prefix it read — the
 // gateway replays them verbatim to the shard, so any discrepancy would
-// corrupt the proxied stream. Frames that round-trip through
-// the request writer must come back intact with a bounded tenant name.
+// corrupt the proxied stream. Frames that round-trip through the request
+// writer must come back intact with a bounded tenant name, and the CRC
+// flag must say exactly whether the last word consumed is crcMagic.
 func FuzzRouteHeader(f *testing.F) {
 	u32 := func(w uint32) []byte {
 		var b [4]byte
@@ -48,33 +49,45 @@ func FuzzRouteHeader(f *testing.F) {
 	f.Add(append(trace(), u32(batchMagic)...))
 	f.Add(u32(crcMagic))
 	f.Add(u32(batchMagic))
+	f.Add(frames(header{route: RouteHeader{Tenant: "alice", Generation: 3}, crc: true}))
+	f.Add(frames(header{trace: telemetry.SpanContext{Trace: telemetry.TraceID{7}, Span: telemetry.SpanID{9}}, crc: true}))
+	f.Add(append(frames(header{crc: true}), u32(batchMagic)...))
 	truncated := route(RouteHeader{Tenant: "alice", Generation: 3})
 	f.Add(truncated[:len(truncated)-4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, consumed, routed, err := PeekRoute(bytes.NewReader(data))
+		hdr, consumed, crc, err := PeekRoute(bytes.NewReader(data))
 		if !bytes.Equal(consumed, data[:len(consumed)]) {
 			t.Fatalf("consumed % x is not a prefix of input % x", consumed, data)
 		}
 		if err != nil {
 			return
 		}
-		if routed {
-			if n := len(hdr.Tenant); n < 1 || n > maxRouteTenantBytes {
-				t.Fatalf("accepted tenant name of %d bytes outside [1,%d]", n, maxRouteTenantBytes)
-			}
-			// A peeked frame must re-encode to the exact bytes the gateway
-			// replays: splice(consumed, rest) == original stream.
-			prefixLen := len(consumed) - (4 + 2 + len(hdr.Tenant) + 8)
-			re, err := header{route: hdr}.appendTo(append([]byte(nil), consumed[:prefixLen]...))
-			if err != nil {
-				t.Fatalf("re-encoding peeked header: %v", err)
-			}
-			if re = re[:len(re)-4]; !bytes.Equal(re, consumed) {
-				t.Fatalf("header % +v does not round-trip: % x vs % x", hdr, re, consumed)
-			}
-		} else if !hdr.IsZero() {
-			t.Fatalf("unrouted peek returned non-zero header %+v", hdr)
+		last := binary.LittleEndian.Uint32(consumed[len(consumed)-4:])
+		if crc != (last == crcMagic) {
+			t.Fatalf("crc flag %v, last consumed word 0x%08x", crc, last)
+		}
+		if hdr.IsZero() {
+			return
+		}
+		if n := len(hdr.Tenant); n < 1 || n > maxRouteTenantBytes {
+			t.Fatalf("accepted tenant name of %d bytes outside [1,%d]", n, maxRouteTenantBytes)
+		}
+		// A peeked frame must re-encode to the exact bytes the gateway
+		// replays: splice(consumed, rest) == original stream. The word
+		// after the route frame re-encodes as the CRC frame or, failing
+		// that, as the count.
+		prefixLen := len(consumed) - (4 + 2 + len(hdr.Tenant) + 8) - 4
+		h := header{route: hdr, crc: crc, count: last}
+		re, err := h.appendTo(append([]byte(nil), consumed[:prefixLen]...))
+		if err != nil {
+			t.Fatalf("re-encoding peeked header: %v", err)
+		}
+		if crc {
+			re = re[:len(re)-4]
+		}
+		if !bytes.Equal(re, consumed) {
+			t.Fatalf("header % +v does not round-trip: % x vs % x", hdr, re, consumed)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"strconv"
 	"time"
 
@@ -74,37 +73,21 @@ func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * spread)
 }
 
-// Retryable reports whether err can succeed on a fresh attempt: dial
-// failures, transport failures before any response byte, StatusBusy, a
-// CRC-detected corrupt response frame, and mid-exchange deadline trips.
-// The deadline and corruption cases are Partial transport errors yet
-// still safe: inference is idempotent and side-effect-free on the
-// server, so re-evaluating a request whose response was cut off or
-// damaged wastes at most one evaluation — it cannot double-apply
-// anything. Every other partial failure is never retried, because the
-// client may already have consumed part of a successful response.
+// Retryable reports whether err can succeed on a fresh attempt:
+// StatusBusy, and every *TransportError — a failed dial or write, a
+// response cut short at any point by a reset, a deadline or a gateway
+// that gave up on its shard, and a CRC-detected corrupt frame. Even a
+// response torn mid-way is safe to re-request: inference is idempotent
+// and side-effect-free on the server, so a retry wastes at most one
+// evaluation, and Infer returns nothing from a partial response. Every
+// other refusal is terminal: the same bytes would be refused again.
 func Retryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
 		return se.Code.Retryable()
 	}
-	if errors.Is(err, ErrFrameCorrupt) {
-		return true
-	}
 	var te *TransportError
-	if errors.As(err, &te) {
-		if !te.Partial {
-			return true
-		}
-		if errors.Is(te.Err, os.ErrDeadlineExceeded) {
-			return true
-		}
-		var ne net.Error
-		if errors.As(te.Err, &ne) && ne.Timeout() {
-			return true
-		}
-	}
-	return false
+	return errors.As(err, &te)
 }
 
 // InferRetry runs Infer with capped exponential backoff: dial, exchange,

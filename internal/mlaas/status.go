@@ -26,8 +26,9 @@ const (
 	// request was rejected before any work. Safe and sensible to retry
 	// after a backoff.
 	StatusBusy Status = 3
-	// StatusShuttingDown: the server is draining and accepts no new
-	// work. Retry against another replica, not this one.
+	// StatusShuttingDown: the server is draining and refused the
+	// request before any work. Retry against another replica — through
+	// a gateway, whose breaker counts the refusal against this shard.
 	StatusShuttingDown Status = 4
 	// StatusUnknownTenant: the request's routing frame named a tenant the
 	// server's registry does not hold. Every honest shard shares the
@@ -56,10 +57,12 @@ func (s Status) String() string {
 }
 
 // Retryable reports whether a fresh attempt of the same request can
-// succeed: only saturation is transient on this server. Shutting-down is
-// deliberately not retryable here — the draining server will refuse until
-// it dies, so the retry budget is better spent elsewhere.
-func (s Status) Retryable() bool { return s == StatusBusy }
+// succeed: saturation is transient, and a draining server refused before
+// doing any work. A client that dials one server directly spends its
+// retries on a shutting-down one until the budget runs out; a client
+// behind a gateway reaches another shard once the draining one's breaker
+// opens.
+func (s Status) Retryable() bool { return s == StatusBusy || s == StatusShuttingDown }
 
 // StatusError is the client-side error for a non-OK server response.
 type StatusError struct {
@@ -76,8 +79,8 @@ func (e *StatusError) Error() string {
 
 // TransportError wraps a connection-level failure during an exchange.
 // Partial records whether any response bytes had been received when the
-// failure happened: a retry is only safe while Partial is false, because
-// after that the client may have consumed part of a successful response.
+// failure happened. Either way the request is safe to retry (Retryable):
+// the client keeps nothing of a partial response.
 type TransportError struct {
 	Partial bool
 	Err     error

@@ -43,41 +43,26 @@ const (
 	MetricTenantRequests = "mlaas_tenant_requests_total" // counter{tenant,status}
 )
 
-// Metric families exported by the client (Client.SetMetrics), so fleet
-// dashboards see the client's view of resilience state instead of
-// scraping method-only accessors.
-const (
-	MetricClientRetries = "mlaas_client_retries_total" // counter
-	MetricClientHedges  = "mlaas_client_hedges_total"  // counter
-	MetricClientBreaker = "mlaas_client_breaker_state" // gauge{endpoint}
-)
+// MetricClientRetries is the metric family exported by the client
+// (Client.SetMetrics), so fleet dashboards see the client's retries
+// instead of scraping a method-only accessor.
+const MetricClientRetries = "mlaas_client_retries_total" // counter
 
-// clientMetrics is the client-side handle set, resolved once per
-// endpoint. Nil (the default) keeps the client's hot path metric-free.
+// clientMetrics is the client-side handle set. Nil (the default) keeps
+// the client's hot path metric-free.
 type clientMetrics struct {
-	reg     *telemetry.Registry
 	retries *telemetry.Counter
-	hedges  *telemetry.Counter
-
-	mu       sync.Mutex
-	breakers map[string]*telemetry.Gauge
 }
 
-// SetMetrics attaches a registry to the client: retry/hedge counters and
-// the per-endpoint breaker-state gauges (0 closed, 1 half-open, 2 open)
-// export under the MetricClient* families. Nil detaches.
+// SetMetrics attaches a registry to the client: the retry counter
+// exports as MetricClientRetries. Nil detaches.
 func (c *Client) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		c.cm = nil
 		return
 	}
 	c.cm = &clientMetrics{
-		reg: reg,
-		retries: reg.Counter(MetricClientRetries,
-			"extra attempts performed by InferRetry and InferHedged"),
-		hedges: reg.Counter(MetricClientHedges,
-			"timed hedged second attempts InferHedged fired"),
-		breakers: map[string]*telemetry.Gauge{},
+		retries: reg.Counter(MetricClientRetries, "extra attempts performed by InferRetry"),
 	}
 }
 
@@ -86,31 +71,6 @@ func (m *clientMetrics) observeRetry() {
 		return
 	}
 	m.retries.Inc()
-}
-
-func (m *clientMetrics) observeHedge() {
-	if m == nil {
-		return
-	}
-	m.hedges.Inc()
-}
-
-// setBreaker publishes one endpoint's breaker state, resolving the gauge
-// on first sight of the endpoint.
-func (m *clientMetrics) setBreaker(endpoint string, st breakerState) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	g, ok := m.breakers[endpoint]
-	if !ok {
-		g = m.reg.Gauge(MetricClientBreaker,
-			"per-endpoint circuit breaker state (0 closed, 1 half-open, 2 open)",
-			telemetry.L("endpoint", endpoint))
-		m.breakers[endpoint] = g
-	}
-	m.mu.Unlock()
-	g.Set(float64(st))
 }
 
 // phase indexes the request lifecycle histograms.

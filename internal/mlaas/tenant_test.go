@@ -167,7 +167,7 @@ func TestTenantLayerMetricsUseTenantNet(t *testing.T) {
 
 // TestTenantUnknownAndGenerationMismatch pins the typed refusals: a
 // tenant missing from the registry is StatusUnknownTenant (terminal for
-// failover), and a client pinned to a rotated-away generation is refused
+// retries), and a client pinned to a rotated-away generation is refused
 // instead of served undecryptable logits.
 func TestTenantUnknownAndGenerationMismatch(t *testing.T) {
 	alice := registry.Record{Tenant: "alice", Model: "tiny", WeightSeed: 100, KeySeed: 101}
@@ -184,7 +184,7 @@ func TestTenantUnknownAndGenerationMismatch(t *testing.T) {
 	pnet, _ := StandardPlaintext(rec)
 	img := tenantImage(pnet, 3)
 
-	// Unknown tenant: typed status, and terminal for failover.
+	// Unknown tenant: typed status, and terminal for retries.
 	client.Tenant = "mallory"
 	conn := dialT(t, addr)
 	_, err = client.Infer(context.Background(), conn, img)
@@ -193,8 +193,8 @@ func TestTenantUnknownAndGenerationMismatch(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != StatusUnknownTenant {
 		t.Fatalf("unknown tenant: %v, want StatusUnknownTenant", err)
 	}
-	if !terminalFailover(err) {
-		t.Fatal("StatusUnknownTenant must be terminal for failover")
+	if Retryable(err) {
+		t.Fatal("StatusUnknownTenant must be terminal for retries")
 	}
 
 	// Rotate alice's keys; the old-generation client must be refused.

@@ -1,10 +1,10 @@
 package mlaas
 
 // End-to-end tracing suite: the wire framing (byte-identical when off,
-// forward-compat magic when on), cross-process trace stitching through
-// the hedged client, batch-flush follow-from linkage, exemplar
-// coherence, the client resilience metrics, and the zero-allocation
-// guarantee of the disabled path.
+// forward-compat magic when on), batch-flush follow-from linkage,
+// exemplar coherence, the client retry metric, and the zero-allocation
+// guarantee of the disabled path. Trace stitching across a retried
+// exchange through the gateway is pinned in internal/gateway.
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"fxhenn/internal/faultnet"
 	"fxhenn/internal/telemetry"
 )
 
@@ -131,114 +130,17 @@ func TestTracedClientUntracedServer(t *testing.T) {
 	}
 }
 
-// TestHedgedSingleTraceAcrossServers is the acceptance scenario: two
-// servers, the primary behind a fault injector corrupting responses, a
-// hedged CRC-checked client. The whole exchange — failed attempt,
-// failover, winning evaluation — must stitch under ONE trace ID: the
-// client root holds the attempt spans (endpoint + breaker tags), the
-// winning server's recorder holds a request span joining the same trace
-// with queue-wait and per-layer children parented on a client attempt.
-func TestHedgedSingleTraceAcrossServers(t *testing.T) {
-	frs := []*telemetry.FlightRecorder{newTestRecorder(), newTestRecorder()}
-	fl := newFleet(t, Config{Flight: frs[0]}, Config{Flight: frs[1]})
-	fl.client.Flight = newTestRecorder()
-	fl.client.FrameCheck = true
-
-	faulty := faultyEndpoint(fl.endpoint(0), faultnet.Config{Seed: 201, CorruptReadAt: 30, CorruptBytes: 8})
-	img := randomImage(63)
-	want := fl.pnet.Infer(img)
-	got, err := fl.client.InferHedged(context.Background(), []Endpoint{faulty, fl.endpoint(1)}, img, fastPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-2 {
-			t.Fatalf("logit %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-
-	// Client side: one hedged root; its attempts carry endpoint/breaker
-	// tags, at least one failed and exactly the winner reported ok.
-	ctraces := fl.client.Flight.Traces()
-	if len(ctraces) != 1 {
-		t.Fatalf("client recorded %d traces, want 1", len(ctraces))
-	}
-	root := ctraces[0].Root
-	if root.Name != "infer-hedged" {
-		t.Fatalf("client root = %q, want infer-hedged", root.Name)
-	}
-	traceID := ctraces[0].Trace
-	if traceID == "" || root.Trace != traceID {
-		t.Fatalf("client root trace %q / recorded %q", root.Trace, traceID)
-	}
-	var attempts []telemetry.SpanSnapshot
-	for _, c := range root.Children {
-		if c.Name == "attempt" {
-			attempts = append(attempts, c)
-		}
-	}
-	if len(attempts) < 2 {
-		t.Fatalf("client recorded %d attempts, want ≥2 (failed primary + winner)", len(attempts))
-	}
-	okAttempts, attemptSpans := 0, map[string]bool{}
-	for _, a := range attempts {
-		if a.Attr("endpoint") == "" || a.Attr("breaker") == "" || a.Attr("kind") == "" {
-			t.Fatalf("attempt missing endpoint/breaker/kind attrs: %+v", a.Attrs)
-		}
-		if a.Trace != traceID {
-			t.Fatalf("attempt trace %q, want %q", a.Trace, traceID)
-		}
-		attemptSpans[a.Span] = true
-		if a.Attr("outcome") == "ok" {
-			okAttempts++
-		}
-	}
-	if okAttempts != 1 {
-		t.Fatalf("%d attempts reported ok, want exactly 1", okAttempts)
-	}
-
-	// Server side: some replica recorded a successful request under the
-	// SAME trace ID, parented on one of the client's attempt spans, with
-	// the queue wait and the per-layer evaluate breakdown.
-	found := false
-	for _, fr := range frs {
-		for _, tr := range fr.Traces() {
-			if tr.Trace != traceID || tr.Root.Name != "request" || tr.Root.Attr("status") != "ok" {
-				continue
-			}
-			if !attemptSpans[tr.Root.Parent] {
-				t.Fatalf("server request parent %q not one of the client attempts", tr.Root.Parent)
-			}
-			if tr.Root.Find("queue") == nil {
-				t.Fatal("server trace missing queue-wait span")
-			}
-			eval := tr.Root.Find("evaluate")
-			if eval == nil || len(eval.Children) == 0 {
-				t.Fatal("server trace missing per-layer evaluate breakdown")
-			}
-			for _, l := range eval.Children {
-				if l.Attr("hops") == "" || l.Attr("ks") == "" {
-					t.Fatalf("layer span %q missing hops/ks attrs", l.Name)
-				}
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no server recorded an ok request under trace %s", traceID)
-	}
-}
-
 // TestExemplarMatchesRecordedTrace: the latency histogram's exemplar
 // must point at a trace the flight recorder actually kept, so a
 // dashboard can pivot from a slow bucket straight to the trace.
 func TestExemplarMatchesRecordedTrace(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fr := newTestRecorder()
-	fl := newFleet(t, Config{Metrics: reg, Flight: fr})
-	fl.client.Flight = newTestRecorder()
+	fx := newTCPFixture(t, Config{Metrics: reg, Flight: fr})
+	fx.client.Flight = newTestRecorder()
 	img := randomImage(65)
-	if _, err := fl.client.InferHedged(context.Background(), []Endpoint{fl.endpoint(0)}, img, fastPolicy()); err != nil {
+	dial := func(ctx context.Context) (net.Conn, error) { return fx.dial(t), nil }
+	if _, err := fx.client.InferRetry(context.Background(), dial, img, RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	m := reg.Snapshot().Family(MetricRequestSeconds).Metric()
@@ -353,9 +255,8 @@ func TestBatchFlushTraceLinksMembers(t *testing.T) {
 	}
 }
 
-// TestClientResilienceMetrics: SetMetrics exports the retry counter and
-// the per-endpoint breaker gauges; a dial failure followed by a
-// successful retry moves exactly the retry counter.
+// TestClientResilienceMetrics: SetMetrics exports the retry counter; a
+// dial failure followed by a successful retry moves it exactly once.
 func TestClientResilienceMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fx := newFixture(t)
@@ -382,23 +283,6 @@ func TestClientResilienceMetrics(t *testing.T) {
 	if m := snap.Family(MetricClientRetries).Metric(); m == nil || m.Value != 1 {
 		t.Fatalf("retry counter = %+v, want 1", m)
 	}
-	if m := snap.Family(MetricClientHedges).Metric(); m == nil || m.Value != 0 {
-		t.Fatalf("hedge counter = %+v, want 0", m)
-	}
-
-	// The hedged path publishes per-endpoint breaker state.
-	fl := newFleet(t, Config{})
-	fl.client.SetMetrics(reg)
-	dead := deadEndpoint(t, "dead")
-	if _, err := fl.client.InferHedged(context.Background(), []Endpoint{dead, fl.endpoint(0)}, randomImage(67), fastPolicy()); err != nil {
-		t.Fatal(err)
-	}
-	fam := reg.Snapshot().Family(MetricClientBreaker)
-	for _, ep := range []string{"dead", "s0"} {
-		if m := fam.Metric(telemetry.L("endpoint", ep)); m == nil {
-			t.Fatalf("no breaker gauge for endpoint %s", ep)
-		}
-	}
 }
 
 // TestDisabledTracingZeroAlloc pins the other half of the acceptance
@@ -417,8 +301,6 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 		rt.markShed()
 		rt.timePhase(phaseQueue, time.Millisecond)
 		c.cm.observeRetry()
-		c.cm.observeHedge()
-		c.cm.setBreaker("s0", breakerClosed)
 		if _, err := c.header(sp).appendTo(buf[:0]); err != nil {
 			t.Error(err)
 		}

@@ -1,10 +1,10 @@
 package mlaas
 
 // The wire format. This file is its one statement and its one codec:
-// clients, the server and the gateway's PeekRoute read and write requests
-// and responses only through header, writeRequest, readHeader,
-// encodeResponse, readResponse and WriteFailure. All integers are
-// little-endian.
+// clients, the server and the gateway read and write requests and
+// responses only through header, writeRequest, readHeader, PeekRoute,
+// encodeResponse, readResponse, RelayResponse and WriteFailure. All
+// integers are little-endian.
 //
 // A request is a header, then the ciphertexts:
 //
@@ -45,6 +45,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/registry"
@@ -125,9 +126,7 @@ func (h header) appendTo(b []byte) ([]byte, error) {
 }
 
 // writeRequest streams one request — h with its count set from cts, then
-// the ciphertexts — and returns the bytes written. Serialization only
-// reads the ciphertexts, so concurrent hedged attempts may stream the
-// same set.
+// the ciphertexts — and returns the bytes written.
 func writeRequest(w io.Writer, h header, cts []*ckks.Ciphertext) (int64, error) {
 	h.count = uint32(len(cts))
 	buf, err := h.appendTo(nil)
@@ -148,9 +147,10 @@ func writeRequest(w io.Writer, h header, cts []*ckks.Ciphertext) (int64, error) 
 // — after the route frame, or after the first word that is not one — it
 // calls resolve, which selects the serving runtime and reports whether
 // that runtime batches; an error from resolve ends the parse with that
-// error. A nil resolve ends the parse there successfully, which is how
-// PeekRoute reads no further than routing requires. The count is checked
-// against maxRequestCiphertexts before the caller allocates anything.
+// error. A nil resolve ends the parse successfully once the CRC flag is
+// known, which is how PeekRoute reads no further than routing and the
+// relay's trailer check require. The count is checked against
+// maxRequestCiphertexts before the caller allocates anything.
 func readHeader(r io.Reader, resolve func(*header) (batching bool, err error)) (h header, err error) {
 	word, err := readWord(r)
 	if err == nil && word == traceMagic {
@@ -171,22 +171,26 @@ func readHeader(r io.Reader, resolve func(*header) (batching bool, err error)) (
 			return h, fmt.Errorf("reading route frame: %w", err)
 		}
 	}
-	if resolve == nil {
-		return h, nil
-	}
-	batching, err := resolve(&h)
-	if err != nil {
-		return h, err
+	batching := false
+	if resolve != nil {
+		if batching, err = resolve(&h); err != nil {
+			return h, err
+		}
 	}
 	if routed {
 		word, err = readWord(r)
 	}
-	if err == nil && word == crcMagic {
-		h.crc = true
-		word, err = readWord(r)
-	}
 	if err != nil {
 		return h, fmt.Errorf("reading request header: %w", err)
+	}
+	h.crc = word == crcMagic
+	if resolve == nil {
+		return h, nil
+	}
+	if h.crc {
+		if word, err = readWord(r); err != nil {
+			return h, fmt.Errorf("reading request header: %w", err)
+		}
 	}
 	framing := "request"
 	if word == batchMagic && batching {
@@ -231,13 +235,82 @@ func readRouteBody(r io.Reader) (RouteHeader, error) {
 // PeekRoute reads the optional trace and route frames of one request and
 // returns the route header (zero when the request carries none), the raw
 // bytes consumed — which the caller must replay ahead of the remaining
-// stream when proxying — and whether a route frame was present. An
-// unrouted request's first word past the trace frame is consumed too; a
-// routed one is read exactly through its route frame.
-func PeekRoute(r io.Reader) (hdr RouteHeader, consumed []byte, routed bool, err error) {
+// stream when proxying — and whether the request asked for a CRC-framed
+// response. It consumes exactly one word past the route frame, or past
+// the trace frame when the request is unrouted: the word that is either
+// crcMagic or the next frame.
+func PeekRoute(r io.Reader) (hdr RouteHeader, consumed []byte, crc bool, err error) {
 	var buf bytes.Buffer
 	h, err := readHeader(io.TeeReader(r, &buf), nil)
-	return h.route, buf.Bytes(), !h.route.IsZero(), err
+	return h.route, buf.Bytes(), h.crc, err
+}
+
+// relayBufs pools RelayResponse's copy buffers.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// RelayResponse copies one response from shard to client without parsing
+// a ciphertext, and judges the shard by what it sent: nil when the shard
+// sent a status byte other than StatusShuttingDown and then closed
+// cleanly — and, when the request asked for a CRC-framed response (crc)
+// and the status is StatusOK, ended it in a matching [crcMagic][CRC32]
+// trailer. A draining shard still answers, but only to refuse: it counts
+// as failed so its breaker opens and the client's retry (the status is
+// Retryable) lands on another shard. On the trailer path the
+// last 8 bytes are held back and released only if they match, so a
+// client never receives a trailer that vouches for damaged bytes; it
+// sees a truncated frame instead. A client that stops accepting bytes is
+// not the shard's fault: the relay stops writing and drains the shard to
+// EOF for its verdict. Exported for the gateway.
+func RelayResponse(client io.Writer, shard io.Reader, crc bool) error {
+	bp := relayBufs.Get().(*[32 << 10]byte)
+	defer relayBufs.Put(bp)
+	buf := bp[:]
+	var (
+		total   int64
+		held    int // bytes at buf[:held] awaiting the trailer check
+		status  Status
+		trailer bool // crc requested and the status is OK
+		sum     uint32
+		werr    error
+	)
+	for {
+		n, rerr := shard.Read(buf[held:])
+		if total == 0 && n > 0 {
+			status = Status(buf[0])
+			trailer = crc && status == StatusOK
+		}
+		total += int64(n)
+		end, keep := held+n, 0
+		if trailer {
+			keep = min(end, 8)
+			sum = crc32.Update(sum, crc32.IEEETable, buf[:end-keep])
+		}
+		if werr == nil && end > keep {
+			_, werr = client.Write(buf[:end-keep])
+		}
+		held = copy(buf, buf[end-keep:end])
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return fmt.Errorf("reading shard response: %w", rerr)
+		}
+	}
+	if total == 0 {
+		return errors.New("shard closed before the status byte")
+	}
+	if status == StatusShuttingDown {
+		return errors.New("shard is shutting down")
+	}
+	if trailer {
+		if err := checkTrailer(buf[:held], sum); err != nil {
+			return err
+		}
+		if werr == nil {
+			client.Write(buf[:held]) //nolint:errcheck // the verdict is the shard's, not the client's
+		}
+	}
+	return nil
 }
 
 // response is a success response's payload: the logit ciphertexts and,
@@ -399,6 +472,14 @@ func readTrailer(r io.Reader, sum uint32) error {
 	var tr [8]byte
 	if _, err := io.ReadFull(r, tr[:]); err != nil {
 		return errFrameCorruptf("missing crc trailer: %v", err)
+	}
+	return checkTrailer(tr[:], sum)
+}
+
+// checkTrailer checks tr against sum; a short tr is a missing trailer.
+func checkTrailer(tr []byte, sum uint32) error {
+	if len(tr) < 8 {
+		return errFrameCorruptf("missing crc trailer: %d bytes", len(tr))
 	}
 	if m := binary.LittleEndian.Uint32(tr[:4]); m != crcMagic {
 		return errFrameCorruptf("bad trailer magic 0x%08x", m)
