@@ -23,7 +23,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench .
-	$(GO) test -race ./internal/mlaas/... ./internal/gateway/... ./internal/registry/... ./internal/faultnet/... ./internal/telemetry/... ./internal/hecnn/... ./internal/parallel/... ./internal/ckks/... ./internal/cache/...
+	$(GO) test -race ./internal/mlaas/... ./internal/gateway/... ./internal/registry/... ./internal/faultnet/... ./internal/telemetry/... ./internal/hecnn/... ./internal/parallel/... ./internal/ckks/... ./internal/ring/...
 
 # race runs the whole tree under the race detector (slower than verify).
 race:

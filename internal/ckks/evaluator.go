@@ -17,28 +17,12 @@ type Evaluator struct {
 	rtk    *RotationKeys
 
 	Trace *Trace // optional; nil disables recording
-
-	// ModDown constants for the special prime p: p^{-1} mod q_j and
-	// p mod q_j, plus the centering threshold.
-	pInvQ []modarith.MulConst
-	pModQ []uint64
-	halfP uint64
-	spIdx int // ring row index of the special prime
 }
 
 // NewEvaluator creates an evaluator. rlk may be nil if CCmult is never used;
 // rtk may be nil if Rotate is never used.
 func NewEvaluator(params Parameters, rlk *RelinearizationKey, rtk *RotationKeys) *Evaluator {
-	r := params.Ring()
-	ev := &Evaluator{params: params, rlk: rlk, rtk: rtk, spIdx: params.L}
-	p := params.Special
-	ev.halfP = p >> 1
-	for j := 0; j < params.L; j++ {
-		mj := r.Mods[j]
-		ev.pInvQ = append(ev.pInvQ, modarith.NewMulConst(mj, mj.Inv(mj.Reduce(p))))
-		ev.pModQ = append(ev.pModQ, mj.Reduce(p))
-	}
-	return ev
+	return &Evaluator{params: params, rlk: rlk, rtk: rtk}
 }
 
 // Params returns the evaluator's parameters.
@@ -156,7 +140,7 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // and CCadd for each pair, the events of the calls it replaces.
 //
 // Rows run outside, on the ring's pool, and terms inside, as in
-// keySwitchCore: each term deposits an unreduced REDC product in [0, 2q)
+// keySwitch: each term deposits an unreduced REDC product in [0, 2q)
 // (MulMontAddLazyVec), lazyMACGuard reduces before the accumulator could
 // overflow, and one ReduceVec per row leaves it canonical (the
 // lazy-reduction bounds contract, DESIGN.md §16). With no pool it
@@ -247,7 +231,7 @@ func (ev *Evaluator) RelinearizeNew(ct *Ciphertext) *Ciphertext {
 	r := ev.params.Ring()
 	d2 := ct.Value[2].Copy()
 	r.INTT(d2)
-	u0, u1 := ev.keySwitchCore(d2, &ev.rlk.SwitchingKey)
+	u0, u1 := ev.keySwitch(level, &ev.rlk.SwitchingKey, digitSource{cc: d2})
 	out := NewCiphertext(ev.params, 2, level)
 	out.Scale = ct.Scale
 	r.Add(out.Value[0], ct.Value[0], u0)
@@ -271,13 +255,12 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) {
 		panic("ckks: cannot rescale below level 1")
 	}
 	r := ev.params.Ring()
-	qLast := ev.params.Moduli[level-1]
 	for _, p := range ct.Value {
-		r.INTT(p)
-		r.DivRoundByLastModulus(p)
-		r.NTT(p)
+		last := p.Coeffs[level-1]
+		p.DropLast(1)
+		r.DivRoundByModulusNTT(p, last, level-1)
 	}
-	ct.Scale /= float64(qLast)
+	ct.Scale /= float64(ev.params.Moduli[level-1])
 	ev.record(OpRescale, level)
 }
 
@@ -287,112 +270,122 @@ func (ev *Evaluator) RotateNew(ct *Ciphertext, k int) *Ciphertext {
 	if k == 0 {
 		return ct.Copy()
 	}
-	g := ev.params.GaloisElementForRotation(k)
-	return ev.automorphismNew(ct, g)
-}
-
-func (ev *Evaluator) automorphismNew(ct *Ciphertext, g uint64) *Ciphertext {
 	if ct.Degree() != 1 {
 		panic("ckks: rotation requires a degree-1 ciphertext")
 	}
+	return ev.rotate(ct, k, nil)
+}
+
+// rotate is the tail every rotation shares: σ_g(ct) decrypts under σ_g(s),
+// so its c1 part is keyswitched back to s and σ_g(c0) is added into the
+// result. The keyswitch digits of σ_g(c1) are the permuted rows of hd when
+// the caller hoisted the decomposition, and are expanded on the fly
+// otherwise: σ_g is applied to c1 as an NTT-domain permutation, then
+// transformed back once for the decomposition.
+func (ev *Evaluator) rotate(ct *Ciphertext, k int, hd hoistedDecomposition) *Ciphertext {
 	if ev.rtk == nil {
 		panic("ckks: no rotation keys")
 	}
+	g := ev.params.GaloisElementForRotation(k)
 	swk, ok := ev.rtk.Keys[g]
 	if !ok {
-		panic(fmt.Sprintf("ckks: missing Galois key for element %d", g))
+		panic(fmt.Sprintf("ckks: missing Galois key for rotation %d (element %d)", k, g))
 	}
 	level := ct.Level()
 	r := ev.params.Ring()
 	perm := r.NTTAutomorphismIndex(g)
-
-	// σ_g(ct) decrypts under σ_g(s); switch its c1 part back to s. The
-	// keyswitch decomposes σ_g(c1) in the coefficient domain, so σ_g is
-	// applied as an NTT-domain permutation and transformed back once.
-	c1 := r.NewPoly(level)
-	r.PermuteNTT(c1, ct.Value[1], perm)
-	r.INTT(c1)
-	u0, u1 := ev.keySwitchCore(c1, swk)
-	// σ_g(c0) directly in the NTT domain, added into the keyswitched c0.
+	src := digitSource{hoisted: hd, perm: perm}
+	if hd == nil {
+		src.cc = r.NewPoly(level)
+		r.PermuteNTT(src.cc, ct.Value[1], perm)
+		r.INTT(src.cc)
+	}
+	u0, u1 := ev.keySwitch(level, swk, src)
 	r.PermuteNTTAdd(u0, ct.Value[0], perm)
 	ev.record(OpRotate, level)
 	return &Ciphertext{Value: []*ring.Poly{u0, u1}, Scale: ct.Scale}
 }
 
-// keySwitchCore computes the RNS-digit-decomposition keyswitch of the
-// coefficient-domain polynomial cc at level k, which it only reads: it
-// accumulates Σ_i d_i ⊗ (B_i, A_i) over the extended basis
-// (q_0..q_{k-1}, p) and divides by the special modulus p, returning the
-// NTT-domain result. This is the paper's bottleneck HE operation (OP5):
-// per digit it costs one NTT per target modulus on top of the caller's
-// INTT, which is where the L-times-slower KS pipeline stage of Fig. 3
-// comes from.
-func (ev *Evaluator) keySwitchCore(cc *ring.Poly, swk *SwitchingKey) (u0, u1 *ring.Poly) {
-	r := ev.params.Ring()
-	k := cc.K()
+// digitSource yields the keyswitch digits of a polynomial as NTT-domain
+// rows over the extended basis (q_0..q_{k-1}, p): expanded on the fly from
+// the coefficient-domain cc, or permuted by perm from a hoisted
+// decomposition.
+type digitSource struct {
+	cc      *ring.Poly
+	hoisted hoistedDecomposition
+	perm    []int
+}
+
+// row writes digit i for extended row j, ring row rj, into dst.
+func (s digitSource) row(r *ring.Ring, dst []uint64, i, j, rj int) {
+	if s.cc == nil {
+		ring.PermuteVec(dst, s.hoisted[i][j], s.perm)
+		return
+	}
+	expandDigit(r, dst, s.cc.Coeffs[i], i, rj)
+}
+
+// expandDigit writes digit i, the coefficient-domain residues d < q_i,
+// reduced into ring row rj and transformed to the NTT domain, into dst.
+func expandDigit(r *ring.Ring, dst, d []uint64, i, rj int) {
+	if rj == i {
+		copy(dst, d)
+	} else {
+		r.Mods[rj].ReduceVec(dst, d)
+	}
+	r.Tables[rj].Forward(dst)
+}
+
+// keySwitch computes the RNS-digit-decomposition keyswitch at level k of
+// the polynomial whose digits src yields: it accumulates Σ_i d_i ⊗
+// (B_i, A_i) over the extended basis (q_0..q_{k-1}, p) and divides by the
+// special modulus p (ModDown), returning the NTT-domain result. This is
+// the paper's bottleneck HE operation (OP5): per digit it costs one NTT
+// per target modulus on top of the caller's INTT, which is where the
+// L-times-slower KS pipeline stage of Fig. 3 comes from, and its ModDown
+// is the Rescale division by p (ring.DivRoundByModulusNTT).
+//
+// The loop nest is target-row-outer so the k+1 extended-basis rows are
+// independent work items: row j accumulates every digit's contribution
+// into its own accumulators only, and digits run in ascending order inside
+// each item, so the accumulation order — and therefore the result — is
+// bit-exact with the serial digit-outer formulation. Each row picks its
+// modulus, its key row and its accumulators; the special prime is ring row
+// L, the key's last row, and accumulates into scratch rows that ModDown
+// consumes. The switching-key rows are stored in Montgomery form, so the
+// MACs run REDC with lazy accumulators: each digit deposits a value in
+// [0, 2q) without reducing, and lazyMACGuard inserts a full reduction
+// whenever the running term count would overflow a uint64 (the
+// lazy-reduction bounds contract, DESIGN.md §16). The closing ReduceVec
+// restores canonical residues, so results stay bit-identical to the eager
+// Barrett formulation.
+func (ev *Evaluator) keySwitch(k int, swk *SwitchingKey, src digitSource) (*ring.Poly, *ring.Poly) {
 	swk.check(k)
-	n := r.N
-	sp := ev.spIdx
-	spMod := r.Mods[sp]
-	spTab := r.Tables[sp]
+	r := ev.params.Ring()
+	sp := ev.params.L
 	kp := swk.B[0].K() - 1 // the key's special-prime row is its last
-
-	u0 = r.NewPoly(k)
-	u1 = r.NewPoly(k)
-	u0p := make([]uint64, n)
-	u1p := make([]uint64, n)
-
-	// The loop nest is target-row-outer so the k+1 extended-basis rows (q_0
-	// .. q_{k-1} plus the special prime) are independent work items: row j
-	// accumulates every digit's contribution into u0[j]/u1[j] only, and
-	// digits run in ascending order inside each item, so the MulAddVec
-	// accumulation order — and therefore the result — is bit-exact with the
-	// serial digit-outer formulation.
-	// The switching-key rows are stored in Montgomery form, so the MACs
-	// below run REDC with lazy accumulators: each digit deposits a value in
-	// [0, 2q) without reducing, and lazyMACGuard inserts a full reduction
-	// whenever the running term count would overflow a uint64 (the
-	// lazy-reduction bounds contract, DESIGN.md §16). The closing ReduceVec
-	// restores canonical residues, so results stay bit-identical to the
-	// eager Barrett formulation.
-	pool := r.Pool()
-	pool.Do(k+1, func(j int) {
-		digit := make([]uint64, n)
-		if j == k { // special-prime row
-			maxLazy := spMod.MaxLazyAdds()
-			terms := 0
-			for i := 0; i < k; i++ {
-				spMod.ReduceVec(digit, cc.Coeffs[i])
-				spTab.Forward(digit)
-				terms = lazyMACGuard(spMod, terms, maxLazy, u0p, u1p)
-				spMod.MulMontAddLazyVec(u0p, digit, swk.B[i].Coeffs[kp])
-				spMod.MulMontAddLazyVec(u1p, digit, swk.A[i].Coeffs[kp])
-			}
-			spMod.ReduceVec(u0p, u0p)
-			spMod.ReduceVec(u1p, u1p)
-			return
+	u0, u1 := r.NewPoly(k), r.NewPoly(k)
+	uP := make([]uint64, 2*r.N) // the special-prime rows of u0 and u1
+	r.Pool().Do(k+1, func(j int) {
+		rj, kj, acc0, acc1 := sp, kp, uP[:r.N], uP[r.N:]
+		if j < k {
+			rj, kj, acc0, acc1 = j, j, u0.Coeffs[j], u1.Coeffs[j]
 		}
-		mj := r.Mods[j]
-		maxLazy := mj.MaxLazyAdds()
+		m := r.Mods[rj]
+		maxLazy := m.MaxLazyAdds()
+		digit := make([]uint64, r.N)
 		terms := 0
-		for i := 0; i < k; i++ {
-			d := cc.Coeffs[i] // digit i in coefficient domain, values < q_i
-			if j == i {
-				copy(digit, d)
-			} else {
-				mj.ReduceVec(digit, d)
-			}
-			r.Tables[j].Forward(digit)
-			terms = lazyMACGuard(mj, terms, maxLazy, u0.Coeffs[j], u1.Coeffs[j])
-			mj.MulMontAddLazyVec(u0.Coeffs[j], digit, swk.B[i].Coeffs[j])
-			mj.MulMontAddLazyVec(u1.Coeffs[j], digit, swk.A[i].Coeffs[j])
+		for i := range k {
+			src.row(r, digit, i, j, rj)
+			terms = lazyMACGuard(m, terms, maxLazy, acc0, acc1)
+			m.MulMontAddLazyVec(acc0, digit, swk.B[i].Coeffs[kj])
+			m.MulMontAddLazyVec(acc1, digit, swk.A[i].Coeffs[kj])
 		}
-		mj.ReduceVec(u0.Coeffs[j], u0.Coeffs[j])
-		mj.ReduceVec(u1.Coeffs[j], u1.Coeffs[j])
+		m.ReduceVec(acc0, acc0)
+		m.ReduceVec(acc1, acc1)
 	})
-
-	ev.modDown(u0, u0p)
-	ev.modDown(u1, u1p)
+	r.DivRoundByModulusNTT(u0, uP[:r.N], sp)
+	r.DivRoundByModulusNTT(u1, uP[r.N:], sp)
 	return u0, u1
 }
 
@@ -411,31 +404,6 @@ func lazyMACGuard(m modarith.Modulus, terms, maxLazy int, accs ...[]uint64) int 
 		terms = 1
 	}
 	return terms + 1
-}
-
-// modDown divides the extended-basis accumulator (q-rows in u, special row
-// uP, all NTT domain) by the special prime with centered rounding, leaving
-// the q-basis result in u (NTT domain).
-func (ev *Evaluator) modDown(u *ring.Poly, uP []uint64) {
-	r := ev.params.Ring()
-	sp := ev.spIdx
-	r.INTT(u)
-	r.Tables[sp].Inverse(uP)
-	// Each row only reads the shared special row uP and rewrites itself.
-	r.Pool().Do(u.K(), func(j int) {
-		mj := r.Mods[j]
-		inv := ev.pInvQ[j]
-		pRed := ev.pModQ[j]
-		row := u.Coeffs[j]
-		for n := 0; n < r.N; n++ {
-			rep := mj.Reduce(uP[n])
-			if uP[n] > ev.halfP {
-				rep = mj.Sub(rep, pRed)
-			}
-			row[n] = inv.Mul(mj.Sub(row[n], rep), mj)
-		}
-	})
-	r.NTT(u)
 }
 
 // checkScales panics when two scales that must match diverge by more than a

@@ -103,3 +103,32 @@ func TestConcurrentEvaluatorsShareRing(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestPipelineGoldenDigests pins the serial evalPipeline digests, so a
+// rewrite of a kernel that claims to keep every ciphertext bit (the same
+// operations in the same order per row) is checked against recorded bits
+// rather than only against itself. A change that moves rounding on purpose
+// updates these values and says so.
+func TestPipelineGoldenDigests(t *testing.T) {
+	golden := []struct{ step, digest string }{
+		{"add", "a78dcbbdb7bef314afa6e3432eed7f7ead925b13767308e43159ff69801f4f44"},
+		{"mul+relin", "1a75804c7357918da4944427586e3a93336d5f743351a49fc857f81a70d313c2"},
+		{"rescale", "fe1f9df0f1750a7555d04d17cb24ee07ae45c5f93940680848925c1518f39742"},
+		{"rotate", "64d16c88d77c1971e71090af1d4a83c0e96ef94ce0645610bb1d9a9228d4b1e6"},
+		{"hoisted 1", "fa2e8a47ebdf9b2c32a2bae1f2846517fe1431e0ed7edfcc3b3324675fd9a1df"},
+		{"hoisted 2", "4ab31bd9a82720ef74117858e04971a1f2bc1c62e4d09d241c06ba2a1d4f6691"},
+		{"hoisted 4", "6482aef28a5ad0fdb6105d51f8c2633731d5d3c7a3395b9d99a23dcf3256784c"},
+		{"hoisted 8", "82009c157074db4c8f701335cccc3cfc86744ac542aae768f66b99e6bc298d9d"},
+	}
+	tc := newTestContext(t, []int{1, 2, 4, 8})
+	a, b := pipelineInputs(tc)
+	got := evalPipeline(tc, a, b)
+	if len(got) != len(golden) {
+		t.Fatalf("pipeline produced %d digests, want %d", len(got), len(golden))
+	}
+	for i, g := range golden {
+		if got[i] != g.digest {
+			t.Errorf("%s: digest %s, want %s", g.step, got[i], g.digest)
+		}
+	}
+}

@@ -9,7 +9,7 @@
 // Parallelism contract: a Ring is immutable after construction except for
 // AttachPool, and every method is safe to call concurrently on distinct
 // polynomials. When a parallel.Pool is attached, row-parallel operations
-// (NTT, INTT, the pointwise vector ops, DivRoundByLastModulus, Automorphism,
+// (NTT, INTT, the pointwise vector ops, the centered divisions, Automorphism,
 // PermuteNTT) dispatch one work item per RNS limb once the work exceeds the
 // serial cutoffs below; each limb is computed by exactly the same scalar
 // code as the serial path, so parallel and serial execution are bit-exact.
@@ -48,8 +48,8 @@ type Ring struct {
 	Mods   []modarith.Modulus
 	Tables []*ntt.Table
 
-	// rescaleInv[k][j] = q_{k-1}^{-1} mod q_j for j < k-1, used by
-	// DivRoundByLastModulus (the Rescale basic step).
+	// rescaleInv[k][j] = q_{k-1}^{-1} mod q_j for j < k-1, used by the
+	// centered division of Rescale and ModDown (divRoundRow).
 	rescaleInv [][]modarith.MulConst
 	// halfLast[k] = floor(q_{k-1} / 2), the centering threshold.
 	halfLast []uint64
@@ -283,40 +283,72 @@ func (r *Ring) INTT(p *Poly) {
 
 // DivRoundByLastModulus implements the RNS Rescale basic step: it divides the
 // coefficient-domain polynomial by its last modulus q_{k-1} with centered
-// rounding and drops that residue row. This is also the ModDown step that
-// ends a KeySwitch (dividing by the special modulus).
+// rounding and drops that residue row.
 func (r *Ring) DivRoundByLastModulus(p *Poly) {
 	k := p.K()
 	if k < 2 {
 		panic("ring: cannot rescale a level-1 polynomial")
 	}
 	last := p.Coeffs[k-1]
-	half := r.halfLast[k]
+	p.DropLast(1)
 	// Rows j < k-1 only read the shared last row and write their own row, so
 	// they are independent work items.
 	r.do(k-1, 2*minParallelN, func(j int) {
-		mj := r.Mods[j]
-		inv := r.rescaleInv[k][j]
-		qlRed := r.lastModRed[k][j]
-		row := p.Coeffs[j]
-		// The row loop is the Rescale hot path; unrolled over array
-		// pointers like the modarith kernels so the per-coefficient work
-		// (one Barrett reduce, one Shoup multiply) runs without bounds
-		// checks.
-		nn := r.N &^ 3
-		for n := 0; n < nn; n += 4 {
-			l := (*[4]uint64)(last[n:])
-			z := (*[4]uint64)(row[n:])
-			z[0] = rescaleCoeff(mj, inv, z[0], l[0], half, qlRed)
-			z[1] = rescaleCoeff(mj, inv, z[1], l[1], half, qlRed)
-			z[2] = rescaleCoeff(mj, inv, z[2], l[2], half, qlRed)
-			z[3] = rescaleCoeff(mj, inv, z[3], l[3], half, qlRed)
-		}
-		for n := nn; n < r.N; n++ {
-			row[n] = rescaleCoeff(mj, inv, row[n], last[n], half, qlRed)
+		r.divRoundRow(p.Coeffs[j], last, j, k-1)
+	})
+}
+
+// DivRoundByModulusNTT divides the NTT-domain polynomial p by the modulus
+// q_m with centered rounding, where last holds the residues mod q_m of the
+// same value (NTT domain) and p's rows are q_0..q_{K-1}, all below m. The
+// result is left in p, NTT domain; last is left in the coefficient domain.
+// With m = K it is the Rescale step (Evaluator.Rescale passes the dropped
+// row); with m the special prime's index it is the ModDown that ends a
+// KeySwitch.
+func (r *Ring) DivRoundByModulusNTT(p *Poly, last []uint64, m int) {
+	k := p.K()
+	if k > m {
+		panic(fmt.Sprintf("ring: dividing %d rows by modulus %d", k, m))
+	}
+	// Every row divides by the shared coefficient-domain last row, so all
+	// k+1 inverse transforms run as one fan-out before the divisions.
+	r.do(k+1, 2*minParallelN, func(j int) {
+		if j == k {
+			r.Tables[m].Inverse(last)
+		} else {
+			r.Tables[j].Inverse(p.Coeffs[j])
 		}
 	})
-	p.DropLast(1)
+	r.do(k, 2*minParallelN, func(j int) {
+		r.divRoundRow(p.Coeffs[j], last, j, m)
+		r.Tables[j].Forward(p.Coeffs[j])
+	})
+}
+
+// divRoundRow folds the centered residues mod q_m in last out of row j of
+// a coefficient-domain polynomial: row = (row - centered(last)) / q_m mod
+// q_j, with j < m. The constants are the level-(m+1) rescale tables, which
+// cover every modulus of the ring, the special prime included.
+func (r *Ring) divRoundRow(row, last []uint64, j, m int) {
+	mj := r.Mods[j]
+	inv := r.rescaleInv[m+1][j]
+	qlRed := r.lastModRed[m+1][j]
+	half := r.halfLast[m+1]
+	// The row loop is the Rescale hot path; unrolled over array pointers
+	// like the modarith kernels so the per-coefficient work (one Barrett
+	// reduce, one Shoup multiply) runs without bounds checks.
+	nn := r.N &^ 3
+	for n := 0; n < nn; n += 4 {
+		l := (*[4]uint64)(last[n:])
+		z := (*[4]uint64)(row[n:])
+		z[0] = rescaleCoeff(mj, inv, z[0], l[0], half, qlRed)
+		z[1] = rescaleCoeff(mj, inv, z[1], l[1], half, qlRed)
+		z[2] = rescaleCoeff(mj, inv, z[2], l[2], half, qlRed)
+		z[3] = rescaleCoeff(mj, inv, z[3], l[3], half, qlRed)
+	}
+	for n := nn; n < r.N; n++ {
+		row[n] = rescaleCoeff(mj, inv, row[n], last[n], half, qlRed)
+	}
 }
 
 // rescaleCoeff lifts the last-modulus residue lastC into Z_{q_j} with

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fxhenn/internal/parallel"
 	"fxhenn/internal/primes"
 )
 
@@ -174,6 +175,75 @@ func TestDivRoundByLastModulus(t *testing.T) {
 		if diff.CmpAbs(big.NewInt(1)) > 0 {
 			t.Fatalf("coeff %d: rescale off by %s", j, diff)
 		}
+	}
+
+	// ModDown: rows 0..k-1 divided by the special prime at index L (a
+	// wider prime, last in the basis, as in ckks.Parameters.Ring), k < L,
+	// NTT domain in and out. The CKKS keyswitch ends this way.
+	t.Run("moddown", func(t *testing.T) {
+		const n, bigL, k = 16, 4, 2
+		moduli := append(primes.GenerateNTTPrimes(30, log2(n), bigL), primes.GenerateNTTPrimes(45, log2(n), 1)...)
+		r := NewRing(n, moduli)
+		sp := new(big.Int).SetUint64(r.Moduli[bigL])
+		ext := new(big.Int).Mul(r.ModulusAtLevel(k), sp) // Q_k·p
+		rng := rand.New(rand.NewSource(8))
+		p := r.NewPoly(k)
+		last := make([]uint64, n)
+		want := make([]*big.Int, n)
+		for j := 0; j < n; j++ {
+			// x centered in (-Q_k·p/2, Q_k·p/2].
+			x := new(big.Int).Rand(rng, ext)
+			if x.Cmp(new(big.Int).Rsh(ext, 1)) > 0 {
+				x.Sub(x, ext)
+			}
+			r.SetCoeffBig(p, j, x)
+			last[j] = new(big.Int).Mod(x, sp).Uint64()
+			// round(x/p) = floor((2x + p) / 2p); p is odd, so no ties.
+			num := new(big.Int).Add(new(big.Int).Lsh(x, 1), sp)
+			want[j] = num.Div(num, new(big.Int).Lsh(sp, 1))
+		}
+		r.NTT(p)
+		r.Tables[bigL].Forward(last)
+		r.DivRoundByModulusNTT(p, last, bigL)
+		r.INTT(p)
+		if p.K() != k {
+			t.Fatalf("level after ModDown = %d, want %d", p.K(), k)
+		}
+		for j := 0; j < n; j++ {
+			if got := r.ComposeCoeff(p, j); got.Cmp(want[j]) != 0 {
+				t.Fatalf("coeff %d: ModDown gave %s, want %s", j, got, want[j])
+			}
+		}
+	})
+}
+
+// TestDivRoundParallelMatchesSerial: with a pool attached, both centered
+// divisions fan their rows out (one work item per row) and give the serial
+// bits. Under -race it also checks that rows share only the read-only
+// divisor row.
+func TestDivRoundParallelMatchesSerial(t *testing.T) {
+	r := testRing(t, 512, 5)
+	s := NewSampler(r, 9)
+	in := s.Uniform(5)
+	run := func() (rescaled, divided *Poly) {
+		rescaled = in.Copy()
+		r.DivRoundByLastModulus(rescaled)
+		divided = in.Copy()
+		last := divided.Coeffs[4]
+		divided.DropLast(1)
+		r.DivRoundByModulusNTT(divided, last, 4)
+		return rescaled, divided
+	}
+	wantR, wantD := run()
+	pool := parallel.New(4)
+	r.AttachPool(pool)
+	defer r.AttachPool(nil)
+	gotR, gotD := run()
+	if !r.Equal(gotR, wantR) || !r.Equal(gotD, wantD) {
+		t.Fatal("parallel division differs from serial")
+	}
+	if st := pool.Stats(); st.Dispatched+st.Inline == 0 {
+		t.Fatal("pool never executed an item")
 	}
 }
 

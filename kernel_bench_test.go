@@ -109,9 +109,10 @@ func BenchmarkKernel_MulModMontgomery(b *testing.B) {
 }
 
 // BenchmarkKernel_KeySwitchRow measures one target row of the RNS
-// keyswitch inner loop exactly as keySwitchCore runs it: per digit two
-// lazy Montgomery MACs into unreduced accumulators, then one closing
-// ReduceVec per accumulator.
+// keyswitch inner loop exactly as the ckks keyswitch kernel runs it for
+// every row, the special prime's included: per digit two lazy Montgomery
+// MACs into unreduced accumulators, then one closing ReduceVec per
+// accumulator.
 func BenchmarkKernel_KeySwitchRow(b *testing.B) {
 	_, m, a, c := kernelOperands()
 	const digits = 7
