@@ -53,11 +53,14 @@ func (ct *Ciphertext) DropLevel(n int) {
 	}
 }
 
-// Encryptor encrypts plaintexts under a public key.
+// Encryptor encrypts plaintexts under a public key. It is not safe for
+// concurrent use: its sampler and its rows are its own.
 type Encryptor struct {
 	params  Parameters
 	pk      *PublicKey
 	sampler *ring.Sampler
+	// rows serves the three polynomials each Encrypt samples and drops.
+	rows ring.Rows
 }
 
 // NewEncryptor creates a deterministic encryptor.
@@ -75,9 +78,9 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	r := enc.params.Ring()
 	level := pt.Level()
 
-	u := enc.sampler.Ternary(level)
-	e0 := enc.sampler.Error(level)
-	e1 := enc.sampler.Error(level)
+	u := enc.sampler.TernaryFrom(&enc.rows, level)
+	e0 := enc.sampler.ErrorFrom(&enc.rows, level)
+	e1 := enc.sampler.ErrorFrom(&enc.rows, level)
 	r.NTT(u)
 	r.NTT(e0)
 	r.NTT(e1)
@@ -91,6 +94,9 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	r.Add(ct.Value[0], ct.Value[0], pt.Value)
 	r.MulCoeffs(ct.Value[1], a, u)
 	r.Add(ct.Value[1], ct.Value[1], e1)
+	enc.rows.Recycle(u)
+	enc.rows.Recycle(e0)
+	enc.rows.Recycle(e1)
 	return ct
 }
 

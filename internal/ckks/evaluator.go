@@ -15,6 +15,12 @@ type Evaluator struct {
 	params Parameters
 	rlk    *RelinearizationKey
 	rtk    *RotationKeys
+	// perms is the NTT-domain permutation of each Galois element rtk held
+	// a key for at construction, shared read-only by every copy (WithRows).
+	perms map[uint64][]int
+	// rows, when not nil, supplies every output and temporary row and
+	// takes back the temporaries (WithRows).
+	rows *ring.Rows
 
 	Trace *Trace // optional; nil disables recording
 }
@@ -22,7 +28,81 @@ type Evaluator struct {
 // NewEvaluator creates an evaluator. rlk may be nil if CCmult is never used;
 // rtk may be nil if Rotate is never used.
 func NewEvaluator(params Parameters, rlk *RelinearizationKey, rtk *RotationKeys) *Evaluator {
-	return &Evaluator{params: params, rlk: rlk, rtk: rtk}
+	ev := &Evaluator{params: params, rlk: rlk, rtk: rtk}
+	if rtk != nil {
+		ev.perms = make(map[uint64][]int, len(rtk.Keys))
+		for g := range rtk.Keys {
+			ev.perms[g] = params.Ring().NTTAutomorphismIndex(g)
+		}
+	}
+	return ev
+}
+
+// WithRows returns a shallow copy of ev whose operations take every
+// output and temporary row from rows and give the temporaries back to it.
+// The copy is as unsafe for concurrent use as rows is: one evaluation
+// uses it, and Recycle gives back the values that evaluation is done
+// with. ev itself, and its other copies, are unaffected.
+func (ev *Evaluator) WithRows(rows *ring.Rows) *Evaluator {
+	c := *ev
+	c.rows = rows
+	return &c
+}
+
+// Recycle gives the rows of ct, which nothing else may hold, back to the
+// evaluator's list and leaves ct without rows. Without a list (WithRows)
+// it does nothing.
+func (ev *Evaluator) Recycle(ct *Ciphertext) {
+	for _, p := range ct.Value {
+		ev.rows.Recycle(p)
+	}
+}
+
+// scratchPoly returns a k-row polynomial from the evaluator's list whose
+// rows the caller overwrites whole before it reads them
+// (ring.ScratchRowFrom).
+func (ev *Evaluator) scratchPoly(k int) *ring.Poly {
+	p := &ring.Poly{Coeffs: make([][]uint64, k)}
+	for i := range p.Coeffs {
+		p.Coeffs[i] = ev.params.Ring().ScratchRowFrom(ev.rows)
+	}
+	return p
+}
+
+// newCiphertext is an output ciphertext of scratchPoly parts, every row
+// of which the operation overwrites.
+func (ev *Evaluator) newCiphertext(parts, level int) *Ciphertext {
+	ct := &Ciphertext{Value: make([]*ring.Poly, parts), Scale: ev.params.Scale}
+	for i := range ct.Value {
+		ct.Value[i] = ev.scratchPoly(level)
+	}
+	return ct
+}
+
+// copyPoly is p.Copy with rows from the evaluator's list.
+func (ev *Evaluator) copyPoly(p *ring.Poly) *ring.Poly {
+	out := ev.scratchPoly(p.K())
+	p.CopyInto(out)
+	return out
+}
+
+// copyCiphertext is ct.Copy with rows from the evaluator's list.
+func (ev *Evaluator) copyCiphertext(ct *Ciphertext) *Ciphertext {
+	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), Scale: ct.Scale}
+	for i, p := range ct.Value {
+		out.Value[i] = ev.copyPoly(p)
+	}
+	return out
+}
+
+// permutation returns the NTT-domain permutation of Galois element g,
+// computing it only for a key added to the rotation keys after
+// NewEvaluator.
+func (ev *Evaluator) permutation(g uint64) []int {
+	if perm, ok := ev.perms[g]; ok {
+		return perm
+	}
+	return ev.params.Ring().NTTAutomorphismIndex(g)
 }
 
 // Params returns the evaluator's parameters.
@@ -55,7 +135,7 @@ func ctView(ct *Ciphertext, level int) *Ciphertext {
 // AddNew returns a + b (CCadd). Operands are aligned to the lower level;
 // scales must agree to within floating-point noise.
 func (ev *Evaluator) AddNew(a, b *Ciphertext) *Ciphertext {
-	out := NewCiphertext(ev.params, len(a.Value), min(a.Level(), b.Level()))
+	out := ev.newCiphertext(len(a.Value), min(a.Level(), b.Level()))
 	ev.Add(out, a, b)
 	return out
 }
@@ -98,7 +178,7 @@ func (ev *Evaluator) AddPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	checkNormalForm(pt, "PCadd")
 	checkScales(ct.Scale, pt.Scale)
 	r := ev.params.Ring()
-	out := ct.Copy()
+	out := ev.copyCiphertext(ct)
 	r.Add(out.Value[0], out.Value[0], truncate(pt.Value, level))
 	ev.record(OpPCadd, level)
 	return out
@@ -115,7 +195,7 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 		panic("ckks: PCmult plaintext level below ciphertext level")
 	}
 	r := ev.params.Ring()
-	out := NewCiphertext(ev.params, len(ct.Value), level)
+	out := ev.newCiphertext(len(ct.Value), level)
 	out.Scale = ct.Scale * pt.Scale
 	ptv := truncate(pt.Value, level)
 	for i := range out.Value {
@@ -202,19 +282,20 @@ func (ev *Evaluator) MulNew(a, b *Ciphertext) *Ciphertext {
 	}
 	av, bv, level := alignLevels(a, b)
 	r := ev.params.Ring()
-	d0 := r.NewPoly(level)
-	d1 := r.NewPoly(level)
-	d2 := r.NewPoly(level)
+	out := ev.newCiphertext(3, level)
+	out.Scale = av.Scale * bv.Scale
+	d0, d1, d2 := out.Value[0], out.Value[1], out.Value[2]
 	r.MulCoeffs(d0, av.Value[0], bv.Value[0])
 	r.MulCoeffs(d1, av.Value[0], bv.Value[1])
 	r.MulCoeffsAdd(d1, av.Value[1], bv.Value[0])
 	r.MulCoeffs(d2, av.Value[1], bv.Value[1])
-	out := &Ciphertext{Value: []*ring.Poly{d0, d1, d2}, Scale: av.Scale * bv.Scale}
 	ev.record(OpCCmult, level)
 	if ev.rlk == nil {
 		return out
 	}
-	return ev.RelinearizeNew(out)
+	relin := ev.RelinearizeNew(out)
+	ev.Recycle(out)
+	return relin
 }
 
 // RelinearizeNew switches the d2 term of a degree-2 ciphertext back to the
@@ -229,26 +310,31 @@ func (ev *Evaluator) RelinearizeNew(ct *Ciphertext) *Ciphertext {
 	}
 	level := ct.Level()
 	r := ev.params.Ring()
-	d2 := ct.Value[2].Copy()
+	d2 := ev.copyPoly(ct.Value[2])
 	r.INTT(d2)
 	u0, u1 := ev.keySwitch(level, &ev.rlk.SwitchingKey, digitSource{cc: d2})
-	out := NewCiphertext(ev.params, 2, level)
+	ev.rows.Recycle(d2)
+	out := ev.newCiphertext(2, level)
 	out.Scale = ct.Scale
 	r.Add(out.Value[0], ct.Value[0], u0)
 	r.Add(out.Value[1], ct.Value[1], u1)
+	ev.rows.Recycle(u0)
+	ev.rows.Recycle(u1)
 	ev.record(OpRelin, level)
 	return out
 }
 
 // RescaleNew returns ct divided by its last prime (see Rescale).
 func (ev *Evaluator) RescaleNew(ct *Ciphertext) *Ciphertext {
-	out := ct.Copy()
+	out := ev.copyCiphertext(ct)
 	ev.Rescale(out)
 	return out
 }
 
 // Rescale divides ct in place by its last prime, dropping one level and
-// dividing the scale accordingly (the Rescale HE operation, OP4).
+// dividing the scale accordingly (the Rescale HE operation, OP4). The
+// dropped rows go back to the evaluator's list, if it has one, so ct must
+// not share them.
 func (ev *Evaluator) Rescale(ct *Ciphertext) {
 	level := ct.Level()
 	if level < 2 {
@@ -259,6 +345,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) {
 		last := p.Coeffs[level-1]
 		p.DropLast(1)
 		r.DivRoundByModulusNTT(p, last, level-1)
+		ev.rows.RecycleRow(last)
 	}
 	ct.Scale /= float64(ev.params.Moduli[level-1])
 	ev.record(OpRescale, level)
@@ -268,7 +355,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) {
 // operation). A matching Galois key must have been generated.
 func (ev *Evaluator) RotateNew(ct *Ciphertext, k int) *Ciphertext {
 	if k == 0 {
-		return ct.Copy()
+		return ev.copyCiphertext(ct)
 	}
 	if ct.Degree() != 1 {
 		panic("ckks: rotation requires a degree-1 ciphertext")
@@ -293,14 +380,17 @@ func (ev *Evaluator) rotate(ct *Ciphertext, k int, hd hoistedDecomposition) *Cip
 	}
 	level := ct.Level()
 	r := ev.params.Ring()
-	perm := r.NTTAutomorphismIndex(g)
+	perm := ev.permutation(g)
 	src := digitSource{hoisted: hd, perm: perm}
 	if hd == nil {
-		src.cc = r.NewPoly(level)
+		src.cc = ev.scratchPoly(level)
 		r.PermuteNTT(src.cc, ct.Value[1], perm)
 		r.INTT(src.cc)
 	}
 	u0, u1 := ev.keySwitch(level, swk, src)
+	if src.cc != nil {
+		ev.rows.Recycle(src.cc)
+	}
 	r.PermuteNTTAdd(u0, ct.Value[0], perm)
 	ev.record(OpRotate, level)
 	return &Ciphertext{Value: []*ring.Poly{u0, u1}, Scale: ct.Scale}
@@ -364,16 +454,19 @@ func (ev *Evaluator) keySwitch(k int, swk *SwitchingKey, src digitSource) (*ring
 	r := ev.params.Ring()
 	sp := ev.params.L
 	kp := swk.B[0].K() - 1 // the key's special-prime row is its last
-	u0, u1 := r.NewPoly(k), r.NewPoly(k)
-	uP := make([]uint64, 2*r.N) // the special-prime rows of u0 and u1
+	// Every row comes from the evaluator's list before the fan-out: the
+	// outputs, the special-prime rows of u0 and u1 (uP), and one digit row
+	// per work item, which src.row overwrites whole.
+	u0, u1, uP := r.NewPolyFrom(ev.rows, k), r.NewPolyFrom(ev.rows, k), r.NewPolyFrom(ev.rows, 2)
+	digits := ev.scratchPoly(k + 1)
 	r.Pool().Do(k+1, func(j int) {
-		rj, kj, acc0, acc1 := sp, kp, uP[:r.N], uP[r.N:]
+		rj, kj, acc0, acc1 := sp, kp, uP.Coeffs[0], uP.Coeffs[1]
 		if j < k {
 			rj, kj, acc0, acc1 = j, j, u0.Coeffs[j], u1.Coeffs[j]
 		}
 		m := r.Mods[rj]
 		maxLazy := m.MaxLazyAdds()
-		digit := make([]uint64, r.N)
+		digit := digits.Coeffs[j]
 		terms := 0
 		for i := range k {
 			src.row(r, digit, i, j, rj)
@@ -384,8 +477,10 @@ func (ev *Evaluator) keySwitch(k int, swk *SwitchingKey, src digitSource) (*ring
 		m.ReduceVec(acc0, acc0)
 		m.ReduceVec(acc1, acc1)
 	})
-	r.DivRoundByModulusNTT(u0, uP[:r.N], sp)
-	r.DivRoundByModulusNTT(u1, uP[r.N:], sp)
+	r.DivRoundByModulusNTT(u0, uP.Coeffs[0], sp)
+	r.DivRoundByModulusNTT(u1, uP.Coeffs[1], sp)
+	ev.rows.Recycle(digits)
+	ev.rows.Recycle(uP)
 	return u0, u1
 }
 

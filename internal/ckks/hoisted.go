@@ -21,22 +21,29 @@ func (ev *Evaluator) decomposeForRotation(ct *Ciphertext) hoistedDecomposition {
 	}
 	r := ev.params.Ring()
 	k := ct.Level()
-	cc := ct.Value[1].Copy()
+	cc := ev.copyPoly(ct.Value[1])
 	r.INTT(cc)
 
+	// The table's rows come from the evaluator's list before the fan-out;
+	// expandDigit overwrites each whole.
 	hd := make(hoistedDecomposition, k)
-	// Each digit's extended-basis expansion writes only its own slices.
-	r.Pool().Do(k, func(i int) {
+	for i := range hd {
 		hd[i] = make([][]uint64, k+1)
 		for j := range hd[i] {
+			hd[i][j] = r.ScratchRowFrom(ev.rows)
+		}
+	}
+	// Each digit's extended-basis expansion writes only its own rows.
+	r.Pool().Do(k, func(i int) {
+		for j, row := range hd[i] {
 			rj := j
 			if j == k {
 				rj = ev.params.L
 			}
-			hd[i][j] = make([]uint64, r.N)
-			expandDigit(r, hd[i][j], cc.Coeffs[i], i, rj)
+			expandDigit(r, row, cc.Coeffs[i], i, rj)
 		}
 	})
+	ev.rows.Recycle(cc)
 	return hd
 }
 
@@ -54,10 +61,15 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) map[int]*Ciphertext
 			continue
 		}
 		if k == 0 {
-			out[0] = ct.Copy()
+			out[0] = ev.copyCiphertext(ct)
 			continue
 		}
 		out[k] = ev.rotate(ct, k, hd)
+	}
+	for _, rows := range hd {
+		for _, row := range rows {
+			ev.rows.RecycleRow(row)
+		}
 	}
 	return out
 }

@@ -17,9 +17,10 @@
 // fans its k+1 extended-basis target rows out as independent work items,
 // hoisted decompositions expand their digits concurrently, and every ring
 // operation inherits limb parallelism — all bit-exact with serial
-// execution, which TestParallelMatchesSerialDigests pins. Encoder,
-// Encryptor and Decryptor are likewise safe for concurrent use on distinct
-// outputs.
+// execution, which TestParallelMatchesSerialDigests pins. Encoder and
+// Decryptor are likewise safe for concurrent use on distinct outputs. An
+// Encryptor is not — its sampler and its row list are its own — and
+// neither is an Evaluator scoped to one evaluation's rows (WithRows).
 package ckks
 
 import (

@@ -12,7 +12,7 @@ import (
 // NegNew returns -ct.
 func (ev *Evaluator) NegNew(ct *Ciphertext) *Ciphertext {
 	r := ev.params.Ring()
-	out := ct.Copy()
+	out := ev.copyCiphertext(ct)
 	for _, p := range out.Value {
 		r.Neg(p, p)
 	}
@@ -26,7 +26,7 @@ func (ev *Evaluator) NegNew(ct *Ciphertext) *Ciphertext {
 // or KeySwitch cost.
 func (ev *Evaluator) AddConstNew(ct *Ciphertext, c float64) *Ciphertext {
 	r := ev.params.Ring()
-	out := ct.Copy()
+	out := ev.copyCiphertext(ct)
 	level := ct.Level()
 
 	// A constant vector's canonical embedding is the constant polynomial
@@ -57,7 +57,7 @@ func (ev *Evaluator) AddConstNew(ct *Ciphertext, c float64) *Ciphertext {
 // follow, exactly as for PCmult).
 func (ev *Evaluator) MulByConstNew(ct *Ciphertext, c float64) *Ciphertext {
 	r := ev.params.Ring()
-	out := NewCiphertext(ev.params, len(ct.Value), ct.Level())
+	out := ev.newCiphertext(len(ct.Value), ct.Level())
 	out.Scale = ct.Scale * ev.params.Scale
 
 	scaled := math.Round(c * ev.params.Scale)
@@ -85,7 +85,7 @@ func (ev *Evaluator) SubPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	}
 	checkScales(ct.Scale, pt.Scale)
 	r := ev.params.Ring()
-	out := ct.Copy()
+	out := ev.copyCiphertext(ct)
 	r.Sub(out.Value[0], out.Value[0], truncate(pt.Value, level))
 	ev.record(OpPCadd, level)
 	return out

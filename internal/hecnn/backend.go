@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"fxhenn/internal/ckks"
+	"fxhenn/internal/ring"
 )
 
 // CT is an opaque ciphertext handle passed between layers. The crypto
@@ -221,8 +222,17 @@ func encodePlain(enc *ckks.Encoder, w Plain, k operandKey) *ckks.Plaintext {
 // cryptoBackend executes operations on real ciphertexts, taking plaintext
 // operands from plain and recording each op into rec (when not nil). cts
 // and pts are mulPlainSum's reused operand lists.
+//
+// The backend owns one row list, rows, for the evaluation it serves: ev
+// is ctx.Eval scoped to it (ckks.Evaluator.WithRows), so every output and
+// temporary comes from the list, the evaluator gives back its own
+// temporaries, and run retires the owned values that die. The list grows
+// to the evaluation's peak of live rows and is dropped with the backend;
+// no row outlives it in a shared pool.
 type cryptoBackend struct {
 	ctx   *Context
+	ev    *ckks.Evaluator
+	rows  ring.Rows
 	rec   *Recorder
 	plain plainSource
 	cts   []*ckks.Ciphertext
@@ -232,7 +242,27 @@ type cryptoBackend struct {
 // NewCryptoBackend returns a Backend executing on ctx and tracing into rec
 // (rec may be nil to skip tracing). Plaintext operands are encoded on use.
 func NewCryptoBackend(ctx *Context, rec *Recorder) Backend {
-	return &cryptoBackend{ctx: ctx, rec: rec, plain: ctx.encodeOperand}
+	return newCryptoBackend(ctx, rec, ctx.encodeOperand)
+}
+
+// newCryptoBackend returns a crypto backend with its own row list.
+func newCryptoBackend(ctx *Context, rec *Recorder, plain plainSource) *cryptoBackend {
+	b := &cryptoBackend{ctx: ctx, rec: rec, plain: plain}
+	if ctx != nil { // RunBatch refuses a bad batch before it needs ctx
+		b.ev = ctx.Eval.WithRows(&b.rows)
+	}
+	return b
+}
+
+// retire gives the rows of h, an owned value that just died, back to the
+// backend's list, unless h is res, the value the dying instruction wrote
+// its result into. A nil backend (any other Backend) or a nil h (a value
+// a fused chain never materialized) retires nothing.
+func (b *cryptoBackend) retire(h, res *CT) {
+	if b == nil || h == nil || h == res {
+		return
+	}
+	b.ev.Recycle(h.ct)
 }
 
 // mulOperand is w as PCmult consumes it at level: at the encoding scale,
@@ -249,33 +279,33 @@ func (b *cryptoBackend) SetLayer(name string) {
 
 func (b *cryptoBackend) PCmult(x *CT, w Plain) *CT {
 	level := x.ct.Level()
-	out := b.ctx.Eval.MulPlainNew(x.ct, b.mulOperand(w, level))
+	out := b.ev.MulPlainNew(x.ct, b.mulOperand(w, level))
 	b.rec.record(ckks.OpPCmult, level)
 	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) PCadd(x *CT, w Plain) *CT {
 	level := x.ct.Level()
-	out := b.ctx.Eval.AddPlainNew(x.ct, b.plain(w, operandKey{w.id, level, x.ct.Scale, false}))
+	out := b.ev.AddPlainNew(x.ct, b.plain(w, operandKey{w.id, level, x.ct.Scale, false}))
 	b.rec.record(ckks.OpPCadd, level)
 	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) CCadd(x, y *CT) *CT {
-	out := b.ctx.Eval.AddNew(x.ct, y.ct)
+	out := b.ev.AddNew(x.ct, y.ct)
 	b.rec.record(ckks.OpCCadd, out.Level())
 	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) Square(x *CT) *CT {
-	out := b.ctx.Eval.MulNew(x.ct, x.ct)
+	out := b.ev.MulNew(x.ct, x.ct)
 	b.rec.record(ckks.OpCCmult, x.ct.Level())
 	b.rec.record(ckks.OpRelin, x.ct.Level())
 	return WrapCiphertext(out)
 }
 
 func (b *cryptoBackend) Rescale(x *CT) *CT {
-	out := b.ctx.Eval.RescaleNew(x.ct)
+	out := b.ev.RescaleNew(x.ct)
 	b.rec.record(ckks.OpRescale, x.ct.Level())
 	return WrapCiphertext(out)
 }
@@ -293,7 +323,7 @@ func (b *cryptoBackend) term(x *CT, w Plain) {
 // events exactly as the unfused calls do, pair by pair.
 func (b *cryptoBackend) mulPlainSum(acc *CT) *CT {
 	at := acc.ct.Level()
-	b.ctx.Eval.MulPlainSum(acc.ct, b.cts, b.pts)
+	b.ev.MulPlainSum(acc.ct, b.cts, b.pts)
 	for _, ct := range b.cts {
 		at = min(at, ct.Level())
 		b.rec.record(ckks.OpPCmult, ct.Level())
@@ -309,7 +339,7 @@ func (b *cryptoBackend) mulPlainSum(acc *CT) *CT {
 // addInto is CCadd(x, y) written into dst, whichever of x and y the
 // evaluation owns and that dies here.
 func (b *cryptoBackend) addInto(dst, x, y *CT) *CT {
-	b.ctx.Eval.Add(dst.ct, x.ct, y.ct)
+	b.ev.Add(dst.ct, x.ct, y.ct)
 	return b.adopt(dst, ckks.OpCCadd, dst.ct.Level())
 }
 
@@ -317,7 +347,7 @@ func (b *cryptoBackend) addInto(dst, x, y *CT) *CT {
 // here.
 func (b *cryptoBackend) rescaleInPlace(x *CT) *CT {
 	level := x.ct.Level()
-	b.ctx.Eval.Rescale(x.ct)
+	b.ev.Rescale(x.ct)
 	return b.adopt(x, ckks.OpRescale, level)
 }
 
@@ -333,7 +363,7 @@ func (b *cryptoBackend) Rotate(x *CT, k int) *CT {
 	if k == 0 {
 		return x
 	}
-	out := b.ctx.Eval.RotateNew(x.ct, k)
+	out := b.ev.RotateNew(x.ct, k)
 	b.rec.record(ckks.OpRotate, x.ct.Level())
 	b.rec.recordRotation(k, x.ct.Level())
 	return WrapCiphertext(out)
@@ -354,7 +384,7 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 		}
 		return out
 	}
-	rot := b.ctx.Eval.RotateHoisted(x.ct, ks)
+	rot := b.ev.RotateHoisted(x.ct, ks)
 	for i, k := range ks {
 		if k == 0 {
 			out[i] = x

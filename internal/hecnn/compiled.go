@@ -117,7 +117,7 @@ func (t *operandTable) Warm(startLevel int) {
 // may be nil to skip tracing. The returned backend is single-request,
 // like NewCryptoBackend's.
 func (t *operandTable) Backend(ctx *Context, rec *Recorder) Backend {
-	return &cryptoBackend{ctx: ctx, rec: rec, plain: t.source}
+	return newCryptoBackend(ctx, rec, t.source)
 }
 
 // source is the table's plainSource: the resident plaintext when its key

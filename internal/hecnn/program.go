@@ -272,10 +272,11 @@ func (lw *lowering) RotateMany(x *CT, ks []int) []*CT {
 //
 // On the package's own crypto backend, run also acts on the ownership
 // flags: a chain of fused PCmult→CCadd pairs becomes one
-// multiply-accumulate into the first CCadd's dying first operand, and a
-// CCadd or Rescale writes into an owned operand that dies there. Events,
-// operand requests and ciphertexts are identical to the unfused calls,
-// which every other Backend receives.
+// multiply-accumulate into the first CCadd's dying first operand, a
+// CCadd or Rescale writes into an owned operand that dies there, and
+// every other owned value that dies gives its rows back to the backend's
+// list (release). Events, operand requests and ciphertexts are identical
+// to the unfused calls, which every other Backend receives.
 func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 	if len(in) != p.inputs {
 		panic(fmt.Sprintf("hecnn: %s expects %d inputs, got %d", p.layers[0].name, p.inputs, len(in)))
@@ -320,7 +321,7 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 				n = pc - first + 1
 				vals[next+n-1] = cb.mulPlainSum(acc)
 				for _, d := range p.code[first+1 : pc+1] {
-					d.release(vals)
+					d.release(vals, cb, acc)
 				}
 			case opPCadd:
 				vals[next] = b.PCadd(x, p.plain(c.arg))
@@ -346,8 +347,8 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 			case opRotateMany:
 				n = copy(vals[next:], b.RotateMany(x, p.rotSets[c.arg]))
 			}
+			c.release(vals, cb, vals[next+n-1])
 			next += n
-			c.release(vals)
 		}
 		if tr != nil {
 			tr.layerDone(li, time.Since(start))
@@ -356,12 +357,21 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 	return vals
 }
 
-// release clears the slots of the values c is the last reader of.
-func (c *instr) release(vals []*CT) {
+// release clears the slots of the values c is the last reader of. On the
+// crypto backend (cb not nil) it also retires each of them that the
+// evaluation owns, except res, the value c's result was written into; a
+// value that is both operands of c is retired once.
+func (c *instr) release(vals []*CT, cb *cryptoBackend, res *CT) {
 	if c.flags&lastX != 0 {
+		if c.flags&ownX != 0 {
+			cb.retire(vals[c.x], res)
+		}
 		vals[c.x] = nil
 	}
 	if c.flags&lastArg != 0 {
+		if c.flags&ownArg != 0 {
+			cb.retire(vals[c.arg], res)
+		}
 		vals[c.arg] = nil
 	}
 }

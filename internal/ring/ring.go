@@ -140,13 +140,22 @@ type Poly struct {
 }
 
 // NewPoly allocates a zero polynomial with k residue rows.
-func (r *Ring) NewPoly(k int) *Poly {
+func (r *Ring) NewPoly(k int) *Poly { return r.NewPolyFrom(nil, k) }
+
+// NewPolyFrom returns a zero polynomial with k residue rows taken from
+// rows (see Rows), allocating those rows cannot supply; with rows nil it
+// is NewPoly.
+func (r *Ring) NewPolyFrom(rows *Rows, k int) *Poly {
 	if k < 1 || k > len(r.Moduli) {
 		panic(fmt.Sprintf("ring: level count %d out of range [1,%d]", k, len(r.Moduli)))
 	}
 	c := make([][]uint64, k)
 	for i := range c {
-		c[i] = make([]uint64, r.N)
+		if c[i] = rows.pop(r.N); c[i] != nil {
+			clear(c[i])
+		} else {
+			c[i] = make([]uint64, r.N)
+		}
 	}
 	return &Poly{Coeffs: c}
 }

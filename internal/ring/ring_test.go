@@ -159,21 +159,21 @@ func TestDivRoundByLastModulus(t *testing.T) {
 	want := make([]*big.Int, r.N)
 	for j := 0; j < r.N; j++ {
 		x := r.ComposeCoeff(p, j)
-		// Centered rounding: floor((x + qLast/2) / qLast) for the signed value.
+		// round(x/q) = floor((2x + q) / 2q) for the signed x: big.Int's
+		// Div is Euclidean, which is flooring for a positive divisor, and
+		// q is odd, so there are no ties.
 		num := new(big.Int).Lsh(x, 1)
 		num.Add(num, qLast)
 		den := new(big.Int).Lsh(qLast, 1)
-		want[j] = new(big.Int).Div(num, den) // floor division works for negatives in big.Int? Div is Euclidean
+		want[j] = new(big.Int).Div(num, den)
 	}
 	r.DivRoundByLastModulus(p)
 	if p.K() != 3 {
 		t.Fatalf("level after rescale = %d, want 3", p.K())
 	}
 	for j := 0; j < r.N; j++ {
-		got := r.ComposeCoeff(p, j)
-		diff := new(big.Int).Sub(got, want[j])
-		if diff.CmpAbs(big.NewInt(1)) > 0 {
-			t.Fatalf("coeff %d: rescale off by %s", j, diff)
+		if got := r.ComposeCoeff(p, j); got.Cmp(want[j]) != 0 {
+			t.Fatalf("coeff %d: rescale gave %s, want %s", j, got, want[j])
 		}
 	}
 

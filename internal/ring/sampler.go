@@ -35,8 +35,11 @@ func (s *Sampler) Uniform(k int) *Poly {
 
 // Ternary samples a secret with coefficients in {-1, 0, +1}, each nonzero
 // with probability 2/3, replicated consistently across all k residue rows.
-func (s *Sampler) Ternary(k int) *Poly {
-	p := s.r.NewPoly(k)
+func (s *Sampler) Ternary(k int) *Poly { return s.TernaryFrom(nil, k) }
+
+// TernaryFrom is Ternary into rows taken from rows (Ring.NewPolyFrom).
+func (s *Sampler) TernaryFrom(rows *Rows, k int) *Poly {
+	p := s.r.NewPolyFrom(rows, k)
 	for j := 0; j < s.r.N; j++ {
 		v := s.rng.Intn(3) - 1 // -1, 0, or 1
 		s.setSmall(p, j, int64(v))
@@ -46,8 +49,11 @@ func (s *Sampler) Ternary(k int) *Poly {
 
 // Error samples a centered binomial error of standard deviation ≈ 3.2
 // (the usual RLWE error width), consistent across residue rows.
-func (s *Sampler) Error(k int) *Poly {
-	p := s.r.NewPoly(k)
+func (s *Sampler) Error(k int) *Poly { return s.ErrorFrom(nil, k) }
+
+// ErrorFrom is Error into rows taken from rows (Ring.NewPolyFrom).
+func (s *Sampler) ErrorFrom(rows *Rows, k int) *Poly {
+	p := s.r.NewPolyFrom(rows, k)
 	for j := 0; j < s.r.N; j++ {
 		// CBD(21): sum of 21 coin differences has variance 21/2 ≈ 3.24^2.
 		x := s.rng.Uint32() & ((1 << 21) - 1)
