@@ -152,7 +152,10 @@ func TestSimulatorTracksModel(t *testing.T) {
 		model := d.Solution.Cycles
 		// Note the model includes DRAM spill; compare against the pure
 		// on-chip aggregate.
-		onchip := d.Config().NetworkLatencyCycles(p, g)
+		var onchip int64
+		for i := range p.Layers {
+			onchip += d.Config().LayerLatencyCycles(&p.Layers[i], g)
+		}
 		lo := float64(onchip) * 0.5
 		hi := float64(onchip) * 1.3
 		if float64(sim) < lo || float64(sim) > hi {

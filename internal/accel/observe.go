@@ -51,11 +51,6 @@ func (st SimStats) ModeledSeconds(clockHz float64) float64 {
 	return hemodel.Seconds(st.Makespan, clockHz)
 }
 
-// BusySeconds converts one module class's busy cycles to wall time.
-func (st SimStats) BusySeconds(op profile.OpClass, clockHz float64) float64 {
-	return hemodel.Seconds(st.BusyCycles[op], clockHz)
-}
-
 // Record exports the stats into reg: per-op job and busy-cycle counters,
 // the makespan gauge, and the host-wall histogram. A nil registry is a
 // no-op.

@@ -105,9 +105,6 @@ func (ev *Evaluator) permutation(g uint64) []int {
 	return ev.params.Ring().NTTAutomorphismIndex(g)
 }
 
-// Params returns the evaluator's parameters.
-func (ev *Evaluator) Params() Parameters { return ev.params }
-
 func (ev *Evaluator) record(op Op, level int) {
 	if ev.Trace != nil {
 		ev.Trace.Record(op, level)

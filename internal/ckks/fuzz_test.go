@@ -3,8 +3,6 @@ package ckks
 import (
 	"bytes"
 	"testing"
-
-	"fxhenn/internal/ring"
 )
 
 // FuzzReadCiphertext hardens the wire format: arbitrary byte streams must
@@ -46,51 +44,6 @@ func FuzzReadCiphertext(f *testing.F) {
 		// And must re-serialize cleanly.
 		if _, err := got.MarshalBinary(); err != nil {
 			t.Fatalf("reserialization failed: %v", err)
-		}
-	})
-}
-
-// FuzzReadSwitchingKey does the same for the (much larger) key format.
-func FuzzReadSwitchingKey(f *testing.F) {
-	params := NewParameters(6, 30, 3, 45)
-	kg := NewKeyGenerator(params, 3)
-	sk := kg.GenSecretKey()
-	rlk := kg.GenRelinearizationKey(sk)
-	var buf bytes.Buffer
-	if _, err := rlk.SwitchingKey.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if _, err := rlk.AtLevel(1).WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-
-	f.Add(valid)
-	f.Add(valid[:20])
-	f.Add([]byte{0xC4, 0xFF, 0})
-	f.Add(buf.Bytes())
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		swk, err := ReadSwitchingKey(bytes.NewReader(data), params)
-		if err != nil {
-			return
-		}
-		if len(swk.B) != len(swk.A) || swk.Level() < 1 || swk.Level() > params.L {
-			t.Fatal("parsed key with bad digit structure")
-		}
-		// Every digit's polys hold the digits' q-rows plus the special row.
-		for i := range swk.B {
-			for _, p := range []*ring.Poly{swk.B[i], swk.A[i]} {
-				if p.K() != swk.Level()+1 {
-					t.Fatalf("digit %d: %d rows for a level-%d key", i, p.K(), swk.Level())
-				}
-				for _, row := range p.Coeffs {
-					if len(row) != params.N() {
-						t.Fatalf("digit %d: row of %d coefficients, want %d", i, len(row), params.N())
-					}
-				}
-			}
 		}
 	})
 }

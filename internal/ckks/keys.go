@@ -201,11 +201,6 @@ func (p Parameters) GaloisElementForRotation(k int) uint64 {
 	return g
 }
 
-// GaloisElementConjugate returns the exponent of complex conjugation, 2N-1.
-func (p Parameters) GaloisElementConjugate() uint64 {
-	return uint64(2*p.N() - 1)
-}
-
 // truncate returns a view of the first k rows of a poly.
 func truncate(p *ring.Poly, k int) *ring.Poly {
 	if p.K() < k {

@@ -1,11 +1,8 @@
 package ckks
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -101,68 +98,5 @@ func TestKeyViewsShareRows(t *testing.T) {
 	// A view of a view keeps the special-prime row last.
 	if vv := v.AtLevel(1); &vv.A[0].Coeffs[1][0] != &full.A[0].Coeffs[full.Level()][0] {
 		t.Fatal("view of a view lost the special-prime row")
-	}
-}
-
-// TestKeyStructureIsValidated: a switching or public key whose polys
-// carry fewer (or more) rows than its digit count requires parses as
-// ErrMalformed instead of panicking at first use, and a level view
-// round-trips.
-func TestKeyStructureIsValidated(t *testing.T) {
-	tc := newTestContext(t, nil)
-	rlk := &tc.rlk.SwitchingKey
-
-	// Every poly cut to 2 rows: the digit count still says L.
-	short := &SwitchingKey{}
-	for i := range rlk.B {
-		short.B = append(short.B, truncate(rlk.B[i], 2))
-		short.A = append(short.A, truncate(rlk.A[i], 2))
-	}
-	var buf bytes.Buffer
-	if _, err := short.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSwitchingKey(&buf, tc.params); !errors.Is(err, ErrMalformed) {
-		t.Errorf("short switching key: err = %v, want ErrMalformed", err)
-	}
-
-	// A full key's rows under a view's digit count: too many rows.
-	buf.Reset()
-	if _, err := (&SwitchingKey{B: rlk.B[:2], A: rlk.A[:2]}).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSwitchingKey(&buf, tc.params); !errors.Is(err, ErrMalformed) {
-		t.Errorf("over-tall switching key: err = %v, want ErrMalformed", err)
-	}
-
-	for l := 1; l <= rlk.Level(); l++ {
-		view := rlk.AtLevel(l)
-		buf.Reset()
-		if _, err := view.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSwitchingKey(&buf, tc.params)
-		if err != nil {
-			t.Fatalf("level-%d view: %v", l, err)
-		}
-		if got.Level() != l {
-			t.Fatalf("level-%d view read back at level %d", l, got.Level())
-		}
-		for i := range got.B {
-			for j := range got.B[i].Coeffs {
-				if !slices.Equal(got.B[i].Coeffs[j], view.B[i].Coeffs[j]) || !slices.Equal(got.A[i].Coeffs[j], view.A[i].Coeffs[j]) {
-					t.Fatalf("level-%d view: digit %d row %d changed in the round trip", l, i, j)
-				}
-			}
-		}
-	}
-
-	pkShort := &PublicKey{B: truncate(tc.pk.B, 2), A: truncate(tc.pk.A, 2)}
-	buf.Reset()
-	if _, err := pkShort.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadPublicKey(&buf, tc.params); !errors.Is(err, ErrMalformed) {
-		t.Errorf("short public key: err = %v, want ErrMalformed", err)
 	}
 }

@@ -106,16 +106,9 @@ func (p Parameters) Ring() *ring.Ring { return p.ring }
 // Safe to call concurrently with evaluation.
 func (p Parameters) AttachPool(pool *parallel.Pool) { p.ring.AttachPool(pool) }
 
-// QBig returns log2 of the full ciphertext modulus, for reporting (the "Q"
+// LogQ returns log2 of the full ciphertext modulus, for reporting (the "Q"
 // column of Table VII).
 func (p Parameters) LogQ() int { return p.QBits * p.L }
-
-// CiphertextBytes returns the in-memory size of a level-k ciphertext: two
-// RNS polynomials of k rows of N 8-byte words. This drives the paper's
-// buffer-size accounting.
-func (p Parameters) CiphertextBytes(level int) int {
-	return 2 * level * p.N() * 8
-}
 
 // PlaintextBytes returns the size of an encoded plaintext at level k.
 func (p Parameters) PlaintextBytes(level int) int {

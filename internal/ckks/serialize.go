@@ -20,16 +20,14 @@ import (
 // bad-request status instead of an internal error.
 var ErrMalformed = errors.New("malformed serialized data")
 
-// Binary serialization of CKKS elements and key material, used by the
-// MLaaS protocol (client encrypts and ships ciphertexts; the server holds
-// evaluation keys) and by anyone persisting encrypted state. Format: a
-// one-byte kind tag, fixed little-endian headers, then raw RNS rows.
+// Binary serialization of CKKS elements, used by the MLaaS protocol
+// (client encrypts and ships ciphertexts) and by the digests that pin
+// evaluation results. Format: a one-byte kind tag, fixed little-endian
+// headers, then raw RNS rows.
 
 const (
 	tagCiphertext byte = 0xC1
 	tagPlaintext  byte = 0xC2
-	tagPublicKey  byte = 0xC3
-	tagSwitchKey  byte = 0xC4
 )
 
 // maxSerializedParts bounds ciphertext degree on the wire.
@@ -157,131 +155,4 @@ func (pt *Plaintext) WriteTo(w io.Writer) (int64, error) {
 	}
 	mm, err := pt.Value.WriteTo(w)
 	return n + mm, err
-}
-
-// ReadPlaintext deserializes a plaintext.
-func ReadPlaintext(r io.Reader, params Parameters) (*Plaintext, error) {
-	hdr := [11]byte{}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if hdr[0] != tagPlaintext {
-		return nil, fmt.Errorf("ckks: %w: bad plaintext tag 0x%02x", ErrMalformed, hdr[0])
-	}
-	pt := &Plaintext{
-		Scale: math.Float64frombits(binary.LittleEndian.Uint64(hdr[1:])),
-		IsNTT: hdr[9] == 1,
-	}
-	var err error
-	pt.Value, err = ring.ReadPoly(r, params.L, params.N())
-	return pt, err
-}
-
-// WriteTo serializes the public key.
-func (pk *PublicKey) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	m, err := w.Write([]byte{tagPublicKey})
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	for _, p := range []*ring.Poly{pk.B, pk.A} {
-		mm, err := p.WriteTo(w)
-		n += mm
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadPublicKey deserializes a public key.
-func ReadPublicKey(r io.Reader, params Parameters) (*PublicKey, error) {
-	tag := [1]byte{}
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
-		return nil, err
-	}
-	if tag[0] != tagPublicKey {
-		return nil, fmt.Errorf("ckks: %w: bad public key tag 0x%02x", ErrMalformed, tag[0])
-	}
-	b, err := readKeyPoly(r, params, params.L)
-	if err != nil {
-		return nil, err
-	}
-	a, err := readKeyPoly(r, params, params.L)
-	if err != nil {
-		return nil, err
-	}
-	return &PublicKey{B: b, A: a}, nil
-}
-
-// readKeyPoly reads one key polynomial that must hold exactly rows rows of
-// params.N() coefficients: key material of any other shape is malformed,
-// and would otherwise surface as an index panic at its first use.
-func readKeyPoly(r io.Reader, params Parameters, rows int) (*ring.Poly, error) {
-	p, err := ring.ReadPoly(r, rows, params.N())
-	if errors.Is(err, ring.ErrDimensions) {
-		return nil, fmt.Errorf("ckks: %w: %v", ErrMalformed, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if p.K() != rows || len(p.Coeffs[0]) != params.N() {
-		return nil, fmt.Errorf("ckks: %w: key poly of %d×%d, want %d×%d",
-			ErrMalformed, p.K(), len(p.Coeffs[0]), rows, params.N())
-	}
-	return p, nil
-}
-
-// WriteTo serializes a switching key (all its digits; the paper's "large
-// data volume" keyswitch keys).
-func (swk *SwitchingKey) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	hdr := [3]byte{tagSwitchKey, byte(len(swk.B)), 0}
-	m, err := w.Write(hdr[:])
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	for i := range swk.B {
-		for _, p := range []*ring.Poly{swk.B[i], swk.A[i]} {
-			mm, err := p.WriteTo(w)
-			n += mm
-			if err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// ReadSwitchingKey deserializes a switching key: a generated key or a
-// level view, each digit's polys holding exactly digits+1 rows (the
-// digits' q-primes, then the special prime).
-func ReadSwitchingKey(r io.Reader, params Parameters) (*SwitchingKey, error) {
-	hdr := [3]byte{}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if hdr[0] != tagSwitchKey {
-		return nil, fmt.Errorf("ckks: %w: bad switching key tag 0x%02x", ErrMalformed, hdr[0])
-	}
-	digits := int(hdr[1])
-	if digits < 1 || digits > params.L {
-		return nil, fmt.Errorf("ckks: %w: implausible digit count %d", ErrMalformed, digits)
-	}
-	swk := &SwitchingKey{}
-	for i := 0; i < digits; i++ {
-		b, err := readKeyPoly(r, params, digits+1)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readKeyPoly(r, params, digits+1)
-		if err != nil {
-			return nil, err
-		}
-		swk.B = append(swk.B, b)
-		swk.A = append(swk.A, a)
-	}
-	return swk, nil
 }

@@ -75,18 +75,3 @@ func (t *Trace) Count(op Op) int {
 	}
 	return n
 }
-
-// Total returns the total HOP count.
-func (t *Trace) Total() int { return len(t.Events) }
-
-// KeySwitchCount returns the number of KeySwitch operations (the "KS"
-// column of Table VII).
-func (t *Trace) KeySwitchCount() int {
-	n := 0
-	for _, e := range t.Events {
-		if e.Op.IsKeySwitch() {
-			n++
-		}
-	}
-	return n
-}

@@ -79,11 +79,6 @@ func (c *Conv2D) Weight(oc, ic, ky, kx int) float64 {
 	return c.Weights[((oc*c.InC+ic)*c.Kernel+ky)*c.Kernel+kx]
 }
 
-// SetWeight writes w[oc][ic][ky][kx].
-func (c *Conv2D) SetWeight(oc, ic, ky, kx int, v float64) {
-	c.Weights[((oc*c.InC+ic)*c.Kernel+ky)*c.Kernel+kx] = v
-}
-
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.LayerName }
 
@@ -151,9 +146,6 @@ func NewDense(name string, in, out int) *Dense {
 
 // Weight returns w[o][i].
 func (d *Dense) Weight(o, i int) float64 { return d.Weights[o*d.In+i] }
-
-// SetWeight writes w[o][i].
-func (d *Dense) SetWeight(o, i int, v float64) { d.Weights[o*d.In+i] = v }
 
 // Name implements Layer.
 func (d *Dense) Name() string { return d.LayerName }

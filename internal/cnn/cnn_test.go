@@ -25,7 +25,7 @@ func TestTensorAccessors(t *testing.T) {
 // input channel.
 func TestConvIdentityKernel(t *testing.T) {
 	c := NewConv2D("id", 1, 4, 4, 1, 1, 1, 0)
-	c.SetWeight(0, 0, 0, 0, 1)
+	c.Weights[0] = 1
 	in := NewTensor(1, 4, 4)
 	for i := range in.Data {
 		in.Data[i] = float64(i)
@@ -43,10 +43,8 @@ func TestConvIdentityKernel(t *testing.T) {
 func TestConvKnownValues(t *testing.T) {
 	c := NewConv2D("k", 1, 4, 4, 1, 3, 2, 1)
 	// All-ones kernel: every output = sum of the 3×3 window.
-	for ky := 0; ky < 3; ky++ {
-		for kx := 0; kx < 3; kx++ {
-			c.SetWeight(0, 0, ky, kx, 1)
-		}
+	for i := range c.Weights {
+		c.Weights[i] = 1
 	}
 	in := NewTensor(1, 4, 4)
 	for i := range in.Data {
@@ -96,7 +94,7 @@ func TestConvMatchesNaiveDense(t *testing.T) {
 							if ix < 0 || ix >= 6 {
 								continue
 							}
-							dense.SetWeight(o, (ic*6+iy)*6+ix, conv.Weight(m, ic, ky, kx))
+							dense.Weights[o*dense.In+(ic*6+iy)*6+ix] = conv.Weight(m, ic, ky, kx)
 						}
 					}
 				}
@@ -118,10 +116,7 @@ func TestConvMatchesNaiveDense(t *testing.T) {
 
 func TestDenseKnownValues(t *testing.T) {
 	d := NewDense("d", 3, 2)
-	d.SetWeight(0, 0, 1)
-	d.SetWeight(0, 1, 2)
-	d.SetWeight(0, 2, 3)
-	d.SetWeight(1, 0, -1)
+	copy(d.Weights, []float64{1, 2, 3, -1, 0, 0}) // rows o = 0, 1 of w[o][i]
 	d.Bias[0] = 0.5
 	d.Bias[1] = 1
 	out := d.Forward(&Tensor{C: 3, H: 1, W: 1, Data: []float64{1, 10, 100}})

@@ -51,7 +51,11 @@ func TestCoarseVsFineModel(t *testing.T) {
 		for i := range c.Modules {
 			c.Modules[i].Intra = intra
 		}
-		if c.NetworkLatencyCycles(p, g) > c.CoarseNetworkLatencyCycles(p, g) {
+		var fine int64
+		for i := range p.Layers {
+			fine += c.LayerLatencyCycles(&p.Layers[i], g)
+		}
+		if fine > c.CoarseNetworkLatencyCycles(p, g) {
 			t.Fatalf("fine pipeline slower than coarse at intra=%d", intra)
 		}
 	}

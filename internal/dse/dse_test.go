@@ -232,27 +232,3 @@ func TestEvaluateSpillNeverFasterThanFit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestParallelMatchesSequential: the parallel exploration must find exactly
-// the sequential optimum on every workload/device pair.
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, p := range []*profile.Network{profile.PaperMNIST(), profile.PaperCIFAR10()} {
-		for _, dev := range []fpga.Device{fpga.ACU9EG, fpga.ACU15EG} {
-			seq, err1 := Explore(p, dev)
-			par, err2 := ExploreParallel(p, dev)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s/%s: error mismatch %v vs %v", p.Name, dev.Name, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if seq.Best.Cycles != par.Best.Cycles || seq.Best.Config != par.Best.Config {
-				t.Fatalf("%s/%s: parallel optimum differs: %d vs %d",
-					p.Name, dev.Name, seq.Best.Cycles, par.Best.Cycles)
-			}
-			if seq.Explored != par.Explored || seq.Feasible != par.Feasible {
-				t.Fatalf("%s/%s: explored/feasible counts differ", p.Name, dev.Name)
-			}
-		}
-	}
-}

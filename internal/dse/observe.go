@@ -3,8 +3,8 @@ package dse
 // Exploration telemetry: an optional package-level registry that the
 // explorers report into — candidate/feasible counters, exploration wall
 // time, and candidate throughput, all labeled by exploration phase
-// ("explore", "parallel", "budget"). Installed with SetMetrics; with no
-// registry installed the explorers pay a single atomic load.
+// ("explore", "budget"). Installed with SetMetrics; with no registry
+// installed the explorers pay a single atomic load.
 
 import (
 	"sync/atomic"

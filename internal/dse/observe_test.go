@@ -23,17 +23,13 @@ func TestExploreTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExploreParallel(p, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bud := ExploreBRAMBudget(p, dev, 800)
 
 	snap := reg.Snapshot()
 	for _, tc := range []struct {
 		phase string
 		res   *Result
-	}{{"explore", seq}, {"parallel", par}, {"budget", bud}} {
+	}{{"explore", seq}, {"budget", bud}} {
 		lbl := telemetry.L("phase", tc.phase)
 		cand := snap.Family(MetricCandidates).Metric(lbl)
 		if cand == nil || int(cand.Value) != tc.res.Explored {

@@ -53,11 +53,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		expectBusy("failing dial below threshold")
 	}
-	if s := g.BreakerState("a"); s != "closed" {
+	if s := g.breakerState("a"); s != "closed" {
 		t.Fatalf("state %s before threshold", s)
 	}
 	expectBusy("failing dial at threshold")
-	if s := g.BreakerState("a"); s != "open" {
+	if s := g.breakerState("a"); s != "open" {
 		t.Fatalf("state %s at threshold", s)
 	}
 	expectBusy("open breaker")
@@ -85,7 +85,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	for dialCount() != 4 {
 		time.Sleep(time.Millisecond)
 	}
-	if s := g.BreakerState("a"); s != "half-open" {
+	if s := g.breakerState("a"); s != "half-open" {
 		t.Fatalf("state %s during the probe", s)
 	}
 	expectBusy("second concurrent probe")
@@ -98,7 +98,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st, msg := readFailure(t, bytes.NewReader(<-probe)); st != 3 {
 		t.Fatalf("failed probe: status %d (%s), want busy", st, msg)
 	}
-	if s := g.BreakerState("a"); s != "open" {
+	if s := g.breakerState("a"); s != "open" {
 		t.Fatalf("state %s after a failed probe", s)
 	}
 	expectBusy("re-opened breaker")
@@ -116,7 +116,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if resp := handleRaw(t, g, req); string(resp) != "pong" {
 		t.Fatalf("successful probe: response %q, want pong", resp)
 	}
-	if s := g.BreakerState("a"); s != "closed" {
+	if s := g.breakerState("a"); s != "closed" {
 		t.Fatalf("state %s after probe success", s)
 	}
 
@@ -125,7 +125,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		expectBusy("failing dial after recovery")
 	}
-	if s := g.BreakerState("a"); s != "closed" {
+	if s := g.breakerState("a"); s != "closed" {
 		t.Fatal("old failures survived the close")
 	}
 }

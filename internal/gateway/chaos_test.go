@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -178,7 +179,7 @@ func (fl *chaosFleet) run(t *testing.T, cl *mlaas.Client, seed int64) int {
 				continue
 			}
 			attempts++
-			if c.Attr("outcome") == "ok" {
+			if slices.Contains(c.Attrs, telemetry.L("outcome", "ok")) {
 				ok++
 			}
 		}
@@ -221,7 +222,7 @@ func (fl *chaosFleet) audit(t *testing.T, schedule string, cl *mlaas.Client, ite
 	}
 	t.Logf("chaos outcome | schedule=%-18s iters=%-3d ok=%-3d retries=%-2d traces=%-3d home=%-9s other=%s",
 		schedule, iters, iters, cl.Retries, cl.Flight.Kept(),
-		fl.gw.BreakerState(fl.home), fl.gw.BreakerState(fl.shard(false).name))
+		fl.gw.breakerState(fl.home), fl.gw.breakerState(fl.shard(false).name))
 }
 
 // TestChaosCorruptResponse: every response from the home shard corrupts
@@ -267,7 +268,7 @@ func TestChaosSlowDrip(t *testing.T) {
 		})
 	cl := fl.client(t, 240)
 	iters := fl.run(t, cl, 250)
-	if st := fl.gw.BreakerState(fl.home); st != "open" {
+	if st := fl.gw.breakerState(fl.home); st != "open" {
 		t.Fatalf("dripping home shard breaker %s, want open", st)
 	}
 	fl.audit(t, "slow-drip", cl, iters)
@@ -362,7 +363,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	cl := fl.client(t, 280)
 
 	iters := fl.run(t, cl, 290)
-	if st := fl.gw.BreakerState(fl.home); st != "open" {
+	if st := fl.gw.breakerState(fl.home); st != "open" {
 		t.Fatalf("home shard breaker after the down phase = %s, want open", st)
 	}
 
@@ -371,7 +372,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	served := fl.shard(true).srv.Served()
 	iters += fl.run(t, cl, 300)
-	if st := fl.gw.BreakerState(fl.home); st != "closed" {
+	if st := fl.gw.breakerState(fl.home); st != "closed" {
 		t.Fatalf("home shard breaker after recovery = %s, want closed", st)
 	}
 	if fl.shard(true).srv.Served() == served {
@@ -423,7 +424,7 @@ func TestGatewayRetrySingleTraceAcrossShards(t *testing.T) {
 			t.Fatalf("attempt trace %q, want %q", a.Trace, traceID)
 		}
 		attemptSpans[a.Span] = true
-		if a.Attr("outcome") == "ok" {
+		if slices.Contains(a.Attrs, telemetry.L("outcome", "ok")) {
 			okAttempts++
 		}
 	}
@@ -434,7 +435,7 @@ func TestGatewayRetrySingleTraceAcrossShards(t *testing.T) {
 	found := false
 	for _, fr := range frs {
 		for _, tr := range fr.Traces() {
-			if tr.Trace != traceID || tr.Root.Name != "request" || tr.Root.Attr("status") != "ok" {
+			if tr.Trace != traceID || tr.Root.Name != "request" || !slices.Contains(tr.Root.Attrs, telemetry.L("status", "ok")) {
 				continue
 			}
 			if !attemptSpans[tr.Root.Parent] {
@@ -448,7 +449,11 @@ func TestGatewayRetrySingleTraceAcrossShards(t *testing.T) {
 				t.Fatal("shard trace missing the per-layer evaluate breakdown")
 			}
 			for _, l := range eval.Children {
-				if l.Attr("hops") == "" || l.Attr("ks") == "" {
+				keys := map[string]bool{}
+				for _, a := range l.Attrs {
+					keys[a.Key] = true
+				}
+				if !keys["hops"] || !keys["ks"] {
 					t.Fatalf("layer span %q missing hops/ks attrs", l.Name)
 				}
 			}

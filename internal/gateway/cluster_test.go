@@ -436,7 +436,7 @@ func TestClusterShardKillReroute(t *testing.T) {
 			t.Fatalf("re-routed logit %d: %g vs %g", i, logits[i], want[i])
 		}
 	}
-	if st := c.gw.BreakerState(c.shards[home].name); st != "open" && st != "half-open" {
+	if st := c.gw.breakerState(c.shards[home].name); st != "open" && st != "half-open" {
 		t.Fatalf("home shard breaker %s after a failed dial (threshold 1)", st)
 	}
 	if c.shards[1-home].srv.Served() == 0 {
@@ -582,7 +582,7 @@ func TestClusterFaultnetDropMidResponse(t *testing.T) {
 	if _, err = cl.Infer(ctx, conn, clusterImage(pnet, 5)); err == nil {
 		t.Fatal("dropped upstream link produced a successful inference")
 	}
-	if st := gw.BreakerState("shard-0"); st != "open" {
+	if st := gw.breakerState("shard-0"); st != "open" {
 		t.Fatalf("shard breaker %s after a torn exchange at threshold 1, want open", st)
 	}
 }

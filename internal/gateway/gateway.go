@@ -233,9 +233,9 @@ func (g *Gateway) RemoveShard(ctx context.Context, name string) error {
 // Shards returns the current fleet in ring-membership (sorted) order.
 func (g *Gateway) Shards() []string { return g.ring.Members() }
 
-// BreakerState reports a shard's breaker state ("closed", "open",
+// breakerState reports a shard's breaker state ("closed", "open",
 // "half-open"), or "absent".
-func (g *Gateway) BreakerState(name string) string {
+func (g *Gateway) breakerState(name string) string {
 	g.mu.Lock()
 	st, ok := g.shards[name]
 	g.mu.Unlock()

@@ -114,7 +114,7 @@ func TestGatewayDeadShardsRefuseAfterBreaker(t *testing.T) {
 		t.Fatalf("status %d (%s), want busy", st, msg)
 	}
 	for _, name := range []string{"a", "b"} {
-		if s := g.BreakerState(name); s != "open" {
+		if s := g.breakerState(name); s != "open" {
 			t.Fatalf("shard %s breaker %s after a failed dial at threshold 1", name, s)
 		}
 	}
@@ -202,8 +202,8 @@ func TestGatewayRerouteMetrics(t *testing.T) {
 	if m := snap.Family(MetricReroutes).Metric(telemetry.L("shard", "live")); m == nil || m.Value != 1 {
 		t.Fatalf("reroutes{live} = %+v, want 1", m)
 	}
-	if g.BreakerState("dead") != "open" {
-		t.Fatalf("dead shard breaker %s, want open", g.BreakerState("dead"))
+	if g.breakerState("dead") != "open" {
+		t.Fatalf("dead shard breaker %s, want open", g.breakerState("dead"))
 	}
 }
 
@@ -228,7 +228,7 @@ func TestGatewayPrefixWriteFailureReroutes(t *testing.T) {
 	if !bytes.Equal(resp, []byte("pong")) {
 		t.Fatalf("response %q, want the live shard's pong", resp)
 	}
-	if st := g.BreakerState("broken"); st != "open" {
+	if st := g.breakerState("broken"); st != "open" {
 		t.Fatalf("broken shard breaker %s after a failed prefix write at threshold 1, want open", st)
 	}
 }
@@ -312,7 +312,7 @@ func TestGatewayClientAbandonKeepsBreakerClosed(t *testing.T) {
 			if err := <-wrote; err != nil {
 				t.Fatalf("the gateway stopped draining the shard: %v", err)
 			}
-			if st := g.BreakerState("a"); st != "closed" {
+			if st := g.breakerState("a"); st != "closed" {
 				t.Fatalf("breaker %s after a client abandoned a healthy exchange, want closed", st)
 			}
 		})
@@ -337,7 +337,7 @@ func TestGatewayMembershipErrors(t *testing.T) {
 	if err := g.RemoveShard(ctx, "ghost"); err == nil {
 		t.Fatal("removing an absent shard succeeded")
 	}
-	if st := g.BreakerState("ghost"); st != "absent" {
+	if st := g.breakerState("ghost"); st != "absent" {
 		t.Fatalf("absent shard breaker %q", st)
 	}
 	if err := g.RemoveShard(ctx, "a"); err != nil {

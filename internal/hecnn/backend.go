@@ -26,8 +26,6 @@
 package hecnn
 
 import (
-	"sort"
-
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/ring"
 )
@@ -118,8 +116,8 @@ func (le *LayerEvents) Count(op ckks.Op) int {
 	return n
 }
 
-// Recorder accumulates per-layer traces and the set of rotation amounts the
-// network requires (for Galois key generation).
+// Recorder accumulates per-layer traces and the rotation amounts used,
+// each at the highest level it ran at.
 type Recorder struct {
 	Layers    []*LayerEvents
 	byName    map[string]*LayerEvents
@@ -161,16 +159,6 @@ func (r *Recorder) recordRotation(k, level int) {
 		return
 	}
 	r.rotations[k] = max(r.rotations[k], level)
-}
-
-// Rotations returns the sorted set of rotation amounts used.
-func (r *Recorder) Rotations() []int {
-	out := make([]int, 0, len(r.rotations))
-	for k := range r.rotations {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TotalHOPs sums all layers' operation counts (the "HOPs" column of
@@ -400,10 +388,6 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 // WrapCiphertext adopts a raw CKKS ciphertext (e.g. one deserialized from
 // the network) as a layer input handle.
 func WrapCiphertext(ct *ckks.Ciphertext) *CT { return &CT{ct: ct, level: ct.Level()} }
-
-// FreshCT returns a cryptography-free ciphertext handle at the given
-// level, for other packages' tests. Crypto backends reject it.
-func FreshCT(level int) *CT { return &CT{level: level} }
 
 // Ciphertext returns the underlying CKKS ciphertext of a crypto-backend
 // handle (nil for any other handle).

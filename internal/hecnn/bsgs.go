@@ -225,12 +225,6 @@ func (l *MatVecDiag) Kind() LayerKind { return KS }
 // OutElems implements Layer.
 func (l *MatVecDiag) OutElems() int { return l.Rows }
 
-// Groups returns the number of giant-step groups (full keyswitches + 1).
-func (l *MatVecDiag) Groups() int { return len(l.groups) }
-
-// BabyRotations returns the hoisted baby-step rotation amounts.
-func (l *MatVecDiag) BabyRotations() []int { return l.babyRots }
-
 // diagonal builds the pre-rotated diagonal plaintext u'_{g,b}: entry
 // j = (r + t) mod S carries W[r, r+d] for d = t+b, zero elsewhere. Garbage
 // in input slots ≥ Cols is masked because columns outside [0, Cols) never

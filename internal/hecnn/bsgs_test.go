@@ -56,7 +56,7 @@ func TestMatVecDiagPlan(t *testing.T) {
 	if len(seen) != d {
 		t.Fatalf("plan covers %d diagonals, want %d", len(seen), d)
 	}
-	for _, b := range l.BabyRotations() {
+	for _, b := range l.babyRots {
 		if b < 1 || b >= l.n1 {
 			t.Fatalf("hoisted baby rotation %d outside [1,%d)", b, l.n1)
 		}
@@ -171,9 +171,8 @@ func TestMatVecDiagEncrypted(t *testing.T) {
 		}
 	}
 
-	// Count for the rotation set, then evaluate for real.
-	rec, _, _ := countLayer(l, &State{CTs: make([]*CT, 1), Kind: Contiguous, N: cols}, params.MaxLevel())
-	ctx := NewContext(params, 5, rec.Rotations())
+	// Fold the rotation set, then evaluate for real.
+	ctx := NewContext(params, 5, layerRotations(l, &State{CTs: make([]*CT, 1), Kind: Contiguous, N: cols}, params.MaxLevel()))
 	in := &State{CTs: []*CT{ctx.EncryptVector(x)}, Kind: Contiguous, N: cols}
 	out := l.Apply(NewCryptoBackend(ctx, nil), in)
 	got := ctx.DecryptVector(out.CTs[0])

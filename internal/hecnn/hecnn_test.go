@@ -45,8 +45,8 @@ func TestCompileMNISTStructure(t *testing.T) {
 		t.Fatalf("Cnv1 out %d want 845", conv.OutElems())
 	}
 	fc1 := net.Layers[2].(*MatVecGroup)
-	if fc1.Groups() != 25 {
-		t.Fatalf("Fc1 groups %d want 25 (B=4, 100 rows)", fc1.Groups())
+	if fc1.g != 25 {
+		t.Fatalf("Fc1 groups %d want 25 (B=4, 100 rows)", fc1.g)
 	}
 }
 
@@ -356,9 +356,8 @@ func TestGroupSumsArithmetic(t *testing.T) {
 		func(r, c int) float64 { return w[r][c] },
 		func(r int) float64 { return 0 })
 
-	// Count for rotations, then execute.
-	rec, _, _ := countLayer(layer, &State{Kind: Contiguous, N: cols, CTs: make([]*CT, 1)}, 7)
-	ctx := NewContext(params, 11, rec.Rotations())
+	// Fold the rotation set, then execute.
+	ctx := NewContext(params, 11, layerRotations(layer, &State{Kind: Contiguous, N: cols, CTs: make([]*CT, 1)}, 7))
 
 	in := &State{Kind: Contiguous, N: cols, CTs: []*CT{ctx.EncryptVector(x)}}
 	out := layer.Apply(NewCryptoBackend(ctx, nil), in)

@@ -204,9 +204,6 @@ func (l *MatVecGroup) Kind() LayerKind { return KS }
 // OutElems implements Layer.
 func (l *MatVecGroup) OutElems() int { return l.Rows }
 
-// Groups returns the number of output ciphertexts.
-func (l *MatVecGroup) Groups() int { return l.g }
-
 // Apply implements Layer.
 func (l *MatVecGroup) Apply(b Backend, in *State) *State {
 	if in.Kind != Contiguous || len(in.CTs) != 1 {

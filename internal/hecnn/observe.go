@@ -1,8 +1,6 @@
 package hecnn
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"fxhenn/internal/ckks"
@@ -51,31 +49,4 @@ func (tr *Tracer) layerDone(li int, wall time.Duration) {
 	if tr.Sink != nil {
 		tr.Sink(tr.Stats[li])
 	}
-}
-
-// TotalWall sums the layer wall times of the last evaluation.
-func (tr *Tracer) TotalWall() time.Duration {
-	var d time.Duration
-	for i := range tr.Stats {
-		d += tr.Stats[i].Wall
-	}
-	return d
-}
-
-// WriteLayerTable renders the per-layer stats as the live counterpart of
-// the paper's Table IV: one row per layer with wall time, HOP count,
-// KeySwitch count, and level.
-func WriteLayerTable(w io.Writer, stats []LayerStat) {
-	fmt.Fprintf(w, "%-8s %12s %6s %5s %6s\n", "Layer", "Wall", "HOPs", "KS", "Level")
-	var wall time.Duration
-	var hops, ks int
-	for i := range stats {
-		st := &stats[i]
-		fmt.Fprintf(w, "%-8s %12s %6d %5d %6d\n",
-			st.Layer, st.Wall.Round(time.Microsecond), st.HOPs, st.KeySwitches, st.Level)
-		wall += st.Wall
-		hops += st.HOPs
-		ks += st.KeySwitches
-	}
-	fmt.Fprintf(w, "%-8s %12s %6d %5d\n", "total", wall.Round(time.Microsecond), hops, ks)
 }

@@ -1,7 +1,6 @@
 package hecnn
 
 import (
-	"strings"
 	"testing"
 
 	"fxhenn/internal/ckks"
@@ -72,9 +71,6 @@ func TestEvaluateTracedMatchesRecorderExactly(t *testing.T) {
 			t.Fatalf("%s: non-positive wall time %v", st.Layer, st.Wall)
 		}
 	}
-	if tr.TotalWall() <= 0 {
-		t.Fatal("total wall time not positive")
-	}
 }
 
 // TestTracedStatsSumToRecorderTotals: the per-layer stats aggregate to the
@@ -122,14 +118,6 @@ func TestLiveMNISTEmitsPaperShapedTable(t *testing.T) {
 	if cnv1 := tr.Stats[0]; cnv1.HOPs != 75 {
 		t.Fatalf("Cnv1 HOPs %d, want 75 (Table IV)", cnv1.HOPs)
 	}
-	var sb strings.Builder
-	WriteLayerTable(&sb, tr.Stats)
-	for _, want := range []string{"Layer", "Cnv1", "total"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("layer table missing %q:\n%s", want, sb.String())
-		}
-	}
-	t.Logf("live FxHENN-MNIST per-layer table:\n%s", sb.String())
 }
 
 // nopBackend returns every operand unchanged without allocating: it

@@ -14,15 +14,27 @@ import (
 // inputs) and folds its trace from inputs at startLevel. It returns the
 // trace, the layer's output state, and the level its first output ends at.
 func countLayer(l Layer, in *State, startLevel int) (*Recorder, *State, int) {
+	p, out := lowerLayer(l, in)
+	rec := NewRecorder()
+	p.count(startLevel, rec)
+	return rec, out, p.schedule(nil, startLevel, nil)[out.CTs[0].id].level
+}
+
+// lowerLayer lowers l alone, from inputs shaped like in, into a program.
+func lowerLayer(l Layer, in *State) (*program, *State) {
 	lw, cts := newLowering(len(in.CTs))
 	s := *in
 	s.CTs = cts
 	out := l.Apply(lw, &s)
 	lw.endLayer(l.Name(), out.CTs)
-	p := lw.finish()
-	rec := NewRecorder()
-	p.count(startLevel, rec)
-	return rec, out, p.schedule(nil, startLevel, nil)[out.CTs[0].id].level
+	return lw.finish(), out
+}
+
+// layerRotations returns the sorted rotation amounts evaluating l alone
+// from inputs at startLevel needs Galois keys for.
+func layerRotations(l Layer, in *State, startLevel int) []int {
+	p, _ := lowerLayer(l, in)
+	return (&Network{prog: p}).RotationsNeeded(startLevel)
 }
 
 // recordKeys wraps inner so every operand it is asked for is appended to

@@ -96,7 +96,7 @@ func TestPolyBufBlocks(t *testing.T) {
 	if got := PolyBufBlocks(MNISTGeometry); got != 7 {
 		t.Fatalf("MNIST polyBuf=%d want 7", got)
 	}
-	if got := PolyBufBlocks(CIFARGeometry); got != 16 {
+	if got := PolyBufBlocks(GeometryFor(profile.PaperCIFAR10())); got != 16 {
 		t.Fatalf("CIFAR polyBuf=%d want 16", got)
 	}
 }
@@ -202,6 +202,15 @@ func TestTableII_PreliminaryDesign(t *testing.T) {
 	}
 }
 
+// networkLatencyCycles sums c's on-chip layer latencies over p.
+func networkLatencyCycles(c Config, p *profile.Network, g Geometry) int64 {
+	var total int64
+	for i := range p.Layers {
+		total += c.LayerLatencyCycles(&p.Layers[i], g)
+	}
+	return total
+}
+
 // TestLatencyMonotonicity: more parallelism never slows a layer down
 // (property-based over random configs).
 func TestLatencyMonotonicity(t *testing.T) {
@@ -223,7 +232,7 @@ func TestLatencyMonotonicity(t *testing.T) {
 		for i := range c3.Modules {
 			c3.Modules[i].Inter = 2
 		}
-		return c3.NetworkLatencyCycles(p, g) <= c1.NetworkLatencyCycles(p, g)
+		return networkLatencyCycles(c3, p, g) <= networkLatencyCycles(c1, p, g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -293,8 +302,8 @@ func TestGeometryFor(t *testing.T) {
 // ACU9EG's BRAM — the Fig. 10 observation that only minimal parallelism
 // fits.
 func TestCIFARBuffersForceMinimalKS(t *testing.T) {
-	g := CIFARGeometry
 	p := profile.PaperCIFAR10()
+	g := GeometryFor(p)
 	cnv2 := p.Layer("Cnv2")
 	c1 := DefaultConfig()
 	if b := c1.LayerBRAM(cnv2, g); b < 500 {

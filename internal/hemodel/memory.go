@@ -29,23 +29,6 @@ func offchipMultiplier(op profile.OpClass) float64 {
 	}
 }
 
-// LayerSlots returns the layer's pipeline-slot count (KeySwitch ops weigh
-// level slots each).
-func LayerSlots(layer *profile.Layer) float64 {
-	var slots float64
-	for op := profile.OpClass(0); op < profile.NumOpClasses; op++ {
-		n := float64(layer.Ops[op])
-		if n == 0 {
-			continue
-		}
-		if op == profile.KeySwitch {
-			n *= float64(layer.Level)
-		}
-		slots += n
-	}
-	return slots
-}
-
 // LayerOffchipFactor returns the layer's latency multiplier when all
 // operands live off-chip. Two effects bound it: the op mix (NTT-pattern
 // ops degrade worse than streaming ops) and the data-reuse intensity (a

@@ -25,9 +25,6 @@ type Geometry struct {
 // MNISTGeometry is the FxHENN-MNIST hardware shape.
 var MNISTGeometry = Geometry{N: 8192, L: 7, WordBits: 30}
 
-// CIFARGeometry is the FxHENN-CIFAR10 hardware shape.
-var CIFARGeometry = Geometry{N: 16384, L: 7, WordBits: 36}
-
 // GeometryFor derives the hardware geometry from a workload profile.
 func GeometryFor(p *profile.Network) Geometry {
 	return Geometry{N: p.N(), L: p.L, WordBits: p.QBits}

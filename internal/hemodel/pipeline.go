@@ -118,16 +118,6 @@ func (c Config) LayerLatencyCycles(layer *profile.Layer, g Geometry) int64 {
 	return slots * pi
 }
 
-// NetworkLatencyCycles sums the layer latencies — the DSE objective of
-// Eq. 11's minimization target.
-func (c Config) NetworkLatencyCycles(p *profile.Network, g Geometry) int64 {
-	var total int64
-	for i := range p.Layers {
-		total += c.LayerLatencyCycles(&p.Layers[i], g)
-	}
-	return total
-}
-
 // TotalDSP returns the design's DSP usage: one shared module set serves all
 // layers (the §V-C inter-layer module reuse), so the chip-level cost is the
 // per-class Eq. 7 sum.

@@ -309,7 +309,7 @@ func TestBatchDomainCacheBytes(t *testing.T) {
 func fakeOuts(n int) []*hecnn.CT {
 	outs := make([]*hecnn.CT, n)
 	for i := range outs {
-		outs[i] = hecnn.FreshCT(1)
+		outs[i] = new(hecnn.CT)
 	}
 	return outs
 }

@@ -43,7 +43,7 @@ func newFixture(t testing.TB) *fixture {
 		params: params,
 		pnet:   pnet,
 		henet:  henet,
-		server: NewServer(params, henet, rlk, rtk),
+		server: NewServerWithConfig(params, henet, rlk, rtk, Config{}),
 		client: NewClient(params, henet, pk, sk, 41),
 		pk:     pk,
 		sk:     sk,
@@ -144,7 +144,7 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 	// Sent = 4 + nPos ciphertexts at level 7.
 	conv := fx.henet.Layers[0].(*hecnn.ConvPacked)
-	perCT := fx.params.CiphertextBytes(7) + 10 + 2*8
+	perCT := 2*7*fx.params.N()*8 + 10 + 2*8 // two level-7 polys + ciphertext and poly headers
 	want := int64(4 + conv.NumPositions()*perCT)
 	if fx.client.BytesSent != want {
 		t.Fatalf("BytesSent %d want %d", fx.client.BytesSent, want)

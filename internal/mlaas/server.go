@@ -175,12 +175,6 @@ type Server struct {
 	testEvalHook func()
 }
 
-// NewServer builds a server with default limits from the compiled network
-// and the client's published evaluation keys.
-func NewServer(params ckks.Parameters, henet *hecnn.Network, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeys) *Server {
-	return NewServerWithConfig(params, henet, rlk, rtk, Config{})
-}
-
 // NewServerWithConfig builds a server with explicit limits. The given
 // network and keys (plus Config.Batch) become the default runtime that
 // serves unrouted requests.

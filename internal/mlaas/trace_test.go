@@ -13,6 +13,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -221,11 +222,11 @@ func TestBatchFlushTraceLinksMembers(t *testing.T) {
 	if flush == nil {
 		t.Fatal("no batch-flush trace recorded")
 	}
-	if occ := flush.Root.Attr("occupancy"); occ != "2" {
-		t.Fatalf("flush occupancy = %q, want 2", occ)
+	if !slices.Contains(flush.Root.Attrs, telemetry.L("occupancy", "2")) {
+		t.Fatalf("flush attrs = %v, want occupancy 2", flush.Root.Attrs)
 	}
-	if flush.Root.Attr("reason") != "full" {
-		t.Fatalf("flush reason = %q, want full", flush.Root.Attr("reason"))
+	if !slices.Contains(flush.Root.Attrs, telemetry.L("reason", "full")) {
+		t.Fatalf("flush attrs = %v, want reason full", flush.Root.Attrs)
 	}
 	linked := map[string]bool{}
 	for _, l := range flush.Root.Links {

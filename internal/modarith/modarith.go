@@ -181,11 +181,6 @@ func (m Modulus) MForm(a uint64) uint64 {
 	return m.MRed(a, m.R2)
 }
 
-// IMForm converts a Montgomery-form residue back to the plain domain.
-func (m Modulus) IMForm(a uint64) uint64 {
-	return m.MRed(a, 1)
-}
-
 // MaxLazyAdds returns how many lazy terms (each < 2q) can be accumulated in
 // a uint64 before the sum may overflow — the lazy-reduction bounds contract
 // (DESIGN.md §16). For the ≤62-bit NTT primes this is at least 2; for the
@@ -241,9 +236,9 @@ func NewMulConst(m Modulus, w uint64) MulConst {
 	return MulConst{W: w, WShoup: hi}
 }
 
-// Mul returns (a * c.W) mod q using Shoup's trick. Like MulLazy it accepts
-// any 64-bit a (the quotient estimate is off by at most one for w < q), so it
-// also serves as the full-reduction step closing a lazy pipeline.
+// Mul returns (a * c.W) mod q using Shoup's trick. It accepts any 64-bit a
+// (the quotient estimate is off by at most one for w < q), so it also
+// serves as the full-reduction step closing a lazy pipeline.
 func (c MulConst) Mul(a uint64, m Modulus) uint64 {
 	qhat, _ := bits.Mul64(a, c.WShoup)
 	r := a*c.W - qhat*m.Q
@@ -251,15 +246,6 @@ func (c MulConst) Mul(a uint64, m Modulus) uint64 {
 		r -= m.Q
 	}
 	return r
-}
-
-// MulLazy is Shoup multiplication without the final conditional subtraction:
-// the result lies in [0, 2q). Unlike Mul it is valid for ANY 64-bit a (not
-// just a < q) as long as c.W < q, which is what lets the Harvey-style lazy
-// NTT butterflies feed operands in [0, 4q) straight into the next stage.
-func (c MulConst) MulLazy(a uint64, m Modulus) uint64 {
-	qhat, _ := bits.Mul64(a, c.WShoup)
-	return a*c.W - qhat*m.Q
 }
 
 // The vector kernels below stream N coefficients — the paper's elementwise
@@ -292,42 +278,12 @@ func (m Modulus) AddVec(out, a, b []uint64) {
 	}
 }
 
-// SubVec computes out[i] = (a[i] - b[i]) mod q.
-func (m Modulus) SubVec(out, a, b []uint64) {
-	checkLen(len(out), len(a), len(b))
-	q := m.Q
-	n := len(out) &^ 7
-	for i := 0; i < n; i += 8 {
-		x := (*[8]uint64)(a[i:])
-		y := (*[8]uint64)(b[i:])
-		z := (*[8]uint64)(out[i:])
-		z[0] = subMod(x[0], y[0], q)
-		z[1] = subMod(x[1], y[1], q)
-		z[2] = subMod(x[2], y[2], q)
-		z[3] = subMod(x[3], y[3], q)
-		z[4] = subMod(x[4], y[4], q)
-		z[5] = subMod(x[5], y[5], q)
-		z[6] = subMod(x[6], y[6], q)
-		z[7] = subMod(x[7], y[7], q)
-	}
-	for i := n; i < len(out); i++ {
-		out[i] = m.Sub(a[i], b[i])
-	}
-}
-
 func addMod(a, b, q uint64) uint64 {
 	s := a + b
 	if s >= q {
 		s -= q
 	}
 	return s
-}
-
-func subMod(a, b, q uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + q - b
 }
 
 // MulVec computes out[i] = (a[i] * b[i]) mod q via Barrett reduction. This is
@@ -388,14 +344,6 @@ func (m Modulus) MFormVec(out, a []uint64) {
 	}
 	for i := n; i < len(out); i++ {
 		out[i] = m.MForm(a[i])
-	}
-}
-
-// IMFormVec converts Montgomery-form residues back to the plain domain.
-func (m Modulus) IMFormVec(out, a []uint64) {
-	checkLen(len(out), len(a), len(a))
-	for i := range out {
-		out[i] = m.MRed(a[i], 1)
 	}
 }
 

@@ -201,12 +201,6 @@ func TestVecOps(t *testing.T) {
 			t.Fatal("AddVec mismatch")
 		}
 	}
-	m.SubVec(out, a, b)
-	for i := range out {
-		if out[i] != m.Sub(a[i], b[i]) {
-			t.Fatal("SubVec mismatch")
-		}
-	}
 	m.MulVec(out, a, b)
 	for i := range out {
 		if out[i] != m.Mul(a[i], b[i]) {

@@ -93,6 +93,8 @@ func TestMRedLazyBound(t *testing.T) {
 	}
 }
 
+// TestMFormRoundTrip: MForm(a) is reduced and equals a·2^64 mod q by
+// math/big, for boundary residues and arbitrary 64-bit a.
 func TestMFormRoundTrip(t *testing.T) {
 	for _, q := range oddTestPrimes {
 		m := NewModulus(q)
@@ -101,9 +103,6 @@ func TestMFormRoundTrip(t *testing.T) {
 			mont := m.MForm(a)
 			if mont >= q {
 				t.Fatalf("q=%d MForm(%d)=%d not reduced", q, a, mont)
-			}
-			if got, want := m.IMForm(mont), m.Reduce(a); got != want {
-				t.Fatalf("q=%d IMForm(MForm(%d))=%d want %d", q, a, got, want)
 			}
 			// MForm must agree with math/big: a·2^64 mod q.
 			var x big.Int
@@ -194,14 +193,6 @@ func TestMontgomeryVecKernels(t *testing.T) {
 			for i := range b {
 				if bMont[i] != m.MForm(b[i]) {
 					t.Fatalf("q=%d MFormVec[%d] mismatch", q, i)
-				}
-			}
-
-			back := make([]uint64, n)
-			m.IMFormVec(back, bMont)
-			for i := range b {
-				if back[i] != b[i] {
-					t.Fatalf("q=%d IMFormVec[%d]=%d want %d", q, i, back[i], b[i])
 				}
 			}
 

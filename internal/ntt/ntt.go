@@ -217,17 +217,3 @@ func (t *Table) Inverse(a []uint64) {
 		a[j] = t.nInv.Mul(a[j], mod)
 	}
 }
-
-// MulPoly computes the negacyclic product out = a * b mod (X^N+1, q) for
-// coefficient-domain inputs, leaving a and b untouched. It is a convenience
-// for tests and for callers that do not manage the NTT domain themselves.
-func (t *Table) MulPoly(out, a, b []uint64) {
-	ta := make([]uint64, t.N)
-	tb := make([]uint64, t.N)
-	copy(ta, a)
-	copy(tb, b)
-	t.Forward(ta)
-	t.Forward(tb)
-	t.Mod.MulVec(out, ta, tb)
-	t.Inverse(out)
-}

@@ -19,33 +19,13 @@ func TestBatchWindow(t *testing.T) {
 }
 
 // TestMutationValidation pins the typed refusals on the mutation API:
-// invalid quota and model names are ErrInvalid, absent tenants are
-// ErrNotFound — never a silent no-op.
+// absent tenants are ErrNotFound — never a silent no-op.
 func TestMutationValidation(t *testing.T) {
 	r := New(NewMemStore())
 	if err := r.Register(Record{Tenant: "a", Model: "tiny", KeySeed: 1}); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := r.SetQuota("a", Quota{MaxConcurrent: -1}); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("negative quota: %v, want ErrInvalid", err)
-	}
-	if _, err := r.SetQuota("ghost", Quota{MaxConcurrent: 1}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("quota on absent tenant: %v, want ErrNotFound", err)
-	}
-	if _, err := r.UpdateModel("a", "", 1, false); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("empty model: %v, want ErrInvalid", err)
-	}
-	long := make([]byte, MaxNameBytes+1)
-	for i := range long {
-		long[i] = 'x'
-	}
-	if _, err := r.UpdateModel("a", string(long), 1, false); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("oversize model: %v, want ErrInvalid", err)
-	}
-	if _, err := r.UpdateModel("ghost", "tiny", 1, false); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("model update on absent tenant: %v, want ErrNotFound", err)
-	}
 	if _, err := r.Rotate("ghost", 2); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("rotate on absent tenant: %v, want ErrNotFound", err)
 	}

@@ -91,7 +91,7 @@ type Record struct {
 	KeySeed int64 `json:"key_seed"`
 	// BSGS selects the tenant's compile mode.
 	BSGS bool `json:"bsgs,omitempty"`
-	// Generation is bumped by every mutation (Rotate, UpdateModel).
+	// Generation is bumped by every mutation (Rotate, Delete).
 	// Serving caches key compiled networks and warmed plaintexts by it.
 	Generation uint64 `json:"generation"`
 	// Quota bounds the tenant's per-shard admission.
@@ -165,8 +165,7 @@ func (r *Registry) notify(tenant string, gen uint64) {
 }
 
 // Register creates a new tenant record at generation 1. Registering an
-// existing tenant fails with ErrExists — use UpdateModel or Rotate to
-// mutate.
+// existing tenant fails with ErrExists — use Rotate to mutate.
 func (r *Registry) Register(rec Record) error {
 	if err := rec.Validate(); err != nil {
 		return err
@@ -205,42 +204,14 @@ func (r *Registry) List() ([]Record, error) {
 // atomically, and clients deriving keys from the old seed are refused by
 // level/shape validation rather than silently decrypting garbage.
 func (r *Registry) Rotate(tenant string, newKeySeed int64) (Record, error) {
-	return r.mutate(tenant, func(rec *Record) { rec.KeySeed = newKeySeed })
-}
-
-// UpdateModel swaps the tenant's model profile, weight seed, or compile
-// options and bumps the generation, invalidating compiled-network caches
-// keyed by the old one.
-func (r *Registry) UpdateModel(tenant, model string, weightSeed int64, bsgs bool) (Record, error) {
-	if model == "" || len(model) > MaxNameBytes {
-		return Record{}, fmt.Errorf("%w: bad model name", ErrInvalid)
-	}
-	return r.mutate(tenant, func(rec *Record) {
-		rec.Model, rec.WeightSeed, rec.BSGS = model, weightSeed, bsgs
-	})
-}
-
-// SetQuota replaces the tenant's admission quota. Quota changes bump the
-// generation too: a shard's quota gate is part of its materialized state.
-func (r *Registry) SetQuota(tenant string, q Quota) (Record, error) {
-	if q.MaxConcurrent < 0 {
-		return Record{}, fmt.Errorf("%w: negative quota", ErrInvalid)
-	}
-	return r.mutate(tenant, func(rec *Record) { rec.Quota = q })
-}
-
-func (r *Registry) mutate(tenant string, apply func(*Record)) (Record, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec, err := r.store.Get(tenant)
 	if err != nil {
 		return Record{}, err
 	}
-	apply(&rec)
+	rec.KeySeed = newKeySeed
 	rec.Generation++
-	if err := rec.Validate(); err != nil {
-		return Record{}, err
-	}
 	if err := r.store.Put(rec); err != nil {
 		return Record{}, err
 	}

@@ -70,19 +70,12 @@ func TestRotateAndUpdateBumpGeneration(t *testing.T) {
 	if rot.Generation != 2 || rot.KeySeed != 99 {
 		t.Fatalf("rotate: gen=%d seed=%d, want gen 2 seed 99", rot.Generation, rot.KeySeed)
 	}
-	upd, err := r.UpdateModel("alice", "tinyconv", 7, true)
+	again, err := r.Rotate("alice", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if upd.Generation != 3 || upd.Model != "tinyconv" || !upd.BSGS {
-		t.Fatalf("update: %+v", upd)
-	}
-	q, err := r.SetQuota("alice", Quota{MaxConcurrent: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Generation != 4 || q.Quota.MaxConcurrent != 2 {
-		t.Fatalf("quota: %+v", q)
+	if again.Generation != 3 || again.KeySeed != 7 || again.Model != rot.Model {
+		t.Fatalf("second rotate: %+v", again)
 	}
 	if err := r.Delete("alice"); err != nil {
 		t.Fatal(err)
@@ -90,8 +83,8 @@ func TestRotateAndUpdateBumpGeneration(t *testing.T) {
 	mu.Lock()
 	gen := events["alice"]
 	mu.Unlock()
-	if gen != 5 {
-		t.Fatalf("delete notified generation %d, want 5 (last gen + 1)", gen)
+	if gen != 4 {
+		t.Fatalf("delete notified generation %d, want 4 (last gen + 1)", gen)
 	}
 	if _, err := r.Rotate("alice", 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("rotate after delete: %v, want ErrNotFound", err)
@@ -102,7 +95,7 @@ func TestRotateAndUpdateBumpGeneration(t *testing.T) {
 }
 
 // TestConcurrentRegisterRotateDelete is the registry lifecycle hammer:
-// many goroutines register, rotate, update, and delete overlapping
+// many goroutines register, rotate, and delete overlapping
 // tenants. The invariants: no panic, no lost update (a successful
 // mutation's generation is strictly greater than the one it read), and
 // the final store decodes cleanly.
@@ -126,8 +119,8 @@ func TestConcurrentRegisterRotateDelete(t *testing.T) {
 						t.Errorf("rotate produced generation %d < 2", got.Generation)
 					}
 				case 2:
-					if got, err := r.UpdateModel(name, "tiny", int64(i), i%2 == 0); err == nil && got.Generation < 2 {
-						t.Errorf("update produced generation %d < 2", got.Generation)
+					if got, err := r.Rotate(name, -int64(i)); err == nil && got.Generation < 2 {
+						t.Errorf("second rotate produced generation %d < 2", got.Generation)
 					}
 				case 3:
 					r.Delete(name) //nolint:errcheck // ErrNotFound races are the point

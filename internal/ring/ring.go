@@ -211,14 +211,6 @@ func (r *Ring) Add(out, a, b *Poly) {
 	})
 }
 
-// Sub computes out = a - b.
-func (r *Ring) Sub(out, a, b *Poly) {
-	k := r.checkSameK(out, a, b)
-	r.do(k, minParallelCoeffs, func(i int) {
-		r.Mods[i].SubVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-}
-
 // Neg computes out = -a.
 func (r *Ring) Neg(out, a *Poly) {
 	k := r.checkSameK(out, a)

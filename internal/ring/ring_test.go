@@ -68,9 +68,10 @@ func TestAddSubNegRoundTrip(t *testing.T) {
 	sum := r.NewPoly(3)
 	r.Add(sum, a, b)
 	back := r.NewPoly(3)
-	r.Sub(back, sum, b)
+	r.Neg(back, b)
+	r.Add(back, sum, back)
 	if !r.Equal(back, a) {
-		t.Fatal("(a+b)-b != a")
+		t.Fatal("(a+b)+(-b) != a")
 	}
 	neg := r.NewPoly(3)
 	r.Neg(neg, a)

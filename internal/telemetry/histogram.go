@@ -110,14 +110,6 @@ func (h *Histogram) bucketExemplar(i int) *Exemplar {
 	return (*ex)[i].Load()
 }
 
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
-}
-
 func casFloat(bits *atomic.Uint64, f func(float64) float64) {
 	for {
 		old := bits.Load()
@@ -142,15 +134,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Mean returns the average observation, or NaN with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return math.NaN()
-	}
-	return h.Sum() / float64(n)
 }
 
 // Min returns the smallest observation, or NaN with no observations.

@@ -160,16 +160,6 @@ func (s *Span) End() time.Duration {
 	return s.dur
 }
 
-// EndInto stops the span and records its duration in seconds into h
-// (which may be nil).
-func (s *Span) EndInto(h *Histogram) time.Duration {
-	d := s.End()
-	if s != nil {
-		h.Observe(d.Seconds())
-	}
-	return d
-}
-
 // Duration returns the span's duration (so far, if not ended).
 func (s *Span) Duration() time.Duration {
 	if s == nil {

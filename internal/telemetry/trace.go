@@ -114,19 +114,6 @@ func (s *SpanSnapshot) Find(name string) *SpanSnapshot {
 	return nil
 }
 
-// Attr returns the named attribute's value, or "".
-func (s *SpanSnapshot) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // RecordedTrace is one entry in a flight recorder: a finished span tree
 // plus the recorder's classification tags (error, slow, shed, degraded,
 // sampled, ...).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -95,7 +96,7 @@ func TestSpanSnapshotTree(t *testing.T) {
 	if snap.Name != "request" || snap.Trace != root.Trace.String() {
 		t.Fatalf("bad root snapshot: %+v", snap)
 	}
-	if snap.Attr("status") != "ok" {
+	if !slices.Contains(snap.Attrs, L("status", "ok")) {
 		t.Fatal("attr lost in snapshot")
 	}
 	if len(snap.Links) != 1 {
