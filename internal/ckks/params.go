@@ -83,9 +83,6 @@ func ParamsMNIST() Parameters { return NewParameters(13, 30, 7, 45) }
 // 36-bit primes (Q ≈ 252 bits), 192-bit security.
 func ParamsCIFAR10() Parameters { return NewParameters(14, 36, 7, 50) }
 
-// paramsTest returns a small, fast parameter set for unit tests.
-func paramsTest() Parameters { return NewParameters(8, 30, 5, 45) }
-
 // N returns the ring degree.
 func (p Parameters) N() int { return 1 << uint(p.LogN) }
 

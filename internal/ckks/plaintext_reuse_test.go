@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -96,7 +97,7 @@ func TestPlaintextReuseContract(t *testing.T) {
 	if after := shared.Digest(); after != before {
 		t.Fatalf("plaintext mutated by evaluator use: digest %s → %s", before, after)
 	}
-	if !params.Ring().Equal(sharedMont.Value, montBefore) {
+	if !slices.EqualFunc(sharedMont.Value.Coeffs, montBefore.Coeffs, slices.Equal[[]uint64]) {
 		t.Fatal("Montgomery-form plaintext mutated by evaluator use")
 	}
 }

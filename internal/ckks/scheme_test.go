@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// paramsTest returns a small, fast parameter set for unit tests.
+func paramsTest() Parameters { return NewParameters(8, 30, 5, 45) }
+
 // testContext bundles a full CKKS instantiation for scheme-level tests.
 type testContext struct {
 	params Parameters

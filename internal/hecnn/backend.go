@@ -116,18 +116,16 @@ func (le *LayerEvents) Count(op ckks.Op) int {
 	return n
 }
 
-// Recorder accumulates per-layer traces and the rotation amounts used,
-// each at the highest level it ran at.
+// Recorder accumulates per-layer traces.
 type Recorder struct {
-	Layers    []*LayerEvents
-	byName    map[string]*LayerEvents
-	current   *LayerEvents
-	rotations map[int]int // nonzero amount → highest level rotated at
+	Layers  []*LayerEvents
+	byName  map[string]*LayerEvents
+	current *LayerEvents
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{byName: map[string]*LayerEvents{}, rotations: map[int]int{}}
+	return &Recorder{byName: map[string]*LayerEvents{}}
 }
 
 // SetLayer switches the active layer.
@@ -152,13 +150,6 @@ func (r *Recorder) record(op ckks.Op, level int) {
 		r.SetLayer("?")
 	}
 	r.current.Events = append(r.current.Events, ckks.Event{Op: op, Level: level})
-}
-
-func (r *Recorder) recordRotation(k, level int) {
-	if r == nil {
-		return
-	}
-	r.rotations[k] = max(r.rotations[k], level)
 }
 
 // TotalHOPs sums all layers' operation counts (the "HOPs" column of
@@ -353,7 +344,6 @@ func (b *cryptoBackend) Rotate(x *CT, k int) *CT {
 	}
 	out := b.ev.RotateNew(x.ct, k)
 	b.rec.record(ckks.OpRotate, x.ct.Level())
-	b.rec.recordRotation(k, x.ct.Level())
 	return WrapCiphertext(out)
 }
 
@@ -379,7 +369,6 @@ func (b *cryptoBackend) RotateMany(x *CT, ks []int) []*CT {
 			continue
 		}
 		b.rec.record(ckks.OpRotate, x.ct.Level())
-		b.rec.recordRotation(k, x.ct.Level())
 		out[i] = WrapCiphertext(rot[k])
 	}
 	return out

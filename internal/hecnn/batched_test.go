@@ -21,8 +21,7 @@ func TestBatchedEncryptedMatchesPlaintext(t *testing.T) {
 
 	// Batched evaluation uses no rotations (only relinearization inside
 	// Square), so no Galois keys are needed at all.
-	rots := bnet.Count(params.MaxLevel()).rotations
-	if len(rots) != 0 {
+	if _, rots := bnet.prog.keyLevels(params.MaxLevel()); len(rots) != 0 {
 		t.Fatalf("batched packing requested rotations: %v", rots)
 	}
 	ctx := NewContext(params, 82, nil)

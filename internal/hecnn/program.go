@@ -451,7 +451,7 @@ func (p *program) schedule(params *ckks.Parameters, startLevel int, visit func(c
 
 // count folds p's HE-operation events from inputs at startLevel into one
 // LayerStat per layer and, when rec is not nil, into rec exactly as the
-// crypto backend records them (events and rotation set).
+// crypto backend records them.
 func (p *program) count(startLevel int, rec *Recorder) []LayerStat {
 	stats := make([]LayerStat, len(p.layers))
 	for i, seg := range p.layers {
@@ -485,7 +485,6 @@ func (p *program) count(startLevel int, rec *Recorder) []LayerStat {
 		case opRotate, opRotateMany:
 			if k != 0 {
 				event(c.layer, ckks.OpRotate, x.level)
-				rec.recordRotation(k, x.level)
 			}
 		}
 	})

@@ -54,7 +54,7 @@ func foldKeys(p *program, params ckks.Parameters, startLevel int) []operandKey {
 }
 
 // sameEvents fails unless two traces hold the same per-layer (op, level)
-// streams and rotation sets.
+// streams.
 func sameEvents(t *testing.T, what string, fold, live *Recorder) {
 	t.Helper()
 	if len(fold.Layers) != len(live.Layers) {
@@ -65,17 +65,47 @@ func sameEvents(t *testing.T, what string, fold, live *Recorder) {
 			t.Fatalf("%s: layer %d is %s %v, crypto run %s %v", what, i, dl.Layer, dl.Events, ll.Layer, ll.Events)
 		}
 	}
-	if !maps.Equal(fold.rotations, live.rotations) {
-		t.Fatalf("%s: rotation amounts and levels %v, crypto run %v", what, fold.rotations, live.rotations)
+}
+
+// rotationLevels wraps a Backend and records, per nonzero rotation
+// amount, the highest level the evaluation rotated by it at.
+type rotationLevels struct {
+	Backend
+	levels map[int]int
+}
+
+func newRotationLevels(b Backend) *rotationLevels {
+	return &rotationLevels{Backend: b, levels: map[int]int{}}
+}
+
+func (r *rotationLevels) Rotate(x *CT, k int) *CT {
+	r.note(x, k)
+	return r.Backend.Rotate(x, k)
+}
+
+func (r *rotationLevels) RotateMany(x *CT, ks []int) []*CT {
+	for _, k := range ks {
+		r.note(x, k)
+	}
+	return r.Backend.RotateMany(x, ks)
+}
+
+func (r *rotationLevels) note(x *CT, k int) {
+	if k != 0 {
+		r.levels[k] = max(r.levels[k], x.Level())
 	}
 }
 
-// sameKeyLevels fails unless the key-level fold matches what a crypto run
-// of net recorded into live: the highest level it relinearized at, and per
-// Galois element the highest level any rotation mapping to it ran at. It
-// returns how many rotation amounts alias another's element.
-func sameKeyLevels(t *testing.T, net *Network, params ckks.Parameters, live *Recorder) (aliased int) {
+// sameKeyLevels fails unless the key-level folds match what a crypto run
+// of net recorded: the rotation amounts and the highest level each ran at
+// (rots), the highest level it relinearized at (live), and per Galois
+// element the highest level any rotation mapping to it ran at. It returns
+// how many rotation amounts alias another's element.
+func sameKeyLevels(t *testing.T, net *Network, params ckks.Parameters, live *Recorder, rots map[int]int) (aliased int) {
 	t.Helper()
+	if _, fold := net.prog.keyLevels(params.MaxLevel()); !maps.Equal(fold, rots) {
+		t.Errorf("rotation amounts and levels %v, crypto run %v", fold, rots)
+	}
 	relin, galois := net.galoisLevels(params, params.MaxLevel())
 	liveRelin := 0
 	for _, le := range live.Layers {
@@ -89,22 +119,22 @@ func sameKeyLevels(t *testing.T, net *Network, params ckks.Parameters, live *Rec
 		t.Errorf("relinearization key level %d, crypto run relinearized at %d", relin, liveRelin)
 	}
 	liveGalois := map[uint64]int{}
-	for k, l := range live.rotations {
+	for k, l := range rots {
 		g := params.GaloisElementForRotation(k)
 		liveGalois[g] = max(liveGalois[g], l)
 	}
 	if !maps.Equal(galois, liveGalois) {
 		t.Errorf("Galois key levels %v, crypto run rotated at %v", galois, liveGalois)
 	}
-	return len(live.rotations) - len(liveGalois)
+	return len(rots) - len(liveGalois)
 }
 
 // TestDryRunMatchesCrypto: the folds over a lowered program and a crypto
 // evaluation of it agree. Event for event the count fold records the same
-// per-layer (op, level) stream and the same rotation set and levels as the
-// crypto backend — so Count-derived profiles match evaluation — the
-// key-level fold gives each key the highest level the run used it at —
-// so the server's level views (KeyViews) hold every row it reads —
+// per-layer (op, level) stream as the crypto backend — so Count-derived
+// profiles match evaluation — the key-level fold finds the rotation
+// amounts the run used and gives each key the highest level the run used
+// it at — so the server's level views (KeyViews) hold every row it reads —
 // and the operand fold visits exactly the keys the crypto run asks its
 // plainSource for, so Warm fills precisely what inference consumes.
 func TestDryRunMatchesCrypto(t *testing.T) {
@@ -128,9 +158,14 @@ func TestDryRunMatchesCrypto(t *testing.T) {
 				var liveKeys []operandKey
 				img := randomImage(pnet.InC, pnet.InH, pnet.InW, 63)
 				net.run(ctx, img, newCryptoBackend(ctx, live, recordKeys(&liveKeys, ctx.encodeOperand)), nil)
+				// The rotation levels come from a second run, through a
+				// wrapper, so the first keeps the crypto backend's fused
+				// path that serving takes.
+				rots := newRotationLevels(NewCryptoBackend(ctx, nil))
+				net.run(ctx, img, rots, nil)
 
 				sameEvents(t, "Count", net.Count(top), live)
-				aliased := sameKeyLevels(t, net, params, live)
+				aliased := sameKeyLevels(t, net, params, live, rots.levels)
 				// On the N = 256 ring, ladder Tiny-MNIST rotates by two
 				// amounts that share one Galois element.
 				if prof.name == "tiny" && mode.name == "ladder" && aliased == 0 {

@@ -18,7 +18,10 @@ import (
 // retry against a healthy connection must succeed.
 func TestRetryableMidExchangeDeadline(t *testing.T) {
 	fx := newFixture(t)
-	fx.client.Timeout = 150 * time.Millisecond
+	// The rolling read deadline must outlast the server's evaluation (the
+	// race detector slows it several times over), so that it trips in the
+	// stall after the status byte rather than before the response starts.
+	fx.client.Timeout = time.Second
 
 	dials := 0
 	dial := func(ctx context.Context) (net.Conn, error) {

@@ -150,6 +150,9 @@ type Server struct {
 	// unless Config.Registry is set.
 	tenants *tenantSet
 
+	// mem is the server's share of the process memory plan (memory.go).
+	mem *memShare
+
 	// met is nil when Config.Metrics is nil; reqSeq tags every exchange
 	// with a monotonically increasing id that appears in failure messages
 	// and the slow-request log, correlating client-observed errors with
@@ -177,8 +180,16 @@ type Server struct {
 
 // NewServerWithConfig builds a server with explicit limits. The given
 // network and keys (plus Config.Batch) become the default runtime that
-// serves unrouted requests.
+// serves unrouted requests. The server joins the process memory plan
+// (memory.go) until Shutdown: a server that is never shut down keeps its
+// resident bytes, and so the process's soft memory limit, for the life
+// of the process.
 func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeys, cfg Config) *Server {
+	return newServer(processMemory, params, henet, rlk, rtk, cfg)
+}
+
+// newServer is NewServerWithConfig reporting to the memory plan mem.
+func newServer(mem *memPlan, params ckks.Parameters, henet *hecnn.Network, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeys, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// One pool for the whole server: every request's limb/digit/rotation
 	// fan-out and the request-level concurrency compete for the same
@@ -190,6 +201,7 @@ func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks
 		pool:      pool,
 		cfg:       cfg,
 		adm:       newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, cfg.Metrics),
+		mem:       mem.open(cfg.Metrics),
 		met:       newServerMetrics(cfg.Metrics),
 		flight:    cfg.Flight,
 		slowLog:   cfg.SlowRequestLog,
@@ -200,7 +212,9 @@ func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks
 	if cfg.ShedEWMA > 0 {
 		s.shed = newShedder(cfg.ShedEWMA, cfg.MaxConcurrent)
 	}
+	s.mem.change(1, 0) // the default runtime builds with the plan's limit lifted
 	s.def = s.newRuntime("", 0, &TenantModel{Params: params, Net: henet, Rlk: rlk, Rtk: rtk, Batch: cfg.Batch}, 0)
+	s.mem.change(-1, 0)
 	if cfg.Registry != nil {
 		models := cfg.Models
 		if models == nil {
@@ -317,7 +331,8 @@ func (s *Server) trackConn(c net.Conn, add bool) {
 // to drain, then closes the listeners. While draining, new connections
 // are refused with StatusShuttingDown. If ctx expires first, the
 // remaining connections are severed and the error reports how many
-// in-flight requests were dropped.
+// in-flight requests were dropped. Last, the server's resident bytes leave
+// the memory plan; the cache gauges keep their values.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -351,6 +366,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Stop the schedulers; any member still pending (forced shutdown) is
 	// failed with StatusShuttingDown rather than evaluated.
 	s.forEachBatcher((*batcher).stop)
+	s.mem.close()
 	return err
 }
 

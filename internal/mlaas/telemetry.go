@@ -41,6 +41,8 @@ const (
 	MetricBatchDegraded  = "mlaas_batch_degraded_total"
 	MetricBatchBreaker   = "mlaas_batch_breaker_state"   // gauge: 0 closed, 1 half-open, 2 open
 	MetricTenantRequests = "mlaas_tenant_requests_total" // counter{tenant,status}
+	MetricResidentBytes  = "mlaas_resident_bytes"        // gauge: bytes the memory plan counts resident
+	MetricMemoryLimit    = "mlaas_memory_limit_bytes"    // gauge: the process's soft memory limit
 )
 
 // MetricClientRetries is the metric family exported by the client

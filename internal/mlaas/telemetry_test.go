@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -400,4 +401,31 @@ func TestTelemetryDisabledNoTrace(t *testing.T) {
 		t.Fatal("server with zero Config should not observe")
 	}
 	fx.mustInferOK(t, 15)
+}
+
+// TestMemoryPlanGauges: the memory plan's two gauges keep their names;
+// the resident gauge holds the server's resident bytes and the limit
+// gauge the limit the plan set, and after Shutdown the resident bytes are
+// gone and the limit is back to none.
+func TestMemoryPlanGauges(t *testing.T) {
+	if MetricResidentBytes != "mlaas_resident_bytes" || MetricMemoryLimit != "mlaas_memory_limit_bytes" {
+		t.Fatalf("memory gauges renamed: %q, %q", MetricResidentBytes, MetricMemoryLimit)
+	}
+	fx := newFixture(t)
+	reg := telemetry.NewRegistry()
+	fl := &fakeLimit{cur: math.MaxInt64}
+	s := newServer(newMemPlan(fl.setLimit), fx.params, fx.henet, fx.rlk, fx.rtk, Config{Metrics: reg})
+	gauges := func() (resident, limit float64) {
+		snap := reg.Snapshot()
+		return snap.Family(MetricResidentBytes).Metric().Value, snap.Family(MetricMemoryLimit).Metric().Value
+	}
+	if r, l := gauges(); r != float64(s.def.resident) || l != float64(planLimit(s.def.resident)) {
+		t.Fatalf("gauges resident %v limit %v, want %d and %d", r, l, s.def.resident, planLimit(s.def.resident))
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if r, l := gauges(); r != 0 || l != math.MaxInt64 {
+		t.Fatalf("after shutdown: gauges resident %v limit %v, want 0 and no limit", r, l)
+	}
 }

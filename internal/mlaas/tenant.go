@@ -62,6 +62,12 @@ type tenantRuntime struct {
 	// counting semaphore acquired after the server-wide admission slot.
 	// nil leaves the tenant bounded only by the server-wide limit.
 	quota chan struct{}
+
+	// resident is what the runtime adds to the server's memory share
+	// (memory.go): its operand table's bytes plus the rows of its key
+	// views. The batch domain's small ring is left out.
+	resident int64
+	mem      *memShare
 }
 
 // newRuntime builds one resident runtime from its serving material —
@@ -78,12 +84,17 @@ type tenantRuntime struct {
 // keys, and the full keys' other rows become garbage once the caller drops
 // tm. The batch domain keeps its keys whole: its small ring makes them
 // negligible.
+//
+// Its caller holds the memory plan's build count up around the whole
+// build, so no limit from the plan is in force; the runtime's resident
+// bytes join the server's share at the end.
 func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota int) *tenantRuntime {
 	tm.Params.AttachPool(s.pool)
 	rlk, rtk := tm.Net.KeyViews(tm.Params, tm.Params.MaxLevel(), tm.Rlk, tm.Rtk)
 	rt := &tenantRuntime{
 		tenant: tenant,
 		gen:    gen,
+		mem:    s.mem,
 		net:    tm.Net,
 		ctx: &hecnn.Context{
 			Params:  tm.Params,
@@ -118,6 +129,8 @@ func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota in
 		rt.bat.flight = s.cfg.Flight
 		go rt.bat.run()
 	}
+	rt.resident = rt.compiled.CacheStats().Bytes + keyBytes(rlk, rtk)
+	s.mem.change(0, rt.resident)
 	return rt
 }
 
@@ -127,10 +140,12 @@ func (rt *tenantRuntime) backend() hecnn.Backend {
 	return rt.compiled.Backend(rt.ctx, nil)
 }
 
-// release withdraws the runtime's operand tables from the cache gauges:
-// it is no longer resident, though requests already on it finish.
+// release withdraws the runtime's operand tables from the cache gauges
+// and its resident bytes from the memory plan: it is no longer resident,
+// though requests already on it finish.
 func (rt *tenantRuntime) release() {
 	rt.compiled.Release()
+	rt.mem.change(0, -rt.resident)
 	if rt.bat != nil {
 		rt.bat.cb.Release()
 	}
@@ -211,7 +226,7 @@ func newTenantSet(reg *registry.Registry, build ModelBuilder, srv *Server) *tena
 // request. The resident generation is monotonic: a reader that looked up
 // the record just before a rotate gets a one-off runtime for its keys
 // without evicting the newer resident one; the one-off is never resident,
-// so its tables count in no gauge.
+// so its tables and keys count in no gauge and not in the memory plan.
 func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 	ts.mu.Lock()
 	e, ok := ts.entries[rec.Tenant]
@@ -257,8 +272,12 @@ func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 }
 
 // materialize builds one runtime from its record: the catalog derives
-// the model and keys, newRuntime does the rest.
+// the model and keys, newRuntime does the rest. The whole build runs
+// with the memory plan's limit lifted, the key ceremony included: it
+// holds every switching key at full level.
 func (ts *tenantSet) materialize(rec registry.Record) (*tenantRuntime, error) {
+	ts.srv.mem.change(1, 0)
+	defer ts.srv.mem.change(-1, 0)
 	tm, err := ts.build(rec)
 	if err != nil {
 		return nil, fmt.Errorf("materializing tenant %q generation %d: %w", rec.Tenant, rec.Generation, err)

@@ -454,18 +454,3 @@ func (r *Ring) ModulusAtLevel(k int) *big.Int {
 	}
 	return q
 }
-
-// Equal reports whether two polynomials have identical levels and residues.
-func (r *Ring) Equal(a, b *Poly) bool {
-	if a.K() != b.K() {
-		return false
-	}
-	for i := range a.Coeffs {
-		for j := range a.Coeffs[i] {
-			if a.Coeffs[i][j] != b.Coeffs[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}

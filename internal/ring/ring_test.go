@@ -3,6 +3,7 @@ package ring
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,11 @@ import (
 func testRing(t testing.TB, n, nbMod int) *Ring {
 	t.Helper()
 	return NewRing(n, primes.GenerateNTTPrimes(30, log2(n), nbMod))
+}
+
+// Equal reports whether two polynomials have identical levels and residues.
+func (r *Ring) Equal(a, b *Poly) bool {
+	return slices.EqualFunc(a.Coeffs, b.Coeffs, slices.Equal[[]uint64])
 }
 
 func log2(n int) int {
