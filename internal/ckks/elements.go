@@ -16,16 +16,16 @@ type Ciphertext struct {
 	Scale float64
 }
 
-// NewCiphertext allocates a zero ciphertext of the given degree+1 parts at
-// the given level.
-func NewCiphertext(params Parameters, parts, level int) *Ciphertext {
+// newCiphertextFrom returns a zero ciphertext of the given degree+1
+// parts at the given level, its rows taken from rows
+// (ring.Ring.NewPolyFrom).
+func newCiphertextFrom(params Parameters, rows *ring.Rows, parts, level int) *Ciphertext {
 	if level < 1 || level > params.L {
 		panic(fmt.Sprintf("ckks: ciphertext level %d out of range [1,%d]", level, params.L))
 	}
-	ct := &Ciphertext{Scale: params.Scale}
-	r := params.Ring()
-	for i := 0; i < parts; i++ {
-		ct.Value = append(ct.Value, r.NewPoly(level))
+	ct := &Ciphertext{Value: make([]*ring.Poly, parts), Scale: params.Scale}
+	for i := range ct.Value {
+		ct.Value[i] = params.Ring().NewPolyFrom(rows, level)
 	}
 	return ct
 }
@@ -70,7 +70,11 @@ func NewEncryptor(params Parameters, pk *PublicKey, seed int64) *Encryptor {
 
 // Encrypt produces a fresh ciphertext of pt at pt's level:
 // (c0, c1) = (B·u + e0 + m, A·u + e1).
-func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
+func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext { return enc.EncryptFrom(nil, pt) }
+
+// EncryptFrom is Encrypt with the ciphertext's rows taken from rows
+// (ring.Ring.NewPolyFrom); the result is bit-identical.
+func (enc *Encryptor) EncryptFrom(rows *ring.Rows, pt *Plaintext) *Ciphertext {
 	if !pt.IsNTT {
 		panic("ckks: Encrypt requires an NTT-domain plaintext")
 	}
@@ -85,7 +89,7 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	r.NTT(e0)
 	r.NTT(e1)
 
-	ct := NewCiphertext(enc.params, 2, level)
+	ct := newCiphertextFrom(enc.params, rows, 2, level)
 	ct.Scale = pt.Scale
 	b := truncate(enc.pk.B, level)
 	a := truncate(enc.pk.A, level)

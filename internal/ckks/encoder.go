@@ -17,6 +17,11 @@ type Encoder struct {
 	params   Parameters
 	roots    []complex128 // 2N-th roots of unity, roots[j] = e^{iπj/N}
 	rotGroup []int        // 5^i mod 2N — the slot orbit of the automorphism group
+	// rows and slots are a WithRows copy's: the list its plaintexts and
+	// decode temporaries take their rows from, and the one slot buffer
+	// its Encode and Decode work in.
+	rows  *ring.Rows
+	slots []complex128
 }
 
 // NewEncoder precomputes the FFT tables for the given parameters.
@@ -37,6 +42,28 @@ func NewEncoder(params Parameters) *Encoder {
 		five = (five * 5) % m
 	}
 	return e
+}
+
+// WithRows returns a copy of e that takes every plaintext's rows from
+// rows and does the FFT work of Encode and Decode in one slot buffer of
+// its own, so a warmed copy encodes and decodes without
+// allocating a row or a slot vector. Like rows, the copy is not safe for
+// concurrent use; e itself is unaffected.
+func (e *Encoder) WithRows(rows *ring.Rows) *Encoder {
+	c := *e
+	c.rows = rows
+	c.slots = make([]complex128, e.params.Slots())
+	return &c
+}
+
+// slotBuf returns a zeroed vector of N/2 slot values: the copy's own
+// buffer (WithRows), or a fresh one.
+func (e *Encoder) slotBuf() []complex128 {
+	if e.slots == nil {
+		return make([]complex128, e.params.Slots())
+	}
+	clear(e.slots)
+	return e.slots
 }
 
 // Plaintext is an encoded (and possibly NTT-transformed) message with its
@@ -88,22 +115,34 @@ func (e *Encoder) MForm(pt *Plaintext) {
 	pt.IsMontgomery = true
 }
 
-// EncodeComplex encodes at most N/2 complex values at the given level and
-// scale, returning an NTT-domain plaintext. Shorter inputs are zero-padded.
-func (e *Encoder) EncodeComplex(values []complex128, level int, scale float64) *Plaintext {
-	slots := e.params.Slots()
-	if len(values) > slots {
-		panic(fmt.Sprintf("ckks: %d values exceed %d slots", len(values), slots))
+// Encode encodes at most N/2 real values — the CNN data, each the real
+// part of one slot — at the given level and scale, returning an
+// NTT-domain plaintext. Shorter inputs are zero-padded.
+func (e *Encoder) Encode(values []float64, level int, scale float64) *Plaintext {
+	e.checkEncode(len(values), level)
+	buf := e.slotBuf()
+	for i, v := range values {
+		buf[i] = complex(v, 0)
+	}
+	return e.encodeSlots(buf, level, scale)
+}
+
+// checkEncode panics unless n values fit the slots and level is in range.
+func (e *Encoder) checkEncode(n, level int) {
+	if slots := e.params.Slots(); n > slots {
+		panic(fmt.Sprintf("ckks: %d values exceed %d slots", n, slots))
 	}
 	if level < 1 || level > e.params.L {
 		panic(fmt.Sprintf("ckks: encode level %d out of range [1,%d]", level, e.params.L))
 	}
-	buf := make([]complex128, slots)
-	copy(buf, values)
-	e.specialInvFFT(buf)
+}
 
+// encodeSlots encodes the N/2 slot values in buf, which it overwrites.
+func (e *Encoder) encodeSlots(buf []complex128, level int, scale float64) *Plaintext {
+	e.specialInvFFT(buf)
 	r := e.params.Ring()
-	pt := r.NewPoly(level)
+	pt := r.NewPolyFrom(e.rows, level)
+	slots := len(buf)
 	bigTmp := new(big.Int)
 	for j := 0; j < slots; j++ {
 		setRounded(r, pt, j, real(buf[j])*scale, bigTmp)
@@ -111,15 +150,6 @@ func (e *Encoder) EncodeComplex(values []complex128, level int, scale float64) *
 	}
 	r.NTT(pt)
 	return &Plaintext{Value: pt, Scale: scale, IsNTT: true}
-}
-
-// Encode encodes a real vector (the common case for CNN data).
-func (e *Encoder) Encode(values []float64, level int, scale float64) *Plaintext {
-	cv := make([]complex128, len(values))
-	for i, v := range values {
-		cv[i] = complex(v, 0)
-	}
-	return e.EncodeComplex(cv, level, scale)
 }
 
 // EncodeConst encodes the real constant c broadcast across every slot.
@@ -196,30 +226,11 @@ func setRounded(r *ring.Ring, pt *ring.Poly, j int, v float64, tmp *big.Int) {
 	r.SetCoeffBig(pt, j, tmp)
 }
 
-// DecodeComplex decodes a coefficient-domain-or-NTT plaintext back to its
-// N/2 complex slot values.
-func (e *Encoder) DecodeComplex(pt *Plaintext) []complex128 {
-	checkNormalForm(pt, "decode")
-	r := e.params.Ring()
-	poly := pt.Value
-	if pt.IsNTT {
-		poly = pt.Value.Copy()
-		r.INTT(poly)
-	}
-	slots := e.params.Slots()
-	buf := make([]complex128, slots)
-	for j := 0; j < slots; j++ {
-		re := bigToFloat(r.ComposeCoeff(poly, j)) / pt.Scale
-		im := bigToFloat(r.ComposeCoeff(poly, j+slots)) / pt.Scale
-		buf[j] = complex(re, im)
-	}
-	e.specialFFT(buf)
-	return buf
-}
-
-// Decode returns the real parts of the decoded slots.
+// Decode decodes a coefficient-domain-or-NTT plaintext back to the real
+// parts of its N/2 slot values.
 func (e *Encoder) Decode(pt *Plaintext) []float64 {
-	cv := e.DecodeComplex(pt)
+	cv := e.slotBuf()
+	e.decodeInto(cv, pt)
 	out := make([]float64, len(cv))
 	for i, v := range cv {
 		out[i] = real(v)
@@ -227,9 +238,47 @@ func (e *Encoder) Decode(pt *Plaintext) []float64 {
 	return out
 }
 
-func bigToFloat(v *big.Int) float64 {
-	f, _ := new(big.Float).SetInt(v).Float64()
-	return f
+// decodeInto decodes pt into the N/2 slot values of buf. An NTT-domain
+// plaintext is transformed in a copy whose rows come from, and go back
+// to, the encoder's list.
+func (e *Encoder) decodeInto(buf []complex128, pt *Plaintext) {
+	checkNormalForm(pt, "decode")
+	r := e.params.Ring()
+	poly := pt.Value
+	if pt.IsNTT {
+		poly = r.NewPolyFrom(e.rows, pt.Level())
+		pt.Value.CopyInto(poly)
+		r.INTT(poly)
+		defer e.rows.Recycle(poly)
+	}
+	slots := len(buf)
+	cf := newCoeffFloats(r, poly.K())
+	for j := 0; j < slots; j++ {
+		buf[j] = complex(cf.at(poly, j)/pt.Scale, cf.at(poly, j+slots)/pt.Scale)
+	}
+	e.specialFFT(buf)
+}
+
+// coeffFloats reads coefficients of level-k polynomials as float64: each
+// is bigToFloat of ring.CRT.ComposeCoeff's centered value, with the CRT
+// constants built once and one big.Int and one big.Float reused for every
+// coefficient.
+type coeffFloats struct {
+	crt *ring.CRT
+	x   *big.Int
+	f   *big.Float
+}
+
+func newCoeffFloats(r *ring.Ring, k int) *coeffFloats {
+	// Q_k < 2^(64k), so a centered value converts to f exactly and
+	// Float64 rounds it once, as bigToFloat does.
+	return &coeffFloats{crt: r.NewCRT(k), x: new(big.Int), f: new(big.Float).SetPrec(uint(64 * k))}
+}
+
+// at returns coefficient j of the coefficient-domain poly p as a float64.
+func (c *coeffFloats) at(p *ring.Poly, j int) float64 {
+	v, _ := c.f.SetInt(c.crt.ComposeCoeff(c.x, p, j)).Float64()
+	return v
 }
 
 // specialInvFFT applies the inverse canonical-embedding FFT over the slot

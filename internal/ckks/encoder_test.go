@@ -2,10 +2,13 @@ package ckks
 
 import (
 	"math"
+	"math/big"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fxhenn/internal/ring"
 )
 
 func randVec(n int, amp float64, rng *rand.Rand) []float64 {
@@ -109,6 +112,22 @@ func TestEncodeConstValidation(t *testing.T) {
 	}
 }
 
+// encodeComplex encodes at most N/2 complex slot values, as Encode does
+// real ones.
+func encodeComplex(e *Encoder, values []complex128, level int, scale float64) *Plaintext {
+	e.checkEncode(len(values), level)
+	buf := e.slotBuf()
+	copy(buf, values)
+	return e.encodeSlots(buf, level, scale)
+}
+
+// decodeComplex decodes pt's N/2 complex slot values.
+func decodeComplex(e *Encoder, pt *Plaintext) []complex128 {
+	buf := make([]complex128, e.params.Slots())
+	e.decodeInto(buf, pt)
+	return buf
+}
+
 func TestEncodeDecodeComplex(t *testing.T) {
 	params := paramsTest()
 	enc := NewEncoder(params)
@@ -117,8 +136,8 @@ func TestEncodeDecodeComplex(t *testing.T) {
 	for i := range v {
 		v[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
 	}
-	pt := enc.EncodeComplex(v, 2, params.Scale)
-	got := enc.DecodeComplex(pt)
+	pt := encodeComplex(enc, v, 2, params.Scale)
+	got := decodeComplex(enc, pt)
 	for i := range v {
 		if cmplx.Abs(v[i]-got[i]) > 1e-5 {
 			t.Fatalf("slot %d: %v != %v", i, got[i], v[i])
@@ -245,12 +264,12 @@ func TestConjugationConjugatesSlots(t *testing.T) {
 	for i := range v {
 		v[i] = complex(rng.Float64(), rng.Float64())
 	}
-	pt := enc.EncodeComplex(v, 2, params.Scale)
+	pt := encodeComplex(enc, v, 2, params.Scale)
 	coeff := pt.Value.Copy()
 	r.INTT(coeff)
 	conj := r.NewPoly(2)
 	r.Automorphism(conj, coeff, uint64(2*params.N()-1)) // X -> X^(2N-1)
-	got := enc.DecodeComplex(&Plaintext{Value: conj, Scale: pt.Scale, IsNTT: false})
+	got := decodeComplex(enc, &Plaintext{Value: conj, Scale: pt.Scale, IsNTT: false})
 	for i := range v {
 		if cmplx.Abs(got[i]-cmplx.Conj(v[i])) > 1e-5 {
 			t.Fatalf("slot %d: got %v want %v", i, got[i], cmplx.Conj(v[i]))
@@ -328,5 +347,88 @@ func TestPaperParameterPresets(t *testing.T) {
 	}
 	if c.LogQ() != 252 {
 		t.Fatalf("CIFAR10 logQ = %d, want 252 (Table VII)", c.LogQ())
+	}
+}
+
+// bigToFloat is the reference conversion: v rounded once to the nearest
+// float64.
+func bigToFloat(v *big.Int) float64 {
+	f, _ := new(big.Float).SetInt(v).Float64()
+	return f
+}
+
+// TestDecodeComposesLikeComposeCoeff: the decoder's coefficient reader,
+// one CRT and one big.Float for every coefficient, gives exactly
+// bigToFloat of a fresh per-coefficient ComposeCoeff at every level of
+// the MNIST parameters and of the N = 256 ring, on uniform residues and
+// on the centering boundary ±⌊Q/2⌋.
+func TestDecodeComposesLikeComposeCoeff(t *testing.T) {
+	for _, params := range []Parameters{ParamsMNIST(), paramsTest()} {
+		r := params.Ring()
+		rng := rand.New(rand.NewSource(int64(params.N())))
+		for k := 1; k <= params.L; k++ {
+			p := r.NewPoly(k)
+			for i, row := range p.Coeffs {
+				for j := range row {
+					row[j] = rng.Uint64() % r.Moduli[i]
+				}
+			}
+			half := new(big.Int).Rsh(r.ModulusAtLevel(k), 1)
+			for j, v := range []*big.Int{half, new(big.Int).Neg(half), new(big.Int).Sub(half, big.NewInt(1)), big.NewInt(0), big.NewInt(-1)} {
+				r.SetCoeffBig(p, j, v)
+			}
+			cf := newCoeffFloats(r, k)
+			for j := range r.N {
+				want := bigToFloat(r.NewCRT(k).ComposeCoeff(new(big.Int), p, j))
+				if got := cf.at(p, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("N=%d level %d coefficient %d: %g, reference %g", r.N, k, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestScopedEncoderMatchesUnscoped: an encoder scoped to a row list
+// (WithRows) and EncryptFrom on the same list give the unscoped encoder's
+// and Encrypt's bits, also on a list dirty from an earlier pass whose
+// plaintexts and ciphertexts went back to it, and decode identically.
+func TestScopedEncoderMatchesUnscoped(t *testing.T) {
+	params := paramsTest()
+	kg := NewKeyGenerator(params, 1000)
+	sk := kg.GenSecretKey()
+	pk := kg.GenPublicKey(sk)
+	rng := rand.New(rand.NewSource(3))
+	v := randVec(params.Slots()/2, 1, rng)
+
+	plain, plainEncr := NewEncoder(params), NewEncryptor(params, pk, 7)
+	var rows ring.Rows
+	scoped, scopedEncr := plain.WithRows(&rows), NewEncryptor(params, pk, 7)
+	dec := NewDecryptor(params, sk)
+	for pass := range 2 {
+		want := plainEncr.Encrypt(plain.Encode(v, params.L, params.Scale))
+		pt := scoped.Encode(v, params.L, params.Scale)
+		got := scopedEncr.EncryptFrom(&rows, pt)
+		if got.Digest() != want.Digest() {
+			t.Fatalf("pass %d: scoped ciphertext differs", pass)
+		}
+		wantT, gotT := plain.Encode(v[:5], 2, params.Scale), scoped.Encode(v[:5], 2, params.Scale)
+		if gotT.Digest() != wantT.Digest() {
+			t.Fatalf("pass %d: scoped Encode at level 2 differs", pass)
+		}
+		m := dec.Decrypt(want)
+		wantV, gotV := plain.Decode(m), scoped.Decode(m)
+		for i := range wantV {
+			if math.Float64bits(gotV[i]) != math.Float64bits(wantV[i]) {
+				t.Fatalf("pass %d: scoped Decode slot %d = %g, want %g", pass, i, gotV[i], wantV[i])
+			}
+		}
+		rows.Recycle(pt.Value)
+		rows.Recycle(gotT.Value)
+		for _, p := range got.Value {
+			rows.Recycle(p)
+		}
+	}
+	if plain.rows != nil || plain.slots != nil {
+		t.Fatal("WithRows changed the encoder it copied")
 	}
 }

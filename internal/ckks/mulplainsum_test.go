@@ -26,7 +26,7 @@ func randomChain(params Parameters, terms int, seed int64) (acc *Ciphertext, cts
 		}
 	}
 	ct := func() *Ciphertext {
-		c := NewCiphertext(params, 2, level)
+		c := newCiphertextFrom(params, nil, 2, level)
 		c.Scale = 1
 		for _, p := range c.Value {
 			fill(p.Coeffs)

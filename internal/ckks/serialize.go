@@ -34,7 +34,12 @@ const (
 const maxSerializedParts = 8
 
 // WriteTo serializes the ciphertext.
-func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) {
+func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) { return ct.WriteToBuf(w, new([]byte)) }
+
+// WriteToBuf is WriteTo through the caller's byte scratch *buf
+// (ring.Poly.WriteToBuf): a caller that writes many ciphertexts allocates
+// one row's bytes once.
+func (ct *Ciphertext) WriteToBuf(w io.Writer, buf *[]byte) (int64, error) {
 	var n int64
 	hdr := [10]byte{tagCiphertext}
 	hdr[1] = byte(len(ct.Value))
@@ -45,7 +50,7 @@ func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	for _, p := range ct.Value {
-		mm, err := p.WriteTo(w)
+		mm, err := p.WriteToBuf(w, buf)
 		n += mm
 		if err != nil {
 			return n, err
@@ -56,6 +61,12 @@ func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) {
 
 // ReadCiphertext deserializes a ciphertext under the given parameters.
 func ReadCiphertext(r io.Reader, params Parameters) (*Ciphertext, error) {
+	return ReadCiphertextBuf(r, params, new([]byte))
+}
+
+// ReadCiphertextBuf is ReadCiphertext through the caller's byte scratch
+// *buf, as WriteToBuf's.
+func ReadCiphertextBuf(r io.Reader, params Parameters, buf *[]byte) (*Ciphertext, error) {
 	hdr := [10]byte{}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -81,7 +92,7 @@ func ReadCiphertext(r io.Reader, params Parameters) (*Ciphertext, error) {
 	// as each part arrives, so a stream whose parts disagree is rejected
 	// without reading (or allocating) the remainder.
 	for i := 0; i < parts; i++ {
-		p, err := ring.ReadPoly(r, params.L, params.N())
+		p, err := ring.ReadPoly(r, params.L, params.N(), buf)
 		if err != nil {
 			return nil, err
 		}

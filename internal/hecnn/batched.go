@@ -286,7 +286,7 @@ func (n *BatchedNetwork) lower() *program {
 // Evaluate runs the batched network's program over per-position
 // ciphertext handles, returning one handle per logit.
 func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
-	vals := n.prog.run(b, cts, nil)
+	vals := n.prog.run(b, cts, nil, false)
 	outs := make([]*CT, len(n.prog.outputs()))
 	for i, v := range n.prog.outputs() {
 		outs[i] = vals[v]

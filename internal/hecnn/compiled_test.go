@@ -149,7 +149,7 @@ func TestOperandFormInCacheKey(t *testing.T) {
 			pc.Warm(params.MaxLevel())
 			b = pc.Backend(ctx, nil)
 		}
-		return ctx, p.run(b, in, nil)[p.outputs()[0]], pc
+		return ctx, p.run(b, in, nil, false)[p.outputs()[0]], pc
 	}
 	_, want, _ := eval(false)
 	ctx, got, pc := eval(true)

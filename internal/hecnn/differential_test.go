@@ -27,7 +27,9 @@ const encoderTolerance = 1e-2
 // vs uncached. Every program is also evaluated through passThrough, which
 // gets the unfused call stream a foreign Backend sees, and must match the
 // crypto backend's fused, in-place evaluation byte for byte and event for
-// event without either touching its inputs. The ladder and BSGS programs
+// event without either touching its inputs; the LoLa and BSGS programs
+// evaluated on owned inputs (EvaluateOwned, the serving path) must match
+// too and leave every input retired. The ladder and BSGS programs
 // evaluated with level views of their keys (KeyViews, as a server holds
 // them) must match the full keys by digest. This is the single place all
 // the paths meet; it runs in tier-1.
@@ -164,9 +166,13 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 					}
 				}
 
-				// Path 6 — unfused: each program through passThrough.
+				// Path 6 — unfused: each program through passThrough, and
+				// on inputs the evaluation owns, as the server evaluates.
 				net := func(n *Network) func(Backend, []*CT) []*CT {
 					return func(b Backend, in []*CT) []*CT { return []*CT{n.EvaluateEncrypted(b, in)} }
+				}
+				ownedNet := func(n *Network) func(Backend, []*CT) []*CT {
+					return func(b Backend, in []*CT) []*CT { return []*CT{n.EvaluateOwned(b, in, nil)} }
 				}
 				freshInput := func(n *Network) func() (*Context, []*CT) {
 					rots := n.RotationsNeeded(params.MaxLevel())
@@ -175,8 +181,8 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 						return ctx, encryptInput(n, ctx, img)
 					}
 				}
-				checkFusedMatchesUnfused(t, "lola", freshInput(lola), net(lola))
-				checkFusedMatchesUnfused(t, "bsgs", freshInput(diag), net(diag))
+				checkFusedMatchesUnfused(t, "lola", freshInput(lola), net(lola), ownedNet(lola))
+				checkFusedMatchesUnfused(t, "bsgs", freshInput(diag), net(diag), ownedNet(diag))
 				checkFusedMatchesUnfused(t, "batched", func() (*Context, []*CT) {
 					ctx := NewContext(params, ctxSeed, nil)
 					packed, err := bnet.PackBatch([]*cnn.Tensor{img, img2})
@@ -188,7 +194,7 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 						cts[i] = ctx.EncryptVector(v)
 					}
 					return ctx, cts
-				}, bnet.Evaluate)
+				}, bnet.Evaluate, nil)
 
 				// Batched-cached must match batched-uncached bit-for-bit
 				// (same context seed ⇒ same fresh ciphertexts).
@@ -250,12 +256,15 @@ func digests(cts []*CT) []string {
 	return out
 }
 
-// checkFusedMatchesUnfused evaluates twice from fresh, identically seeded
+// checkFusedMatchesUnfused evaluates from fresh, identically seeded
 // inputs — on the crypto backend, which fuses and writes into values the
 // evaluation owns, and through passThrough — and fails unless the outputs
 // are byte-identical, the recorded events identical, and no input
-// ciphertext changed.
-func checkFusedMatchesUnfused(t *testing.T, path string, fresh func() (*Context, []*CT), eval func(Backend, []*CT) []*CT) {
+// ciphertext changed. A non-nil owned is eval on inputs the evaluation
+// owns (EvaluateOwned): it runs a third time, on the crypto backend, and
+// must give the same outputs and events and leave every input retired,
+// its rows given back to the backend's list.
+func checkFusedMatchesUnfused(t *testing.T, path string, fresh func() (*Context, []*CT), eval, owned func(Backend, []*CT) []*CT) {
 	t.Helper()
 	var outs [2][]string
 	var recs [2]*Recorder
@@ -275,6 +284,23 @@ func checkFusedMatchesUnfused(t *testing.T, path string, fresh func() (*Context,
 		t.Errorf("%s: in-place output digests %v, unfused %v", path, outs[0], outs[1])
 	}
 	sameEvents(t, path+" unfused vs in-place", recs[1], recs[0])
+	if owned == nil {
+		return
+	}
+	ctx, in := fresh()
+	rec := NewRecorder()
+	if got := digests(owned(NewCryptoBackend(ctx, rec), in)); !slices.Equal(got, outs[0]) {
+		t.Errorf("%s: owned-input output digests %v, in-place %v", path, got, outs[0])
+	}
+	sameEvents(t, path+" owned inputs vs in-place", rec, recs[0])
+	for i, ct := range in {
+		for _, p := range ct.Ciphertext().Value {
+			if p.Coeffs != nil {
+				t.Errorf("%s: owned input %d still holds its rows", path, i)
+				break
+			}
+		}
+	}
 }
 
 // inferenceDigest runs one fully deterministic encrypted inference —

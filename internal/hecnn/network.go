@@ -271,7 +271,21 @@ func (n *Network) EvaluateEncrypted(b Backend, cts []*CT) *CT {
 // added work, zero added allocations (pinned by
 // TestEvaluateTracedNilAddsNothing).
 func (n *Network) EvaluateTraced(b Backend, cts []*CT, tr *Tracer) *CT {
-	return n.prog.run(b, cts, tr)[n.prog.outputs()[0]]
+	return n.prog.run(b, cts, tr, false)[n.prog.outputs()[0]]
+}
+
+// EvaluateOwned is EvaluateTraced on inputs the caller gives up: it must
+// not read them again. On the package's crypto backend an input no other
+// value shares is owned as a value an op defined is. At its last use the
+// op's result is written into it, or its rows go back to the backend's
+// list, where later layers' values find them (Fc1's baby steps, on
+// MNIST) and its handle is left without rows. Results, events and tracer
+// stats are those of EvaluateTraced. The serving path, which decodes its
+// inputs for this one evaluation, calls it; a caller that evaluates the
+// same inputs again keeps them untouched with EvaluateEncrypted or
+// EvaluateTraced.
+func (n *Network) EvaluateOwned(b Backend, cts []*CT, tr *Tracer) *CT {
+	return n.prog.run(b, cts, tr, true)[n.prog.outputs()[0]]
 }
 
 // Run executes the network functionally: packs and encrypts the image,

@@ -31,7 +31,9 @@ const (
 // Bits of instr.flags. lastX and lastArg: the instruction is the final
 // reader of x / of CCadd's second operand. ownX and ownArg additionally
 // say the evaluation owns that dying value (see finish), so the crypto
-// backend may write the instruction's result into it. fuseNext marks a
+// backend may write the instruction's result into it. ownInX and
+// ownInArg say the dying value is an input the evaluation owns only when
+// its caller gives its inputs up (EvaluateOwned). fuseNext marks a
 // PCmult whose product the next instruction, a CCadd with ownX, reads
 // last as its second operand: the pair runs as one multiply-accumulate.
 // chainNext marks a fused PCmult whose pair's sum the next pair, fused
@@ -44,6 +46,8 @@ const (
 	ownArg
 	fuseNext
 	chainNext
+	ownInX
+	ownInArg
 )
 
 // instr is one lowered Backend call. It reads value x and defines the
@@ -156,17 +160,28 @@ func (lw *lowering) endLayer(name string, outs []*CT) {
 // map dropped.
 //
 // A value is owned when an instruction of this evaluation defined it as a
-// ciphertext no other value shares: never an input, and never either side
-// of a rotation by zero — the crypto backend returns its operand itself —
-// or of a RotateMany amount that repeats, whose results may share one
-// ciphertext. Outputs never die, so they are never written into.
+// ciphertext no other value shares: never either side of a rotation by
+// zero — the crypto backend returns its operand itself — or of a
+// RotateMany amount that repeats, whose results may share one ciphertext.
+// An input no other value shares is owned only by an evaluation whose
+// caller gives its inputs up, so its last use carries ownInX or ownInArg
+// instead, and no pair fuses into it. Outputs never die, so they are
+// never written into.
 func (lw *lowering) finish() *program {
 	p := lw.p
 	p.code, p.plains, p.consts = slices.Clone(p.code), slices.Clone(p.plains), slices.Clone(p.consts)
 	last := make([]int32, p.values)
 	shared := make([]bool, p.values)
-	for v := range p.inputs {
-		shared[v] = true
+	// owned is the flag that marks the dying value v owned: own for a
+	// value an op defined, in for an input.
+	owned := func(v int, own, in uint8) uint8 {
+		switch {
+		case shared[v]:
+			return 0
+		case v < p.inputs:
+			return in
+		}
+		return own
 	}
 	product := make([]int32, len(p.code)) // the value a PCmult defines
 	next := int32(p.inputs)
@@ -205,16 +220,10 @@ func (lw *lowering) finish() *program {
 		}
 		c := &p.code[pc-1]
 		if c.x == int32(v) {
-			c.flags |= lastX
-			if !shared[v] {
-				c.flags |= ownX
-			}
+			c.flags |= lastX | owned(v, ownX, ownInX)
 		}
 		if c.op == opCCadd && c.arg == int32(v) {
-			c.flags |= lastArg
-			if !shared[v] {
-				c.flags |= ownArg
-			}
+			c.flags |= lastArg | owned(v, ownArg, ownInArg)
 		}
 	}
 	for pc := range len(p.code) - 1 {
@@ -276,8 +285,11 @@ func (lw *lowering) RotateMany(x *CT, ks []int) []*CT {
 // CCadd or Rescale writes into an owned operand that dies there, and
 // every other owned value that dies gives its rows back to the backend's
 // list (release). Events, operand requests and ciphertexts are identical
-// to the unfused calls, which every other Backend receives.
-func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
+// to the unfused calls, which every other Backend receives. With ownIn
+// the caller has given its inputs up, and the crypto backend owns each
+// input that ownInX or ownInArg marks at its last use as it owns a value
+// an op defined.
+func (p *program) run(b Backend, in []*CT, tr *Tracer, ownIn bool) []*CT {
 	if len(in) != p.inputs {
 		panic(fmt.Sprintf("hecnn: %s expects %d inputs, got %d", p.layers[0].name, p.inputs, len(in)))
 	}
@@ -301,7 +313,7 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 		for end := p.layers[li].end; pc < end; pc++ {
 			c := &p.code[pc]
 			x, n := vals[c.x], 1
-			switch f := c.flags & own; c.op {
+			switch f := c.ownership(ownIn) & own; c.op {
 			case opPCmult:
 				if f&fuseNext == 0 {
 					vals[next] = b.PCmult(x, p.plain(c.arg))
@@ -321,7 +333,7 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 				n = pc - first + 1
 				vals[next+n-1] = cb.mulPlainSum(acc)
 				for _, d := range p.code[first+1 : pc+1] {
-					d.release(vals, cb, acc)
+					d.release(vals, cb, acc, ownIn)
 				}
 			case opPCadd:
 				vals[next] = b.PCadd(x, p.plain(c.arg))
@@ -347,7 +359,7 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 			case opRotateMany:
 				n = copy(vals[next:], b.RotateMany(x, p.rotSets[c.arg]))
 			}
-			c.release(vals, cb, vals[next+n-1])
+			c.release(vals, cb, vals[next+n-1], ownIn)
 			next += n
 		}
 		if tr != nil {
@@ -357,19 +369,33 @@ func (p *program) run(b Backend, in []*CT, tr *Tracer) []*CT {
 	return vals
 }
 
+// ownership returns c's flags with ownInX and ownInArg read as ownX and
+// ownArg when the evaluation owns its inputs (ownIn).
+func (c *instr) ownership(ownIn bool) uint8 {
+	f := c.flags
+	if ownIn && f&ownInX != 0 {
+		f |= ownX
+	}
+	if ownIn && f&ownInArg != 0 {
+		f |= ownArg
+	}
+	return f
+}
+
 // release clears the slots of the values c is the last reader of. On the
 // crypto backend (cb not nil) it also retires each of them that the
-// evaluation owns, except res, the value c's result was written into; a
-// value that is both operands of c is retired once.
-func (c *instr) release(vals []*CT, cb *cryptoBackend, res *CT) {
-	if c.flags&lastX != 0 {
-		if c.flags&ownX != 0 {
+// evaluation owns (ownership), except res, the value c's result was
+// written into; a value that is both operands of c is retired once.
+func (c *instr) release(vals []*CT, cb *cryptoBackend, res *CT, ownIn bool) {
+	f := c.ownership(ownIn)
+	if f&lastX != 0 {
+		if f&ownX != 0 {
 			cb.retire(vals[c.x], res)
 		}
 		vals[c.x] = nil
 	}
-	if c.flags&lastArg != 0 {
-		if c.flags&ownArg != 0 {
+	if f&lastArg != 0 {
+		if f&ownArg != 0 {
 			cb.retire(vals[c.arg], res)
 		}
 		vals[c.arg] = nil

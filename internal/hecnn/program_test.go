@@ -378,7 +378,8 @@ func (hazardLayer) Apply(b Backend, in *State) *State {
 
 // TestOwnershipExcludesSharedValues: on a program made of those hazards,
 // the in-place evaluation matches the unfused one byte for byte and
-// leaves its inputs untouched.
+// leaves its inputs untouched. On owned inputs it matches too, with the
+// first input written into where both die and the second retired.
 func TestOwnershipExcludesSharedValues(t *testing.T) {
 	params := tinyParams()
 	p := lowerLayers([]Layer{hazardLayer{}}, 2)
@@ -394,9 +395,24 @@ func TestOwnershipExcludesSharedValues(t *testing.T) {
 		}
 		return ctx, in
 	}
-	checkFusedMatchesUnfused(t, "hazards", fresh, func(b Backend, in []*CT) []*CT {
-		return []*CT{p.run(b, in, nil)[p.outputs()[0]]}
-	})
+	eval := func(ownIn bool) func(b Backend, in []*CT) []*CT {
+		return func(b Backend, in []*CT) []*CT { return []*CT{p.run(b, in, nil, ownIn)[p.outputs()[0]]} }
+	}
+	checkFusedMatchesUnfused(t, "hazards", fresh, eval(false), nil)
+
+	_, in := fresh()
+	want := eval(false)(NewCryptoBackend(NewContext(params, 71, []int{1}), nil), in)[0].Ciphertext().Digest()
+	ctx, in := fresh()
+	before := digests(in)
+	if got := eval(true)(NewCryptoBackend(ctx, nil), in)[0].Ciphertext().Digest(); got != want {
+		t.Errorf("owned inputs: output digest %s, want %s", got, want)
+	}
+	if in[0].Ciphertext().Value[0].Coeffs == nil || in[0].Ciphertext().Digest() == before[0] {
+		t.Error("owned inputs: the CCadd both inputs die at did not write into the first")
+	}
+	if in[1].Ciphertext().Value[0].Coeffs != nil {
+		t.Error("owned inputs: the second input was not retired")
+	}
 }
 
 // TestKeyViews: KeyViews trims each key to its fold level, drops keys the

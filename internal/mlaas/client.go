@@ -3,21 +3,35 @@ package mlaas
 import (
 	"context"
 	"io"
+	"sync"
 	"time"
 
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/hecnn"
+	"fxhenn/internal/ring"
 	"fxhenn/internal/telemetry"
 )
 
 // Client packs, encrypts, ships, and decrypts. It owns the secret key.
+//
+// A Client is not safe for concurrent use, nor to copy: its encryptor's
+// randomness is its own. Each exchange borrows one row list from the
+// process's idle lists (exchangeRows), encodes and encrypts into it,
+// gives the request's rows back to it once the request is written, and
+// returns the list when the exchange ends. A warm list holds one
+// request's rows (a plaintext and every ciphertext of a request: 357
+// rows, 23.4 MB for MNIST at N = 8192), and a warm exchange allocates no
+// row.
 type Client struct {
 	params    ckks.Parameters
 	net       *hecnn.Network
-	encoder   *ckks.Encoder
+	encoder   *ckks.Encoder // scoped to rows (ckks.Encoder.WithRows)
 	encryptor *ckks.Encryptor
 	decryptor *ckks.Decryptor
+	// rows is the list the current exchange borrowed; empty between
+	// exchanges.
+	rows ring.Rows
 
 	// Timeout is the rolling per-read/per-write deadline applied when the
 	// connection supports deadlines (0 disables). A context deadline on
@@ -55,20 +69,19 @@ type Client struct {
 	// attempt. Nil keeps wire bytes and the request path byte-identical
 	// to the untraced client.
 	Flight *telemetry.FlightRecorder
-	// cm holds the pre-resolved client metric handles (SetMetrics).
-	cm *clientMetrics
 }
 
 // NewClient builds the client side from the key material.
 func NewClient(params ckks.Parameters, henet *hecnn.Network, pk *ckks.PublicKey, sk *ckks.SecretKey, seed int64) *Client {
-	return &Client{
+	c := &Client{
 		params:    params,
 		net:       henet,
-		encoder:   ckks.NewEncoder(params),
 		encryptor: ckks.NewEncryptor(params, pk, seed),
 		decryptor: ckks.NewDecryptor(params, sk),
 		Timeout:   30 * time.Second,
 	}
+	c.encoder = ckks.NewEncoder(params).WithRows(&c.rows)
+	return c
 }
 
 // Infer runs one encrypted inference over the connection and returns the
@@ -96,7 +109,9 @@ func (c *Client) inferSpan(ctx context.Context, conn io.ReadWriter, img *cnn.Ten
 	dl, _ := ctx.Deadline()
 	trw := newTimedRW(conn, c.Timeout, dl)
 	h := c.header(sp)
-	sent, err := writeRequest(trw, h, c.encryptRequest(img))
+	c.takeRows()
+	defer c.giveRows()
+	sent, err := c.send(trw, h, img)
 	c.BytesSent += sent
 	if err != nil {
 		return nil, &TransportError{Err: err}
@@ -109,23 +124,75 @@ func (c *Client) inferSpan(ctx context.Context, conn io.ReadWriter, img *cnn.Ten
 	return c.decodeLogits(resp.cts[0]), nil
 }
 
+// exchangeRows holds the process's idle row lists, per ring degree. An
+// exchange takes one (takeRows) and returns it when it ends (giveRows),
+// so the process keeps one request's rows for each exchange it ever had
+// in flight at once, however many clients take turns: one list for a
+// lone client, one per sender for a load generator whose senders share
+// several clients.
+var exchangeRows = struct {
+	sync.Mutex
+	idle map[int][]ring.Rows
+}{idle: map[int][]ring.Rows{}}
+
+// takeRows borrows an idle list of the client's ring degree for one
+// exchange, or starts an empty one.
+func (c *Client) takeRows() {
+	exchangeRows.Lock()
+	defer exchangeRows.Unlock()
+	lists := exchangeRows.idle[c.params.N()]
+	if n := len(lists); n > 0 {
+		c.rows, lists[n-1] = lists[n-1], ring.Rows{}
+		exchangeRows.idle[c.params.N()] = lists[:n-1]
+	}
+}
+
+// giveRows returns the exchange's list to the idle lists.
+func (c *Client) giveRows() {
+	exchangeRows.Lock()
+	defer exchangeRows.Unlock()
+	exchangeRows.idle[c.params.N()] = append(exchangeRows.idle[c.params.N()], c.rows)
+	c.rows = ring.Rows{}
+}
+
 // header is the request header this client writes under span sp.
 func (c *Client) header(sp *telemetry.Span) header {
 	return header{trace: sp.Context(), route: RouteHeader{c.Tenant, c.TenantGeneration}, crc: c.FrameCheck}
 }
 
-// encryptRequest packs and encrypts the image into the per-position
-// ciphertexts of one request. The encryptor's randomness advances once
-// per call.
-func (c *Client) encryptRequest(img *cnn.Tensor) []*ckks.Ciphertext {
-	return encryptAll(c.params, c.encoder, c.encryptor, c.net.PackInput(img))
+// send encrypts img and writes it as one request under header h, every
+// position encrypted before the first write. The request's rows go back
+// to the exchange's list once the write returns, whether it succeeded or
+// not.
+func (c *Client) send(w io.Writer, h header, img *cnn.Tensor) (int64, error) {
+	cts := c.encryptRequest(img)
+	n, err := writeRequest(w, h, cts)
+	for _, ct := range cts {
+		for _, p := range ct.Value {
+			c.rows.Recycle(p)
+		}
+	}
+	return n, err
 }
 
-func encryptAll(params ckks.Parameters, enc *ckks.Encoder, encr *ckks.Encryptor, packed [][]float64) []*ckks.Ciphertext {
+// encryptRequest packs and encrypts the image into the per-position
+// ciphertexts of one request, their rows from the exchange's list. The
+// encryptor's randomness advances once per call.
+func (c *Client) encryptRequest(img *cnn.Tensor) []*ckks.Ciphertext {
+	return encryptAll(c.params, c.encoder, c.encryptor, &c.rows, c.net.PackInput(img))
+}
+
+// encryptAll encodes and encrypts each packed vector at the top level.
+// Each ciphertext takes its rows from rows, and each plaintext's rows,
+// taken by enc, go back to rows right after its Encrypt; with rows nil
+// both allocate.
+func encryptAll(params ckks.Parameters, enc *ckks.Encoder, encr *ckks.Encryptor, rows *ring.Rows, packed [][]float64) []*ckks.Ciphertext {
 	level := params.MaxLevel()
 	cts := make([]*ckks.Ciphertext, len(packed))
 	for i, v := range packed {
-		cts[i] = encr.Encrypt(enc.Encode(v, level, params.Scale))
+		pt := enc.Encode(v, level, params.Scale)
+		cts[i] = encr.EncryptFrom(rows, pt)
+		rows.Recycle(pt.Value)
 	}
 	return cts
 }
@@ -211,7 +278,7 @@ func (c *BatchClient) inferSpan(ctx context.Context, conn io.ReadWriter, img *cn
 	dl, _ := ctx.Deadline()
 	trw := newTimedRW(conn, c.Timeout, dl)
 	h := header{trace: sp.Context(), route: RouteHeader{c.Tenant, c.TenantGeneration}, crc: c.FrameCheck, batch: true}
-	sent, err := writeRequest(trw, h, encryptAll(c.params, c.encoder, c.encryptor, packed))
+	sent, err := writeRequest(trw, h, encryptAll(c.params, c.encoder, c.encryptor, nil, packed))
 	c.BytesSent += sent
 	if err != nil {
 		return nil, &TransportError{Err: err}

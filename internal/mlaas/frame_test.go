@@ -253,7 +253,7 @@ func FuzzClientResponse(f *testing.F) {
 		f.Fatal(err)
 	}
 	bc := fx.batchClient(94)
-	bcts := encryptAll(fx.bparams, bc.encoder, bc.encryptor, packed)
+	bcts := encryptAll(fx.bparams, bc.encoder, bc.encryptor, nil, packed)
 	honest := func(h header, cts []*ckks.Ciphertext) []byte {
 		var req bytes.Buffer
 		if _, err := writeRequest(&req, h, cts); err != nil {

@@ -221,8 +221,9 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d %s ciphertexts, got %d", want, kind, h.count)}
 	}
 	cts := make([]*hecnn.CT, want)
+	var row []byte // one row's bytes, shared by every ciphertext
 	for i := range cts {
-		ct, err := ckks.ReadCiphertext(rw, params)
+		ct, err := ckks.ReadCiphertextBuf(rw, params, &row)
 		if err != nil {
 			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
 		}
@@ -273,22 +274,24 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 	return resp, nil
 }
 
-// evaluate runs the per-request HE-CNN on one runtime. Traced requests
+// evaluate runs the per-request HE-CNN on one runtime. The request's
+// decoded inputs are the evaluation's to consume (EvaluateOwned): their
+// rows refill the evaluation's list after their last use. Traced requests
 // get a tracer, so the per-layer table in the slow-request log and the
 // layer metric families carry this inference's layer wall times next to
 // the op counts of the network's program.
 func (s *Server) evaluate(run *tenantRuntime, rt *reqTrace, cts []*hecnn.CT) *hecnn.CT {
 	start := time.Now()
-	var out *hecnn.CT
+	var tr *hecnn.Tracer
 	if rt != nil {
-		tr := &hecnn.Tracer{}
+		tr = &hecnn.Tracer{}
 		if run.layers != nil {
 			tr.Sink = run.layers.observe
 		}
-		out = run.net.EvaluateTraced(run.backend(), cts, tr)
+	}
+	out := run.net.EvaluateOwned(run.backend(), cts, tr)
+	if rt != nil {
 		rt.layers = tr.Stats
-	} else {
-		out = run.net.EvaluateEncrypted(run.backend(), cts)
 	}
 	if s.shed != nil {
 		s.shed.observe(time.Since(start))

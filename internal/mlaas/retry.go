@@ -119,7 +119,6 @@ func (c *Client) inferRetry(ctx context.Context, dial func(context.Context) (net
 				return nil, err
 			}
 			c.Retries++
-			c.cm.observeRetry()
 		}
 		sp := root.StartChild("attempt")
 		if sp != nil {

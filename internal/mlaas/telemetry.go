@@ -45,36 +45,6 @@ const (
 	MetricMemoryLimit    = "mlaas_memory_limit_bytes"    // gauge: the process's soft memory limit
 )
 
-// MetricClientRetries is the metric family exported by the client
-// (Client.SetMetrics), so fleet dashboards see the client's retries
-// instead of scraping a method-only accessor.
-const MetricClientRetries = "mlaas_client_retries_total" // counter
-
-// clientMetrics is the client-side handle set. Nil (the default) keeps
-// the client's hot path metric-free.
-type clientMetrics struct {
-	retries *telemetry.Counter
-}
-
-// SetMetrics attaches a registry to the client: the retry counter
-// exports as MetricClientRetries. Nil detaches.
-func (c *Client) SetMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		c.cm = nil
-		return
-	}
-	c.cm = &clientMetrics{
-		retries: reg.Counter(MetricClientRetries, "extra attempts performed by InferRetry"),
-	}
-}
-
-func (m *clientMetrics) observeRetry() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
 // phase indexes the request lifecycle histograms.
 type phase int
 

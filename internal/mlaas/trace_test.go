@@ -256,12 +256,10 @@ func TestBatchFlushTraceLinksMembers(t *testing.T) {
 	}
 }
 
-// TestClientResilienceMetrics: SetMetrics exports the retry counter; a
-// dial failure followed by a successful retry moves it exactly once.
+// TestClientResilienceMetrics: a dial failure followed by a successful
+// retry moves the client's retry count exactly once.
 func TestClientResilienceMetrics(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	fx := newFixture(t)
-	fx.client.SetMetrics(reg)
 
 	calls := 0
 	dial := func(ctx context.Context) (net.Conn, error) {
@@ -280,17 +278,16 @@ func TestClientResilienceMetrics(t *testing.T) {
 	if _, err := fx.client.InferRetry(context.Background(), dial, randomImage(66), policy); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if m := snap.Family(MetricClientRetries).Metric(); m == nil || m.Value != 1 {
-		t.Fatalf("retry counter = %+v, want 1", m)
+	if fx.client.Retries != 1 {
+		t.Fatalf("Retries = %d, want 1", fx.client.Retries)
 	}
 }
 
 // TestDisabledTracingZeroAlloc pins the other half of the acceptance
-// bar: with no flight recorder and no client metrics, every tracing
+// bar: with no flight recorder, every tracing
 // touchpoint on the request path must be allocation-free.
 func TestDisabledTracingZeroAlloc(t *testing.T) {
-	c := &Client{} // Flight nil, cm nil
+	c := &Client{} // Flight nil
 	var rt *reqTrace
 	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -301,7 +298,6 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 		rt.setWire(telemetry.SpanContext{})
 		rt.markShed()
 		rt.timePhase(phaseQueue, time.Millisecond)
-		c.cm.observeRetry()
 		if _, err := c.header(sp).appendTo(buf[:0]); err != nil {
 			t.Error(err)
 		}

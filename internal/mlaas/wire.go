@@ -135,9 +135,10 @@ func writeRequest(w io.Writer, h header, cts []*ckks.Ciphertext) (int64, error) 
 	}
 	m, err := w.Write(buf)
 	n := int64(m)
+	var row []byte // one row's bytes, shared by every ciphertext
 	for i := 0; err == nil && i < len(cts); i++ {
 		var mm int64
-		mm, err = cts[i].WriteTo(w)
+		mm, err = cts[i].WriteToBuf(w, &row)
 		n += mm
 	}
 	return n, err

@@ -73,7 +73,7 @@ func TestLazyOutputsFullyReducedBeforeSerialization(t *testing.T) {
 	if _, err := acc.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	got, err := ReadPoly(&buf, acc.K(), r.N)
+	got, err := ReadPoly(&buf, acc.K(), r.N, new([]byte))
 	if err != nil {
 		t.Fatalf("ReadPoly: %v", err)
 	}

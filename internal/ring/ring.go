@@ -20,6 +20,7 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 
 	"fxhenn/internal/modarith"
@@ -405,29 +406,56 @@ func (r *Ring) Automorphism(out, a *Poly, g uint64) {
 	})
 }
 
-// ComposeCoeff reconstructs coefficient j of the coefficient-domain poly p as
-// a centered big integer in (-Q_k/2, Q_k/2] via the CRT. Used by tests, the
-// encoder, and decryption.
-func (r *Ring) ComposeCoeff(p *Poly, j int) *big.Int {
-	k := p.K()
-	q := r.ModulusAtLevel(k)
-	x := new(big.Int)
-	tmp := new(big.Int)
-	for i := 0; i < k; i++ {
-		// x += c_i * (Q/q_i) * [(Q/q_i)^-1 mod q_i]
-		qi := new(big.Int).SetUint64(r.Moduli[i])
-		qhat := new(big.Int).Div(q, qi)
-		inv := new(big.Int).ModInverse(new(big.Int).Mod(qhat, qi), qi)
-		tmp.SetUint64(p.Coeffs[i][j])
-		tmp.Mul(tmp, inv)
-		tmp.Mod(tmp, qi)
-		tmp.Mul(tmp, qhat)
-		x.Add(x, tmp)
+// CRT reconstructs coefficients of level-k polynomials from their
+// residues. It holds the constants of the reconstruction — Q_k, ⌊Q_k/2⌋,
+// and per prime q̂_i = Q_k/q_i and [q̂_i^{-1}]_{q_i} — built once by
+// NewCRT, and the temporaries every ComposeCoeff reuses. Decoding
+// composes every coefficient of a polynomial through one CRT; a CRT per
+// coefficient is the big-integer reference for tests. It is not safe for
+// concurrent use.
+type CRT struct {
+	moduli []uint64
+	q      *big.Int
+	half   *big.Int
+	qhat   []*big.Int
+	inv    []uint64
+	u, t   *big.Int
+}
+
+// NewCRT builds the reconstruction constants of r's first k primes.
+func (r *Ring) NewCRT(k int) *CRT {
+	c := &CRT{moduli: r.Moduli[:k], q: r.ModulusAtLevel(k), u: new(big.Int), t: new(big.Int)}
+	c.half = new(big.Int).Rsh(c.q, 1)
+	for _, m := range c.moduli {
+		qi := new(big.Int).SetUint64(m)
+		qhat := new(big.Int).Div(c.q, qi)
+		c.qhat = append(c.qhat, qhat)
+		c.inv = append(c.inv, new(big.Int).ModInverse(new(big.Int).Mod(qhat, qi), qi).Uint64())
 	}
-	x.Mod(x, q)
-	half := new(big.Int).Rsh(q, 1)
-	if x.Cmp(half) > 0 {
-		x.Sub(x, q)
+	return c
+}
+
+// ComposeCoeff sets x to coefficient j of the coefficient-domain poly p,
+// a level-k polynomial, as a centered integer in (-Q_k/2, Q_k/2], and
+// returns x:
+//
+//	x = Σ_i [c_i·q̂_i^{-1}]_{q_i}·q̂_i mod Q_k, minus Q_k above Q_k/2.
+func (c *CRT) ComposeCoeff(x *big.Int, p *Poly, j int) *big.Int {
+	if p.K() != len(c.moduli) {
+		panic(fmt.Sprintf("ring: CRT of level %d composing a level-%d poly", len(c.moduli), p.K()))
+	}
+	x.SetUint64(0)
+	for i, qi := range c.moduli {
+		hi, lo := bits.Mul64(p.Coeffs[i][j], c.inv[i])
+		_, ri := bits.Div64(hi%qi, lo, qi)
+		x.Add(x, c.t.Mul(c.u.SetUint64(ri), c.qhat[i]))
+	}
+	// Each term is below Q_k, so the sum is below k·Q_k.
+	for x.Cmp(c.q) >= 0 {
+		x.Sub(x, c.q)
+	}
+	if x.Cmp(c.half) > 0 {
+		x.Sub(x, c.q)
 	}
 	return x
 }

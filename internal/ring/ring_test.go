@@ -88,6 +88,12 @@ func TestAddSubNegRoundTrip(t *testing.T) {
 	}
 }
 
+// composeCoeff is the per-coefficient CRT reference: a fresh CRT, its
+// constants built for this one coefficient.
+func composeCoeff(r *Ring, p *Poly, j int) *big.Int {
+	return r.NewCRT(p.K()).ComposeCoeff(new(big.Int), p, j)
+}
+
 // TestCRTComposeRoundTrip: SetCoeffBig then ComposeCoeff must reproduce any
 // centered value, property-checked over random big integers.
 func TestCRTComposeRoundTrip(t *testing.T) {
@@ -100,7 +106,7 @@ func TestCRTComposeRoundTrip(t *testing.T) {
 		v.Sub(v, half) // centered range
 		p := r.NewPoly(4)
 		r.SetCoeffBig(p, 7, v)
-		return r.ComposeCoeff(p, 7).Cmp(v) == 0
+		return composeCoeff(r, p, 7).Cmp(v) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -117,11 +123,11 @@ func TestMulCoeffsMatchesBigCRT(t *testing.T) {
 	r.MulCoeffs(out, a, b)
 	q := r.ModulusAtLevel(3)
 	for j := 0; j < r.N; j++ {
-		av := r.ComposeCoeff(a, j)
-		bv := r.ComposeCoeff(b, j)
+		av := composeCoeff(r, a, j)
+		bv := composeCoeff(r, b, j)
 		want := new(big.Int).Mul(av, bv)
 		want.Mod(want, q)
-		got := new(big.Int).Mod(r.ComposeCoeff(out, j), q)
+		got := new(big.Int).Mod(composeCoeff(r, out, j), q)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("coeff %d: pointwise product disagrees with CRT", j)
 		}
@@ -165,7 +171,7 @@ func TestDivRoundByLastModulus(t *testing.T) {
 	qLast := new(big.Int).SetUint64(r.Moduli[3])
 	want := make([]*big.Int, r.N)
 	for j := 0; j < r.N; j++ {
-		x := r.ComposeCoeff(p, j)
+		x := composeCoeff(r, p, j)
 		// round(x/q) = floor((2x + q) / 2q) for the signed x: big.Int's
 		// Div is Euclidean, which is flooring for a positive divisor, and
 		// q is odd, so there are no ties.
@@ -179,7 +185,7 @@ func TestDivRoundByLastModulus(t *testing.T) {
 		t.Fatalf("level after rescale = %d, want 3", p.K())
 	}
 	for j := 0; j < r.N; j++ {
-		if got := r.ComposeCoeff(p, j); got.Cmp(want[j]) != 0 {
+		if got := composeCoeff(r, p, j); got.Cmp(want[j]) != 0 {
 			t.Fatalf("coeff %d: rescale gave %s, want %s", j, got, want[j])
 		}
 	}
@@ -217,7 +223,7 @@ func TestDivRoundByLastModulus(t *testing.T) {
 			t.Fatalf("level after ModDown = %d, want %d", p.K(), k)
 		}
 		for j := 0; j < n; j++ {
-			if got := r.ComposeCoeff(p, j); got.Cmp(want[j]) != 0 {
+			if got := composeCoeff(r, p, j); got.Cmp(want[j]) != 0 {
 				t.Fatalf("coeff %d: ModDown gave %s, want %s", j, got, want[j])
 			}
 		}
@@ -371,7 +377,7 @@ func TestBasisExtension(t *testing.T) {
 		dst := make([]uint64, r.N)
 		be.ExtendCoeffs(poly.Coeffs[:k], dst)
 		for j := 0; j < r.N; j++ {
-			x := r.ComposeCoeff(&Poly{Coeffs: poly.Coeffs[:k]}, j)
+			x := composeCoeff(r, &Poly{Coeffs: poly.Coeffs[:k]}, j)
 			want := new(big.Int).Mod(x, bp)
 			if want.Sign() < 0 {
 				want.Add(want, bp)

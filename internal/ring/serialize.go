@@ -18,7 +18,12 @@ import (
 var ErrDimensions = errors.New("implausible poly dimensions")
 
 // WriteTo serializes p.
-func (p *Poly) WriteTo(w io.Writer) (int64, error) {
+func (p *Poly) WriteTo(w io.Writer) (int64, error) { return p.WriteToBuf(w, new([]byte)) }
+
+// WriteToBuf is WriteTo through the caller's byte scratch *buf, which
+// grows to one row's bytes and is kept for the next call: a caller that
+// writes many polynomials allocates that row once.
+func (p *Poly) WriteToBuf(w io.Writer, buf *[]byte) (int64, error) {
 	var n int64
 	hdr := [8]byte{}
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(p.K()))
@@ -28,12 +33,12 @@ func (p *Poly) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	buf := make([]byte, 8*len(p.Coeffs[0]))
+	b := rowBytes(buf, len(p.Coeffs[0]))
 	for _, row := range p.Coeffs {
 		for i, v := range row {
-			binary.LittleEndian.PutUint64(buf[8*i:], v)
+			binary.LittleEndian.PutUint64(b[8*i:], v)
 		}
-		m, err = w.Write(buf)
+		m, err = w.Write(b)
 		n += int64(m)
 		if err != nil {
 			return n, err
@@ -42,10 +47,11 @@ func (p *Poly) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadPoly deserializes a polynomial written by WriteTo. maxK and maxN cap
+// ReadPoly deserializes a polynomial written by WriteTo, reading through
+// the caller's byte scratch *buf as WriteToBuf writes. maxK and maxN cap
 // the accepted dimensions so a corrupt stream cannot drive huge
 // allocations.
-func ReadPoly(r io.Reader, maxK, maxN int) (*Poly, error) {
+func ReadPoly(r io.Reader, maxK, maxN int, buf *[]byte) (*Poly, error) {
 	hdr := [8]byte{}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -56,18 +62,27 @@ func ReadPoly(r io.Reader, maxK, maxN int) (*Poly, error) {
 		return nil, fmt.Errorf("ring: %w %dx%d", ErrDimensions, k, n)
 	}
 	p := &Poly{Coeffs: make([][]uint64, k)}
-	buf := make([]byte, 8*n)
+	b := rowBytes(buf, n)
 	for i := 0; i < k; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
 		row := make([]uint64, n)
 		for j := range row {
-			row[j] = binary.LittleEndian.Uint64(buf[8*j:])
+			row[j] = binary.LittleEndian.Uint64(b[8*j:])
 		}
 		p.Coeffs[i] = row
 	}
 	return p, nil
+}
+
+// rowBytes returns *buf resized to the bytes of one n-word row, growing
+// it when it is shorter.
+func rowBytes(buf *[]byte, n int) []byte {
+	if cap(*buf) < 8*n {
+		*buf = make([]byte, 8*n)
+	}
+	return (*buf)[:8*n]
 }
 
 // SerializedSize returns the byte size WriteTo will produce.
