@@ -20,7 +20,6 @@ import (
 var exportAllowlist = map[string]string{
 	"ring.NewBasisExtender":           "ROADMAP item 12 option (d): fast basis extension for the MNIST parameter fix",
 	"ring.BasisExtender.ExtendCoeffs": "ROADMAP item 12 option (d): fast basis extension for the MNIST parameter fix",
-	"ring.Ring.MulScalar":             "ROADMAP item 16: constants without plaintexts need a scalar multiply",
 	"hecnn.Network.EstimatePrecision": "ROADMAP item 9: the per-layer precision ledger starts from this estimate",
 	"mlaas.CheckAccounting":           "ROADMAP item 5's accounting gauge; every cluster test asserts this invariant",
 	"gateway.Gateway.RemoveShard":     "rolling drain, and the deferred registry-backed membership",

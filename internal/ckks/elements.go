@@ -95,7 +95,7 @@ func (enc *Encryptor) EncryptFrom(rows *ring.Rows, pt *Plaintext) *Ciphertext {
 	a := truncate(enc.pk.A, level)
 	r.MulCoeffs(ct.Value[0], b, u)
 	r.Add(ct.Value[0], ct.Value[0], e0)
-	r.Add(ct.Value[0], ct.Value[0], pt.Value)
+	addPlain(r, ct.Value[0], pt)
 	r.MulCoeffs(ct.Value[1], a, u)
 	r.Add(ct.Value[1], ct.Value[1], e1)
 	enc.rows.Recycle(u)

@@ -78,19 +78,33 @@ func (e *Encoder) slotBuf() []complex128 {
 // vector once and shares the Plaintext across every request on this
 // contract; TestPlaintextReuseContract pins it with digests.
 //
+// A plaintext holds its residues in Value, or, in constant form
+// (EncodeConst), in Const: one NTT-domain residue per limb, the word every
+// residue of that limb's row would repeat, and no rows. Every consumer
+// reads the constant form as the rows it stands for, to the same bits —
+// the evaluator ops as a scalar per limb, Encrypt and decoding likewise —
+// except WriteTo, which refuses it by name: a constant is a server-side
+// operand and has no wire form.
+//
 // IsMontgomery marks a PCmult operand whose residues are held as x·2^64
 // mod q (Encoder.MForm): MulPlainSum requires that form and MulPlainNew
 // accepts either. Every other consumer — AddPlainNew, Encrypt, decoding,
 // WriteTo — refuses it by name rather than read its residues as normal.
 type Plaintext struct {
 	Value        *ring.Poly
+	Const        []uint64
 	Scale        float64
 	IsNTT        bool
 	IsMontgomery bool
 }
 
 // Level returns the number of active primes in the plaintext.
-func (p *Plaintext) Level() int { return p.Value.K() }
+func (p *Plaintext) Level() int {
+	if p.Const != nil {
+		return len(p.Const)
+	}
+	return p.Value.K()
+}
 
 // errMontgomery is the refusal of a consumer that reads normal-form
 // residues only.
@@ -111,7 +125,14 @@ func (e *Encoder) MForm(pt *Plaintext) {
 	if pt.IsMontgomery {
 		panic("ckks: MForm: " + errMontgomery + " already")
 	}
-	e.params.Ring().MForm(pt.Value, pt.Value)
+	r := e.params.Ring()
+	if pt.Const != nil {
+		for j, v := range pt.Const {
+			pt.Const[j] = r.Mods[j].MForm(v)
+		}
+	} else {
+		r.MForm(pt.Value, pt.Value)
+	}
 	pt.IsMontgomery = true
 }
 
@@ -152,54 +173,62 @@ func (e *Encoder) encodeSlots(buf []complex128, level int, scale float64) *Plain
 	return &Plaintext{Value: pt, Scale: scale, IsNTT: true}
 }
 
-// EncodeConst encodes the real constant c broadcast across every slot.
-// A constant vector's canonical embedding is the constant polynomial
-// round(c·Δ), whose NTT image is that value at every evaluation point, so
-// the whole encode is one rounding plus a per-limb fill — no FFT and no
-// NTT. This is the fast path behind CryptoNets-style batched evaluation,
-// where every weight and bias is a broadcast scalar (hecnn.Plain.Const).
-// It is also at least as accurate as Encode of the broadcast vector: the
-// FFT round trip can only add rounding noise to the exact constant image.
+// EncodeConst encodes the real constant c broadcast across every slot, in
+// constant form. A constant vector's canonical embedding is the constant
+// polynomial round(c·Δ), whose NTT image is that value at every evaluation
+// point, so the whole encode is one rounding and one word per limb — no
+// FFT, no NTT and no rows. This is the operand form of CryptoNets-style
+// batched evaluation, where every weight and bias is a broadcast scalar
+// (hecnn.Plain.Const). It is also at least as accurate as Encode of the
+// broadcast vector: the FFT round trip can only add rounding noise to the
+// exact constant image.
 func (e *Encoder) EncodeConst(c float64, level int, scale float64) *Plaintext {
 	if level < 1 || level > e.params.L {
 		panic(fmt.Sprintf("ckks: encode level %d out of range [1,%d]", level, e.params.L))
 	}
 	r := e.params.Ring()
-	pt := r.NewPoly(level)
+	words := make([]uint64, level)
 	rounded := math.Round(c * scale)
 	if math.Abs(rounded) < math.MaxInt64/2 {
 		iv := int64(rounded)
-		for i := 0; i < level; i++ {
+		for i := range words {
 			q := r.Moduli[i]
-			var v uint64
 			if iv >= 0 {
-				v = uint64(iv) % q
+				words[i] = uint64(iv) % q
 			} else {
-				v = (q - uint64(-iv)%q) % q
-			}
-			row := pt.Coeffs[i]
-			for j := range row {
-				row[j] = v
+				words[i] = (q - uint64(-iv)%q) % q
 			}
 		}
-		return &Plaintext{Value: pt, Scale: scale, IsNTT: true}
-	}
-	// Magnitudes beyond a word: reduce via big.Int per limb, as setRounded.
-	bi := new(big.Int)
-	new(big.Float).SetFloat64(rounded).Int(bi)
-	for i := 0; i < level; i++ {
-		q := new(big.Int).SetUint64(r.Moduli[i])
-		rem := new(big.Int).Mod(bi, q)
-		if rem.Sign() < 0 {
-			rem.Add(rem, q)
-		}
-		v := rem.Uint64()
-		row := pt.Coeffs[i]
-		for j := range row {
-			row[j] = v
+	} else {
+		// Magnitudes beyond a word: reduce via big.Int per limb, as
+		// setRounded.
+		bi := new(big.Int)
+		new(big.Float).SetFloat64(rounded).Int(bi)
+		for i := range words {
+			q := new(big.Int).SetUint64(r.Moduli[i])
+			rem := new(big.Int).Mod(bi, q)
+			if rem.Sign() < 0 {
+				rem.Add(rem, q)
+			}
+			words[i] = rem.Uint64()
 		}
 	}
-	return &Plaintext{Value: pt, Scale: scale, IsNTT: true}
+	return &Plaintext{Const: words, Scale: scale, IsNTT: true}
+}
+
+// copyInto writes pt's residues into the rows of out, at pt's level; the
+// constant form fills each row with its limb's word.
+func (pt *Plaintext) copyInto(out *ring.Poly) {
+	if pt.Const == nil {
+		pt.Value.CopyInto(out)
+		return
+	}
+	for j, v := range pt.Const {
+		row := out.Coeffs[j]
+		for i := range row {
+			row[i] = v
+		}
+	}
 }
 
 // setRounded writes round(v) into coefficient j, handling magnitudes beyond
@@ -247,7 +276,7 @@ func (e *Encoder) decodeInto(buf []complex128, pt *Plaintext) {
 	poly := pt.Value
 	if pt.IsNTT {
 		poly = r.NewPolyFrom(e.rows, pt.Level())
-		pt.Value.CopyInto(poly)
+		pt.copyInto(poly)
 		r.INTT(poly)
 		defer e.rows.Recycle(poly)
 	}

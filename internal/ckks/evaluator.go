@@ -174,18 +174,45 @@ func (ev *Evaluator) AddPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	}
 	checkNormalForm(pt, "PCadd")
 	checkScales(ct.Scale, pt.Scale)
-	r := ev.params.Ring()
 	out := ev.copyCiphertext(ct)
-	r.Add(out.Value[0], out.Value[0], truncate(pt.Value, level))
+	addPlain(ev.params.Ring(), out.Value[0], pt)
 	ev.record(OpPCadd, level)
 	return out
+}
+
+// addPlain sets p += pt at p's level, for a normal-form pt at that level
+// or higher. A constant adds its limb's word to every residue of the row.
+func addPlain(r *ring.Ring, p *ring.Poly, pt *Plaintext) {
+	if v := pt.Value; v != nil {
+		if v.K() != p.K() {
+			v = truncate(v, p.K())
+		}
+		r.Add(p, p, v)
+		return
+	}
+	forRows(r, p.K(), func(j int) {
+		r.Mods[j].AddScalarVec(p.Coeffs[j], p.Coeffs[j], pt.Const[j])
+	})
+}
+
+// forRows runs fn for each of level residue rows, on the ring's pool when
+// a pointwise op over that many rows would fan out to it (RowPool).
+func forRows(r *ring.Ring, level int, fn func(j int)) {
+	if pool := r.RowPool(level); pool != nil {
+		pool.Do(level, fn)
+		return
+	}
+	for j := range level {
+		fn(j)
+	}
 }
 
 // MulPlainNew returns ct ⊙ pt (PCmult). Scales multiply; a Rescale is
 // normally applied afterwards, as in the paper's NKS pipeline. pt may be
 // in either form: a Montgomery-form operand multiplies by REDC, to the
-// same bits. pt is read-only (see the Plaintext reuse contract): it may be
-// shared by concurrent AddPlainNew/MulPlainNew calls.
+// same bits, and a constant multiplies each row by its limb's word. pt is
+// read-only (see the Plaintext reuse contract): it may be shared by
+// concurrent AddPlainNew/MulPlainNew calls.
 func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	level := ct.Level()
 	if pt.Level() < level {
@@ -194,12 +221,24 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	r := ev.params.Ring()
 	out := ev.newCiphertext(len(ct.Value), level)
 	out.Scale = ct.Scale * pt.Scale
-	ptv := truncate(pt.Value, level)
-	for i := range out.Value {
-		if pt.IsMontgomery {
-			r.MulCoeffsMont(out.Value[i], ct.Value[i], ptv)
-		} else {
-			r.MulCoeffs(out.Value[i], ct.Value[i], ptv)
+	if pt.Const != nil {
+		forRows(r, level, func(j int) {
+			m, w := r.Mods[j], pt.Const[j]
+			if pt.IsMontgomery {
+				w = m.MRed(w, 1) // back to normal form: w·2^64·2^-64
+			}
+			for i, p := range out.Value {
+				m.ScalarMulVec(p.Coeffs[j], ct.Value[i].Coeffs[j], w)
+			}
+		})
+	} else {
+		ptv := truncate(pt.Value, level)
+		for i := range out.Value {
+			if pt.IsMontgomery {
+				r.MulCoeffsMont(out.Value[i], ct.Value[i], ptv)
+			} else {
+				r.MulCoeffs(out.Value[i], ct.Value[i], ptv)
+			}
 		}
 	}
 	ev.record(OpPCmult, level)
@@ -210,17 +249,19 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // AddNew(acc, product), … pair by pair, as one multiply-accumulate per
 // coefficient with no intermediate ciphertext — the HE-MAC of the
 // accelerator's PCmult→CCadd stream, and bit-identical to those calls.
-// Every pts[i] must be in Montgomery form (Encoder.MForm). acc keeps its
-// scale, which must agree with each cts[i].Scale·pts[i].Scale, and drops
-// to the lowest level among acc and cts. cts[i] may be acc itself. The
+// Every pts[i] must be in Montgomery form (Encoder.MForm); rows and
+// constants may mix in one chain. acc keeps its scale, which must agree
+// with each cts[i].Scale·pts[i].Scale, and drops to the lowest level
+// among acc and cts. cts[i] may be acc itself. The
 // pts are read-only (see the Plaintext reuse contract). It records PCmult
 // and CCadd for each pair, the events of the calls it replaces.
 //
 // Rows run outside, on the ring's pool, and terms inside, as in
 // keySwitch: each term deposits an unreduced REDC product in [0, 2q)
-// (MulMontAddLazyVec), lazyMACGuard reduces before the accumulator could
-// overflow, and one ReduceVec per row leaves it canonical (the
-// lazy-reduction bounds contract, DESIGN.md §16). With no pool it
+// (MulMontAddLazyVec, or MulMontScalarAddLazyVec for a constant),
+// lazyMACGuard reduces before the accumulator could overflow, and one
+// ReduceVec per row leaves it canonical (the lazy-reduction bounds
+// contract, DESIGN.md §16). With no pool it
 // allocates nothing.
 func (ev *Evaluator) MulPlainSum(acc *Ciphertext, cts []*Ciphertext, pts []*Plaintext) {
 	if len(cts) != len(pts) {
@@ -265,7 +306,11 @@ func mulPlainSumRow(m modarith.Modulus, j int, acc *Ciphertext, cts []*Ciphertex
 		terms := 1
 		for i, ct := range cts {
 			terms = lazyMACGuard(m, terms, maxLazy, row)
-			m.MulMontAddLazyVec(row, ct.Value[part].Coeffs[j], pts[i].Value.Coeffs[j])
+			if c := pts[i].Const; c != nil {
+				m.MulMontScalarAddLazyVec(row, ct.Value[part].Coeffs[j], c[j])
+			} else {
+				m.MulMontAddLazyVec(row, ct.Value[part].Coeffs[j], pts[i].Value.Coeffs[j])
+			}
 		}
 		m.ReduceVec(row, row)
 	}
@@ -483,11 +528,12 @@ func (ev *Evaluator) keySwitch(k int, swk *SwitchingKey, src digitSource) (*ring
 
 // lazyMACGuard accounts for one more lazy MAC into the accumulators:
 // a reduced accumulator counts as one lazy term and every MulMontAddLazyVec
-// adds another, so when the next term would exceed maxLazy the accumulators
-// are reduced down to a single term. With 30–50-bit production primes
-// maxLazy is in the billions and the reduction never fires; it exists for
-// the q-near-2^62 corner the modarith property tests and
-// TestMulPlainSumLazyBound pin.
+// or MulMontScalarAddLazyVec adds another, so when the next term would
+// exceed maxLazy the accumulators are reduced down to a single term. With
+// 30–50-bit production primes maxLazy is in the billions and the
+// reduction never fires; it exists for the q-near-2^62 corner the
+// modarith property tests, TestMulPlainSumLazyBound and
+// TestMulPlainSumConstLazyBound pin.
 func lazyMACGuard(m modarith.Modulus, terms, maxLazy int, accs ...[]uint64) int {
 	if terms+1 > maxLazy {
 		for _, acc := range accs {

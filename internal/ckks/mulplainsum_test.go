@@ -10,6 +10,22 @@ import (
 	"fxhenn/internal/ring"
 )
 
+// randomCiphertext returns a degree-1 ciphertext of uniformly random
+// residues at level: an operand that need not decrypt to anything, so
+// every kernel sees residues across the whole of [0, q).
+func randomCiphertext(params Parameters, level int, scale float64, rng *rand.Rand) *Ciphertext {
+	ct := newCiphertextFrom(params, nil, 2, level)
+	ct.Scale = scale
+	for _, p := range ct.Value {
+		for j, row := range p.Coeffs {
+			for n := range row {
+				row[n] = rng.Uint64() % params.Ring().Moduli[j]
+			}
+		}
+	}
+	return ct
+}
+
 // randomChain returns terms ciphertexts and normal-form plaintexts of
 // uniformly random residues at params' top level, every scale 1, and a
 // random accumulator — operands that need not decrypt to anything, so
@@ -25,17 +41,9 @@ func randomChain(params Parameters, terms int, seed int64) (acc *Ciphertext, cts
 			}
 		}
 	}
-	ct := func() *Ciphertext {
-		c := newCiphertextFrom(params, nil, 2, level)
-		c.Scale = 1
-		for _, p := range c.Value {
-			fill(p.Coeffs)
-		}
-		return c
-	}
-	acc = ct()
+	acc = randomCiphertext(params, level, 1, rng)
 	for range terms {
-		cts = append(cts, ct())
+		cts = append(cts, randomCiphertext(params, level, 1, rng))
 		pt := &Plaintext{Value: r.NewPoly(level), Scale: 1, IsNTT: true}
 		fill(pt.Value.Coeffs)
 		pts = append(pts, pt)

@@ -143,7 +143,7 @@ func (ct *Ciphertext) SerializedSize() int {
 func (pt *Plaintext) Digest() string {
 	h := sha256.New()
 	if _, err := pt.WriteTo(h); err != nil {
-		panic(err) // a Montgomery-form plaintext; hash.Hash never errors on Write
+		panic(err) // a Montgomery-form or constant plaintext; hash.Hash never errors on Write
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -152,6 +152,9 @@ func (pt *Plaintext) Digest() string {
 func (pt *Plaintext) WriteTo(w io.Writer) (int64, error) {
 	if pt.IsMontgomery {
 		return 0, errors.New("ckks: WriteTo: " + errMontgomery)
+	}
+	if pt.Const != nil {
+		return 0, errors.New("ckks: WriteTo: plaintext is in constant form, an evaluator operand only")
 	}
 	var n int64
 	hdr := [11]byte{tagPlaintext}

@@ -49,7 +49,7 @@ func TestPlanCacheBytesMatchesWarm(t *testing.T) {
 // under the default 0 — so a warm table serves every consumption of an
 // evaluation's operand fold without one encode. The encode seam is
 // stubbed, so the test checks residency, not a thousand real MNIST
-// encodes; the table's byte accounting uses PlaintextBytes either way.
+// encodes; the table charges each slot its key's size either way.
 func TestAutoCacheBytesBSGSMNIST(t *testing.T) {
 	params := ckks.ParamsMNIST()
 	pnet := cnn.NewMNISTNet()

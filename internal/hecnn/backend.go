@@ -49,8 +49,9 @@ func (c *CT) Level() int { return c.level }
 // IsConst marks an operand whose slot vector is Const broadcast to every
 // slot — the shape of every weight and bias in CryptoNets-style batched
 // packing. Such an operand needs no Make: crypto backends encode it
-// through ckks.Encoder.EncodeConst (one rounding and a per-limb fill, no
-// FFT), and a batched program keeps tens of thousands of them.
+// through ckks.Encoder.EncodeConst into ckks's constant form (one
+// rounding and one word per limb, no FFT and no rows), so each of the
+// tens of thousands a batched program keeps resident costs level words.
 type Plain struct {
 	Make    func() []float64
 	IsConst bool

@@ -26,7 +26,7 @@ import (
 // Correctness never depends on residency, and a lookup takes no lock and
 // allocates nothing. Lowering interns an IsConst operand by value, so one
 // broadcast scalar consumed in one form is one slot wherever the program
-// uses it.
+// uses it, and the slot holds ckks's constant form: one word per level.
 //
 // The table is immutable once Warm returns, so a warm handle is safe to
 // share across concurrent requests: the encoder is only read, and
@@ -107,7 +107,7 @@ func (t *operandTable) Warm(startLevel int) {
 	t.prog.residents(&t.params, startLevel, t.maxBytes, func(s int, k operandKey) {
 		t.slots[s] = t.encode(t.prog.plain(k.plain), k)
 		t.entries++
-		t.bytes += int64(t.params.PlaintextBytes(k.level))
+		t.bytes += k.bytes(&t.params)
 	})
 	t.publish(1)
 }
@@ -136,12 +136,13 @@ func (t *operandTable) source(w Plain, k operandKey) *ckks.Plaintext {
 // PlanCacheBytes returns the exact resident size of net's operand table
 // after Warm(startLevel) with every operand resident — the budget that
 // keeps steady state encode-free. It folds the table's residency rule
-// without encoding anything, charging each resident slot
-// params.PlaintextBytes at its consumed level.
+// without encoding anything, charging each resident slot what Warm does:
+// params.PlaintextBytes at its consumed level, or one word per level for
+// a broadcast scalar.
 func PlanCacheBytes(net *Network, params ckks.Parameters, startLevel int) int64 {
 	var total int64
 	net.prog.residents(&params, startLevel, 0, func(_ int, k operandKey) {
-		total += int64(params.PlaintextBytes(k.level))
+		total += k.bytes(&params)
 	})
 	return total
 }
@@ -190,34 +191,30 @@ func NewCompiledBatched(net *BatchedNetwork, params ckks.Parameters, enc *ckks.E
 
 // EvaluateBatch combines per-request position-major ciphertext vectors
 // (CombineBatch — free at occupancy 1) and evaluates the batched network
-// through the table's backend, returning the logit ciphertexts each
-// member decrypts at its own slot. Evaluation-pipeline panics (missing
-// Galois keys, hostile levels) are recovered into the returned error:
-// members arrive from the network.
-func (cb *CompiledBatched) EvaluateBatch(ctx *Context, members [][]*CT) (outs []*CT, rec *Recorder, err error) {
+// through the table's backend, untraced, returning the logit ciphertexts
+// each member decrypts at its own slot. Evaluation-pipeline panics
+// (missing Galois keys, hostile levels) are recovered into the returned
+// error: members arrive from the network.
+func (cb *CompiledBatched) EvaluateBatch(ctx *Context, members [][]*CT) (outs []*CT, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			outs, rec = nil, nil
+			outs = nil
 			err = fmt.Errorf("hecnn: batched evaluation failed: %v", r)
 		}
 	}()
-	rec = NewRecorder()
-	b := cb.Backend(ctx, rec)
+	b := cb.Backend(ctx, nil)
 	combined, err := cb.net.CombineBatch(b, members)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return cb.net.Evaluate(b, combined), rec, nil
+	return cb.net.Evaluate(b, combined), nil
 }
 
 // RunBatch is BatchedNetwork.RunBatch through the table's backend: the
 // steady-state (zero-encode) counterpart, used by benchmarks and the
-// differential harness.
+// differential harness. It evaluates untraced, so its Recorder is always
+// nil; BatchedNetwork.Count folds the same program's trace.
 func (cb *CompiledBatched) RunBatch(ctx *Context, images []*cnn.Tensor) ([][]float64, *Recorder, error) {
-	rec := NewRecorder()
-	logits, err := cb.net.runBatch(ctx, images, cb.Backend(ctx, rec))
-	if err != nil {
-		return nil, nil, err
-	}
-	return logits, rec, nil
+	logits, err := cb.net.runBatch(ctx, images, cb.Backend(ctx, nil))
+	return logits, nil, err
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fxhenn/internal/ckks"
 	"fxhenn/internal/cnn"
 )
 
@@ -132,7 +133,7 @@ func TestCompiledBatchedEvaluateBatch(t *testing.T) {
 		}
 		members[m] = cts
 	}
-	outs, _, err := cb.EvaluateBatch(ctx, members)
+	outs, err := cb.EvaluateBatch(ctx, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +147,49 @@ func TestCompiledBatchedEvaluateBatch(t *testing.T) {
 		}
 	}
 
-	if _, _, err := cb.EvaluateBatch(ctx, nil); err == nil {
+	if _, err := cb.EvaluateBatch(ctx, nil); err == nil {
 		t.Error("empty member set accepted")
 	}
-	if _, _, err := cb.EvaluateBatch(ctx, [][]*CT{members[0][:1]}); err == nil {
+	if _, err := cb.EvaluateBatch(ctx, [][]*CT{members[0][:1]}); err == nil {
 		t.Error("ragged member accepted")
 	}
+}
+
+// TestCompiledBatchedTableHoldsWords: every operand of a batched program
+// is a broadcast scalar, so the warm MNIST table holds each resident
+// operand in constant form, one word per level. Its bytes are exactly
+// what the residency fold predicts, and exactly 1/N of what the same
+// slots would take as rows of N words.
+func TestCompiledBatchedTableHoldsWords(t *testing.T) {
+	pnet := cnn.NewMNISTNet()
+	pnet.InitWeights(1)
+	params, err := BatchedParams(ckks.ParamsMNIST(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bnet, err := CompileBatched(pnet, params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := params.MaxLevel()
+	cb := NewCompiledBatched(bnet, params, ckks.NewEncoder(params), 0)
+	cb.Warm(top)
+	var fold, rows int64
+	bnet.prog.residents(&params, top, 0, func(_ int, k operandKey) {
+		fold += k.bytes(&params)
+		rows += int64(params.PlaintextBytes(k.level))
+	})
+	got := cb.CacheStats().Bytes
+	if got != fold {
+		t.Fatalf("warm table holds %d bytes, the residency fold predicts %d", got, fold)
+	}
+	if rows != int64(params.N())*got {
+		t.Fatalf("table of %d bytes is not 1/%d of the %d bytes of rows", got, params.N(), rows)
+	}
+	for s, pt := range cb.slots {
+		if pt != nil && pt.Const == nil {
+			t.Fatalf("slot %d holds rows, not the constant form", s)
+		}
+	}
+	t.Logf("%d resident constants in %d bytes (%d as rows)", cb.CacheStats().Entries, got, rows)
 }

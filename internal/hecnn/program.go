@@ -546,6 +546,16 @@ type operandKey struct {
 	mont  bool // Montgomery form: a PCmult operand (ckks.Encoder.MForm)
 }
 
+// bytes is the resident size of k's plaintext: level words for an
+// interned broadcast scalar (a negative plain id), which encodes to
+// ckks's constant form, and level rows of N words otherwise.
+func (k operandKey) bytes(params *ckks.Parameters) int64 {
+	if k.plain < 0 {
+		return int64(k.level) * 8
+	}
+	return int64(params.PlaintextBytes(k.level))
+}
+
 // operands calls visit with the key of every plaintext operand
 // consumption, in evaluation order, under params' exact schedule from
 // inputs at startLevel — the keys the crypto backend's plainSource is
@@ -595,7 +605,7 @@ func (p *program) residents(params *ckks.Parameters, startLevel int, maxBytes in
 			return
 		}
 		seen[s] = true
-		size := int64(params.PlaintextBytes(k.level))
+		size := k.bytes(params)
 		if maxBytes > 0 && used+size > maxBytes {
 			return
 		}

@@ -455,8 +455,7 @@ func (b *batcher) evalMembers(cts [][]*hecnn.CT) (outs []*hecnn.CT, err error) {
 	if b.evalHook != nil {
 		return b.evalHook(cts)
 	}
-	outs, _, err = b.cb.EvaluateBatch(b.ctx, cts)
-	return outs, err
+	return b.cb.EvaluateBatch(b.ctx, cts)
 }
 
 // degrade recovers a batch whose coalesced evaluation failed or whose

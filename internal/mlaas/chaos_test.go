@@ -57,8 +57,7 @@ func TestChaosBatchDegradation(t *testing.T) {
 		if len(cts) > 1 && coalescedCalls.Add(1)%2 == 1 {
 			return nil, errInjected
 		}
-		outs, _, err := bat.cb.EvaluateBatch(bat.ctx, cts)
-		return outs, err
+		return bat.cb.EvaluateBatch(bat.ctx, cts)
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

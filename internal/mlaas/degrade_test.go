@@ -241,8 +241,7 @@ func TestBatchDegradationEndToEnd(t *testing.T) {
 		if len(cts) > 1 && failCoalesced.Load() {
 			return nil, errInjected
 		}
-		outs, _, err := bat.cb.EvaluateBatch(bat.ctx, cts)
-		return outs, err
+		return bat.cb.EvaluateBatch(bat.ctx, cts)
 	}
 
 	img1, img2 := randomImage(60), randomImage(61)

@@ -407,8 +407,9 @@ func readResponse(r io.Reader, params ckks.Parameters, h header, want int) (resp
 		}
 	}
 	resp.cts = make([]*ckks.Ciphertext, count)
+	var row []byte // one row's bytes, shared by every ciphertext
 	for i := range resp.cts {
-		ct, err := ckks.ReadCiphertext(src, params)
+		ct, err := ckks.ReadCiphertextBuf(src, params, &row)
 		if err != nil {
 			// Under CRC framing a structural decode failure is corruption
 			// evidence: an honest server produces well-formed frames.

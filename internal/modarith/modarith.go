@@ -400,6 +400,39 @@ func (m Modulus) MulMontAddLazyVec(acc, a, bMont []uint64) {
 	}
 }
 
+// MulMontScalarAddLazyVec is MulMontAddLazyVec with every bMont[i] equal
+// to sMont: acc[i] += a[i]·x·2^-64 mod q for sMont = x·2^64 mod q, the
+// lazy MAC of a broadcast constant. Each call adds a value in [0, 2q) to
+// acc, the term bound of MulMontAddLazyVec, so the two kernels share one
+// MaxLazyAdds budget and may be mixed in one accumulation.
+func (m Modulus) MulMontScalarAddLazyVec(acc, a []uint64, sMont uint64) {
+	checkLen(len(acc), len(a), len(a))
+	n := len(acc) &^ 7
+	for i := 0; i < n; i += 8 {
+		x := (*[8]uint64)(a[i:])
+		z := (*[8]uint64)(acc[i:])
+		z[0] += m.MRedLazy(x[0], sMont)
+		z[1] += m.MRedLazy(x[1], sMont)
+		z[2] += m.MRedLazy(x[2], sMont)
+		z[3] += m.MRedLazy(x[3], sMont)
+		z[4] += m.MRedLazy(x[4], sMont)
+		z[5] += m.MRedLazy(x[5], sMont)
+		z[6] += m.MRedLazy(x[6], sMont)
+		z[7] += m.MRedLazy(x[7], sMont)
+	}
+	for i := n; i < len(acc); i++ {
+		acc[i] += m.MRedLazy(a[i], sMont)
+	}
+}
+
+// AddScalarVec computes out[i] = (a[i] + s) mod q for s < q.
+func (m Modulus) AddScalarVec(out, a []uint64, s uint64) {
+	checkLen(len(out), len(a), len(a))
+	for i := range out {
+		out[i] = addMod(a[i], s, m.Q)
+	}
+}
+
 // ScalarMulVec computes out[i] = (a[i] * s) mod q with a Shoup constant.
 func (m Modulus) ScalarMulVec(out, a []uint64, s uint64) {
 	checkLen(len(out), len(a), len(a))

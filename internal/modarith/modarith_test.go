@@ -222,6 +222,12 @@ func TestVecOps(t *testing.T) {
 			t.Fatal("ScalarMulVec mismatch")
 		}
 	}
+	m.AddScalarVec(out, a, s)
+	for i := range out {
+		if out[i] != m.Add(a[i], s) {
+			t.Fatal("AddScalarVec mismatch")
+		}
+	}
 	m.NegVec(out, a)
 	for i := range out {
 		if out[i] != m.Neg(a[i]) {

@@ -3,6 +3,7 @@ package modarith
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +221,43 @@ func TestMontgomeryVecKernels(t *testing.T) {
 			for i := range acc {
 				if acc[i] != ref[i] {
 					t.Fatalf("q=%d lazy MAC[%d]=%d want %d after %d rounds", q, i, acc[i], ref[i], rounds)
+				}
+			}
+
+			// Scalar lazy MAC: a broadcast constant deposits the same
+			// unreduced terms as MulMontAddLazyVec of the broadcast row,
+			// and the two kernels mix under one lazy budget.
+			s := b[n-1]
+			row := make([]uint64, n)
+			for i := range row {
+				row[i] = m.MForm(s)
+			}
+			accS := make([]uint64, n)
+			accV := make([]uint64, n)
+			ref = make([]uint64, n)
+			for r := 0; r < rounds; r++ {
+				m.MulMontScalarAddLazyVec(accS, a, m.MForm(s))
+				m.MulMontAddLazyVec(accV, a, row)
+				if !slices.Equal(accS, accV) {
+					t.Fatalf("q=%d scalar lazy MAC differs from the broadcast row after %d terms", q, r+1)
+				}
+				if r%2 == 1 {
+					m.MulMontAddLazyVec(accS, a, bMont)
+					m.MulMontAddLazyVec(accV, a, bMont)
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				for i := range ref {
+					ref[i] = m.Add(ref[i], m.Mul(a[i], s))
+				}
+				if r%2 == 1 {
+					m.MulAddVec(ref, a, b)
+				}
+			}
+			if rounds+rounds/2 <= m.MaxLazyAdds() {
+				m.ReduceVec(accS, accS)
+				if !slices.Equal(accS, ref) {
+					t.Fatalf("q=%d mixed scalar/row lazy MAC %v want %v", q, accS, ref)
 				}
 			}
 		}

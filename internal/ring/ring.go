@@ -259,14 +259,6 @@ func (r *Ring) RowPool(rows int) *parallel.Pool {
 	return nil
 }
 
-// MulScalar computes out = s * a for a word scalar s.
-func (r *Ring) MulScalar(out, a *Poly, s uint64) {
-	k := r.checkSameK(out, a)
-	r.do(k, minParallelCoeffs, func(i int) {
-		r.Mods[i].ScalarMulVec(out.Coeffs[i], a.Coeffs[i], r.Mods[i].Reduce(s))
-	})
-}
-
 // NTT transforms every residue row of p to the evaluation domain in place.
 // Rows are independent (one transform per RNS limb), so with a pool attached
 // each limb is a separate work item.
