@@ -93,9 +93,9 @@ func TestConstFormMatchesRows(t *testing.T) {
 	checkConstMatchesRows(t, paramsTest())
 }
 
-// TestConstFormMatchesRowsOnPool: at N = 8192 every op over the three
-// rows fans out to a pool as wide as GOMAXPROCS, and the constant form
-// still gives the rows' bits.
+// TestConstFormMatchesRowsOnPool: at N = 8192 MulPlainSum's three rows
+// fan out to a pool as wide as GOMAXPROCS, and the constant form still
+// gives the rows' bits.
 func TestConstFormMatchesRowsOnPool(t *testing.T) {
 	params := NewParameters(13, 30, 3, 45)
 	params.AttachPool(parallel.New(0))

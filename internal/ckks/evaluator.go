@@ -190,20 +190,8 @@ func addPlain(r *ring.Ring, p *ring.Poly, pt *Plaintext) {
 		r.Add(p, p, v)
 		return
 	}
-	forRows(r, p.K(), func(j int) {
-		r.Mods[j].AddScalarVec(p.Coeffs[j], p.Coeffs[j], pt.Const[j])
-	})
-}
-
-// forRows runs fn for each of level residue rows, on the ring's pool when
-// a pointwise op over that many rows would fan out to it (RowPool).
-func forRows(r *ring.Ring, level int, fn func(j int)) {
-	if pool := r.RowPool(level); pool != nil {
-		pool.Do(level, fn)
-		return
-	}
-	for j := range level {
-		fn(j)
+	for j, row := range p.Coeffs {
+		r.Mods[j].AddScalarVec(row, row, pt.Const[j])
 	}
 }
 
@@ -222,7 +210,7 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	out := ev.newCiphertext(len(ct.Value), level)
 	out.Scale = ct.Scale * pt.Scale
 	if pt.Const != nil {
-		forRows(r, level, func(j int) {
+		for j := range level {
 			m, w := r.Mods[j], pt.Const[j]
 			if pt.IsMontgomery {
 				w = m.MRed(w, 1) // back to normal form: w·2^64·2^-64
@@ -230,7 +218,7 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 			for i, p := range out.Value {
 				m.ScalarMulVec(p.Coeffs[j], ct.Value[i].Coeffs[j], w)
 			}
-		})
+		}
 	} else {
 		ptv := truncate(pt.Value, level)
 		for i := range out.Value {
@@ -256,13 +244,12 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // pts are read-only (see the Plaintext reuse contract). It records PCmult
 // and CCadd for each pair, the events of the calls it replaces.
 //
-// Rows run outside, on the ring's pool, and terms inside, as in
-// keySwitch: each term deposits an unreduced REDC product in [0, 2q)
-// (MulMontAddLazyVec, or MulMontScalarAddLazyVec for a constant),
+// Rows run outside, on the ring's pool when RowPool gives one, and terms
+// inside, as in keySwitch: each term deposits an unreduced REDC product in
+// [0, 2q) (MulMontAddLazyVec, or MulMontScalarAddLazyVec for a constant),
 // lazyMACGuard reduces before the accumulator could overflow, and one
 // ReduceVec per row leaves it canonical (the lazy-reduction bounds
-// contract, DESIGN.md §16). With no pool it
-// allocates nothing.
+// contract, DESIGN.md §16). On the serial path it allocates nothing.
 func (ev *Evaluator) MulPlainSum(acc *Ciphertext, cts []*Ciphertext, pts []*Plaintext) {
 	if len(cts) != len(pts) {
 		panic(fmt.Sprintf("ckks: MulPlainSum of %d ciphertexts and %d plaintexts", len(cts), len(pts)))
@@ -501,7 +488,7 @@ func (ev *Evaluator) keySwitch(k int, swk *SwitchingKey, src digitSource) (*ring
 	// per work item, which src.row overwrites whole.
 	u0, u1, uP := r.NewPolyFrom(ev.rows, k), r.NewPolyFrom(ev.rows, k), r.NewPolyFrom(ev.rows, 2)
 	digits := ev.scratchPoly(k + 1)
-	r.Pool().Do(k+1, func(j int) {
+	r.RowPool(k+1).Do(k+1, func(j int) {
 		rj, kj, acc0, acc1 := sp, kp, uP.Coeffs[0], uP.Coeffs[1]
 		if j < k {
 			rj, kj, acc0, acc1 = j, j, u0.Coeffs[j], u1.Coeffs[j]

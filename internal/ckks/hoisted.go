@@ -34,7 +34,7 @@ func (ev *Evaluator) decomposeForRotation(ct *Ciphertext) hoistedDecomposition {
 		}
 	}
 	// Each digit's extended-basis expansion writes only its own rows.
-	r.Pool().Do(k, func(i int) {
+	r.RowPool(k).Do(k, func(i int) {
 		for j, row := range hd[i] {
 			rj := j
 			if j == k {

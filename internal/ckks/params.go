@@ -15,9 +15,11 @@
 // recorder is intentionally unsynchronized). When a parallel.Pool is
 // attached to the parameters' ring (Parameters.AttachPool), key-switching
 // fans its k+1 extended-basis target rows out as independent work items,
-// hoisted decompositions expand their digits concurrently, and every ring
-// operation inherits limb parallelism — all bit-exact with serial
-// execution, which TestParallelMatchesSerialDigests pins. Encoder and
+// hoisted decompositions expand their digits concurrently, MulPlainSum
+// runs its rows concurrently, and the ring's transforms inherit limb
+// parallelism — each by the ring's one fan-out rule (ring.Ring.RowPool),
+// and all bit-exact with serial execution, which
+// TestParallelMatchesSerialDigests pins. Encoder and
 // Decryptor are likewise safe for concurrent use on distinct outputs. An
 // Encryptor is not — its sampler and its row list are its own — and
 // neither is an Evaluator scoped to one evaluation's rows (WithRows).

@@ -480,3 +480,17 @@ func BenchmarkRotateTestParams(b *testing.B) {
 // keySwitchCount counts the trace's KeySwitch operations (the "KS" column
 // of Table VII): every relinearization and rotation.
 func keySwitchCount(tr *Trace) int { return tr.Count(OpRelin) + tr.Count(OpRotate) }
+
+// Reset clears the trace.
+func (t *Trace) Reset() { t.Events = t.Events[:0] }
+
+// Count returns the number of events of the given op.
+func (t *Trace) Count(op Op) int {
+	n := 0
+	for _, e := range t.Events {
+		if e.Op == op {
+			n++
+		}
+	}
+	return n
+}

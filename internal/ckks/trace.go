@@ -61,17 +61,3 @@ type Trace struct {
 func (t *Trace) Record(op Op, level int) {
 	t.Events = append(t.Events, Event{Op: op, Level: level})
 }
-
-// Reset clears the trace.
-func (t *Trace) Reset() { t.Events = t.Events[:0] }
-
-// Count returns the number of events of the given op.
-func (t *Trace) Count(op Op) int {
-	n := 0
-	for _, e := range t.Events {
-		if e.Op == op {
-			n++
-		}
-	}
-	return n
-}

@@ -172,9 +172,6 @@ func (r *Recorder) TotalKeySwitches() int {
 	return n
 }
 
-// Layer returns the trace of the named layer, or nil.
-func (r *Recorder) Layer(name string) *LayerEvents { return r.byName[name] }
-
 // plainSource supplies the encoded form of plaintext operand w under key
 // k: the level and scale the schedule consumes it at, and its form. Its
 // two forms — Context.encodeOperand (uncached) and the compiled handles'

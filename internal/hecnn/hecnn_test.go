@@ -13,6 +13,9 @@ import (
 // mirrors the paper's parameter choice at small degree.
 func tinyParams() ckks.Parameters { return ckks.NewParameters(8, 30, 7, 45) }
 
+// Layer returns the trace of the named layer, or nil.
+func (r *Recorder) Layer(name string) *LayerEvents { return r.byName[name] }
+
 func randomImage(c, h, w int, seed int64) *cnn.Tensor {
 	img := cnn.NewTensor(c, h, w)
 	rng := rand.New(rand.NewSource(seed))

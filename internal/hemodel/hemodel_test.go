@@ -267,29 +267,6 @@ func TestInterLayerReuseSavesBRAM(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	g := MNISTGeometry
-	c := DefaultConfig()
-	if err := c.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	bad := c
-	bad.NcNTT = 0
-	if bad.Validate(g) == nil {
-		t.Fatal("nc=0 accepted")
-	}
-	bad = c
-	bad.Modules[profile.KeySwitch].Intra = 9
-	if bad.Validate(g) == nil {
-		t.Fatal("intra>L accepted")
-	}
-	bad = c
-	bad.Modules[0].Inter = 0
-	if bad.Validate(g) == nil {
-		t.Fatal("inter=0 accepted")
-	}
-}
-
 func TestGeometryFor(t *testing.T) {
 	g := GeometryFor(profile.PaperCIFAR10())
 	if g.N != 16384 || g.L != 7 || g.WordBits != 36 {

@@ -1,10 +1,6 @@
 package hemodel
 
-import (
-	"fmt"
-
-	"fxhenn/internal/profile"
-)
+import "fxhenn/internal/profile"
 
 // ModuleConfig is the parallelism of one HE operation module class:
 // P^intra parallel basic-module copies (how many RNS polynomials are
@@ -30,22 +26,6 @@ func DefaultConfig() Config {
 		c.Modules[i] = ModuleConfig{Intra: 1, Inter: 1}
 	}
 	return c
-}
-
-// Validate checks structural sanity against a geometry.
-func (c Config) Validate(g Geometry) error {
-	if c.NcNTT < 1 {
-		return fmt.Errorf("hemodel: nc_NTT %d < 1", c.NcNTT)
-	}
-	for op, m := range c.Modules {
-		if m.Intra < 1 || m.Intra > g.L {
-			return fmt.Errorf("hemodel: %v intra %d out of [1,%d]", profile.OpClass(op), m.Intra, g.L)
-		}
-		if m.Inter < 1 {
-			return fmt.Errorf("hemodel: %v inter %d < 1", profile.OpClass(op), m.Inter)
-		}
-	}
-	return nil
 }
 
 // StageCycles returns the pipeline-stage time of module class op at

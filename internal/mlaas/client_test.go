@@ -93,8 +93,8 @@ func TestClientRequestReusesRows(t *testing.T) {
 
 	positions := len(fx.henet.PackInput(img))
 	rowBytes := 8 * params.N()
-	if maxAllocs := 40 * positions; allocs > float64(maxAllocs) {
-		t.Errorf("a warm request allocates %.0f times, want at most %d (40 per position)", allocs, maxAllocs)
+	if maxAllocs := 22 * positions; allocs > float64(maxAllocs) {
+		t.Errorf("a warm request allocates %.0f times, want at most %d (22 per position)", allocs, maxAllocs)
 	}
 	// One ciphertext's rows are 2·levels rows; a request that allocated
 	// even one plaintext's rows per position would exceed this.

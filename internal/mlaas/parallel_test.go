@@ -111,7 +111,8 @@ func TestConcurrentEvaluateSharedPool(t *testing.T) {
 // Workers=1 server and a Workers=4 server must produce byte-identical
 // response ciphertexts — the serving-layer form of the determinism
 // guarantee. Identical key/encryption seeds make the full exchange
-// deterministic.
+// deterministic, and the 4-worker pool must execute items, so the
+// equality cannot hold just because nothing fanned out.
 func TestWorkersSerialAndParallelAgree(t *testing.T) {
 	run := func(workers int) string {
 		fx := newWorkersFixture(t, workers)
@@ -144,6 +145,9 @@ func TestWorkersSerialAndParallelAgree(t *testing.T) {
 		d := <-resp
 		cliConn.Close()
 		<-done
+		if st := fx.server.PoolStats(); workers > 1 && st.Dispatched+st.Inline == 0 {
+			t.Fatalf("the %d-worker pool never executed an item", workers)
+		}
 		return d
 	}
 	serial := run(1)

@@ -53,7 +53,6 @@ type Pool struct {
 	busy       atomic.Int64 // workers currently running a task
 	dispatched atomic.Int64 // items executed on pool workers
 	inline     atomic.Int64 // items executed on caller goroutines
-	calls      atomic.Int64 // Do invocations that fanned out
 
 	// Telemetry handles are nil until SetMetrics; telemetry's nil-safe
 	// handles make the updates free when metrics are disabled.
@@ -100,8 +99,7 @@ type Stats struct {
 	Workers    int   // fixed concurrency budget
 	Busy       int   // workers running a task right now
 	Dispatched int64 // items executed on pool workers
-	Inline     int64 // items executed on caller goroutines (pool saturated or serial cutoff)
-	Calls      int64 // Do invocations that fanned out to workers
+	Inline     int64 // items executed on caller goroutines (their own share, or all when the pool is saturated)
 }
 
 // Stats returns a snapshot of the scheduling counters.
@@ -114,7 +112,6 @@ func (p *Pool) Stats() Stats {
 		Busy:       int(p.busy.Load()),
 		Dispatched: p.dispatched.Load(),
 		Inline:     p.inline.Load(),
-		Calls:      p.calls.Load(),
 	}
 }
 
@@ -183,7 +180,6 @@ func (p *Pool) Do(n int, fn func(i int)) {
 	if helpers > n-1 {
 		helpers = n - 1
 	}
-	enlisted := 0
 	for h := 0; h < helpers; h++ {
 		wg.Add(1)
 		task := func() {
@@ -202,17 +198,12 @@ func (p *Pool) Do(n int, fn func(i int)) {
 		}
 		select {
 		case p.tasks <- task:
-			enlisted++
 		default:
 			// Every worker is busy (typically with an outer Do); give up
 			// on this helper and let the caller absorb the work.
 			wg.Done()
 		}
 	}
-	if enlisted > 0 {
-		p.calls.Add(1)
-	}
-
 	// The caller participates; if its own item panics, wait for helpers
 	// (so no goroutine still writes shared output) and let it propagate.
 	defer wg.Wait()

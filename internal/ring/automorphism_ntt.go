@@ -43,9 +43,9 @@ func (r *Ring) PermuteNTT(out, a *Poly, perm []int) {
 		panic("ring: PermuteNTT requires out != a")
 	}
 	k := r.checkSameK(out, a)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		PermuteVec(out.Coeffs[i], a.Coeffs[i], perm)
-	})
+	}
 }
 
 // PermuteNTTAdd adds the automorphism permutation of the NTT-domain
@@ -56,12 +56,12 @@ func (r *Ring) PermuteNTTAdd(out, a *Poly, perm []int) {
 		panic("ring: PermuteNTTAdd requires out != a")
 	}
 	k := r.checkSameK(out, a)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		m, dst, src := r.Mods[i], out.Coeffs[i], a.Coeffs[i]
 		for j, p := range perm {
 			dst[j] = m.Add(src[p], dst[j])
 		}
-	})
+	}
 }
 
 // PermuteVec applies the permutation to a single residue row.

@@ -8,13 +8,15 @@
 //
 // Parallelism contract: a Ring is immutable after construction except for
 // AttachPool, and every method is safe to call concurrently on distinct
-// polynomials. When a parallel.Pool is attached, row-parallel operations
-// (NTT, INTT, the pointwise vector ops, the centered divisions, Automorphism,
-// PermuteNTT) dispatch one work item per RNS limb once the work exceeds the
-// serial cutoffs below; each limb is computed by exactly the same scalar
-// code as the serial path, so parallel and serial execution are bit-exact.
-// Operations on the *same* Poly must still be externally serialized — the
-// pool parallelizes within one operation, not across operations.
+// polynomials. One rule decides every fan-out (RowPool): with a
+// parallel.Pool attached, a row loop of at least two items and at least
+// minParallelCoeffs coefficients between them runs one item per RNS limb
+// on the pool. The transforms, the centered divisions and Automorphism
+// follow it; the pointwise ops are O(N) per limb and always run serially.
+// Each item is computed by exactly the same scalar code as the serial
+// path, so parallel and serial execution are bit-exact. Operations on the
+// *same* Poly must still be externally serialized — the pool parallelizes
+// within one operation, not across operations.
 package ring
 
 import (
@@ -28,17 +30,10 @@ import (
 	"fxhenn/internal/parallel"
 )
 
-// Serial cutoffs for limb-parallel dispatch: a transform costs O(N log N)
-// per limb and is worth a pool item from modest degrees; pointwise ops are
-// O(N) per limb and need more total coefficients before the handoff pays.
-const (
-	// minParallelN is the smallest ring degree for which per-limb NTT/INTT
-	// (and the rescale/automorphism row loops) fan out to the pool.
-	minParallelN = 512
-	// minParallelCoeffs is the smallest total coefficient count (rows × N)
-	// for which pointwise vector ops fan out to the pool.
-	minParallelCoeffs = 1 << 14
-)
+// minParallelCoeffs is the fan-out cutoff of RowPool: the fewest
+// coefficients, summed over a loop's row items, worth a handoff to the
+// pool.
+const minParallelCoeffs = 1024
 
 // Ring bundles the transform tables and modular contexts for a fixed
 // polynomial degree N and a fixed maximal RNS basis q_0, ..., q_{k-1}.
@@ -62,10 +57,10 @@ type Ring struct {
 	pool atomic.Pointer[parallel.Pool]
 }
 
-// AttachPool makes subsequent row loops dispatch per-limb work items to p.
-// A nil p detaches the pool (all operations run serially). Safe to call
-// concurrently with evaluation; in-flight operations keep the pool they
-// started with.
+// AttachPool makes subsequent row loops that RowPool lets fan out
+// dispatch per-limb work items to p. A nil p detaches the pool (all
+// operations run serially). Safe to call concurrently with evaluation;
+// in-flight operations keep the pool they started with.
 func (r *Ring) AttachPool(p *parallel.Pool) {
 	if p == nil || p.Workers() <= 1 {
 		r.pool.Store(nil)
@@ -74,23 +69,16 @@ func (r *Ring) AttachPool(p *parallel.Pool) {
 	r.pool.Store(p)
 }
 
-// Pool returns the currently attached worker pool, or nil.
-func (r *Ring) Pool() *parallel.Pool { return r.pool.Load() }
-
-// do runs fn(i) for i in [0,n), fanning out to the attached pool when there
-// are at least two rows and the per-operation work clears minCoeffs total
-// coefficients. Rows always execute with the same scalar code as the serial
-// path, so the result is bit-exact either way.
-func (r *Ring) do(n, minCoeffs int, fn func(i int)) {
-	if n >= 2 && n*r.N >= minCoeffs {
-		if p := r.pool.Load(); p != nil {
-			p.Do(n, fn)
-			return
-		}
+// RowPool returns the attached pool when a loop over n row items of N
+// coefficients each should fan out to it — at least two items and at
+// least minParallelCoeffs coefficients between them — and nil when it
+// should run serially. It is the one fan-out rule of the ring and of its
+// callers that run their own row loops; a nil pool's Do runs serially.
+func (r *Ring) RowPool(n int) *parallel.Pool {
+	if n >= 2 && n*r.N >= minParallelCoeffs {
+		return r.pool.Load()
 	}
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
+	return nil
 }
 
 // NewRing constructs a ring of degree n over the given NTT-friendly prime
@@ -207,35 +195,35 @@ func (r *Ring) checkSameK(ps ...*Poly) int {
 // Add computes out = a + b componentwise (same levels required).
 func (r *Ring) Add(out, a, b *Poly) {
 	k := r.checkSameK(out, a, b)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		r.Mods[i].AddVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
+	}
 }
 
 // Neg computes out = -a.
 func (r *Ring) Neg(out, a *Poly) {
 	k := r.checkSameK(out, a)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		r.Mods[i].NegVec(out.Coeffs[i], a.Coeffs[i])
-	})
+	}
 }
 
 // MulCoeffs computes out = a ⊙ b, the pointwise product. In the NTT domain
 // this is negacyclic polynomial multiplication.
 func (r *Ring) MulCoeffs(out, a, b *Poly) {
 	k := r.checkSameK(out, a, b)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		r.Mods[i].MulVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
+	}
 }
 
 // MulCoeffsAdd computes out += a ⊙ b, both operands in normal form. The
 // HE-MAC of PCmult chains is ckks.Evaluator.MulPlainSum.
 func (r *Ring) MulCoeffsAdd(out, a, b *Poly) {
 	k := r.checkSameK(out, a, b)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		r.Mods[i].MulAddVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
+	}
 }
 
 // MulCoeffsMont computes out = a ⊙ b with b in Montgomery form (see
@@ -243,36 +231,34 @@ func (r *Ring) MulCoeffsAdd(out, a, b *Poly) {
 // place of Barrett.
 func (r *Ring) MulCoeffsMont(out, a, bMont *Poly) {
 	k := r.checkSameK(out, a, bMont)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		r.Mods[i].MulMontVec(out.Coeffs[i], a.Coeffs[i], bMont.Coeffs[i])
-	})
-}
-
-// RowPool returns the attached pool when a pointwise operation over rows
-// residue rows would fan out to it, and nil when it would run serially:
-// the dispatch rule of the pointwise ops, for callers that run their own
-// row loops.
-func (r *Ring) RowPool(rows int) *parallel.Pool {
-	if rows >= 2 && rows*r.N >= minParallelCoeffs {
-		return r.pool.Load()
 	}
-	return nil
 }
 
 // NTT transforms every residue row of p to the evaluation domain in place.
-// Rows are independent (one transform per RNS limb), so with a pool attached
-// each limb is a separate work item.
+// Rows are independent (one transform per RNS limb), so on RowPool's pool
+// each limb is a separate work item. Like every fan-out below, the closure
+// is built only on the pool branch, so the serial path allocates nothing.
 func (r *Ring) NTT(p *Poly) {
-	r.do(p.K(), 2*minParallelN, func(i int) {
-		r.Tables[i].Forward(p.Coeffs[i])
-	})
+	if pool := r.RowPool(p.K()); pool != nil {
+		pool.Do(p.K(), func(i int) { r.Tables[i].Forward(p.Coeffs[i]) })
+		return
+	}
+	for i, row := range p.Coeffs {
+		r.Tables[i].Forward(row)
+	}
 }
 
 // INTT transforms every residue row of p back to coefficient domain in place.
 func (r *Ring) INTT(p *Poly) {
-	r.do(p.K(), 2*minParallelN, func(i int) {
-		r.Tables[i].Inverse(p.Coeffs[i])
-	})
+	if pool := r.RowPool(p.K()); pool != nil {
+		pool.Do(p.K(), func(i int) { r.Tables[i].Inverse(p.Coeffs[i]) })
+		return
+	}
+	for i, row := range p.Coeffs {
+		r.Tables[i].Inverse(row)
+	}
 }
 
 // DivRoundByLastModulus implements the RNS Rescale basic step: it divides the
@@ -287,9 +273,13 @@ func (r *Ring) DivRoundByLastModulus(p *Poly) {
 	p.DropLast(1)
 	// Rows j < k-1 only read the shared last row and write their own row, so
 	// they are independent work items.
-	r.do(k-1, 2*minParallelN, func(j int) {
-		r.divRoundRow(p.Coeffs[j], last, j, k-1)
-	})
+	if pool := r.RowPool(k - 1); pool != nil {
+		pool.Do(k-1, func(j int) { r.divRoundRow(p.Coeffs[j], last, j, k-1) })
+		return
+	}
+	for j, row := range p.Coeffs {
+		r.divRoundRow(row, last, j, k-1)
+	}
 }
 
 // DivRoundByModulusNTT divides the NTT-domain polynomial p by the modulus
@@ -304,19 +294,29 @@ func (r *Ring) DivRoundByModulusNTT(p *Poly, last []uint64, m int) {
 	if k > m {
 		panic(fmt.Sprintf("ring: dividing %d rows by modulus %d", k, m))
 	}
-	// Every row divides by the shared coefficient-domain last row, so all
-	// k+1 inverse transforms run as one fan-out before the divisions.
-	r.do(k+1, 2*minParallelN, func(j int) {
-		if j == k {
-			r.Tables[m].Inverse(last)
-		} else {
-			r.Tables[j].Inverse(p.Coeffs[j])
-		}
-	})
-	r.do(k, 2*minParallelN, func(j int) {
-		r.divRoundRow(p.Coeffs[j], last, j, m)
-		r.Tables[j].Forward(p.Coeffs[j])
-	})
+	// Every row divides by the shared coefficient-domain last row, so on
+	// the pool all k+1 inverse transforms run as one fan-out before the
+	// divisions.
+	if pool := r.RowPool(k + 1); pool != nil {
+		pool.Do(k+1, func(j int) {
+			if j == k {
+				r.Tables[m].Inverse(last)
+			} else {
+				r.Tables[j].Inverse(p.Coeffs[j])
+			}
+		})
+		pool.Do(k, func(j int) {
+			r.divRoundRow(p.Coeffs[j], last, j, m)
+			r.Tables[j].Forward(p.Coeffs[j])
+		})
+		return
+	}
+	r.Tables[m].Inverse(last)
+	for j, row := range p.Coeffs {
+		r.Tables[j].Inverse(row)
+		r.divRoundRow(row, last, j, m)
+		r.Tables[j].Forward(row)
+	}
 }
 
 // divRoundRow folds the centered residues mod q_m in last out of row j of
@@ -362,9 +362,9 @@ func rescaleCoeff(mj modarith.Modulus, inv modarith.MulConst, c, lastC, half, ql
 // MACs can run REDC instead of Barrett.
 func (r *Ring) MForm(out, a *Poly) {
 	k := r.checkSameK(out, a)
-	r.do(k, minParallelCoeffs, func(i int) {
+	for i := range k {
 		r.Mods[i].MFormVec(out.Coeffs[i], a.Coeffs[i])
-	})
+	}
 }
 
 // Automorphism applies the Galois map X -> X^g to the coefficient-domain
@@ -378,24 +378,31 @@ func (r *Ring) Automorphism(out, a *Poly, g uint64) {
 	if g%2 == 0 {
 		panic("ring: automorphism exponent must be odd")
 	}
+	if pool := r.RowPool(k); pool != nil {
+		pool.Do(k, func(i int) { r.automorphismRow(out.Coeffs[i], a.Coeffs[i], r.Mods[i], g) })
+		return
+	}
+	for i := range k {
+		r.automorphismRow(out.Coeffs[i], a.Coeffs[i], r.Mods[i], g)
+	}
+}
+
+// automorphismRow applies X -> X^g to one residue row src mod m, writing
+// into dst.
+func (r *Ring) automorphismRow(dst, src []uint64, m modarith.Modulus, g uint64) {
 	n := uint64(r.N)
 	mask := 2*n - 1
-	r.do(k, 2*minParallelN, func(i int) {
-		m := r.Mods[i]
-		src := a.Coeffs[i]
-		dst := out.Coeffs[i]
-		idx := uint64(0)
-		for j := uint64(0); j < n; j++ {
-			// X^j -> X^(j*g mod 2N); exponents ≥ N wrap with a sign flip
-			// because X^N = -1.
-			if idx < n {
-				dst[idx] = src[j]
-			} else {
-				dst[idx-n] = m.Neg(src[j])
-			}
-			idx = (idx + g) & mask
+	idx := uint64(0)
+	for j := uint64(0); j < n; j++ {
+		// X^j -> X^(j*g mod 2N); exponents ≥ N wrap with a sign flip
+		// because X^N = -1.
+		if idx < n {
+			dst[idx] = src[j]
+		} else {
+			dst[idx-n] = m.Neg(src[j])
 		}
-	})
+		idx = (idx + g) & mask
+	}
 }
 
 // CRT reconstructs coefficients of level-k polynomials from their

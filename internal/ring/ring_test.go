@@ -260,6 +260,84 @@ func TestDivRoundParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRowPoolRule: a loop fans out only with at least two items and at
+// least 1024 coefficients between them. The mnist_batch8 ring (N = 16,
+// eight primes) stays serial at every loop width it runs, and a tiny
+// tenant's N = 256 ring fans its seven rows out.
+func TestRowPoolRule(t *testing.T) {
+	pool := parallel.New(2)
+	for _, c := range []struct {
+		n, items int
+		fans     bool
+	}{
+		{16, 1, false}, {16, 2, false}, {16, 8, false},
+		{256, 1, false}, {256, 3, false}, {256, 4, true}, {256, 7, true},
+		{2048, 1, false}, {2048, 2, true},
+	} {
+		r := testRing(t, c.n, 1)
+		if got := r.RowPool(c.items); got != nil {
+			t.Fatalf("N=%d, %d items: a pool with none attached", c.n, c.items)
+		}
+		r.AttachPool(pool)
+		if got := r.RowPool(c.items); (got == pool) != c.fans {
+			t.Errorf("N=%d, %d items: RowPool = %v, want fan-out %v", c.n, c.items, got, c.fans)
+		}
+	}
+}
+
+// TestRowOpsAllocs: the pointwise ops are plain row loops that allocate
+// nothing, with or without a pool, on a ring where every fan-out site
+// would use the pool; the transforms, the divisions and Automorphism
+// allocate nothing when they run serially.
+func TestRowOpsAllocs(t *testing.T) {
+	const k = 8
+	r := testRing(t, 2048, k)
+	s := NewSampler(r, 10)
+	a, b, out := s.Uniform(k), s.Uniform(k), r.NewPoly(k)
+	perm := r.NTTAutomorphismIndex(5)
+	rows := s.Uniform(k).Coeffs
+	div := &Poly{}
+	ops := []struct {
+		name      string
+		op        func()
+		pointwise bool
+	}{
+		{"Add", func() { r.Add(out, a, b) }, true},
+		{"Neg", func() { r.Neg(out, a) }, true},
+		{"MulCoeffs", func() { r.MulCoeffs(out, a, b) }, true},
+		{"MulCoeffsAdd", func() { r.MulCoeffsAdd(out, a, b) }, true},
+		{"MulCoeffsMont", func() { r.MulCoeffsMont(out, a, b) }, true},
+		{"MForm", func() { r.MForm(out, a) }, true},
+		{"PermuteNTT", func() { r.PermuteNTT(out, a, perm) }, true},
+		{"PermuteNTTAdd", func() { r.PermuteNTTAdd(out, a, perm) }, true},
+		{"NTT", func() { r.NTT(out) }, false},
+		{"INTT", func() { r.INTT(out) }, false},
+		{"Automorphism", func() { r.Automorphism(out, a, 5) }, false},
+		{"DivRoundByLastModulus", func() {
+			div.Coeffs = rows
+			r.DivRoundByLastModulus(div)
+		}, false},
+		{"DivRoundByModulusNTT", func() {
+			div.Coeffs = rows[:k-1]
+			r.DivRoundByModulusNTT(div, rows[k-1], k-1)
+		}, false},
+	}
+	check := func(where string, pointwiseOnly bool) {
+		for _, o := range ops {
+			if pointwiseOnly && !o.pointwise {
+				continue
+			}
+			if n := testing.AllocsPerRun(10, o.op); n != 0 {
+				t.Errorf("%s allocated %.1f times per call %s, want 0", o.name, n, where)
+			}
+		}
+	}
+	check("with no pool", false)
+	r.AttachPool(parallel.New(4))
+	defer r.AttachPool(nil)
+	check("with a pool", true)
+}
+
 func TestDivRoundPanicsAtLevel1(t *testing.T) {
 	r := testRing(t, 16, 2)
 	p := r.NewPoly(1)
