@@ -8,8 +8,8 @@
 //
 // The served model comes from the standard catalog (mlaas.StandardCatalog)
 // exactly as a registry tenant's does: -net names the model, -seed seeds
-// its weights and its key ceremony (the batch ring's ceremony uses
-// seed+1), so a client deriving from the same record —
+// its weights and its key ceremony, so a client deriving from the same
+// record —
 // mlaas.StandardTenantClient(registry.Record{Model: net, WeightSeed: seed,
 // KeySeed: seed}, …) with the routing frame cleared — holds the matching
 // secret key. The server never does. `go run ./examples/mlaas` runs a
@@ -19,10 +19,9 @@
 // -cache-bytes budgets the pre-encoded weights behind zero-encode
 // steady state; -workers sizes the evaluation pool (results are
 // bit-identical at any size); -bsgs compiles linear layers as
-// baby-step/giant-step diagonal transforms; -batch-size/-batch-window
-// coalesce concurrent requests into one position-major evaluation on a
-// small derived ring; -metrics-addr serves Prometheus text, JSON and
-// pprof, with -slow-threshold and -digest-interval logging over them;
+// baby-step/giant-step diagonal transforms; -metrics-addr serves
+// Prometheus text, JSON and pprof, and -slow-threshold logs slow
+// requests with their per-layer breakdown;
 // -trace-ring/-trace-sample/-trace-log keep tail-sampled request traces
 // at /debug/traces, stitched to wire-propagated client trace contexts;
 // -shed-ewma refuses requests whose projected completion misses their
@@ -34,8 +33,7 @@
 // Usage:
 //
 //	mlaas-server -addr 127.0.0.1:7100 -max-concurrent 4 -io-timeout 5s
-//	mlaas-server -batch-size 8 -batch-window 50ms
-//	mlaas-server -metrics-addr 127.0.0.1:7190 -slow-threshold 5s -digest-interval 30s
+//	mlaas-server -metrics-addr 127.0.0.1:7190 -slow-threshold 5s
 //	mlaas-server -shed-ewma 0.3 -queue-depth 8 -health-addr 127.0.0.1:7191
 //	mlaas-server -registry tenants.json
 package main
@@ -62,30 +60,26 @@ func main() {
 	seed := flag.Int64("seed", 1, "weight/key seed")
 	maxConcurrent := flag.Int("max-concurrent", 4, "evaluation slots before requests are refused busy")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue: requests beyond the evaluation slots wait here, up to their budget, before busy (0 = fail fast)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "residency budget for encoded weight plaintexts, LoLa and batch domain alike (0 = the whole operand set, negative = none resident: every request re-encodes; positive keeps operands in first-use order while they fit)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "residency budget for encoded weight plaintexts (0 = the whole operand set, negative = none resident: every request re-encodes; positive keeps operands in first-use order while they fit)")
 	workers := flag.Int("workers", 0, "evaluation worker pool size shared by all requests (0 = GOMAXPROCS, 1 = serial)")
 	bsgs := flag.Bool("bsgs", false, "compile linear layers as BSGS diagonal transforms (baby-step/giant-step rotations; falls back to the ladder where it loses)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "rolling per-read/write deadline")
 	requestBudget := flag.Duration("request-budget", 2*time.Minute, "total wall-clock budget per request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-	batchSize := flag.Int("batch-size", 0, "enable cross-request batched serving: coalesce up to this many concurrent requests into one position-major evaluation (0 disables)")
-	batchWindow := flag.Duration("batch-window", 20*time.Millisecond, "how long the oldest batched request waits for co-travellers before the batch flushes anyway (whole milliseconds)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address (empty disables)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "log requests slower than this with their per-layer breakdown (0 disables)")
-	digestInterval := flag.Duration("digest-interval", 0, "print a one-line telemetry digest at this interval (0 disables)")
 	shedEWMA := flag.Float64("shed-ewma", 0, "EWMA smoothing factor in (0,1] for deadline-aware load shedding; busy refusals then carry retry-after-ms hints (0 disables)")
-	traceRing := flag.Int("trace-ring", 0, "flight recorder capacity: keep this many error/slow/shed/degraded traces (and as many sampled healthy ones) for /debug/traces (0 disables tracing)")
+	traceRing := flag.Int("trace-ring", 0, "flight recorder capacity: keep this many error/slow/shed traces (and as many sampled healthy ones) for /debug/traces (0 disables tracing)")
 	traceSample := flag.Float64("trace-sample", 1, "probability a healthy trace is kept by the flight recorder (flagged traces are always kept)")
 	traceLog := flag.String("trace-log", "", "append every kept trace as one JSON line to this file (empty disables; requires -trace-ring)")
 	healthAddr := flag.String("health-addr", "", "serve /healthz and /readyz on this address (empty disables; health is also mounted on -metrics-addr)")
-	registryPath := flag.String("registry", "", "tenant registry JSON file: enable multi-tenant serving with per-tenant models, keys, quotas and batch domains from this on-disk registry (empty = single-tenant)")
+	registryPath := flag.String("registry", "", "tenant registry JSON file: enable multi-tenant serving with per-tenant models, keys and quotas from this on-disk registry (empty = single-tenant)")
 	flag.Parse()
 
 	// The key ceremony runs inside the catalog: it derives the secret key
 	// transiently and hands the server only evaluation keys.
 	tm, err := mlaas.StandardCatalog()(registry.Record{
 		Model: *netName, WeightSeed: *seed, KeySeed: *seed, BSGS: *bsgs,
-		Batch: registry.Batch{Size: *batchSize, WindowMS: int(*batchWindow / time.Millisecond)},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "model: %v\n", err)
@@ -130,7 +124,6 @@ func main() {
 		Metrics:              reg,
 		SlowRequestThreshold: *slowThreshold,
 		ShedEWMA:             *shedEWMA,
-		Batch:                tm.Batch,
 		Flight:               flight,
 		Registry:             tenantReg,
 	})
@@ -142,10 +135,6 @@ func main() {
 	}
 	fmt.Printf("mlaas-server: %s on %s (slots=%d workers=%d io-timeout=%v budget=%v)\n",
 		tm.Net.Name, l.Addr(), *maxConcurrent, server.PoolStats().Workers, *ioTimeout, *requestBudget)
-	if tm.Batch != nil {
-		fmt.Printf("mlaas-server: batched serving on logN=%d ring (batch-size=%d batch-window=%v)\n",
-			tm.Batch.Params.LogN, *batchSize, tm.Batch.Window)
-	}
 	if tenantReg != nil {
 		recs, err := tenantReg.List()
 		if err != nil {
@@ -191,10 +180,6 @@ func main() {
 			}
 		}()
 	}
-
-	digestStop := make(chan struct{})
-	defer close(digestStop)
-	go server.RunDigest(os.Stdout, *digestInterval, digestStop)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(l) }()

@@ -19,10 +19,10 @@ import (
 	"fxhenn/internal/registry"
 )
 
-// TestServerEndToEnd builds the binary, serves one unrouted and one
-// batched inference from clients derived from the same catalog record as
-// the server's flags, then drains it with SIGTERM. It pins that the
-// catalog-built default runtime matches a catalog-derived client.
+// TestServerEndToEnd builds the binary, serves one unrouted inference
+// from a client derived from the same catalog record as the server's
+// flags, then drains it with SIGTERM. It pins that the catalog-built
+// default runtime matches a catalog-derived client.
 func TestServerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
@@ -31,7 +31,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	cmd := exec.Command(bin, "-net", "tiny", "-seed", "3", "-addr", "127.0.0.1:0", "-batch-size", "2")
+	cmd := exec.Command(bin, "-net", "tiny", "-seed", "3", "-addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal("server never printed its listen address")
 	}
 
-	rec := registry.Record{Model: "tiny", WeightSeed: 3, KeySeed: 3, Batch: registry.Batch{Size: 2}}
+	rec := registry.Record{Model: "tiny", WeightSeed: 3, KeySeed: 3}
 	pnet, err := mlaas.StandardPlaintext(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -79,41 +79,25 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.Tenant, client.TenantGeneration = "", 0
-	bclient, err := mlaas.StandardTenantBatchClient(rec, 8)
+	img := cnn.NewTensor(pnet.InC, pnet.InH, pnet.InW)
+	for i := range img.Data {
+		img.Data[i] = float64(i%7) / 7
+	}
+	want := pnet.Infer(img)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name  string
-		infer func(context.Context, net.Conn, *cnn.Tensor) ([]float64, error)
-	}{
-		{"unrouted", func(ctx context.Context, conn net.Conn, img *cnn.Tensor) ([]float64, error) {
-			return client.Infer(ctx, conn, img)
-		}},
-		{"batched", func(ctx context.Context, conn net.Conn, img *cnn.Tensor) ([]float64, error) {
-			return bclient.Infer(ctx, conn, img)
-		}},
-	} {
-		img := cnn.NewTensor(pnet.InC, pnet.InH, pnet.InW)
-		for i := range img.Data {
-			img.Data[i] = float64(i%7) / 7
-		}
-		want := pnet.Infer(img)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		got, err := c.infer(ctx, conn, img)
-		cancel()
-		conn.Close()
-		if err != nil {
-			t.Fatalf("%s inference: %v", c.name, err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-2 {
-				t.Fatalf("%s logit %d: %g vs plaintext %g", c.name, i, got[i], want[i])
-			}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	got, err := client.Infer(ctx, conn, img)
+	cancel()
+	conn.Close()
+	if err != nil {
+		t.Fatalf("unrouted inference: %v", err)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-2 {
+			t.Fatalf("logit %d: %g vs plaintext %g", i, got[i], want[i])
 		}
 	}
 
@@ -132,7 +116,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server exit after SIGTERM: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "drained; served=2 ") {
-		t.Fatalf("no drained line with both inferences served:\n%s", out)
+	if !strings.Contains(out, "drained; served=1 ") {
+		t.Fatalf("no drained line with the inference served:\n%s", out)
 	}
 }

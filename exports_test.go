@@ -23,7 +23,6 @@ var exportAllowlist = map[string]string{
 	"hecnn.Network.EstimatePrecision": "ROADMAP item 9: the per-layer precision ledger starts from this estimate",
 	"mlaas.CheckAccounting":           "ROADMAP item 5's accounting gauge; every cluster test asserts this invariant",
 	"gateway.Gateway.RemoveShard":     "rolling drain, and the deferred registry-backed membership",
-	"mlaas.StandardTenantBatchClient": "ROADMAP item 13 deletes the batch domain with its client",
 	"cnn.NewMNISTDeepNet":             "test fixture shared by the cnn and hecnn tests",
 	"cnn.NewTinyPoolNet":              "test fixture shared by the cnn and hecnn tests",
 }

@@ -7,10 +7,10 @@ import (
 	"fxhenn/internal/ring"
 )
 
-// Evaluator executes homomorphic operations. It optionally records every
-// operation into a Trace, which is how the hecnn package derives the
-// per-layer HE-operation profiles (HOPs, KS counts) that drive the
-// accelerator's design space exploration.
+// Evaluator executes homomorphic operations. It records nothing: the
+// hecnn package counts the operations of its programs itself (its
+// Recorder), and those per-layer HE-operation profiles (HOPs, KS counts)
+// drive the accelerator's design space exploration.
 type Evaluator struct {
 	params Parameters
 	rlk    *RelinearizationKey
@@ -21,8 +21,6 @@ type Evaluator struct {
 	// rows, when not nil, supplies every output and temporary row and
 	// takes back the temporaries (WithRows).
 	rows *ring.Rows
-
-	Trace *Trace // optional; nil disables recording
 }
 
 // NewEvaluator creates an evaluator. rlk may be nil if CCmult is never used;
@@ -105,12 +103,6 @@ func (ev *Evaluator) permutation(g uint64) []int {
 	return ev.params.Ring().NTTAutomorphismIndex(g)
 }
 
-func (ev *Evaluator) record(op Op, level int) {
-	if ev.Trace != nil {
-		ev.Trace.Record(op, level)
-	}
-}
-
 // alignLevels returns views of a and b truncated to their common level.
 func alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext, int) {
 	la, lb := a.Level(), b.Level()
@@ -153,7 +145,6 @@ func (ev *Evaluator) Add(out, a, b *Ciphertext) {
 		r.Add(out.Value[i], av.Value[i], bv.Value[i])
 	}
 	out.Scale = av.Scale
-	ev.record(OpCCadd, level)
 }
 
 // dropTo truncates ct, written into as a destination, to level.
@@ -176,7 +167,6 @@ func (ev *Evaluator) AddPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	checkScales(ct.Scale, pt.Scale)
 	out := ev.copyCiphertext(ct)
 	addPlain(ev.params.Ring(), out.Value[0], pt)
-	ev.record(OpPCadd, level)
 	return out
 }
 
@@ -229,7 +219,6 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 			}
 		}
 	}
-	ev.record(OpPCmult, level)
 	return out
 }
 
@@ -241,8 +230,7 @@ func (ev *Evaluator) MulPlainNew(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // constants may mix in one chain. acc keeps its scale, which must agree
 // with each cts[i].Scale·pts[i].Scale, and drops to the lowest level
 // among acc and cts. cts[i] may be acc itself. The
-// pts are read-only (see the Plaintext reuse contract). It records PCmult
-// and CCadd for each pair, the events of the calls it replaces.
+// pts are read-only (see the Plaintext reuse contract).
 //
 // Rows run outside, on the ring's pool when RowPool gives one, and terms
 // inside, as in keySwitch: each term deposits an unreduced REDC product in
@@ -254,7 +242,7 @@ func (ev *Evaluator) MulPlainSum(acc *Ciphertext, cts []*Ciphertext, pts []*Plai
 	if len(cts) != len(pts) {
 		panic(fmt.Sprintf("ckks: MulPlainSum of %d ciphertexts and %d plaintexts", len(cts), len(pts)))
 	}
-	accLevel, level := acc.Level(), acc.Level()
+	level := acc.Level()
 	for i, ct := range cts {
 		if pts[i].Level() < ct.Level() {
 			panic("ckks: PCmult plaintext level below ciphertext level")
@@ -276,11 +264,6 @@ func (ev *Evaluator) MulPlainSum(acc *Ciphertext, cts []*Ciphertext, pts []*Plai
 		for j := range level {
 			mulPlainSumRow(r.Mods[j], j, acc, cts, pts)
 		}
-	}
-	for _, ct := range cts {
-		accLevel = min(accLevel, ct.Level())
-		ev.record(OpPCmult, ct.Level())
-		ev.record(OpCCadd, accLevel)
 	}
 }
 
@@ -318,7 +301,6 @@ func (ev *Evaluator) MulNew(a, b *Ciphertext) *Ciphertext {
 	r.MulCoeffs(d1, av.Value[0], bv.Value[1])
 	r.MulCoeffsAdd(d1, av.Value[1], bv.Value[0])
 	r.MulCoeffs(d2, av.Value[1], bv.Value[1])
-	ev.record(OpCCmult, level)
 	if ev.rlk == nil {
 		return out
 	}
@@ -349,7 +331,6 @@ func (ev *Evaluator) RelinearizeNew(ct *Ciphertext) *Ciphertext {
 	r.Add(out.Value[1], ct.Value[1], u1)
 	ev.rows.Recycle(u0)
 	ev.rows.Recycle(u1)
-	ev.record(OpRelin, level)
 	return out
 }
 
@@ -377,7 +358,6 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) {
 		ev.rows.RecycleRow(last)
 	}
 	ct.Scale /= float64(ev.params.Moduli[level-1])
-	ev.record(OpRescale, level)
 }
 
 // RotateNew rotates the slot vector left by k positions (a KeySwitch
@@ -421,7 +401,6 @@ func (ev *Evaluator) rotate(ct *Ciphertext, k int, hd hoistedDecomposition) *Cip
 		ev.rows.Recycle(src.cc)
 	}
 	r.PermuteNTTAdd(u0, ct.Value[0], perm)
-	ev.record(OpRotate, level)
 	return &Ciphertext{Value: []*ring.Poly{u0, u1}, Scale: ct.Scale}
 }
 

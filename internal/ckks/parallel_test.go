@@ -47,7 +47,6 @@ func TestParallelMatchesSerialDigests(t *testing.T) {
 	rots := []int{1, 2, 4, 8}
 	serial := newTestContext(t, rots)
 	par := newTestContext(t, rots) // separate Parameters → separate ring
-	par.eval.Trace = nil           // contract: concurrent-safe iff Trace nil
 	pool := parallel.New(4)        // force real workers even on 1 CPU
 	par.params.AttachPool(pool)
 	defer par.params.AttachPool(nil)
@@ -75,7 +74,6 @@ func TestParallelMatchesSerialDigests(t *testing.T) {
 func TestConcurrentEvaluatorsShareRing(t *testing.T) {
 	rots := []int{1, 2, 4, 8}
 	tc := newTestContext(t, rots)
-	tc.eval.Trace = nil
 	pool := parallel.New(3)
 	tc.params.AttachPool(pool)
 	defer tc.params.AttachPool(nil)

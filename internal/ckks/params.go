@@ -11,8 +11,8 @@
 // schedules are validated.
 //
 // Parallelism contract: an Evaluator is safe for concurrent use from
-// multiple goroutines if and only if its Trace field is nil (the trace
-// recorder is intentionally unsynchronized). When a parallel.Pool is
+// multiple goroutines, except one scoped to one evaluation's rows
+// (WithRows; see below). When a parallel.Pool is
 // attached to the parameters' ring (Parameters.AttachPool), key-switching
 // fans its k+1 extended-basis target rows out as independent work items,
 // hoisted decompositions expand their digits concurrently, MulPlainSum

@@ -3,7 +3,6 @@ package ckks
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -36,7 +35,6 @@ func newTestContext(t testing.TB, rotations []int) *testContext {
 		rtk = kg.GenRotationKeys(sk, rotations)
 	}
 	eval := NewEvaluator(params, rlk, rtk)
-	eval.Trace = &Trace{}
 	return &testContext{
 		params: params,
 		enc:    NewEncoder(params),
@@ -115,9 +113,8 @@ func TestAddAlignsMismatchedLevels(t *testing.T) {
 
 // TestDestinationFormsMatchNew: each destination form writes exactly what
 // its allocating form (or, for MulPlainSum, MulPlainNew then AddNew per
-// term) returns — digest, level, scale — and records the same trace
-// events, whichever operand it writes into and whatever the operands'
-// levels.
+// term) returns — digest, level, scale — whichever operand it writes
+// into and whatever the operands' levels.
 func TestDestinationFormsMatchNew(t *testing.T) {
 	tc := newTestContext(t, nil)
 	rng := rand.New(rand.NewSource(13))
@@ -163,18 +160,11 @@ func TestDestinationFormsMatchNew(t *testing.T) {
 			return a
 		}},
 	} {
-		tc.eval.Trace.Reset()
 		want := c.alloc()
-		wantEvents := append([]Event(nil), tc.eval.Trace.Events...)
-		tc.eval.Trace.Reset()
 		got := c.inPlace()
 		if got.Digest() != want.Digest() || got.Scale != want.Scale || got.Level() != want.Level() {
 			t.Errorf("%s: level %d scale %g differs from the allocating form's level %d scale %g, or its digest does",
 				c.name, got.Level(), got.Scale, want.Level(), want.Scale)
-		}
-		events := tc.eval.Trace.Events
-		if !slices.Equal(events, wantEvents) {
-			t.Errorf("%s: recorded %v, allocating form %v", c.name, events, wantEvents)
 		}
 	}
 }
@@ -323,36 +313,6 @@ func TestDropLevel(t *testing.T) {
 	requireClose(t, tc.decryptVec(ct)[:len(v)], v, 1e-4, "drop level")
 }
 
-func TestTraceRecording(t *testing.T) {
-	tc := newTestContext(t, []int{1})
-	rng := rand.New(rand.NewSource(21))
-	v := randVec(16, 1, rng)
-	ct := tc.encryptVec(v, 4)
-	pw := tc.enc.Encode(v, 4, tc.params.Scale)
-
-	tc.eval.Trace.Reset()
-	prod := tc.eval.MulPlainNew(ct, pw)
-	res := tc.eval.RescaleNew(prod)
-	sq := tc.eval.MulNew(res, res) // CCmult + Relin
-	_ = tc.eval.RotateNew(sq, 1)   // Rotate
-
-	tr := tc.eval.Trace
-	if tr.Count(OpPCmult) != 1 || tr.Count(OpRescale) != 1 || tr.Count(OpCCmult) != 1 ||
-		tr.Count(OpRelin) != 1 || tr.Count(OpRotate) != 1 {
-		t.Fatalf("trace counts wrong: %+v", tr.Events)
-	}
-	if ks := keySwitchCount(tr); ks != 2 {
-		t.Fatalf("KS count %d want 2", ks)
-	}
-	if len(tr.Events) != 5 {
-		t.Fatalf("total %d want 5", len(tr.Events))
-	}
-	// Levels recorded correctly: PCmult at 4, CCmult at 3.
-	if tr.Events[0].Level != 4 || tr.Events[2].Level != 3 {
-		t.Fatalf("levels wrong: %+v", tr.Events)
-	}
-}
-
 func TestEvaluatorValidation(t *testing.T) {
 	tc := newTestContext(t, nil)
 	v := randVec(8, 1, nil2())
@@ -475,22 +435,4 @@ func BenchmarkRotateTestParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tc.eval.RotateNew(ct, 1)
 	}
-}
-
-// keySwitchCount counts the trace's KeySwitch operations (the "KS" column
-// of Table VII): every relinearization and rotation.
-func keySwitchCount(tr *Trace) int { return tr.Count(OpRelin) + tr.Count(OpRotate) }
-
-// Reset clears the trace.
-func (t *Trace) Reset() { t.Events = t.Events[:0] }
-
-// Count returns the number of events of the given op.
-func (t *Trace) Count(op Op) int {
-	n := 0
-	for _, e := range t.Events {
-		if e.Op == op {
-			n++
-		}
-	}
-	return n
 }

@@ -2,9 +2,7 @@ package ckks
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -116,18 +114,6 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Digest returns the hex-encoded SHA-256 of the ciphertext's serialized
-// form. Two ciphertexts digest equal iff every RNS residue, the scale and
-// the degree are bit-identical — the equality the parallel-vs-serial
-// determinism tests pin.
-func (ct *Ciphertext) Digest() string {
-	h := sha256.New()
-	if _, err := ct.WriteTo(h); err != nil {
-		panic(err) // a Montgomery-form plaintext; hash.Hash never errors on Write
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // SerializedSize returns the exact wire size of the ciphertext.
 func (ct *Ciphertext) SerializedSize() int {
 	n := 10
@@ -135,17 +121,6 @@ func (ct *Ciphertext) SerializedSize() int {
 		n += p.SerializedSize()
 	}
 	return n
-}
-
-// Digest returns the hex-encoded SHA-256 of the plaintext's serialized
-// form — the witness of the Plaintext reuse contract: using a plaintext
-// as an evaluator operand never changes its digest.
-func (pt *Plaintext) Digest() string {
-	h := sha256.New()
-	if _, err := pt.WriteTo(h); err != nil {
-		panic(err) // a Montgomery-form or constant plaintext; hash.Hash never errors on Write
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // WriteTo serializes the plaintext (scale, NTT flag, poly).

@@ -51,13 +51,3 @@ type Event struct {
 	Op    Op
 	Level int
 }
-
-// Trace accumulates the HE operations executed by an Evaluator.
-type Trace struct {
-	Events []Event
-}
-
-// Record appends an event.
-func (t *Trace) Record(op Op, level int) {
-	t.Events = append(t.Events, Event{Op: op, Level: level})
-}

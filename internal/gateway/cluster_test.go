@@ -5,8 +5,8 @@ package gateway
 // byte-for-byte indistinguishable from one standalone server. Clients
 // with identical encryption seeds fire identical request bytes down both
 // paths and the harness compares SHA-256 digests of the raw response
-// streams across every compile mode (ladder, BSGS, batched) and
-// the legacy untenanted framing. The caching and tracing dimensions are
+// streams across both compile modes (ladder, BSGS) and the legacy
+// untenanted framing. The caching and tracing dimensions are
 // crossed in by construction: the reference server runs untraced with
 // the plaintext cache disabled while every shard serves traced from
 // warmed caches, so a single digest match simultaneously proves
@@ -27,7 +27,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -184,14 +183,9 @@ func (rc *recordConn) digests() (req, res string) {
 	return hex.EncodeToString(rq[:]), hex.EncodeToString(rs[:])
 }
 
-// inferrer is the slice of mlaas.Client/BatchClient the harness drives.
-type inferrer interface {
-	Infer(ctx context.Context, conn io.ReadWriter, img *cnn.Tensor) ([]float64, error)
-}
-
 // digestInfer runs one inference against addr and returns the logits
 // plus the request/response digests.
-func digestInfer(t *testing.T, cl inferrer, addr string, img *cnn.Tensor) ([]float64, string, string) {
+func digestInfer(t *testing.T, cl *mlaas.Client, addr string, img *cnn.Tensor) ([]float64, string, string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -228,8 +222,6 @@ var clusterModes = []struct {
 }{
 	{"ladder", registry.Record{Tenant: "t-ladder", Model: "tiny", WeightSeed: 100, KeySeed: 101}},
 	{"bsgs", registry.Record{Tenant: "t-bsgs", Model: "tinyconv", WeightSeed: 120, KeySeed: 121, BSGS: true}},
-	{"batched", registry.Record{Tenant: "t-batched", Model: "tiny", WeightSeed: 130, KeySeed: 131,
-		Batch: registry.Batch{Size: 2, WindowMS: 5}}},
 	{"legacy", registry.Record{}},
 }
 
@@ -260,7 +252,7 @@ func TestClusterDifferential(t *testing.T) {
 
 	for _, mode := range clusterModes {
 		t.Run(mode.name, func(t *testing.T) {
-			newClient := func(encSeed int64) (inferrer, *cnn.Network) {
+			newClient := func(encSeed int64) (*mlaas.Client, *cnn.Network) {
 				if mode.rec.Tenant == "" {
 					cl := mlaas.NewClient(base.params, base.henet, base.pk, base.sk, encSeed)
 					return cl, base.pnet
@@ -272,13 +264,6 @@ func TestClusterDifferential(t *testing.T) {
 				pnet, err := mlaas.StandardPlaintext(rec)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if rec.Batch.Size > 0 {
-					cl, err := mlaas.StandardTenantBatchClient(rec, encSeed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return cl, pnet
 				}
 				cl, err := mlaas.StandardTenantClient(rec, encSeed)
 				if err != nil {
@@ -366,9 +351,6 @@ func TestClusterPlacement(t *testing.T) {
 	c := newCluster(t, 2, base, recs...)
 
 	for _, rec := range recs {
-		if rec.Batch.Size > 0 {
-			continue // batched placement covered by the differential test
-		}
 		got, err := c.reg.Lookup(rec.Tenant)
 		if err != nil {
 			t.Fatal(err)

@@ -80,8 +80,8 @@ type Config struct {
 	// Default 3.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects before
-	// allowing a probe, jittered ±20% and not doubled across open cycles
-	// (mlaas.BreakerConfig with MaxCooldown = Cooldown). Default 5s.
+	// allowing a probe, jittered ±20% and the same on every open cycle
+	// (breaker.go). Default 5s.
 	BreakerCooldown time.Duration
 	// Metrics, when non-nil, receives the gateway metric families.
 	Metrics *telemetry.Registry
@@ -104,7 +104,7 @@ func (c Config) withDefaults() Config {
 // exchange breaker, and the in-flight count a rolling drain waits on.
 type shardState struct {
 	shard   Shard
-	breaker *mlaas.Breaker
+	breaker *breaker
 
 	mu     sync.Mutex
 	active int
@@ -192,12 +192,8 @@ func (g *Gateway) AddShard(s Shard) error {
 		return fmt.Errorf("gateway: shard %q already present", s.Name)
 	}
 	g.shards[s.Name] = &shardState{
-		shard: s,
-		breaker: mlaas.NewBreaker(mlaas.BreakerConfig{
-			Threshold:   g.cfg.BreakerThreshold,
-			Cooldown:    g.cfg.BreakerCooldown,
-			MaxCooldown: g.cfg.BreakerCooldown,
-		}),
+		shard:   s,
+		breaker: newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerCooldown),
 	}
 	g.ring.Add(s.Name)
 	return nil

@@ -19,8 +19,8 @@
 // Parallelism contract: a compiled Network and its program are immutable
 // and safe to evaluate from many goroutines, but a Backend instance is not
 // — its trace Recorder is unsynchronized, so concurrent evaluations (the
-// mlaas server) use one Backend per request over a shared Context whose
-// Evaluator has a nil Trace. Intra-evaluation parallelism (limb/digit/
+// mlaas server) use one Backend per request over a shared Context.
+// Intra-evaluation parallelism (limb/digit/
 // rotation granularity) comes from the worker pool attached to the
 // Context's ckks parameters, not from this package.
 package hecnn

@@ -20,18 +20,17 @@ import (
 // packing schemes" generality claim.
 //
 // Because a batched ciphertext only needs one slot per image, the packing
-// also decouples the ring degree from the image geometry: a serve path
-// that batches B requests can run on the smallest ring with ≥ B slots
-// (BatchedParams), while the LoLa path's ring must fit a whole image's
-// windows. That ring right-sizing, together with the amortization across
-// slots, is where the cross-request batch scheduler's per-image
-// throughput comes from.
+// also decouples the ring degree from the image geometry: a batch of B
+// images can run on the smallest ring with ≥ B slots (BatchedParams),
+// while the LoLa path's ring must fit a whole image's windows. That ring
+// right-sizing, together with the amortization across slots, is where
+// the batched path's per-image throughput comes from.
 //
-// Every function on this path that consumes user-controlled sizes —
-// CompileBatched, PackBatch, PackImage, CombineBatch, RunBatch — returns
-// errors instead of panicking: batch sizes and image shapes cross the
-// serving boundary, so violations are data errors, not bugs (the same
-// split validate.go documents for the LoLa path).
+// Every function on this path that consumes caller-controlled sizes —
+// CompileBatched, PackBatch, RunBatch — returns errors instead of
+// panicking: batch sizes and image shapes are data, so violations are
+// data errors, not bugs (the same split validate.go documents for the
+// LoLa path).
 
 // BatchedNetwork evaluates a CNN under position-major batched packing.
 type BatchedNetwork struct {
@@ -66,11 +65,8 @@ func CompileBatched(c *cnn.Network, slots int) (*BatchedNetwork, error) {
 }
 
 // InputSize returns the number of position-major ciphertexts one batch
-// (or one batched request) carries: the flat input tensor size.
+// carries: the flat input tensor size.
 func (n *BatchedNetwork) InputSize() int { return n.CNN.InC * n.CNN.InH * n.CNN.InW }
-
-// OutputSize returns the number of logit ciphertexts an evaluation yields.
-func (n *BatchedNetwork) OutputSize() int { return len(n.prog.outputs()) }
 
 // validateImage checks one image against the network's input geometry.
 func (n *BatchedNetwork) validateImage(b int, img *cnn.Tensor) error {
@@ -90,8 +86,8 @@ func (n *BatchedNetwork) validateImage(b int, img *cnn.Tensor) error {
 
 // PackBatch transposes a batch of images into position-major slot vectors:
 // out[p][b] = image b's value at flat position p. The batch size and every
-// image's shape are user-controlled at the serving boundary, so violations
-// are returned, not panicked.
+// image's shape are caller-controlled, so violations are returned, not
+// panicked.
 func (n *BatchedNetwork) PackBatch(images []*cnn.Tensor) ([][]float64, error) {
 	if len(images) == 0 || len(images) > n.Slots {
 		return nil, fmt.Errorf("hecnn: batch size %d outside [1,%d]", len(images), n.Slots)
@@ -113,56 +109,10 @@ func (n *BatchedNetwork) PackBatch(images []*cnn.Tensor) ([][]float64, error) {
 	return out, nil
 }
 
-// PackImage packs a single image for a cross-request batched submission:
-// one single-slot vector per flat position, the image's value in slot 0.
-// The batch scheduler places the request into its batch slot
-// homomorphically (CombineBatch), so the client need not know its slot
-// assignment before sending.
-func (n *BatchedNetwork) PackImage(img *cnn.Tensor) ([][]float64, error) {
-	if err := n.validateImage(0, img); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, n.InputSize())
-	for p := range out {
-		out[p] = []float64{img.Data[p]}
-	}
-	return out, nil
-}
-
-// CombineBatch merges per-request position-major ciphertext vectors (each
-// image's values in slot 0, as PackImage produces) into one batch: member
-// b's ciphertexts are rotated right by b — moving slot 0 into slot b —
-// and summed per position. Member 0 needs no rotation, so an occupancy-1
-// combine is free and returns the member's ciphertexts unchanged: the
-// scheduler's per-request fallback path. The backend must hold Galois
-// keys for BatchRotations(len(members)).
-func (n *BatchedNetwork) CombineBatch(b Backend, members [][]*CT) ([]*CT, error) {
-	if len(members) == 0 || len(members) > n.Slots {
-		return nil, fmt.Errorf("hecnn: batch occupancy %d outside [1,%d]", len(members), n.Slots)
-	}
-	size := n.InputSize()
-	for m, cts := range members {
-		if len(cts) != size {
-			return nil, fmt.Errorf("hecnn: batch member %d has %d position ciphertexts, want %d", m, len(cts), size)
-		}
-	}
-	if len(members) == 1 {
-		return members[0], nil
-	}
-	out := make([]*CT, size)
-	for p := 0; p < size; p++ {
-		acc := members[0][p]
-		for m := 1; m < len(members); m++ {
-			acc = b.CCadd(acc, b.Rotate(members[m][p], -m))
-		}
-		out[p] = acc
-	}
-	return out, nil
-}
-
-// BatchRotations returns the Galois rotation amounts CombineBatch needs
-// for a batch capacity: right-rotations by 1..capacity-1 (slot b
-// placement for members 1..capacity-1; member 0 is free).
+// BatchRotations returns the right-rotations by 1..capacity-1, which move
+// slot 0 into each other slot of a batch of that capacity. The batched
+// program itself rotates nothing; a key set generated for these amounts
+// can place a single-slot ciphertext into any batch slot.
 func BatchRotations(capacity int) []int {
 	if capacity < 2 {
 		return nil
@@ -174,7 +124,7 @@ func BatchRotations(capacity int) []int {
 	return ks
 }
 
-// BatchedParams derives the CKKS instantiation for a batched serve path
+// BatchedParams derives the CKKS instantiation for a batched evaluation
 // from the per-request parameter set: the same modulus chain (depth,
 // prime and special-prime sizes — the rescale schedule must support the
 // same network), on the smallest ring with at least capacity slots. A
@@ -297,8 +247,7 @@ func (n *BatchedNetwork) Evaluate(b Backend, cts []*CT) []*CT {
 // RunBatch encrypts a batch, evaluates it, and returns per-image logits
 // out[b][class] together with the trace. Evaluation-pipeline panics
 // (missing keys, level exhaustion from hostile parameters) are recovered
-// into the returned error: batch sizes and images are user-controlled at
-// the serving boundary.
+// into the returned error: batch sizes and images are caller-controlled.
 func (n *BatchedNetwork) RunBatch(ctx *Context, images []*cnn.Tensor) ([][]float64, *Recorder, error) {
 	rec := NewRecorder()
 	logits, err := n.runBatch(ctx, images, NewCryptoBackend(ctx, rec))
@@ -342,17 +291,6 @@ func decodeBatchLogits(ctx *Context, outs []*CT, batch int) [][]float64 {
 		}
 	}
 	return logits
-}
-
-// ValidateBatchCiphertexts checks one batched request before it may join
-// a batch: the position-major ciphertext count must match the flat input
-// size, and every ciphertext must be a fresh degree-1 ciphertext at
-// exactly level — the batched counterpart of Network.ValidateCiphertexts.
-func (n *BatchedNetwork) ValidateBatchCiphertexts(cts []*CT, level int) error {
-	if len(cts) != n.InputSize() {
-		return fmt.Errorf("hecnn: expected %d position-major ciphertexts, got %d", n.InputSize(), len(cts))
-	}
-	return validateFresh(cts, level)
 }
 
 // Count returns the batched evaluation's per-layer HE-operation trace from

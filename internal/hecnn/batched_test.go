@@ -156,12 +156,10 @@ func TestPackBatchValidation(t *testing.T) {
 	if _, _, err := bnet.RunBatch(nil, make([]*cnn.Tensor, 9)); err == nil {
 		t.Error("RunBatch accepted oversized batch")
 	}
-	if _, err := bnet.PackImage(cnn.NewTensor(1, 1, 1)); err == nil {
-		t.Error("PackImage accepted wrong-shape image")
-	}
 }
 
-// TestBatchedGeometry: InputSize/OutputSize walk the layer shapes.
+// TestBatchedGeometry: the input size and the program's logit count walk
+// the layer shapes.
 func TestBatchedGeometry(t *testing.T) {
 	bnet, err := CompileBatched(cnn.NewMNISTNet(), 8)
 	if err != nil {
@@ -170,8 +168,8 @@ func TestBatchedGeometry(t *testing.T) {
 	if got := bnet.InputSize(); got != 28*28 {
 		t.Errorf("InputSize = %d, want 784", got)
 	}
-	if got := bnet.OutputSize(); got != 10 {
-		t.Errorf("OutputSize = %d, want 10", got)
+	if got := len(bnet.prog.outputs()); got != 10 {
+		t.Errorf("%d logit outputs, want 10", got)
 	}
 }
 
@@ -197,108 +195,5 @@ func TestBatchedParams(t *testing.T) {
 	}
 	if _, err := BatchedParams(base, 1<<20); err == nil {
 		t.Error("absurd capacity accepted")
-	}
-}
-
-// TestCombineBatch: per-request slot-0 ciphertexts rotated into their batch
-// slots and summed give the same batch as PackBatch, end to end.
-func TestCombineBatch(t *testing.T) {
-	pnet := cnn.NewTinyNet()
-	pnet.InitWeights(91)
-	base := tinyParams()
-	params, err := BatchedParams(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bnet, err := CompileBatched(pnet, params.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(params, 92, BatchRotations(4))
-
-	images := []*cnn.Tensor{
-		randomImage(1, 8, 8, 30),
-		randomImage(1, 8, 8, 31),
-		randomImage(1, 8, 8, 32),
-	}
-	members := make([][]*CT, len(images))
-	for m, img := range images {
-		packed, err := bnet.PackImage(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts := make([]*CT, len(packed))
-		for p, v := range packed {
-			cts[p] = ctx.EncryptVector(v)
-		}
-		if err := bnet.ValidateBatchCiphertexts(cts, params.MaxLevel()); err != nil {
-			t.Fatal(err)
-		}
-		members[m] = cts
-	}
-
-	b := NewCryptoBackend(ctx, nil)
-	combined, err := bnet.CombineBatch(b, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := bnet.Evaluate(b, combined)
-	logits := decodeBatchLogits(ctx, outs, len(images))
-	for bi, img := range images {
-		want := pnet.Infer(img)
-		for i := range want {
-			if math.Abs(logits[bi][i]-want[i]) > 1e-2 {
-				t.Fatalf("image %d logit %d: %g vs %g", bi, i, logits[bi][i], want[i])
-			}
-		}
-	}
-
-	// Occupancy 1 skips the combine entirely: same slice back.
-	solo, err := bnet.CombineBatch(b, members[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range solo {
-		if solo[p] != members[0][p] {
-			t.Fatal("occupancy-1 combine did not pass ciphertexts through")
-		}
-	}
-
-	// Hostile occupancies and ragged members are errors.
-	if _, err := bnet.CombineBatch(b, nil); err == nil {
-		t.Error("empty combine accepted")
-	}
-	if _, err := bnet.CombineBatch(b, make([][]*CT, params.Slots()+1)); err == nil {
-		t.Error("over-capacity combine accepted")
-	}
-	if _, err := bnet.CombineBatch(b, [][]*CT{members[0][:3]}); err == nil {
-		t.Error("ragged member accepted")
-	}
-}
-
-// TestValidateBatchCiphertexts rejects malformed batched requests.
-func TestValidateBatchCiphertexts(t *testing.T) {
-	params := tinyParams()
-	bnet, err := CompileBatched(cnn.NewTinyNet(), params.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(params, 93, nil)
-	good := make([]*CT, bnet.InputSize())
-	for i := range good {
-		good[i] = ctx.EncryptVector([]float64{0.1})
-	}
-	if err := bnet.ValidateBatchCiphertexts(good, params.MaxLevel()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bnet.ValidateBatchCiphertexts(good[:3], params.MaxLevel()); err == nil {
-		t.Error("short request accepted")
-	}
-	if err := bnet.ValidateBatchCiphertexts(good, params.MaxLevel()-1); err == nil {
-		t.Error("wrong level accepted")
-	}
-	withNil := append(append([]*CT(nil), good[:len(good)-1]...), nil)
-	if err := bnet.ValidateBatchCiphertexts(withNil, params.MaxLevel()); err == nil {
-		t.Error("nil ciphertext accepted")
 	}
 }

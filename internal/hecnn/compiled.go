@@ -1,7 +1,6 @@
 package hecnn
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"fxhenn/internal/cache"
@@ -171,7 +170,7 @@ func NewCompiledNetwork(net *Network, params ckks.Parameters, enc *ckks.Encoder,
 	return cn
 }
 
-// CompiledBatched is the serve-path handle for a batched network: the
+// CompiledBatched is the steady-state handle for a batched network: the
 // BatchedNetwork plus its operand table. After Warm, steady-state batched
 // evaluation performs zero encoder calls (pinned by
 // TestCompiledBatchedZeroEncodeSteadyState).
@@ -182,32 +181,11 @@ type CompiledBatched struct {
 
 // NewCompiledBatched builds the batched handle; maxBytes has
 // NewCompiledNetwork's meaning. The encoder must belong to params — the
-// batched serve ring, not the LoLa ring.
+// batch ring, not the LoLa ring.
 func NewCompiledBatched(net *BatchedNetwork, params ckks.Parameters, enc *ckks.Encoder, maxBytes int64) *CompiledBatched {
 	cb := &CompiledBatched{net: net}
 	cb.init(net.prog, params, enc, maxBytes, "hecnn_batched_plaintext")
 	return cb
-}
-
-// EvaluateBatch combines per-request position-major ciphertext vectors
-// (CombineBatch — free at occupancy 1) and evaluates the batched network
-// through the table's backend, untraced, returning the logit ciphertexts
-// each member decrypts at its own slot. Evaluation-pipeline panics
-// (missing Galois keys, hostile levels) are recovered into the returned
-// error: members arrive from the network.
-func (cb *CompiledBatched) EvaluateBatch(ctx *Context, members [][]*CT) (outs []*CT, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			outs = nil
-			err = fmt.Errorf("hecnn: batched evaluation failed: %v", r)
-		}
-	}()
-	b := cb.Backend(ctx, nil)
-	combined, err := cb.net.CombineBatch(b, members)
-	if err != nil {
-		return nil, err
-	}
-	return cb.net.Evaluate(b, combined), nil
 }
 
 // RunBatch is BatchedNetwork.RunBatch through the table's backend: the

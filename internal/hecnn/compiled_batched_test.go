@@ -96,62 +96,9 @@ func TestCompiledBatchedMatchesUncached(t *testing.T) {
 		t.Fatalf("output counts differ: %d vs %d", len(outsA), len(outsB))
 	}
 	for i := range outsA {
-		if outsA[i].Ciphertext().Digest() != outsB[i].Ciphertext().Digest() {
+		if outsA[i].digest() != outsB[i].digest() {
 			t.Fatalf("logit %d: cached path diverged from uncached path", i)
 		}
-	}
-}
-
-// TestCompiledBatchedEvaluateBatch: the serve-path entry combines
-// per-request ciphertexts and evaluates; hostile members error, not panic.
-func TestCompiledBatchedEvaluateBatch(t *testing.T) {
-	pnet := cnn.NewTinyNet()
-	pnet.InitWeights(85)
-	base := tinyParams()
-	params, err := BatchedParams(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bnet, err := CompileBatched(pnet, params.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(params, 86, BatchRotations(4))
-	cb := NewCompiledBatched(bnet, params, ctx.Encoder, 0)
-	cb.Warm(params.MaxLevel())
-
-	images := []*cnn.Tensor{randomImage(1, 8, 8, 40), randomImage(1, 8, 8, 41)}
-	members := make([][]*CT, len(images))
-	for m, img := range images {
-		packed, err := bnet.PackImage(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts := make([]*CT, len(packed))
-		for p, v := range packed {
-			cts[p] = ctx.EncryptVector(v)
-		}
-		members[m] = cts
-	}
-	outs, err := cb.EvaluateBatch(ctx, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logits := decodeBatchLogits(ctx, outs, len(images))
-	for bi, img := range images {
-		want := pnet.Infer(img)
-		for i := range want {
-			if math.Abs(logits[bi][i]-want[i]) > 1e-2 {
-				t.Fatalf("image %d logit %d: %g vs %g", bi, i, logits[bi][i], want[i])
-			}
-		}
-	}
-
-	if _, err := cb.EvaluateBatch(ctx, nil); err == nil {
-		t.Error("empty member set accepted")
-	}
-	if _, err := cb.EvaluateBatch(ctx, [][]*CT{members[0][:1]}); err == nil {
-		t.Error("ragged member accepted")
 	}
 }
 

@@ -52,7 +52,7 @@ func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 			// Uncached reference run on its own fixture (same seeds).
 			_, net, ctx, img := compiledFixture(t, tc.opts)
 			out := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img))
-			wantDigest := out.Ciphertext().Digest()
+			wantDigest := out.digest()
 			wantLogits := ctx.DecryptVector(out)[:net.Layers[len(net.Layers)-1].OutElems()]
 
 			// Cached run: warm, then forbid encodes entirely.
@@ -69,7 +69,7 @@ func TestCompiledZeroEncodeSteadyState(t *testing.T) {
 			}
 			cts := encryptInput(net2, ctx2, img2)
 			got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), cts)
-			if d := got.Ciphertext().Digest(); d != wantDigest {
+			if d := got.digest(); d != wantDigest {
 				t.Fatalf("cached output digest %s != uncached %s", d, wantDigest)
 			}
 			gotLogits := ctx2.DecryptVector(got)[:net2.Layers[len(net2.Layers)-1].OutElems()]
@@ -156,7 +156,7 @@ func TestOperandFormInCacheKey(t *testing.T) {
 	if st := pc.CacheStats(); st.Entries != 2 || st.Misses != 2 {
 		t.Errorf("table holds %d entries after %d misses, want 2 and 2", st.Entries, st.Misses)
 	}
-	if got.Ciphertext().Digest() != want.Ciphertext().Digest() {
+	if got.digest() != want.digest() {
 		t.Error("cached evaluation differs from the uncached one")
 	}
 	if v, exact := ctx.DecryptVector(got)[0], x*0.75+(y+0.75)*0.75; math.Abs(v-exact) > 1e-3 {
@@ -181,14 +181,14 @@ func TestCompiledHandlePerProgram(t *testing.T) {
 	// Fresh fixtures with identical seeds: cached-BSGS must equal
 	// uncached-BSGS bit for bit.
 	_, dnet, dctx, dimg := compiledFixture(t, Options{BSGS: true})
-	want := dnet.EvaluateEncrypted(NewCryptoBackend(dctx, nil), encryptInput(dnet, dctx, dimg)).Ciphertext().Digest()
+	want := dnet.EvaluateEncrypted(NewCryptoBackend(dctx, nil), encryptInput(dnet, dctx, dimg)).digest()
 	_, dnet2, dctx2, dimg2 := compiledFixture(t, Options{BSGS: true})
 	cn2 := NewCompiledNetwork(dnet2, params, dctx2.Encoder, 0)
 	cn2.Warm(params.MaxLevel())
 	if cn2.EncodeCalls() == 0 {
 		t.Fatal("BSGS handle warmed nothing")
 	}
-	got := dnet2.EvaluateEncrypted(cn2.Backend(dctx2, nil), encryptInput(dnet2, dctx2, dimg2)).Ciphertext().Digest()
+	got := dnet2.EvaluateEncrypted(cn2.Backend(dctx2, nil), encryptInput(dnet2, dctx2, dimg2)).digest()
 	if got != want {
 		t.Fatalf("cached BSGS digest %s != uncached %s", got, want)
 	}
@@ -220,7 +220,7 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = encryptInput(net, ctx, img)
 		ref := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), inputs[i])
-		want[i] = ref.Ciphertext().Digest()
+		want[i] = ref.digest()
 	}
 
 	var wg sync.WaitGroup
@@ -230,7 +230,7 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			out := net.EvaluateEncrypted(cn.Backend(ctx, nil), inputs[i])
-			if d := out.Ciphertext().Digest(); d != want[i] {
+			if d := out.digest(); d != want[i] {
 				errs <- d + " != " + want[i]
 			}
 		}(i)
@@ -251,7 +251,7 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			out := net.EvaluateEncrypted(cn.Backend(ctx, nil), shared)
-			if d := out.Ciphertext().Digest(); d != want[0] {
+			if d := out.digest(); d != want[0] {
 				errs <- d + " != " + want[0]
 			}
 		}()
@@ -274,7 +274,7 @@ func TestCompiledConcurrentRequests(t *testing.T) {
 // the budget.
 func TestCompiledByteBudget(t *testing.T) {
 	_, net, ctx, img := compiledFixture(t, Options{})
-	want := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img)).Ciphertext().Digest()
+	want := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img)).digest()
 
 	params, net2, ctx2, img2 := compiledFixture(t, Options{})
 	top := params.MaxLevel()
@@ -298,7 +298,7 @@ func TestCompiledByteBudget(t *testing.T) {
 	if warm.Entries != len(resident) || warm.Bytes > budget || warm.Bytes == 0 {
 		t.Fatalf("warm table %+v, want %d entries within %d bytes", warm, len(resident), budget)
 	}
-	got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), encryptInput(net2, ctx2, img2)).Ciphertext().Digest()
+	got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), encryptInput(net2, ctx2, img2)).digest()
 	if got != want {
 		t.Fatalf("budgeted digest %s != uncached %s", got, want)
 	}
@@ -349,13 +349,13 @@ func TestCompiledOtherStartLevel(t *testing.T) {
 		return cts
 	}
 	_, net, ctx, img := compiledFixture(t, Options{})
-	want := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), lower(encryptInput(net, ctx, img))).Ciphertext().Digest()
+	want := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), lower(encryptInput(net, ctx, img))).digest()
 
 	params, net2, ctx2, img2 := compiledFixture(t, Options{})
 	cn := NewCompiledNetwork(net2, params, ctx2.Encoder, 0)
 	cn.Warm(params.MaxLevel())
 	warm := cn.CacheStats()
-	got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), lower(encryptInput(net2, ctx2, img2))).Ciphertext().Digest()
+	got := net2.EvaluateEncrypted(cn.Backend(ctx2, nil), lower(encryptInput(net2, ctx2, img2))).digest()
 	if got != want {
 		t.Fatalf("digest %s one level below Warm's != uncached %s", got, want)
 	}

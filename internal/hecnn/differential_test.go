@@ -1,6 +1,8 @@
 package hecnn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
@@ -76,7 +78,7 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 				rots := lola.RotationsNeeded(params.MaxLevel())
 				ctx1 := NewContext(params, ctxSeed, rots)
 				out1 := lola.EvaluateEncrypted(NewCryptoBackend(ctx1, nil), encryptInput(lola, ctx1, img))
-				lolaDigest := out1.Ciphertext().Digest()
+				lolaDigest := out1.digest()
 				checkLogits("lola", ctx1.DecryptVector(out1)[:outElems(lola)])
 
 				// Path 2 — compiled-cached: same seed, same operand stream
@@ -85,7 +87,7 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 				cn := NewCompiledNetwork(lola, params, ctx2.Encoder, 0)
 				cn.Warm(params.MaxLevel())
 				out2 := lola.EvaluateEncrypted(cn.Backend(ctx2, nil), encryptInput(lola, ctx2, img))
-				if d := out2.Ciphertext().Digest(); d != lolaDigest {
+				if d := out2.digest(); d != lolaDigest {
 					t.Errorf("compiled-cached digest %s != lola %s", d, lolaDigest)
 				}
 				checkLogits("compiled", ctx2.DecryptVector(out2)[:outElems(lola)])
@@ -107,17 +109,17 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 				ctx5 := NewContext(params, ctxSeed, drots)
 				out5 := diag.EvaluateEncrypted(NewCryptoBackend(ctx5, nil), encryptInput(diag, ctx5, img))
 				checkLogits("bsgs", ctx5.DecryptVector(out5)[:outElems(diag)])
-				bsgsDigest := out5.Ciphertext().Digest()
+				bsgsDigest := out5.digest()
 				ctx5b := NewContext(params, ctxSeed, drots)
 				out5b := diag.EvaluateEncrypted(NewCryptoBackend(ctx5b, nil), encryptInput(diag, ctx5b, img))
-				if d := out5b.Ciphertext().Digest(); d != bsgsDigest {
+				if d := out5b.digest(); d != bsgsDigest {
 					t.Errorf("bsgs path not deterministic: %s vs %s", d, bsgsDigest)
 				}
 				ctx5c := NewContext(params, ctxSeed, drots)
 				cnd := NewCompiledNetwork(diag, params, ctx5c.Encoder, 0)
 				cnd.Warm(params.MaxLevel())
 				out5c := diag.EvaluateEncrypted(cnd.Backend(ctx5c, nil), encryptInput(diag, ctx5c, img))
-				if d := out5c.Ciphertext().Digest(); d != bsgsDigest {
+				if d := out5c.digest(); d != bsgsDigest {
 					t.Errorf("bsgs cached digest %s != uncached %s", d, bsgsDigest)
 				}
 				if calls := cnd.EncodeCalls(); calls == 0 {
@@ -141,7 +143,7 @@ func TestDifferentialEvaluationPaths(t *testing.T) {
 				}{{"lola", lola, lolaDigest}, {"bsgs", diag, bsgsDigest}} {
 					ctx7 := viewContext(t, p.net, params, ctxSeed)
 					out7 := p.net.EvaluateEncrypted(NewCryptoBackend(ctx7, nil), encryptInput(p.net, ctx7, img))
-					if d := out7.Ciphertext().Digest(); d != p.digest {
+					if d := out7.digest(); d != p.digest {
 						t.Errorf("%s with level views: digest %s != full keys %s", p.name, d, p.digest)
 					}
 				}
@@ -247,11 +249,21 @@ func viewContext(t *testing.T, n *Network, params ckks.Parameters, seed int64) *
 // it does for any Backend outside this package.
 type passThrough struct{ Backend }
 
+// digest returns the hex SHA-256 of the handle's serialized ciphertext:
+// equal digests mean bit-identical residues, scale and degree.
+func (c *CT) digest() string {
+	h := sha256.New()
+	if _, err := c.Ciphertext().WriteTo(h); err != nil {
+		panic(err) // hash.Hash never errors on Write
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // digests returns each handle's ciphertext digest.
 func digests(cts []*CT) []string {
 	out := make([]string, len(cts))
 	for i, ct := range cts {
-		out[i] = ct.Ciphertext().Digest()
+		out[i] = ct.digest()
 	}
 	return out
 }
@@ -315,7 +327,7 @@ func inferenceDigest(pnet *cnn.Network, seed int64, opts Options, pool *parallel
 	ctx := NewContext(params, seed, net.RotationsNeeded(params.MaxLevel()))
 	img := randomImage(pnet.InC, pnet.InH, pnet.InW, seed)
 	out := net.EvaluateEncrypted(NewCryptoBackend(ctx, nil), encryptInput(net, ctx, img))
-	return out.Ciphertext().Digest()
+	return out.digest()
 }
 
 // TestParallelInferenceMatchesSerialDigests pins the end-to-end determinism

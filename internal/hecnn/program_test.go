@@ -401,13 +401,13 @@ func TestOwnershipExcludesSharedValues(t *testing.T) {
 	checkFusedMatchesUnfused(t, "hazards", fresh, eval(false), nil)
 
 	_, in := fresh()
-	want := eval(false)(NewCryptoBackend(NewContext(params, 71, []int{1}), nil), in)[0].Ciphertext().Digest()
+	want := eval(false)(NewCryptoBackend(NewContext(params, 71, []int{1}), nil), in)[0].digest()
 	ctx, in := fresh()
 	before := digests(in)
-	if got := eval(true)(NewCryptoBackend(ctx, nil), in)[0].Ciphertext().Digest(); got != want {
+	if got := eval(true)(NewCryptoBackend(ctx, nil), in)[0].digest(); got != want {
 		t.Errorf("owned inputs: output digest %s, want %s", got, want)
 	}
-	if in[0].Ciphertext().Value[0].Coeffs == nil || in[0].Ciphertext().Digest() == before[0] {
+	if in[0].Ciphertext().Value[0].Coeffs == nil || in[0].digest() == before[0] {
 		t.Error("owned inputs: the CCadd both inputs die at did not write into the first")
 	}
 	if in[1].Ciphertext().Value[0].Coeffs != nil {

@@ -40,10 +40,11 @@ func (n *Network) ValidateInput(img *cnn.Tensor) error {
 
 // ValidateCiphertexts checks a packed encrypted request before evaluation:
 // the ciphertext count must match the first convolution's packing, and
-// every ciphertext must be a fresh degree-1 ciphertext at exactly level —
-// the level the client is required to encrypt at, and the level the
-// compiled rescale schedule consumes from.
-func (n *Network) ValidateCiphertexts(cts []*CT, level int) error {
+// every ciphertext must be a fresh degree-1 ciphertext at exactly level
+// and scale — the level and scale the client is required to encrypt at,
+// and the ones the compiled schedule consumes from. A ciphertext at any
+// other scale would fail the evaluator's scale checks mid-network.
+func (n *Network) ValidateCiphertexts(cts []*CT, level int, scale float64) error {
 	conv, ok := n.Layers[0].(*ConvPacked)
 	if !ok {
 		return fmt.Errorf("hecnn: network %q does not start with a packed convolution", n.Name)
@@ -51,12 +52,6 @@ func (n *Network) ValidateCiphertexts(cts []*CT, level int) error {
 	if len(cts) != conv.NumPositions() {
 		return fmt.Errorf("hecnn: expected %d packed ciphertexts, got %d", conv.NumPositions(), len(cts))
 	}
-	return validateFresh(cts, level)
-}
-
-// validateFresh checks that every ciphertext is a fresh degree-1
-// ciphertext at exactly level with a plausible scale.
-func validateFresh(cts []*CT, level int) error {
 	for i, ct := range cts {
 		if ct == nil || ct.Ciphertext() == nil {
 			return fmt.Errorf("hecnn: ciphertext %d is nil", i)
@@ -68,8 +63,8 @@ func validateFresh(cts []*CT, level int) error {
 		if l := raw.Level(); l != level {
 			return fmt.Errorf("hecnn: ciphertext %d at level %d, want %d", i, l, level)
 		}
-		if s := raw.Scale; s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-			return fmt.Errorf("hecnn: ciphertext %d has implausible scale %g", i, s)
+		if s := raw.Scale; s != scale {
+			return fmt.Errorf("hecnn: ciphertext %d at scale %g, want %g", i, s, scale)
 		}
 	}
 	return nil

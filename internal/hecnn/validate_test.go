@@ -51,19 +51,25 @@ func TestValidateCiphertexts(t *testing.T) {
 		return cts
 	}
 
-	if err := henet.ValidateCiphertexts(fresh(params.MaxLevel()), params.MaxLevel()); err != nil {
+	if err := henet.ValidateCiphertexts(fresh(params.MaxLevel()), params.MaxLevel(), params.Scale); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
-	if err := henet.ValidateCiphertexts(fresh(params.MaxLevel())[:2], params.MaxLevel()); err == nil {
+	if err := henet.ValidateCiphertexts(fresh(params.MaxLevel())[:2], params.MaxLevel(), params.Scale); err == nil {
 		t.Fatal("wrong count accepted")
 	}
-	if err := henet.ValidateCiphertexts(fresh(params.MaxLevel()-1), params.MaxLevel()); err == nil ||
+	if err := henet.ValidateCiphertexts(fresh(params.MaxLevel()-1), params.MaxLevel(), params.Scale); err == nil ||
 		!strings.Contains(err.Error(), "level") {
 		t.Fatalf("wrong level: %v", err)
 	}
+	rescaled := fresh(params.MaxLevel())
+	rescaled[2].Ciphertext().Scale *= 2
+	if err := henet.ValidateCiphertexts(rescaled, params.MaxLevel(), params.Scale); err == nil ||
+		!strings.Contains(err.Error(), "scale") {
+		t.Fatalf("wrong scale: %v", err)
+	}
 	withNil := fresh(params.MaxLevel())
 	withNil[1] = nil
-	if err := henet.ValidateCiphertexts(withNil, params.MaxLevel()); err == nil {
+	if err := henet.ValidateCiphertexts(withNil, params.MaxLevel(), params.Scale); err == nil {
 		t.Fatal("nil ciphertext accepted")
 	}
 }

@@ -14,10 +14,10 @@ package mlaas
 // the builder derives the secret key transiently to produce the public
 // evaluation keys, then drops it — the server role never stores it.
 // Ceremony order: every key comes from one stream seeded by KeySeed, drawn
-// as secret key, public key, relinearization key, rotation keys (and the
-// same on the batch ring's KeySeed+1 stream). The builder draws the
-// public key it does not need, so that a record's evaluation keys do not
-// depend on whether the ceremony deriving them also publishes it.
+// as secret key, public key, relinearization key, rotation keys. The
+// builder draws the public key it does not need, so that a record's
+// evaluation keys do not depend on whether the ceremony deriving them
+// also publishes it.
 
 import (
 	"fmt"
@@ -66,36 +66,12 @@ func buildStandardModel(rec registry.Record) (*TenantModel, error) {
 	kg := ckks.NewKeyGenerator(params, rec.KeySeed)
 	sk := kg.GenSecretKey()
 	kg.GenPublicKey(sk) // see ceremony order above
-	tm := &TenantModel{
+	return &TenantModel{
 		Params: params,
 		Net:    henet,
 		Rlk:    kg.GenRelinearizationKey(sk),
 		Rtk:    kg.GenRotationKeys(sk, henet.RotationsNeeded(params.MaxLevel())),
-	}
-
-	if rec.Batch.Size > 0 {
-		bparams, err := hecnn.BatchedParams(params, rec.Batch.Size)
-		if err != nil {
-			return nil, fmt.Errorf("mlaas: tenant %q batch ring: %w", rec.Tenant, err)
-		}
-		bnet, err := hecnn.CompileBatched(pnet, bparams.Slots())
-		if err != nil {
-			return nil, fmt.Errorf("mlaas: tenant %q batch compile: %w", rec.Tenant, err)
-		}
-		// The batch ring gets its own ceremony one seed over.
-		bkg := ckks.NewKeyGenerator(bparams, rec.KeySeed+1)
-		bsk := bkg.GenSecretKey()
-		bkg.GenPublicKey(bsk)
-		tm.Batch = &BatchConfig{
-			Params: bparams,
-			Net:    bnet,
-			Rlk:    bkg.GenRelinearizationKey(bsk),
-			Rtk:    bkg.GenRotationKeys(bsk, hecnn.BatchRotations(rec.Batch.Size)),
-			Size:   rec.Batch.Size,
-			Window: rec.Batch.Window(),
-		}
-	}
-	return tm, nil
+	}, nil
 }
 
 // StandardTenantClient derives the client half of a tenant's standard-
@@ -114,33 +90,6 @@ func StandardTenantClient(rec registry.Record, encSeed int64) (*Client, error) {
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	c := NewClient(params, henet, pk, sk, encSeed)
-	c.Tenant = rec.Tenant
-	c.TenantGeneration = rec.Generation
-	return c, nil
-}
-
-// StandardTenantBatchClient is StandardTenantClient's counterpart for
-// the tenant's private batch domain; the record must enable batching.
-func StandardTenantBatchClient(rec registry.Record, encSeed int64) (*BatchClient, error) {
-	pnet, params, err := standardNet(rec.Model, rec.WeightSeed)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Batch.Size <= 0 {
-		return nil, fmt.Errorf("mlaas: tenant %q has no batch domain", rec.Tenant)
-	}
-	bparams, err := hecnn.BatchedParams(params, rec.Batch.Size)
-	if err != nil {
-		return nil, err
-	}
-	bnet, err := hecnn.CompileBatched(pnet, bparams.Slots())
-	if err != nil {
-		return nil, err
-	}
-	bkg := ckks.NewKeyGenerator(bparams, rec.KeySeed+1)
-	bsk := bkg.GenSecretKey()
-	bpk := bkg.GenPublicKey(bsk)
-	c := NewBatchClient(bparams, bnet, bpk, bsk, encSeed)
 	c.Tenant = rec.Tenant
 	c.TenantGeneration = rec.Generation
 	return c, nil

@@ -116,12 +116,12 @@ func (c *Client) inferSpan(ctx context.Context, conn io.ReadWriter, img *cnn.Ten
 	if err != nil {
 		return nil, &TransportError{Err: err}
 	}
-	resp, recv, err := readResponse(trw, c.params, h, 1)
+	out, recv, err := readResponse(trw, c.params, h)
 	c.BytesReceived += recv
 	if err != nil {
 		return nil, err
 	}
-	return c.decodeLogits(resp.cts[0]), nil
+	return c.decodeLogits(out), nil
 }
 
 // exchangeRows holds the process's idle row lists, per ring degree. An
@@ -202,95 +202,4 @@ func (c *Client) decodeLogits(out *ckks.Ciphertext) []float64 {
 	logits := c.encoder.Decode(c.decryptor.Decrypt(out))
 	rows := c.net.Layers[len(c.net.Layers)-1].OutElems()
 	return logits[:rows]
-}
-
-// BatchClient is the client side of cross-request batched serving. It
-// owns the secret key of the BATCH ring (a different instantiation from
-// the per-request ring — typically hecnn.BatchedParams), packs its image
-// position-major with the value in slot 0, and decrypts only its own
-// slot of the shared logit ciphertexts the server returns. Other members'
-// logits sit in other slots of the same ciphertexts; with a shared batch
-// key every member could read them, so a deployment batches mutually
-// trusting requests (one tenant), exactly as CryptoNets assumes.
-type BatchClient struct {
-	params    ckks.Parameters
-	net       *hecnn.BatchedNetwork
-	encoder   *ckks.Encoder
-	encryptor *ckks.Encryptor
-	decryptor *ckks.Decryptor
-
-	// Timeout is the rolling per-read/per-write deadline, as Client's.
-	Timeout time.Duration
-
-	// FrameCheck opts into CRC-framed responses, as Client's.
-	FrameCheck bool
-
-	// Tenant/TenantGeneration route batched requests to the tenant's
-	// private batch domain, as Client's fields do for the per-request
-	// path. Members of one batch always share a tenant — batching mixes
-	// slots within one key domain, never across tenants.
-	Tenant           string
-	TenantGeneration uint64
-
-	// Flight enables client-side tracing, as Client's: the server's
-	// batch-flush span links this request's trace.
-	Flight *telemetry.FlightRecorder
-
-	BytesSent     int64
-	BytesReceived int64
-}
-
-// NewBatchClient builds the batch-ring client from its key material.
-func NewBatchClient(params ckks.Parameters, bnet *hecnn.BatchedNetwork, pk *ckks.PublicKey, sk *ckks.SecretKey, seed int64) *BatchClient {
-	return &BatchClient{
-		params:    params,
-		net:       bnet,
-		encoder:   ckks.NewEncoder(params),
-		encryptor: ckks.NewEncryptor(params, pk, seed),
-		decryptor: ckks.NewDecryptor(params, sk),
-		Timeout:   30 * time.Second,
-	}
-}
-
-// Infer runs one batched encrypted inference: the image ships as one
-// single-slot ciphertext per tensor position and the logits come back at
-// the server-assigned slot of the shared output ciphertexts. The server
-// coalesces concurrent calls into one evaluation, so latency includes up
-// to one batch window of deliberate waiting.
-func (c *BatchClient) Infer(ctx context.Context, conn io.ReadWriter, img *cnn.Tensor) ([]float64, error) {
-	var sp *telemetry.Span
-	if c.Flight != nil {
-		sp = telemetry.StartTrace("batch-infer")
-	}
-	logits, err := c.inferSpan(ctx, conn, img, sp)
-	recordClientTrace(c.Flight, sp, err)
-	return logits, err
-}
-
-func (c *BatchClient) inferSpan(ctx context.Context, conn io.ReadWriter, img *cnn.Tensor, sp *telemetry.Span) ([]float64, error) {
-	packed, err := c.net.PackImage(img)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	dl, _ := ctx.Deadline()
-	trw := newTimedRW(conn, c.Timeout, dl)
-	h := header{trace: sp.Context(), route: RouteHeader{c.Tenant, c.TenantGeneration}, crc: c.FrameCheck, batch: true}
-	sent, err := writeRequest(trw, h, encryptAll(c.params, c.encoder, c.encryptor, nil, packed))
-	c.BytesSent += sent
-	if err != nil {
-		return nil, &TransportError{Err: err}
-	}
-	resp, recv, err := readResponse(trw, c.params, h, c.net.OutputSize())
-	c.BytesReceived += recv
-	if err != nil {
-		return nil, err
-	}
-	logits := make([]float64, len(resp.cts))
-	for i, ct := range resp.cts {
-		logits[i] = c.encoder.Decode(c.decryptor.Decrypt(ct))[resp.slot]
-	}
-	return logits, nil
 }

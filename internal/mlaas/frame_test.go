@@ -15,18 +15,18 @@ import (
 	"testing"
 	"time"
 
-	"fxhenn/internal/ckks"
 	"fxhenn/internal/faultnet"
 )
 
-// TestCRCMagicAboveCount pins the versioning mechanism: both magics must
-// read as hostile ciphertext counts on servers that predate them.
+// TestCRCMagicAboveCount pins the versioning mechanism: the CRC magic
+// must read as a hostile ciphertext count on servers that predate it, and
+// the retired batched framing's word on servers that no longer parse it.
 func TestCRCMagicAboveCount(t *testing.T) {
 	if crcMagic <= maxRequestCiphertexts {
 		t.Fatalf("crcMagic %#x not above maxRequestCiphertexts %d", crcMagic, maxRequestCiphertexts)
 	}
-	if batchMagic <= maxRequestCiphertexts {
-		t.Fatalf("batchMagic %#x not above maxRequestCiphertexts %d", batchMagic, maxRequestCiphertexts)
+	if retiredBatchMagic <= maxRequestCiphertexts {
+		t.Fatalf("retiredBatchMagic %#x not above maxRequestCiphertexts %d", retiredBatchMagic, maxRequestCiphertexts)
 	}
 }
 
@@ -215,79 +215,49 @@ func TestCRCDetectsTrailerCorruption(t *testing.T) {
 	}
 }
 
-// TestCRCBatchedInterop: the batched framing composes with the CRC
-// trailer — [crcMagic][batchMagic][count]... round-trips with verified
-// logits.
-func TestCRCBatchedInterop(t *testing.T) {
-	fx := newBatchFixture(t, Config{}, 2, 10*time.Millisecond)
-	img := randomImage(89)
-	want := fx.pnet.Infer(img)
-	bc := fx.batchClient(90)
-	bc.FrameCheck = true
-	conn, done := serveOne(t, fx.server)
-	defer func() { conn.Close(); <-done }()
-	got, err := bc.Infer(context.Background(), conn, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-2 {
-			t.Fatalf("logit %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
-// FuzzClientResponse hardens the client's response decode boundary, every
-// framing: arbitrary response bytes must produce a typed error or a valid
-// result, never a panic. readResponse touches no client state, so one
-// fixture serves every iteration.
+// FuzzClientResponse hardens the client's response decode boundary, with
+// and without the CRC trailer: arbitrary response bytes must produce a
+// typed error or a valid result, never a panic. readResponse touches no
+// client state, so one fixture serves every iteration.
 func FuzzClientResponse(f *testing.F) {
-	fx := newBatchFixture(f, Config{}, 2, time.Millisecond)
-	want := fx.bnet.OutputSize()
+	fx := newFixture(f)
 
-	// Genuine success frames (one per framing) give the fuzzer a foothold
-	// inside the ciphertext decoder.
+	// Genuine responses give the fuzzer a foothold inside the ciphertext
+	// decoder and the trailer check.
 	cts := fx.client.encryptRequest(randomImage(92))
-	packed, err := fx.bnet.PackImage(randomImage(93))
-	if err != nil {
-		f.Fatal(err)
-	}
-	bc := fx.batchClient(94)
-	bcts := encryptAll(fx.bparams, bc.encoder, bc.encryptor, nil, packed)
-	honest := func(h header, cts []*ckks.Ciphertext) []byte {
+	honest := func(h header) []byte {
 		var req bytes.Buffer
 		if _, err := writeRequest(&req, h, cts); err != nil {
 			f.Fatal(err)
 		}
 		return handleBuf(fx.server, req.Bytes()).Bytes()
 	}
-	single := honest(header{}, cts)
-	batched := honest(header{batch: true}, bcts)
+	single := honest(header{})
+	framed := honest(header{crc: true})
 
 	f.Add([]byte{})
 	f.Add([]byte{byte(StatusOK)})
 	f.Add([]byte{byte(StatusBusy), 3, 0, 0, 0, 'b', 'a', 'd'})
 	f.Add([]byte{byte(StatusBusy), 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(single)
-	f.Add(honest(header{crc: true}, cts))
-	f.Add(batched)
-	f.Add(honest(header{crc: true, batch: true}, bcts))
+	f.Add(framed)
+	f.Add(framed[:len(framed)-4])
+	badTrailer := append([]byte(nil), framed...)
+	badTrailer[len(badTrailer)-1] ^= 0x01
+	f.Add(badTrailer)
 	f.Add(single[:len(single)/2])
 	flipped := append([]byte(nil), single...)
 	flipped[12] ^= 0xA5
 	f.Add(flipped)
-	f.Add(append([]byte{byte(StatusOK)}, binary4(uint32(fx.bparams.Slots()))...))
+	f.Add(append([]byte{byte(StatusOK)}, binary4(uint32(fx.params.Slots()))...))
 	f.Add(append([]byte{byte(StatusOK), 0, 0, 0, 0}, binary4(maxRequestCiphertexts+1)...))
-	f.Add(batched[:len(batched)/2])
+	f.Add(handleBuf(fx.server, binary4(retiredBatchMagic)).Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Any outcome but a panic is acceptable; a structurally valid frame
 		// decodes, everything else must surface as a typed error.
 		for _, h := range []header{{}, {crc: true}} {
-			readResponse(bytes.NewReader(data), fx.params, h, 1) //nolint:errcheck
-		}
-		for _, h := range []header{{batch: true}, {crc: true, batch: true}} {
-			readResponse(bytes.NewReader(data), fx.bparams, h, want) //nolint:errcheck
+			readResponse(bytes.NewReader(data), fx.params, h) //nolint:errcheck
 		}
 	})
 }

@@ -46,12 +46,12 @@ func FuzzRouteHeader(f *testing.F) {
 	f.Add(route(RouteHeader{Tenant: "alice", Generation: 3}))
 	f.Add(append(route(RouteHeader{Tenant: "bob", Generation: 1}), u32(crcMagic)...))
 	f.Add(append(trace(), route(RouteHeader{Tenant: "carol", Generation: 2})...))
-	f.Add(append(trace(), u32(batchMagic)...))
+	f.Add(append(trace(), u32(retiredBatchMagic)...))
 	f.Add(u32(crcMagic))
-	f.Add(u32(batchMagic))
+	f.Add(u32(retiredBatchMagic))
 	f.Add(frames(header{route: RouteHeader{Tenant: "alice", Generation: 3}, crc: true}))
 	f.Add(frames(header{trace: telemetry.SpanContext{Trace: telemetry.TraceID{7}, Span: telemetry.SpanID{9}}, crc: true}))
-	f.Add(append(frames(header{crc: true}), u32(batchMagic)...))
+	f.Add(append(frames(header{crc: true}), u32(retiredBatchMagic)...))
 	truncated := route(RouteHeader{Tenant: "alice", Generation: 3})
 	f.Add(truncated[:len(truncated)-4])
 

@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-	"time"
 
 	"fxhenn/internal/hecnn"
 )
 
-// FuzzServerRequest hardens the request decode boundary, both framings:
-// an arbitrary byte stream through Server.Handle must terminate in a
-// typed refusal (or, for the vanishingly unlikely valid frame, a served
-// response) — never a panic, which the server surfaces as StatusInternal
-// and counts in Stats().Panics. The batched framing is enabled so the
-// magic-routed path is fuzzed too.
+// FuzzServerRequest hardens the request decode boundary: an arbitrary
+// byte stream through Server.Handle must terminate in a typed refusal
+// (or, for a valid frame, a served response) — never a panic, which the
+// server surfaces as StatusInternal and counts in Stats().Panics. The
+// seeds include the retired batched framing's magic, which must keep
+// being refused by the count guard, and a genuine request, which gives
+// the fuzzer a foothold past the header checks.
 func FuzzServerRequest(f *testing.F) {
-	fx := newBatchFixture(f, Config{}, 2, time.Millisecond)
+	fx := newFixture(f)
 	u32 := func(words ...uint32) []byte {
 		var buf bytes.Buffer
 		for _, w := range words {
@@ -26,38 +26,34 @@ func FuzzServerRequest(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	// A genuine single-slot ciphertext on the batch ring gives the fuzzer
-	// a foothold past the header checks.
-	vecs, err := fx.bnet.PackImage(randomImage(3))
-	if err != nil {
+	n := uint32(fx.henet.Layers[0].(*hecnn.ConvPacked).NumPositions())
+	cts := fx.client.encryptRequest(randomImage(3))
+	var req bytes.Buffer
+	if _, err := writeRequest(&req, header{}, cts); err != nil {
 		f.Fatal(err)
 	}
-	bc := fx.batchClient(4)
-	ct := bc.encryptor.Encrypt(bc.encoder.Encode(vecs[0], fx.bparams.MaxLevel(), fx.bparams.Scale))
-	var ctBuf bytes.Buffer
-	if _, err := ct.WriteTo(&ctBuf); err != nil {
-		f.Fatal(err)
-	}
-	validCT := ctBuf.Bytes()
+	valid := req.Bytes()
+	firstCT := valid[4 : 4+cts[0].SerializedSize()]
 
 	f.Add([]byte{})
 	f.Add([]byte{1, 0})
 	f.Add(u32(0))
 	f.Add(u32(maxRequestCiphertexts + 1))
 	f.Add(u32(1))
-	f.Add(u32(uint32(fx.henet.Layers[0].(*hecnn.ConvPacked).NumPositions())))
-	f.Add(u32(batchMagic))
-	f.Add(u32(batchMagic, 0))
+	f.Add(u32(n))
+	f.Add(u32(retiredBatchMagic))
+	f.Add(u32(retiredBatchMagic, 0))
 	f.Add(u32(crcMagic))
 	f.Add(u32(crcMagic, crcMagic))
-	f.Add(u32(crcMagic, batchMagic))
-	f.Add(u32(crcMagic, batchMagic, uint32(fx.bnet.InputSize())))
-	f.Add(u32(batchMagic, uint32(fx.bnet.InputSize())))
-	f.Add(append(u32(batchMagic, uint32(fx.bnet.InputSize())), validCT...))
-	f.Add(append(u32(batchMagic, uint32(fx.bnet.InputSize())), validCT[:len(validCT)/2]...))
-	mutated := append(u32(batchMagic, uint32(fx.bnet.InputSize())), validCT...)
+	f.Add(u32(crcMagic, retiredBatchMagic))
+	f.Add(u32(crcMagic, retiredBatchMagic, n))
+	f.Add(u32(retiredBatchMagic, n))
+	f.Add(append(u32(n), firstCT...))
+	f.Add(valid[:len(valid)/2])
+	mutated := append([]byte(nil), valid...)
 	mutated[12] ^= 0xFF
 	f.Add(mutated)
+	f.Add(valid)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := fx.server.Stats().Panics

@@ -6,11 +6,11 @@
 // client can decrypt. The wire volume it reports is the concrete form of
 // the paper's "5-6 orders of magnitude" ciphertext expansion.
 //
-// The wire format — request header frames, response framings, the CRC
-// trailer — is stated once, in wire.go, and every reader and writer of
-// it goes through that file's codec. server.go holds the server's
+// The wire format — request header frames, the response framing, the
+// CRC trailer — is stated once, in wire.go, and every reader and writer
+// of it goes through that file's codec. server.go holds the server's
 // configuration and connection lifecycle, request.go the one request
-// pipeline every framing and tenant shares, client.go the clients.
+// pipeline every tenant shares, client.go the client.
 //
 // The serving layer is production-shaped: per-connection I/O deadlines and
 // a total request budget, admission scheduling (MaxConcurrent evaluation

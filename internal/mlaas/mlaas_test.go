@@ -3,7 +3,10 @@ package mlaas
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -50,6 +53,29 @@ func newFixture(t testing.TB) *fixture {
 		rlk:    rlk,
 		rtk:    rtk,
 	}
+}
+
+// ctDigest returns the hex SHA-256 of ct's serialized form: equal digests
+// mean bit-identical ciphertexts.
+func ctDigest(ct *ckks.Ciphertext) string {
+	h := sha256.New()
+	if _, err := ct.WriteTo(h); err != nil {
+		panic(err) // hash.Hash never errors on Write
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// serveOne runs one Handle exchange on a pipe and returns the client end.
+func serveOne(t testing.TB, s *Server) (io.ReadWriteCloser, <-chan struct{}) {
+	t.Helper()
+	cliConn, srvConn := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer srvConn.Close()
+		s.Handle(srvConn)
+	}()
+	return cliConn, done
 }
 
 func randomImage(seed int64) *cnn.Tensor {

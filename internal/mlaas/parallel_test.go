@@ -136,7 +136,7 @@ func TestWorkersSerialAndParallelAgree(t *testing.T) {
 				resp <- "read: " + err.Error()
 				return
 			}
-			resp <- ct.Digest()
+			resp <- ctDigest(ct)
 		}()
 		client := NewClient(fx.params, fx.henet, fx.pk, fx.sk, 41)
 		if _, err := writeRequest(cliConn, header{}, client.encryptRequest(randomImage(7))); err != nil {

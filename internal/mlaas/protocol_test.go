@@ -58,6 +58,31 @@ func TestHostileCountRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
+// retiredBatchMagic is the word ("BTCH") that led the batched request
+// framing before the cross-request batched serve path was removed.
+const retiredBatchMagic uint32 = 0x42544348
+
+// TestBatchedDisabledServerRejectsMagic: a request in the retired batched
+// framing — bare, or behind the CRC frame — is refused with a typed
+// bad-request by the hostile-count guard, since the magic reads as a
+// ciphertext count above maxRequestCiphertexts.
+func TestBatchedDisabledServerRejectsMagic(t *testing.T) {
+	fx := newFixture(t)
+	for _, words := range [][]uint32{
+		{retiredBatchMagic, 64},
+		{crcMagic, retiredBatchMagic, 64},
+	} {
+		var req []byte
+		for _, w := range words {
+			req = binary.LittleEndian.AppendUint32(req, w)
+		}
+		st, msg := parseFailure(t, handleBuf(fx.server, req))
+		if st != StatusBadRequest || !strings.Contains(msg, "outside [1,") {
+			t.Fatalf("% x: status = %v (%q), want bad-count refusal", req, st, msg)
+		}
+	}
+}
+
 // TestTruncatedHeader: fewer than 4 header bytes is a clean bad-request.
 func TestTruncatedHeader(t *testing.T) {
 	fx := newFixture(t)

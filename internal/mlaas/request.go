@@ -1,9 +1,8 @@
 package mlaas
 
-// The request lifecycle, one pipeline for every framing and tenant:
+// The request lifecycle, one pipeline for every tenant:
 // admit → header → resolve tenant → read ciphertexts → validate →
-// evaluate (directly, or parked in the batch scheduler) → account →
-// respond.
+// evaluate → account → respond.
 
 import (
 	"errors"
@@ -120,20 +119,10 @@ func (s *Server) handleRequest(rw io.ReadWriter) (drain bool) {
 		return true
 	}
 	rt.timePhase(phaseQueue, wait)
-	// The batched path hands its slot back while the request parks in the
-	// batch (the flush re-acquires one slot for the whole batch), so the
-	// release must be idempotent.
-	slotHeld := true
-	releaseSlot := func() {
-		if slotHeld {
-			slotHeld = false
-			s.adm.release()
-		}
-	}
-	defer releaseSlot()
+	defer s.adm.release()
 
 	trw.abs = deadline
-	resp, err := s.serveRequest(trw, rt, releaseSlot)
+	resp, err := s.serveRequest(trw, rt)
 	if err == nil {
 		s.mu.Lock()
 		s.stats.Served++
@@ -178,7 +167,7 @@ func (s *Server) settle(rt *reqTrace, st Status) {
 // it — corrupt ciphertext structure surviving validation, scale drift in
 // the evaluator, a bug in a layer kernel — is confined to this request
 // and surfaced as StatusInternal.
-func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (resp []byte, err error) {
+func (s *Server) serveRequest(rw *timedRW, rt *reqTrace) (resp []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &wireError{StatusInternal, fmt.Sprintf("evaluation panic: %v", r)}
@@ -186,21 +175,21 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 	}()
 
 	// A routed request swaps the serving runtime from the default to the
-	// tenant's own: parameters, keys, compiled network, quota and batch
-	// domain.
+	// tenant's own: parameters, keys, compiled network and quota.
 	run, quota := s.def, false
-	h, err := readHeader(rw, func(h *header) (bool, error) {
-		if !h.route.IsZero() {
-			var we *wireError
-			if run, we = s.resolveTenant(h.route); we != nil {
-				return false, we
-			}
-			rt.setTenant(h.route.Tenant)
-			if quota = run.acquireQuota(); !quota {
-				return false, &wireError{StatusBusy, fmt.Sprintf("tenant %q at its admission quota (%d concurrent)", h.route.Tenant, cap(run.quota))}
-			}
+	h, err := readHeader(rw, func(h *header) error {
+		if h.route.IsZero() {
+			return nil
 		}
-		return run.bat != nil, nil
+		var we *wireError
+		if run, we = s.resolveTenant(h.route); we != nil {
+			return we
+		}
+		rt.setTenant(h.route.Tenant)
+		if quota = run.acquireQuota(); !quota {
+			return &wireError{StatusBusy, fmt.Sprintf("tenant %q at its admission quota (%d concurrent)", h.route.Tenant, cap(run.quota))}
+		}
+		return nil
 	})
 	if quota {
 		defer run.releaseQuota()
@@ -213,12 +202,9 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 	// waits for a client that may still be encrypting.
 	phaseStart := time.Now()
 
-	params, want, kind := run.ctx.Params, run.net.Layers[0].(*hecnn.ConvPacked).NumPositions(), "packed"
-	if h.batch {
-		params, want, kind = run.bat.ctx.Params, run.bat.net.InputSize(), "position-major"
-	}
+	params, want := run.ctx.Params, run.net.Layers[0].(*hecnn.ConvPacked).NumPositions()
 	if int(h.count) != want {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d %s ciphertexts, got %d", want, kind, h.count)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d packed ciphertexts, got %d", want, h.count)}
 	}
 	cts := make([]*hecnn.CT, want)
 	var row []byte // one row's bytes, shared by every ciphertext
@@ -230,12 +216,7 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 		cts[i] = hecnn.WrapCiphertext(ct)
 	}
 	phaseStart = rt.endPhase(phaseDecode, phaseStart)
-	if h.batch {
-		err = run.bat.net.ValidateBatchCiphertexts(cts, params.MaxLevel())
-	} else {
-		err = run.net.ValidateCiphertexts(cts, params.MaxLevel())
-	}
-	if err != nil {
+	if err := run.net.ValidateCiphertexts(cts, params.MaxLevel(), params.Scale); err != nil {
 		return nil, &wireError{StatusBadRequest, err.Error()}
 	}
 	phaseStart = rt.endPhase(phaseValidate, phaseStart)
@@ -243,33 +224,9 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (re
 	if s.testEvalHook != nil {
 		s.testEvalHook()
 	}
-	var out batchOutcome
-	if h.batch {
-		// Park without holding an evaluation slot: the flush acquires one
-		// for the whole batch.
-		releaseSlot()
-		if out, err = run.bat.await(rw.abs, rt, cts); err != nil {
-			return nil, err
-		}
-	} else {
-		out.outs = []*hecnn.CT{s.evaluate(run, rt, cts)}
-	}
+	out := s.evaluate(run, rt, cts)
 	phaseStart = rt.endPhase(phaseEvaluate, phaseStart)
-	if rt != nil {
-		// A batch member's request trace links forward to the flush trace
-		// that evaluated it (and remembers whether it took the degraded
-		// path).
-		rt.flushCtx, rt.degraded = out.flush, out.degraded
-	}
-	if out.err != nil {
-		return nil, out.err
-	}
-
-	logits := response{slot: out.slot, cts: make([]*ckks.Ciphertext, len(out.outs))}
-	for i, ct := range out.outs {
-		logits.cts[i] = ct.Ciphertext()
-	}
-	resp = encodeResponse(h, logits)
+	resp = encodeResponse(h, out.Ciphertext())
 	rt.timePhase(phaseEncode, time.Since(phaseStart))
 	return resp, nil
 }

@@ -37,12 +37,11 @@ type Config struct {
 	QueueDepth int
 	// CacheBytes is the residency budget of each runtime's encoded
 	// weight plaintexts (the hecnn.CompiledNetwork operand table behind
-	// steady-state zero-encode inference), with one meaning for the LoLa
-	// and the batch domain alike. 0 (the default) keeps the whole operand
-	// set resident (hecnn.PlanCacheBytes). A negative value keeps none:
-	// every request re-encodes its weight plaintexts. A positive value
-	// keeps operands in first-consumption order while they fit and
-	// encodes the rest per use. Responses are bit-identical under any
+	// steady-state zero-encode inference). 0 (the default) keeps the
+	// whole operand set resident (hecnn.PlanCacheBytes). A negative value
+	// keeps none: every request re-encodes its weight plaintexts. A
+	// positive value keeps operands in first-consumption order while they
+	// fit and encodes the rest per use. Responses are bit-identical under any
 	// budget.
 	CacheBytes int64
 	// IOTimeout is the rolling per-read/per-write deadline on a
@@ -71,17 +70,10 @@ type Config struct {
 	// shedding and keeps busy messages hint-free.
 	ShedEWMA float64
 
-	// Batch, when non-nil, enables cross-request batched serving: batched
-	// requests park in a scheduler that coalesces them into one
-	// position-major BatchedNetwork evaluation per flush (see batch.go).
-	// Per-request LoLa traffic is unaffected.
-	Batch *BatchConfig
-
 	// Registry, when non-nil, enables multi-tenant serving (tenant.go):
 	// requests carrying a routing frame (wire.go) resolve through it to
-	// a per-tenant runtime — parameters, keys, compiled network, quota,
-	// batch domain — materialized by Models and cached keyed by the
-	// record's generation.
+	// a per-tenant runtime — parameters, keys, compiled network, quota —
+	// materialized by Models and cached keyed by the record's generation.
 	Registry *registry.Registry
 	// Models materializes a registry record into serving material; see
 	// ModelBuilder. Nil means StandardCatalog().
@@ -94,8 +86,8 @@ type Config struct {
 	// request path.
 	Metrics *telemetry.Registry
 	// Flight, when non-nil, receives the server's tail-sampled request
-	// traces: every error/slow/shed/degraded request is kept, healthy
-	// traffic is sampled, and each kept trace carries the full
+	// traces: every error/slow/shed request is kept, healthy traffic is
+	// sampled, and each kept trace carries the full
 	// queue/decode/validate/evaluate/encode span tree (per-layer spans
 	// included) under the client's wire-propagated trace ID. Nil disables
 	// tracing with zero added work — and unchanged wire bytes — on the
@@ -179,11 +171,10 @@ type Server struct {
 }
 
 // NewServerWithConfig builds a server with explicit limits. The given
-// network and keys (plus Config.Batch) become the default runtime that
-// serves unrouted requests. The server joins the process memory plan
-// (memory.go) until Shutdown: a server that is never shut down keeps its
-// resident bytes, and so the process's soft memory limit, for the life
-// of the process.
+// network and keys become the default runtime that serves unrouted
+// requests. The server joins the process memory plan (memory.go) until
+// Shutdown: a server that is never shut down keeps its resident bytes,
+// and so the process's soft memory limit, for the life of the process.
 func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks.RelinearizationKey, rtk *ckks.RotationKeys, cfg Config) *Server {
 	return newServer(processMemory, params, henet, rlk, rtk, cfg)
 }
@@ -213,7 +204,7 @@ func newServer(mem *memPlan, params ckks.Parameters, henet *hecnn.Network, rlk *
 		s.shed = newShedder(cfg.ShedEWMA, cfg.MaxConcurrent)
 	}
 	s.mem.change(1, 0) // the default runtime builds with the plan's limit lifted
-	s.def = s.newRuntime("", 0, &TenantModel{Params: params, Net: henet, Rlk: rlk, Rtk: rtk, Batch: cfg.Batch}, 0)
+	s.def = s.newRuntime("", 0, &TenantModel{Params: params, Net: henet, Rlk: rlk, Rtk: rtk}, 0)
 	s.mem.change(-1, 0)
 	if cfg.Registry != nil {
 		models := cfg.Models
@@ -340,9 +331,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closeDrained()
 	}
 	s.mu.Unlock()
-	// Flush parked batch members immediately: their handlers are
-	// in-flight requests the drain below waits for.
-	s.forEachBatcher((*batcher).drain)
 
 	var err error
 	select {
@@ -363,25 +351,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		l.Close()
 	}
 	s.mu.Unlock()
-	// Stop the schedulers; any member still pending (forced shutdown) is
-	// failed with StatusShuttingDown rather than evaluated.
-	s.forEachBatcher((*batcher).stop)
 	s.mem.close()
 	return err
-}
-
-// forEachBatcher visits the batch scheduler of every resident runtime —
-// the default one and each tenant's — for Shutdown's drain and stop.
-func (s *Server) forEachBatcher(f func(*batcher)) {
-	rts := []*tenantRuntime{s.def}
-	if s.tenants != nil {
-		rts = s.tenants.appendResident(rts)
-	}
-	for _, rt := range rts {
-		if rt.bat != nil {
-			f(rt.bat)
-		}
-	}
 }
 
 func (s *Server) closeDrained() {

@@ -1,8 +1,8 @@
 package mlaas
 
 // This file is the server-side telemetry: pre-resolved metric handles,
-// the per-request phase trace behind the slow-request log, and the
-// periodic one-line digest. Handles are resolved once at server
+// and the per-request phase trace behind the slow-request log and the
+// flight recorder. Handles are resolved once at server
 // construction so the request hot path only touches atomics; with
 // telemetry disabled (Config.Metrics nil and no slow-log threshold) the
 // request path is bit-for-bit the untraced one.
@@ -10,7 +10,6 @@ package mlaas
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -34,12 +33,8 @@ const (
 	MetricLayerSeconds   = "hecnn_layer_seconds"    // histogram{net,layer}
 	MetricLayerHOPs      = "hecnn_layer_hops_total" // counter{net,layer}
 	MetricLayerKS        = "hecnn_layer_keyswitches_total"
-	MetricBatchOccupancy = "mlaas_batch_occupancy"     // histogram: members per flushed batch
-	MetricBatchFlushes   = "mlaas_batch_flushes_total" // counter{reason}
-	MetricShedTotal      = "mlaas_shed_total"          // counter: requests refused by the shedder
-	MetricEvalEWMA       = "mlaas_eval_ewma_seconds"   // gauge: the shedder's latency estimate
-	MetricBatchDegraded  = "mlaas_batch_degraded_total"
-	MetricBatchBreaker   = "mlaas_batch_breaker_state"   // gauge: 0 closed, 1 half-open, 2 open
+	MetricShedTotal      = "mlaas_shed_total"            // counter: requests refused by the shedder
+	MetricEvalEWMA       = "mlaas_eval_ewma_seconds"     // gauge: the shedder's latency estimate
 	MetricTenantRequests = "mlaas_tenant_requests_total" // counter{tenant,status}
 	MetricResidentBytes  = "mlaas_resident_bytes"        // gauge: bytes the memory plan counts resident
 	MetricMemoryLimit    = "mlaas_memory_limit_bytes"    // gauge: the process's soft memory limit
@@ -107,12 +102,6 @@ type serverMetrics struct {
 	request  *telemetry.Histogram
 	inflight *telemetry.Gauge
 	slow     *telemetry.Counter
-
-	batchOccupancy *telemetry.Histogram
-	batchFlushes   [numFlushReasons]*telemetry.Counter
-	batchDegraded  *telemetry.Counter
-	batchBreaker   *telemetry.Gauge
-
 	shed     *telemetry.Counter
 	evalEWMA *telemetry.Gauge
 
@@ -140,16 +129,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.request = reg.Histogram(MetricRequestSeconds, "whole-exchange latency", nil)
 	m.inflight = reg.Gauge(MetricInflight, "admitted requests currently in flight")
 	m.slow = reg.Counter(MetricSlowRequests, "requests over the slow-request threshold")
-	m.batchOccupancy = reg.Histogram(MetricBatchOccupancy,
-		"members evaluated per batch flush", []float64{1, 2, 4, 8, 16, 32, 64})
-	for r := flushReason(0); r < numFlushReasons; r++ {
-		m.batchFlushes[r] = reg.Counter(MetricBatchFlushes,
-			"batch flushes by trigger", telemetry.L("reason", r.String()))
-	}
-	m.batchDegraded = reg.Counter(MetricBatchDegraded,
-		"batch members recovered through the degraded per-member path")
-	m.batchBreaker = reg.Gauge(MetricBatchBreaker,
-		"batched-evaluation circuit breaker state (0 closed, 1 half-open, 2 open)")
 	m.shed = reg.Counter(MetricShedTotal,
 		"requests refused at admission because their deadline was projected unreachable")
 	m.evalEWMA = reg.Gauge(MetricEvalEWMA,
@@ -164,16 +143,6 @@ func (m *serverMetrics) inflightAdd(d float64) {
 		return
 	}
 	m.inflight.Add(d)
-}
-
-// observeBatch records one batch flush: occupancy histogram and the
-// flush-trigger counter. Nil-safe like the rest of the handle set.
-func (m *serverMetrics) observeBatch(occupancy int, reason flushReason) {
-	if m == nil {
-		return
-	}
-	m.batchOccupancy.Observe(float64(occupancy))
-	m.batchFlushes[reason].Inc()
 }
 
 // observeTenant counts one routed exchange under its tenant label,
@@ -212,23 +181,6 @@ func (m *serverMetrics) setEvalEWMA(d time.Duration) {
 		return
 	}
 	m.evalEWMA.Set(d.Seconds())
-}
-
-// observeDegraded counts one member recovered through the degraded
-// per-member path after a failed batch flush.
-func (m *serverMetrics) observeDegraded() {
-	if m == nil {
-		return
-	}
-	m.batchDegraded.Inc()
-}
-
-// setBatchBreaker publishes the batch path's breaker state.
-func (m *serverMetrics) setBatchBreaker(st breakerState) {
-	if m == nil {
-		return
-	}
-	m.batchBreaker.Set(float64(st))
 }
 
 // CheckAccounting checks the request accounting of a fleet of servers
@@ -296,13 +248,9 @@ type reqTrace struct {
 	layers []hecnn.LayerStat
 
 	// wt is the wire-propagated trace context (zero for untraced
-	// clients); flushCtx links a batched member forward to the flush
-	// trace that evaluated it; shed/degraded feed the flight recorder's
-	// always-keep tags.
-	wt       telemetry.SpanContext
-	flushCtx telemetry.SpanContext
-	shed     bool
-	degraded bool
+	// clients); shed feeds the flight recorder's always-keep tags.
+	wt   telemetry.SpanContext
+	shed bool
 	// tenant is the routed tenant name ("" for default-tenant requests);
 	// it keys the per-tenant outcome counters.
 	tenant string
@@ -427,15 +375,13 @@ func buildRequestSpan(rt *reqTrace, st Status, total time.Duration) *telemetry.S
 }
 
 // recordTrace snapshots the finished request into the flight recorder:
-// the span tree joins the client's trace (rt.wt resolved by outcome),
-// links forward to any batch flush that evaluated it, and carries the
-// tail-sampler's always-keep tags.
+// the span tree joins the client's trace (rt.wt resolved by outcome) and
+// carries the tail-sampler's always-keep tags.
 func (s *Server) recordTrace(rt *reqTrace, st Status, total time.Duration, slow bool) {
 	span := buildRequestSpan(rt, st, total)
 	span.Trace = rt.wt.Trace
 	span.Parent = rt.wt.Span
 	span.ID = telemetry.NewSpanID()
-	span.AddLink(rt.flushCtx)
 
 	var tags []string
 	if st != StatusOK {
@@ -447,9 +393,6 @@ func (s *Server) recordTrace(rt *reqTrace, st Status, total time.Duration, slow 
 	if rt.shed {
 		tags = append(tags, "shed")
 	}
-	if rt.degraded {
-		tags = append(tags, "degraded")
-	}
 	s.flight.Record(span, tags...)
 }
 
@@ -460,71 +403,4 @@ func (s *Server) logSlow(rt *reqTrace, st Status, total time.Duration) {
 	s.slowMu.Lock()
 	fmt.Fprintf(s.slowLog, "mlaas: slow request %s\n", span)
 	s.slowMu.Unlock()
-}
-
-// Digest produces the periodic one-line operational summary: request
-// rate since the previous Line call, cumulative p50/p99 evaluate
-// latency, and busy-refusal count. Safe for use from one goroutine.
-type Digest struct {
-	s        *Server
-	mu       sync.Mutex
-	lastTime time.Time
-	lastReqs int64
-}
-
-// NewDigest starts a digest baseline at "now, zero requests seen".
-func (s *Server) NewDigest() *Digest {
-	return &Digest{s: s, lastTime: time.Now()}
-}
-
-// Line formats one digest line and advances the rate baseline.
-func (d *Digest) Line() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.s.Stats()
-	total := int64(st.Served + st.BadRequests + st.Rejected + st.Panics)
-	now := time.Now()
-	dt := now.Sub(d.lastTime).Seconds()
-	rate := 0.0
-	if dt > 0 {
-		rate = float64(total-d.lastReqs) / dt
-	}
-	d.lastTime = now
-	d.lastReqs = total
-
-	p50, p99 := "n/a", "n/a"
-	busy := int64(st.Rejected) // includes shutting-down refusals
-	if m := d.s.met; m != nil {
-		busy = m.requests[StatusBusy].Value()
-		if h := m.phases[phaseEvaluate]; h.Count() > 0 {
-			p50 = fmtSeconds(h.Quantile(0.5))
-			p99 = fmtSeconds(h.Quantile(0.99))
-		}
-	}
-	return fmt.Sprintf("req/s=%.2f evaluate_p50=%s evaluate_p99=%s served=%d busy_refused=%d bad=%d panics=%d",
-		rate, p50, p99, st.Served, busy, st.BadRequests, st.Panics)
-}
-
-func fmtSeconds(v float64) string {
-	return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-// RunDigest logs one digest line per interval until stop is closed —
-// the loop behind mlaas-server's -digest-interval flag. Silenced (and
-// never started) when interval <= 0 or w is nil.
-func (s *Server) RunDigest(w io.Writer, interval time.Duration, stop <-chan struct{}) {
-	if w == nil || interval <= 0 {
-		return
-	}
-	d := s.NewDigest()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			fmt.Fprintf(w, "mlaas: digest %s\n", d.Line())
-		case <-stop:
-			return
-		}
-	}
 }

@@ -348,51 +348,6 @@ func TestFaultPanicWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestDigestLine: the one-line digest reflects the counters and evaluate
-// quantiles, and RunDigest emits it periodically until stopped.
-func TestDigestLine(t *testing.T) {
-	fx := newMetricsFixture(t, Config{})
-	d := fx.server.NewDigest()
-
-	conn := fx.dial(t)
-	if _, err := fx.client.Infer(context.Background(), conn, randomImage(11)); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	line := d.Line()
-	for _, want := range []string{"served=1", "busy_refused=0", "bad=0", "panics=0"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("digest %q missing %q", line, want)
-		}
-	}
-	if strings.Contains(line, "evaluate_p50=n/a") {
-		t.Fatalf("digest %q: evaluate quantiles should be live after an inference", line)
-	}
-
-	// RunDigest: emits at least one line, stops when told.
-	buf := &lockedBuffer{}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fx.server.RunDigest(buf, 10*time.Millisecond, stop)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && !strings.Contains(buf.String(), "mlaas: digest") {
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	<-done
-	if !strings.Contains(buf.String(), "mlaas: digest") {
-		t.Fatalf("RunDigest emitted nothing:\n%s", buf.String())
-	}
-
-	// Disabled configurations never start.
-	fx.server.RunDigest(nil, time.Second, stop)
-	fx.server.RunDigest(buf, 0, stop)
-}
-
 // TestTelemetryDisabledNoTrace: with no registry and no slow threshold the
 // server takes the untraced path (observes() false) and still works.
 func TestTelemetryDisabledNoTrace(t *testing.T) {

@@ -2,13 +2,12 @@ package mlaas
 
 // Multi-tenant serving. A server with Config.Registry set resolves each
 // routed request (wire.go) to a tenantRuntime: the tenant's CKKS
-// parameters, compiled network, evaluation keys, warm operand table,
-// admission quota, and — when the record enables it — a private batch
-// domain. Runtimes are materialized lazily from the registry record by
-// Config.Models and cached keyed by the record's generation, so a key
-// rotation or model update invalidates exactly one tenant's runtime and
-// the next request rebuilds it; requests already evaluating on the old
-// runtime finish on it. The expensive pieces (key derivation, network
+// parameters, compiled network, evaluation keys, warm operand table and
+// admission quota. Runtimes are materialized lazily from the registry
+// record by Config.Models and cached keyed by the record's generation, so
+// a key rotation or model update invalidates exactly one tenant's runtime
+// and the next request rebuilds it; requests already evaluating on the
+// old runtime finish on it. The expensive pieces (key derivation, network
 // compilation, operand warm-up) run once per (tenant, generation) under
 // singleflight; the tenantSet is the only cache of them, so each new
 // generation builds its own hecnn.CompiledNetwork handle. Unrouted
@@ -34,10 +33,6 @@ type TenantModel struct {
 	Net    *hecnn.Network
 	Rlk    *ckks.RelinearizationKey
 	Rtk    *ckks.RotationKeys
-	// Batch, when non-nil, gives the tenant a private batch domain: its
-	// own batch-ring instantiation and flush policy, scheduled by a
-	// per-tenant batcher that shares the server's admission slots.
-	Batch *BatchConfig
 }
 
 // ModelBuilder materializes a registry record into serving material.
@@ -55,7 +50,6 @@ type tenantRuntime struct {
 	net      *hecnn.Network
 	ctx      *hecnn.Context
 	compiled *hecnn.CompiledNetwork
-	bat      *batcher     // nil disables batched serving for this runtime
 	layers   layerMetrics // nil when the server has no metrics
 
 	// quota is the tenant's admission quota (registry Record.Quota): a
@@ -65,7 +59,7 @@ type tenantRuntime struct {
 
 	// resident is what the runtime adds to the server's memory share
 	// (memory.go): its operand table's bytes plus the rows of its key
-	// views. The batch domain's small ring is left out.
+	// views.
 	resident int64
 	mem      *memShare
 }
@@ -73,17 +67,15 @@ type tenantRuntime struct {
 // newRuntime builds one resident runtime from its serving material —
 // for the server's default model and every registry tenant alike: attach
 // the shared worker pool, build the evaluator context and the per-layer
-// metric handles, warm the operand table under Config.CacheBytes, and
-// start the batch domain when the model has one, whose table takes the
-// same budget. quota > 0 caps the runtime's concurrent requests.
+// metric handles, and warm the operand table under Config.CacheBytes.
+// quota > 0 caps the runtime's concurrent requests.
 //
 // The evaluator holds level views of tm's keys (hecnn.Network.KeyViews):
 // each key only up to the highest level the program uses it at, and no
 // key it never uses. Requests enter at the top level (ValidateCiphertexts),
 // so the views serve every valid request bit-identically to the full
 // keys, and the full keys' other rows become garbage once the caller drops
-// tm. The batch domain keeps its keys whole: its small ring makes them
-// negligible.
+// tm.
 //
 // Its caller holds the memory plan's build count up around the whole
 // build, so no limit from the plan is in force; the runtime's resident
@@ -114,21 +106,6 @@ func (s *Server) newRuntime(tenant string, gen uint64, tm *TenantModel, quota in
 	rt.compiled = hecnn.NewCompiledNetwork(tm.Net, tm.Params, rt.ctx.Encoder, s.cfg.CacheBytes)
 	rt.compiled.SetMetrics(s.cfg.Metrics)
 	rt.compiled.Warm(tm.Params.MaxLevel())
-	if tm.Batch != nil {
-		bc := tm.Batch.withDefaults()
-		bc.Params.AttachPool(s.pool)
-		bctx := &hecnn.Context{
-			Params:  bc.Params,
-			Encoder: ckks.NewEncoder(bc.Params),
-			Eval:    ckks.NewEvaluator(bc.Params, bc.Rlk, bc.Rtk),
-		}
-		cb := hecnn.NewCompiledBatched(bc.Net, bc.Params, bctx.Encoder, s.cfg.CacheBytes)
-		cb.SetMetrics(s.cfg.Metrics)
-		cb.Warm(bc.Params.MaxLevel())
-		rt.bat = newBatcher(bc, bctx, cb, s.adm, s.met)
-		rt.bat.flight = s.cfg.Flight
-		go rt.bat.run()
-	}
 	rt.resident = rt.compiled.CacheStats().Bytes + keyBytes(rlk, rtk)
 	s.mem.change(0, rt.resident)
 	return rt
@@ -140,25 +117,13 @@ func (rt *tenantRuntime) backend() hecnn.Backend {
 	return rt.compiled.Backend(rt.ctx, nil)
 }
 
-// release withdraws the runtime's operand tables from the cache gauges
-// and its resident bytes from the memory plan: it is no longer resident,
-// though requests already on it finish.
+// release withdraws the runtime's operand table from the cache gauges
+// and its resident bytes from the memory plan: it is no longer resident.
+// It needs no other teardown — in-flight requests hold their own
+// references and finish on it.
 func (rt *tenantRuntime) release() {
 	rt.compiled.Release()
 	rt.mem.change(0, -rt.resident)
-	if rt.bat != nil {
-		rt.bat.cb.Release()
-	}
-}
-
-// retire releases a superseded runtime and stops its private batch
-// domain. It needs no other teardown — in-flight requests hold their own
-// references and finish on it.
-func (rt *tenantRuntime) retire() {
-	rt.release()
-	if rt.bat != nil {
-		rt.bat.stop()
-	}
 }
 
 // acquireQuota claims one tenant-quota slot, fail-fast: a tenant at its
@@ -213,9 +178,9 @@ func newTenantSet(reg *registry.Registry, build ModelBuilder, srv *Server) *tena
 		entries: make(map[string]*tenantEntry),
 	}
 	// Eager invalidation: rotate/update/delete events drop the stale
-	// runtime (and stop its batcher) immediately instead of waiting for
-	// the next request's generation miss — a deleted tenant sees no next
-	// request, so laziness alone would leak its runtime forever.
+	// runtime immediately instead of waiting for the next request's
+	// generation miss — a deleted tenant sees no next request, so laziness
+	// alone would leak its runtime forever.
 	reg.Subscribe(ts.notify)
 	return ts
 }
@@ -255,7 +220,7 @@ func (ts *tenantSet) runtime(rec registry.Record) (*tenantRuntime, error) {
 		retired := e.retired
 		ts.mu.Unlock()
 		if retired && rt != nil {
-			rt.retire() // superseded while it was being built
+			rt.release() // superseded while it was being built
 		}
 	})
 	if e.err != nil {
@@ -313,18 +278,6 @@ func (ts *tenantSet) retire(e *tenantEntry) {
 	rt := e.rt
 	ts.mu.Unlock()
 	if rt != nil {
-		rt.retire()
+		rt.release()
 	}
-}
-
-// appendResident appends every resident runtime to rts.
-func (ts *tenantSet) appendResident(rts []*tenantRuntime) []*tenantRuntime {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for _, e := range ts.entries {
-		if e.rt != nil {
-			rts = append(rts, e.rt)
-		}
-	}
-	return rts
 }

@@ -3,7 +3,6 @@ package mlaas
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -301,68 +300,6 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
-// TestTenantBatchDomain drives a tenant's private batch domain: the
-// record enables batching, the client derives the batch-ring ceremony
-// (KeySeed+1), and two concurrent requests share one batched evaluation
-// with per-request logits matching the plaintext network.
-func TestTenantBatchDomain(t *testing.T) {
-	carol := registry.Record{Tenant: "carol", Model: "tiny", WeightSeed: 400, KeySeed: 401,
-		Batch: registry.Batch{Size: 2, WindowMS: 5}}
-	_, reg, addr := newTenantFixture(t, carol)
-
-	rec, err := reg.Lookup("carol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := rec.Batch.Window(); w != 5*time.Millisecond {
-		t.Fatalf("batch window %v, want 5ms", w)
-	}
-	pnet, err := StandardPlaintext(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A record without a batch domain must refuse a batch client.
-	if _, err := StandardTenantBatchClient(registry.Record{Tenant: "x", Model: "tiny"}, 1); err == nil {
-		t.Fatal("batch client derived from a batchless record")
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			client, err := StandardTenantBatchClient(rec, int64(40+i))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			img := tenantImage(pnet, int64(50+i))
-			want := pnet.Infer(img)
-			conn := dialT(t, addr)
-			defer conn.Close()
-			logits, err := client.Infer(context.Background(), conn, img)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			for j := range want {
-				if math.Abs(logits[j]-want[j]) > 1e-2 {
-					errs[i] = fmt.Errorf("request %d logit %d: %g vs %g", i, j, logits[j], want[j])
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch request %d: %v", i, err)
-		}
-	}
-}
-
 // waitQuotaHeld spins until n of the tenant's quota slots are occupied.
 func waitQuotaHeld(t *testing.T, s *Server, tenant string, n int) {
 	t.Helper()
@@ -621,11 +558,11 @@ func TestTenantKeyViews(t *testing.T) {
 		if _, err := writeRequest(trw, h, client.encryptRequest(tenantImage(pnet, 3))); err != nil {
 			t.Fatal(err)
 		}
-		resp, _, err := readResponse(trw, client.params, h, 1)
+		out, _, err := readResponse(trw, client.params, h)
 		if err != nil {
 			return "", err
 		}
-		return resp.cts[0].Digest(), nil
+		return ctDigest(out), nil
 	}
 	want, err := infer(plain)
 	if err != nil {

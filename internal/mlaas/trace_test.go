@@ -1,8 +1,7 @@
 package mlaas
 
 // End-to-end tracing suite: the wire framing (byte-identical when off,
-// forward-compat magic when on), batch-flush follow-from linkage,
-// exemplar coherence, the client retry metric, and the zero-allocation
+// forward-compat magic when on), exemplar coherence, the client retry metric, and the zero-allocation
 // guarantee of the disabled path. Trace stitching across a retried
 // exchange through the gateway is pinned in internal/gateway.
 
@@ -13,8 +12,6 @@ import (
 	"errors"
 	"math"
 	"net"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,8 +22,8 @@ func newTestRecorder() *telemetry.FlightRecorder {
 	return telemetry.NewFlightRecorder(telemetry.FlightConfig{SampleRate: 1})
 }
 
-// TestTraceMagicAboveCount pins the versioning mechanism, as the CRC and
-// batch magics are pinned: the trace magic must read as a hostile
+// TestTraceMagicAboveCount pins the versioning mechanism, as the CRC
+// magic is pinned: the trace magic must read as a hostile
 // ciphertext count on servers that predate it.
 func TestTraceMagicAboveCount(t *testing.T) {
 	if traceMagic <= maxRequestCiphertexts {
@@ -89,7 +86,7 @@ func TestUntracedWireBytesIdentical(t *testing.T) {
 	if !bytes.Equal(traced.Bytes()[4+traceBodyLen:], want.Bytes()) {
 		t.Fatal("traced request body differs from legacy framing")
 	}
-	h, err := readHeader(bytes.NewReader(traced.Bytes()), func(*header) (bool, error) { return false, nil })
+	h, err := readHeader(bytes.NewReader(traced.Bytes()), func(*header) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,97 +160,6 @@ func TestExemplarMatchesRecordedTrace(t *testing.T) {
 		}
 	}
 	t.Fatalf("exemplar trace %s not in the flight recorder", ex.TraceID)
-}
-
-// TestBatchFlushTraceLinksMembers: a full-occupancy flush must record a
-// batch-flush trace linking every member's trace (follow-from), and each
-// member's request trace must link back to the flush — the two-way
-// navigation DESIGN.md §14 promises.
-func TestBatchFlushTraceLinksMembers(t *testing.T) {
-	fr := newTestRecorder()
-	const size = 2
-	fx := newBatchFixture(t, Config{Flight: fr}, size, time.Minute)
-
-	var wg sync.WaitGroup
-	cliFrs := make([]*telemetry.FlightRecorder, size)
-	errs := make([]error, size)
-	for i := 0; i < size; i++ {
-		cliFrs[i] = newTestRecorder()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, done := serveOne(t, fx.server)
-			defer func() { conn.Close(); <-done }()
-			bc := fx.batchClient(int64(300 + i))
-			bc.Flight = cliFrs[i]
-			_, errs[i] = bc.Infer(context.Background(), conn, randomImage(int64(400+i)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-
-	memberIDs := map[string]bool{}
-	for i, cf := range cliFrs {
-		trs := cf.Traces()
-		if len(trs) != 1 {
-			t.Fatalf("client %d recorded %d traces, want 1", i, len(trs))
-		}
-		memberIDs[trs[0].Trace] = true
-	}
-	if len(memberIDs) != size {
-		t.Fatalf("expected %d distinct member traces, got %d", size, len(memberIDs))
-	}
-
-	var flush *telemetry.RecordedTrace
-	var members []telemetry.RecordedTrace
-	traces := fr.Traces()
-	for i := range traces {
-		switch traces[i].Root.Name {
-		case "batch-flush":
-			flush = &traces[i]
-		case "request":
-			members = append(members, traces[i])
-		}
-	}
-	if flush == nil {
-		t.Fatal("no batch-flush trace recorded")
-	}
-	if !slices.Contains(flush.Root.Attrs, telemetry.L("occupancy", "2")) {
-		t.Fatalf("flush attrs = %v, want occupancy 2", flush.Root.Attrs)
-	}
-	if !slices.Contains(flush.Root.Attrs, telemetry.L("reason", "full")) {
-		t.Fatalf("flush attrs = %v, want reason full", flush.Root.Attrs)
-	}
-	linked := map[string]bool{}
-	for _, l := range flush.Root.Links {
-		linked[l] = true
-	}
-	for id := range memberIDs {
-		if !linked[id] {
-			t.Fatalf("flush trace does not link member trace %s", id)
-		}
-	}
-	if len(members) != size {
-		t.Fatalf("server recorded %d member request traces, want %d", len(members), size)
-	}
-	for _, m := range members {
-		if !memberIDs[m.Trace] {
-			t.Fatalf("member request trace %s does not join a client trace", m.Trace)
-		}
-		back := false
-		for _, l := range m.Root.Links {
-			if l == flush.Trace {
-				back = true
-			}
-		}
-		if !back {
-			t.Fatalf("member trace %s does not link back to flush %s", m.Trace, flush.Trace)
-		}
-	}
 }
 
 // TestClientResilienceMetrics: a dial failure followed by a successful

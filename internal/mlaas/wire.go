@@ -11,25 +11,21 @@ package mlaas
 //	[traceMagic, trace ID(16), parent span ID(8)]        client trace context
 //	[routeMagic, u16 len, tenant name, u64 generation]   tenant routing frame
 //	[crcMagic]                                           CRC-framed response wanted
-//	[batchMagic]                                         batched framing
 //	u32 count, then count serialized ciphertexts
 //
 // Each bracketed frame is optional, appears at most once, and keeps this
 // order. Every magic number is above maxRequestCiphertexts, so a server
 // that predates a frame reads its magic as a hostile ciphertext count and
 // refuses the request with a typed bad-request instead of misparsing it —
-// the negotiation needs no version field. A server without batching reads
-// batchMagic the same way, and a client that sets no frame writes the
-// legacy bytes. The single framing carries the image's packed
-// ciphertexts; the batched framing carries one single-slot ciphertext per
-// tensor position under the batch-ring parameters.
+// the negotiation needs no version field. The retired batched framing's
+// word, "BTCH" (0x42544348), is refused the same way. A client that sets
+// no frame writes the legacy bytes. The ciphertexts are the image's
+// packed ciphertexts.
 //
 // A response is a status byte (see Status). StatusOK is followed by one
-// result ciphertext, or on the batched framing by a u32 slot, a u32
-// count, and count logit ciphertexts shared by the whole batch — the
-// client decrypts only its own slot. When the request carried crcMagic,
-// the success response ends with [crcMagic][IEEE CRC32 of every response
-// byte from the status byte on]. Every other status is followed by a
+// result ciphertext. When the request carried crcMagic, the success
+// response ends with [crcMagic][IEEE CRC32 of every response byte from
+// the status byte on]. Every other status is followed by a
 // u32-length message capped at maxErrorMessageBytes, and never by a
 // trailer: some refusals (drain, admission) are written before the server
 // has read the header, so it cannot know whether the peer asked for one.
@@ -59,7 +55,6 @@ const (
 	traceMagic uint32 = 0x54524331 // "TRC1"
 	routeMagic uint32 = 0x544E5431 // "TNT1"
 	crcMagic   uint32 = 0x43524331 // "CRC1"; also leads the response trailer
-	batchMagic uint32 = 0x42544348 // "BTCH"
 )
 
 const (
@@ -95,7 +90,6 @@ type header struct {
 	trace telemetry.SpanContext // zero: no trace frame
 	route RouteHeader           // zero: no route frame
 	crc   bool                  // the success response carries a CRC32 trailer
-	batch bool                  // batched framing
 	count uint32                // ciphertexts that follow
 }
 
@@ -118,9 +112,6 @@ func (h header) appendTo(b []byte) ([]byte, error) {
 	}
 	if h.crc {
 		b = le.AppendUint32(b, crcMagic)
-	}
-	if h.batch {
-		b = le.AppendUint32(b, batchMagic)
 	}
 	return le.AppendUint32(b, h.count), nil
 }
@@ -146,13 +137,13 @@ func writeRequest(w io.Writer, h header, cts []*ckks.Ciphertext) (int64, error) 
 
 // readHeader parses a request header. Once the routing decision is known
 // — after the route frame, or after the first word that is not one — it
-// calls resolve, which selects the serving runtime and reports whether
-// that runtime batches; an error from resolve ends the parse with that
-// error. A nil resolve ends the parse successfully once the CRC flag is
-// known, which is how PeekRoute reads no further than routing and the
-// relay's trailer check require. The count is checked against
-// maxRequestCiphertexts before the caller allocates anything.
-func readHeader(r io.Reader, resolve func(*header) (batching bool, err error)) (h header, err error) {
+// calls resolve, which selects the serving runtime; an error from resolve
+// ends the parse with that error. A nil resolve ends the parse
+// successfully once the CRC flag is known, which is how PeekRoute reads
+// no further than routing and the relay's trailer check require. The
+// count is checked against maxRequestCiphertexts before the caller
+// allocates anything.
+func readHeader(r io.Reader, resolve func(*header) error) (h header, err error) {
 	word, err := readWord(r)
 	if err == nil && word == traceMagic {
 		var tb [traceBodyLen]byte
@@ -172,9 +163,8 @@ func readHeader(r io.Reader, resolve func(*header) (batching bool, err error)) (
 			return h, fmt.Errorf("reading route frame: %w", err)
 		}
 	}
-	batching := false
 	if resolve != nil {
-		if batching, err = resolve(&h); err != nil {
+		if err = resolve(&h); err != nil {
 			return h, err
 		}
 	}
@@ -193,16 +183,9 @@ func readHeader(r io.Reader, resolve func(*header) (batching bool, err error)) (
 			return h, fmt.Errorf("reading request header: %w", err)
 		}
 	}
-	framing := "request"
-	if word == batchMagic && batching {
-		h.batch, framing = true, "batched"
-		if word, err = readWord(r); err != nil {
-			return h, fmt.Errorf("reading batched request header: %w", err)
-		}
-	}
 	h.count = word
 	if word < 1 || word > maxRequestCiphertexts {
-		return h, fmt.Errorf("%s ciphertext count %d outside [1,%d]", framing, word, maxRequestCiphertexts)
+		return h, fmt.Errorf("request ciphertext count %d outside [1,%d]", word, maxRequestCiphertexts)
 	}
 	return h, nil
 }
@@ -314,49 +297,30 @@ func RelayResponse(client io.Writer, shard io.Reader, crc bool) error {
 	return nil
 }
 
-// response is a success response's payload: the logit ciphertexts and,
-// on the batched framing, the member's slot in each of them.
-type response struct {
-	slot int
-	cts  []*ckks.Ciphertext
-}
-
-// encodeResponse serializes the success response to a request with
-// header h into one buffer of exactly its wire size.
-func encodeResponse(h header, resp response) []byte {
-	size := 1
-	if h.batch {
-		size += 8
-	}
-	for _, ct := range resp.cts {
-		size += ct.SerializedSize()
-	}
+// encodeResponse serializes the success response carrying ct to a
+// request with header h into one buffer of exactly its wire size.
+func encodeResponse(h header, ct *ckks.Ciphertext) []byte {
+	size := 1 + ct.SerializedSize()
 	if h.crc {
 		size += 8
 	}
-	le := binary.LittleEndian
-	b := append(make([]byte, 0, size), byte(StatusOK))
-	if h.batch {
-		b = le.AppendUint32(le.AppendUint32(b, uint32(resp.slot)), uint32(len(resp.cts)))
-	}
-	buf := bytes.NewBuffer(b)
-	for _, ct := range resp.cts {
-		ct.WriteTo(buf) //nolint:errcheck // bytes.Buffer never fails
-	}
-	b = buf.Bytes()
+	buf := bytes.NewBuffer(append(make([]byte, 0, size), byte(StatusOK)))
+	ct.WriteTo(buf) //nolint:errcheck // bytes.Buffer never fails
+	b := buf.Bytes()
 	if h.crc {
+		le := binary.LittleEndian
 		b = le.AppendUint32(le.AppendUint32(b, crcMagic), crc32.ChecksumIEEE(b))
 	}
 	return b
 }
 
-// readResponse reads the response to a request with header h. A failure
-// status comes back as *StatusError; a batched success must carry want
-// ciphertexts and a slot inside params' ring; under h.crc a structural
-// decode failure or a trailer mismatch is ErrFrameCorrupt. Failures after
-// the status byte are *TransportError with Partial set. recv counts the
-// bytes read either way.
-func readResponse(r io.Reader, params ckks.Parameters, h header, want int) (resp response, recv int64, err error) {
+// readResponse reads the response to a request with header h: one
+// result ciphertext under params. A failure status comes back as
+// *StatusError; under h.crc a structural decode failure or a trailer
+// mismatch is ErrFrameCorrupt. Failures after the status byte are
+// *TransportError with Partial set. recv counts the bytes read either
+// way.
+func readResponse(r io.Reader, params ckks.Parameters, h header) (ct *ckks.Ciphertext, recv int64, err error) {
 	src := r
 	var cr *crcReader
 	if h.crc {
@@ -365,69 +329,47 @@ func readResponse(r io.Reader, params ckks.Parameters, h header, want int) (resp
 	}
 	var status [1]byte
 	if _, err := io.ReadFull(src, status[:]); err != nil {
-		return resp, 0, &TransportError{Err: err}
+		return nil, 0, &TransportError{Err: err}
 	}
 	recv = 1
-	partial := func(err error) (response, int64, error) {
-		return response{}, recv, &TransportError{Partial: true, Err: err}
+	partial := func(err error) (*ckks.Ciphertext, int64, error) {
+		return nil, recv, &TransportError{Partial: true, Err: err}
 	}
-	le := binary.LittleEndian
 	if code := Status(status[0]); code != StatusOK {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(src, lenBuf[:]); err != nil {
 			return partial(err)
 		}
 		recv += 4
-		msgLen := le.Uint32(lenBuf[:])
+		msgLen := binary.LittleEndian.Uint32(lenBuf[:])
 		if msgLen > maxErrorMessageBytes {
-			return resp, recv, &StatusError{Code: code, Msg: "(error message exceeds wire cap)"}
+			return nil, recv, &StatusError{Code: code, Msg: "(error message exceeds wire cap)"}
 		}
 		msg := make([]byte, msgLen)
 		if _, err := io.ReadFull(src, msg); err != nil {
 			return partial(err)
 		}
 		recv += int64(msgLen)
-		return resp, recv, &StatusError{Code: code, Msg: string(msg)}
+		return nil, recv, &StatusError{Code: code, Msg: string(msg)}
 	}
-	count := 1
-	if h.batch {
-		var sc [8]byte
-		if _, err := io.ReadFull(src, sc[:]); err != nil {
-			return partial(err)
+	var row []byte // one row's bytes, shared by the ciphertext's rows
+	ct, err = ckks.ReadCiphertextBuf(src, params, &row)
+	if err != nil {
+		// Under CRC framing a structural decode failure is corruption
+		// evidence: an honest server produces well-formed frames.
+		if h.crc && errors.Is(err, ckks.ErrMalformed) {
+			err = errFrameCorruptf("%v", err)
 		}
-		recv += 8
-		resp.slot, count = int(le.Uint32(sc[:4])), int(le.Uint32(sc[4:]))
-		switch {
-		case resp.slot >= params.Slots():
-			return partial(fmt.Errorf("server assigned slot %d outside the ring's %d slots", resp.slot, params.Slots()))
-		case count < 1 || count > maxRequestCiphertexts:
-			return partial(fmt.Errorf("batched response ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts))
-		case count != want:
-			return partial(fmt.Errorf("batched response has %d logit ciphertexts, want %d", count, want))
-		}
+		return partial(err)
 	}
-	resp.cts = make([]*ckks.Ciphertext, count)
-	var row []byte // one row's bytes, shared by every ciphertext
-	for i := range resp.cts {
-		ct, err := ckks.ReadCiphertextBuf(src, params, &row)
-		if err != nil {
-			// Under CRC framing a structural decode failure is corruption
-			// evidence: an honest server produces well-formed frames.
-			if h.crc && errors.Is(err, ckks.ErrMalformed) {
-				err = errFrameCorruptf("%v", err)
-			}
-			return partial(err)
-		}
-		recv += int64(ct.SerializedSize())
-		resp.cts[i] = ct
-	}
+	recv += int64(ct.SerializedSize())
 	if h.crc {
 		if err := readTrailer(r, cr.h.Sum32()); err != nil {
 			return partial(err)
 		}
 		recv += 8
 	}
-	return resp, recv, nil
+	return ct, recv, nil
 }
 
 // WriteFailure writes a typed failure response: the status byte, then the

@@ -4,19 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
-	"time"
 )
-
-// TestBatchWindow pins the WindowMS-to-duration conversion the batch
-// scheduler consumes.
-func TestBatchWindow(t *testing.T) {
-	if w := (Batch{Size: 2, WindowMS: 5}).Window(); w != 5*time.Millisecond {
-		t.Fatalf("window %v, want 5ms", w)
-	}
-	if w := (Batch{}).Window(); w != 0 {
-		t.Fatalf("zero batch window %v, want 0", w)
-	}
-}
 
 // TestMutationValidation pins the typed refusals on the mutation API:
 // absent tenants are ErrNotFound — never a silent no-op.

@@ -13,7 +13,7 @@ import (
 func FuzzDecodeFile(f *testing.F) {
 	valid, err := EncodeFile([]Record{
 		{Tenant: "alice", Model: "tiny", WeightSeed: 1, KeySeed: 2, Generation: 3,
-			Quota: Quota{MaxConcurrent: 2}, Batch: Batch{Size: 4, WindowMS: 20}},
+			Quota: Quota{MaxConcurrent: 2}},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -27,8 +27,10 @@ func FuzzDecodeFile(f *testing.F) {
 	f.Add([]byte(`{"version": 1, "records": null}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"version": 1, "records": [{"tenant": "a", "model": "m", "quota": {"max_concurrent": -1}}]}`))
-	// The retired compile-mode field: refused by DisallowUnknownFields.
+	// The retired compile-mode and batch-domain fields: refused by
+	// DisallowUnknownFields.
 	f.Add([]byte(`{"version": 1, "records": [{"tenant": "a", "model": "tiny", "hoist": true}]}`))
+	f.Add([]byte(`{"version": 1, "records": [{"tenant": "a", "model": "tiny", "batch": {"size": 4, "window_ms": 20}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeFile(data)

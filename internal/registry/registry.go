@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Typed registry errors. Serving layers map these onto wire statuses
@@ -59,22 +58,6 @@ type Quota struct {
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
 }
 
-// Batch configures a tenant's private batch domain: batched requests
-// from this tenant coalesce only with each other, never across tenants
-// (cross-request batching shares logit slots, so a batch is a trust
-// domain). Zero Size disables batching for the tenant.
-type Batch struct {
-	// Size is the maximum members coalesced into one evaluation.
-	Size int `json:"size,omitempty"`
-	// WindowMS bounds how long the oldest member waits for
-	// co-travellers, in milliseconds (the JSON form avoids
-	// time.Duration's unit ambiguity on disk).
-	WindowMS int `json:"window_ms,omitempty"`
-}
-
-// Window returns the batch window as a duration.
-func (b Batch) Window() time.Duration { return time.Duration(b.WindowMS) * time.Millisecond }
-
 // Record is one tenant's registration: everything a shard needs to
 // materialize the tenant's serving state, and everything a client needs
 // to derive the matching key set.
@@ -96,8 +79,6 @@ type Record struct {
 	Generation uint64 `json:"generation"`
 	// Quota bounds the tenant's per-shard admission.
 	Quota Quota `json:"quota,omitempty"`
-	// Batch configures the tenant's private batch domain.
-	Batch Batch `json:"batch,omitempty"`
 }
 
 // Validate reports whether the record can be registered and routed.
@@ -114,8 +95,8 @@ func (r Record) Validate() error {
 	if len(r.Model) > MaxNameBytes {
 		return fmt.Errorf("%w: model name %d bytes exceeds cap %d", ErrInvalid, len(r.Model), MaxNameBytes)
 	}
-	if r.Quota.MaxConcurrent < 0 || r.Batch.Size < 0 || r.Batch.WindowMS < 0 {
-		return fmt.Errorf("%w: negative quota or batch bound", ErrInvalid)
+	if r.Quota.MaxConcurrent < 0 {
+		return fmt.Errorf("%w: negative quota", ErrInvalid)
 	}
 	return nil
 }

@@ -42,7 +42,6 @@ func TestValidateRefusesBadRecords(t *testing.T) {
 		{Tenant: string(make([]byte, MaxNameBytes+1)), Model: "tiny"},
 		{Tenant: "a", Model: string(make([]byte, MaxNameBytes+1))},
 		{Tenant: "a", Model: "tiny", Quota: Quota{MaxConcurrent: -1}},
-		{Tenant: "a", Model: "tiny", Batch: Batch{Size: -1}},
 	}
 	for i, bad := range cases {
 		if err := r.Register(bad); !errors.Is(err, ErrInvalid) {
@@ -148,7 +147,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	r := New(st)
 	if err := r.Register(Record{Tenant: "alice", Model: "tiny", WeightSeed: 3, KeySeed: 4,
-		Quota: Quota{MaxConcurrent: 2}, Batch: Batch{Size: 4, WindowMS: 20}}); err != nil {
+		Quota: Quota{MaxConcurrent: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Register(rec("bob")); err != nil {
@@ -167,7 +166,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alice.Generation != 2 || alice.KeySeed != 40 || alice.Batch.Size != 4 {
+	if alice.Generation != 2 || alice.KeySeed != 40 || alice.Quota.MaxConcurrent != 2 {
 		t.Fatalf("reloaded record %+v", alice)
 	}
 	recs, err := st2.List()
@@ -228,6 +227,9 @@ func TestFileStoreCorruptFiles(t *testing.T) {
 		// The Hoist compile mode was removed; a file that still sets it is
 		// refused rather than silently served under the ladder.
 		"retired-hoist-field": {data: []byte(`{"version": 1, "records": [{"tenant": "a", "model": "tiny", "hoist": true}]}`), mention: `"hoist"`},
+		// The per-tenant batch domain was removed with the batched serve
+		// path; a file that still configures one is refused by name.
+		"retired-batch-field": {data: []byte(`{"version": 1, "records": [{"tenant": "a", "model": "tiny", "batch": {"size": 4, "window_ms": 20}}]}`), mention: `"batch"`},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -24,7 +24,6 @@ type Span struct {
 	Trace  TraceID
 	ID     SpanID
 	Parent SpanID
-	links  []SpanContext // follow-from links (e.g. batch-flush members)
 
 	start time.Time
 	dur   time.Duration
@@ -91,18 +90,6 @@ func (s *Span) TraceID() TraceID {
 	return s.Trace
 }
 
-// AddLink attaches a follow-from link to another trace (e.g. a batch
-// flush linking every coalesced member's request trace). Zero contexts
-// are ignored.
-func (s *Span) AddLink(ctx SpanContext) {
-	if s == nil || ctx.IsZero() {
-		return
-	}
-	s.mu.Lock()
-	s.links = append(s.links, ctx)
-	s.mu.Unlock()
-}
-
 // Snapshot deep-copies the span tree into an immutable, encodable form.
 func (s *Span) Snapshot() SpanSnapshot {
 	if s == nil {
@@ -124,9 +111,6 @@ func (s *Span) Snapshot() SpanSnapshot {
 		if !s.Parent.IsZero() {
 			snap.Parent = s.Parent.String()
 		}
-	}
-	for _, l := range s.links {
-		snap.Links = append(snap.Links, l.Trace.String())
 	}
 	children := append([]*Span(nil), s.Children...)
 	s.mu.Unlock()

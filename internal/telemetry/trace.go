@@ -93,7 +93,6 @@ type SpanSnapshot struct {
 	Parent     string         `json:"parent,omitempty"`
 	DurationNs int64          `json:"duration_ns"`
 	Attrs      []Label        `json:"attrs,omitempty"`
-	Links      []string       `json:"links,omitempty"` // follow-from trace IDs
 	Children   []SpanSnapshot `json:"children,omitempty"`
 }
 
@@ -115,7 +114,7 @@ func (s *SpanSnapshot) Find(name string) *SpanSnapshot {
 }
 
 // RecordedTrace is one entry in a flight recorder: a finished span tree
-// plus the recorder's classification tags (error, slow, shed, degraded,
+// plus the recorder's classification tags (error, slow, shed,
 // sampled, ...).
 type RecordedTrace struct {
 	Trace      string       `json:"trace"`

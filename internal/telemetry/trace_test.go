@@ -89,7 +89,6 @@ func TestSpanSnapshotTree(t *testing.T) {
 	root.SetAttr("status", "ok")
 	c := root.StartChild("evaluate")
 	c.End()
-	root.AddLink(SpanContext{Trace: NewTraceID(), Span: NewSpanID()})
 	root.End()
 
 	snap := root.Snapshot()
@@ -98,9 +97,6 @@ func TestSpanSnapshotTree(t *testing.T) {
 	}
 	if !slices.Contains(snap.Attrs, L("status", "ok")) {
 		t.Fatal("attr lost in snapshot")
-	}
-	if len(snap.Links) != 1 {
-		t.Fatalf("links = %d, want 1", len(snap.Links))
 	}
 	if snap.Find("evaluate") == nil {
 		t.Fatal("child not found in snapshot")
@@ -128,7 +124,6 @@ func TestSpanTreeRace(t *testing.T) {
 				gc := c.StartChild("layer")
 				gc.End()
 				c.End()
-				root.AddLink(SpanContext{Trace: NewTraceID(), Span: NewSpanID()})
 			}
 		}(g)
 	}
@@ -153,7 +148,6 @@ func TestNilSpanTraceOpsAreNoOps(t *testing.T) {
 	if !s.Context().IsZero() || !s.TraceID().IsZero() {
 		t.Fatal("nil span leaked identity")
 	}
-	s.AddLink(SpanContext{Trace: NewTraceID()})
 	if snap := s.Snapshot(); snap.Name != "" {
 		t.Fatal("nil span snapshot not empty")
 	}
@@ -364,12 +358,10 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 	var fr *FlightRecorder
 	var s *Span
 	var h *Histogram
-	ctx := SpanContext{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c := s.StartChild("attempt")
 		c.SetAttr("endpoint", "s0")
 		c.End()
-		s.AddLink(ctx)
 		_ = s.Context()
 		_ = s.TraceID()
 		// No variadic tags here: the tag slice itself would allocate at
